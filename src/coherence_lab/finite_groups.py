@@ -568,10 +568,7 @@ def augmentation_basis(G: FiniteGroup, H: Subgroup, p: int) -> List[List[int]]:
             v[G.mul(g, h)] += 1
             v[g] -= 1
             rows.append(v)
-    if not rows:
-        return []
-    red, _ = fp_linalg.rref(fp_linalg.FpMatrix.from_rows(rows, p))
-    return [r for r in red.to_rows() if any(r)]
+    return fp_linalg.RowSpace(rows, p, G.order).rows.tolist()
 
 
 def random_unipotent_module(

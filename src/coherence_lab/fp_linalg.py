@@ -6,7 +6,9 @@ int64 products can never overflow between reductions.
 
 Elimination uses the lexicographically first nonzero pivot (scan columns left
 to right, take the topmost usable row), so every computed basis and every
-solution is deterministic and reproducible.
+solution is deterministic and reproducible. `_rref` is the only elimination
+loop; `RowSpace` wraps it and answers every span question (membership,
+equality, filtration pieces), and rank, kernel and solve are built on it.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ class DimensionMismatch(ValueError):
     pass
 
 
-class ModulusMismatch(ValueError):
-    pass
-
-
 def is_prime(p: int) -> bool:
     """Trial-division primality check; adequate for word-sized moduli."""
     if p < 2:
@@ -34,38 +32,6 @@ def is_prime(p: int) -> bool:
             return False
         d += 1
     return True
-
-
-class Fp:
-    """The field F_p. Construction checks primality by trial division."""
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        self.p = p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero in F_p")
-        return pow(a, self.p - 2, self.p)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Fp) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("Fp", self.p))
-
-    def __repr__(self) -> str:
-        return f"Fp({self.p})"
 
 
 class FpMatrix:
@@ -112,9 +78,6 @@ class FpMatrix:
     def entry(self, i: int, j: int) -> int:
         return int(self._a[i, j])
 
-    def row(self, i: int) -> List[int]:
-        return [int(x) for x in self._a[i]]
-
     def to_rows(self) -> List[List[int]]:
         return [[int(x) for x in r] for r in self._a]
 
@@ -131,15 +94,6 @@ class FpMatrix:
 
     def __repr__(self) -> str:
         return f"FpMatrix({self.to_rows()}, p={self.p})"
-
-
-def matmul(a: FpMatrix, b: FpMatrix) -> FpMatrix:
-    """Matrix product over F_p."""
-    if a.p != b.p:
-        raise ModulusMismatch(f"p={a.p} vs p={b.p}")
-    if a.cols != b.rows:
-        raise DimensionMismatch(f"{a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    return FpMatrix.from_numpy((a._a @ b._a) % a.p, a.p)
 
 
 def _rref(a: np.ndarray, p: int):
@@ -174,9 +128,35 @@ def rref(m: FpMatrix):
     return FpMatrix.from_numpy(a, m.p), pivots
 
 
+class RowSpace:
+    """The span of some vectors in F_p^dim, held as its reduced echelon basis.
+
+    Zero vectors are dropped before elimination. `rows` are sorted by pivot
+    column, so two spanning sets of one space give equal `rows`.
+    """
+
+    def __init__(self, vectors, p: int, dim: int):
+        a = np.asarray(vectors, dtype=np.int64).reshape(len(vectors), dim)
+        # One copy of the input at a time: the masked copy is the working one.
+        a = a[(a % p).any(axis=1)]
+        a %= p
+        self.p = p
+        self.pivots = _rref(a, p)
+        self.rows = a[: len(self.pivots)]
+
+    def contains(self, v):
+        """Whether v lies in the space; one bool per vector for a stack."""
+        w = np.asarray(v, dtype=np.int64) % self.p
+        return ~((w - w[..., self.pivots] @ self.rows) % self.p).any(axis=-1)
+
+    def low_part(self, cut: int) -> np.ndarray:
+        """The rows with no support before coordinate cut: a basis of the
+        intersection of the space with the span of coordinates >= cut."""
+        return self.rows[~self.rows[:, :cut].any(axis=1)]
+
+
 def rank(m: FpMatrix) -> int:
-    a = m.numpy()
-    return len(_rref(a, m.p))
+    return len(RowSpace(m._a, m.p, m.cols).pivots)
 
 
 def kernel_basis(m: FpMatrix) -> List[List[int]]:
@@ -187,16 +167,15 @@ def kernel_basis(m: FpMatrix) -> List[List[int]]:
     substitution before being returned.
     """
     p = m.p
-    a = m.numpy()
-    pivots = _rref(a, p)
-    pivot_set = set(pivots)
+    space = RowSpace(m._a, p, m.cols)
+    pivot_set = set(space.pivots)
     free = [j for j in range(m.cols) if j not in pivot_set]
     basis: List[List[int]] = []
     for f in free:
         v = [0] * m.cols
         v[f] = 1
-        for r_idx, c in enumerate(pivots):
-            v[c] = (-int(a[r_idx, f])) % p
+        for r_idx, c in enumerate(space.pivots):
+            v[c] = (-int(space.rows[r_idx, f])) % p
         basis.append(v)
     if basis:
         check = (m._a @ np.array(basis, dtype=np.int64).T) % p
@@ -213,17 +192,12 @@ def solve(m: FpMatrix, rhs: Sequence[int]) -> Optional[List[int]]:
     """
     if len(rhs) != m.rows:
         raise DimensionMismatch(f"rhs length {len(rhs)} != {m.rows} rows")
-    p = m.p
-    aug = np.concatenate(
-        [m.numpy(), np.array(rhs, dtype=np.int64).reshape(-1, 1) % p], axis=1
-    )
-    pivots = _rref(aug, p)
-    if m.cols in pivots:
+    b = np.array(rhs, dtype=np.int64)
+    space = RowSpace(np.column_stack([m._a, b]), m.p, m.cols + 1)
+    if m.cols in space.pivots:
         return None
-    x = [0] * m.cols
-    for r_idx, c in enumerate(pivots):
-        x[c] = int(aug[r_idx, m.cols])
-    check = (m._a @ np.array(x, dtype=np.int64)) % p
-    if np.any((check - np.array(rhs, dtype=np.int64)) % p):
+    x = np.zeros(m.cols, dtype=np.int64)
+    x[space.pivots] = space.rows[:, m.cols]
+    if np.any((m._a @ x - b) % m.p):
         raise AssertionError("solve result failed substitution check")
-    return x
+    return x.tolist()

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 IntVector = Tuple[int, ...]
@@ -322,11 +321,3 @@ def divides_vec(g: IntVector, v: IntVector) -> bool:
         elif r != ratio:
             return False
     return ratio is None or ratio.denominator == 1
-
-
-def content(v: Sequence[int]) -> int:
-    """gcd of the coordinates (0 for the zero vector)."""
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a))
-    return g

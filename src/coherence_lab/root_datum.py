@@ -275,6 +275,9 @@ def validate(datum: SolvableGroupDatum) -> List[str]:
                 f"weight {i} has multiplicity {w.multiplicity} but {counts[i]} basis vectors"
             )
     out.extend(lie.antisymmetry_violations())
+    if any(not 0 <= wi < len(datum.weights) for wi in lie.weight_of):
+        # The checks below look up the weight of every basis vector.
+        return out
 
     # Grading: a nonzero bracket lands in the weight space of the sum.
     for i in range(lie.dim):

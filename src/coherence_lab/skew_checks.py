@@ -20,8 +20,6 @@ from . import fp_linalg
 from .skew_series import FrobeniusEndo, PrecisionUnderflow, SeriesRing, TruncSeries
 from .skew_poly import (
     NOT_IN_IDEAL_AT_BOUND,
-    FlatSpace,
-    MembershipCertificate,
     SkewContext,
     SkewPoly,
     ideal_membership_bounded,
@@ -83,48 +81,6 @@ def build_S_generators(
         sDm = SkewPoly.from_series(ctx, s(1)) * ctx.gen("D", m)
         out.append((f"S3[{m}]", (tEm, -sDm)))
     return out
-
-
-class _SpanChecker:
-    """Row space membership over F_p with an early full-rank bailout."""
-
-    def __init__(self, vectors: Sequence[Sequence[int]], dim: int, p: int):
-        self.p = p
-        self.dim = dim
-        self.rows: List[np.ndarray] = []
-        self.pivots: List[int] = []
-        self.full = False
-        for v in vectors:
-            if self.full:
-                break
-            self.insert(v)
-
-    def _reduce(self, v) -> np.ndarray:
-        w = np.array(v, dtype=np.int64) % self.p
-        for row, c in zip(self.rows, self.pivots):
-            if w[c]:
-                w = (w - w[c] * row) % self.p
-        return w
-
-    def insert(self, v) -> None:
-        w = self._reduce(v)
-        nz = np.nonzero(w)[0]
-        if nz.size == 0:
-            return
-        c = int(nz[0])
-        w = (w * pow(int(w[c]), self.p - 2, self.p)) % self.p
-        for i, (row, pc) in enumerate(zip(self.rows, self.pivots)):
-            if row[c]:
-                self.rows[i] = (row - row[c] * w) % self.p
-        self.rows.append(w)
-        self.pivots.append(c)
-        if len(self.rows) == self.dim:
-            self.full = True
-
-    def contains(self, v) -> bool:
-        if self.full:
-            return True
-        return not self._reduce(v).any()
 
 
 @dataclass
@@ -252,11 +208,11 @@ def verify_relations(
                     vec = _pair_to_vec((px, py), flat_idx, dim)
                     if vec is not None:
                         columns.append(vec)
-        checker = _SpanChecker(columns, dim, p)
+        span_s = fp_linalg.RowSpace(columns, p, dim)
         for (lx, ly) in by_degree[deg]:
             report.interior_checked += 1
             vec = _pair_to_vec((lx, ly), flat_idx, dim)
-            if vec is None or not checker.contains(vec):
+            if vec is None or not span_s.contains(vec):
                 report.completeness_exceptions.append(
                     f"degree {deg}: kernel vector ({lx!r}, {ly!r}) outside span(S)"
                 )
@@ -484,23 +440,6 @@ class ModuleFlat:
         )
 
 
-def _rref_rows(vectors: Sequence[Sequence[int]], p: int) -> List[Tuple[int, ...]]:
-    if not vectors:
-        return []
-    mat = fp_linalg.FpMatrix.from_rows(list(vectors), p)
-    red, _ = fp_linalg.rref(mat)
-    return [tuple(r) for r in red.to_rows() if any(r)]
-
-
-def _rows_low_part(rows: Sequence[Tuple[int, ...]], cut: int) -> List[Tuple[int, ...]]:
-    """Echelon rows supported entirely in coordinates >= cut.
-
-    Because coordinates are ordered high degree first, these rows form a
-    basis of (span) intersect (degree <= k piece).
-    """
-    return [r for r in rows if not any(r[:cut])]
-
-
 def _mul_monomial_lossfree(
     ctx: SkewContext, a: int, j: int, poly: SkewPoly
 ) -> Optional[SkewPoly]:
@@ -541,9 +480,9 @@ def module_span(
     generators: Sequence[Sequence[SkewPoly]],
     flat: ModuleFlat,
     maxdeg: Optional[int] = None,
-) -> List[Tuple[int, ...]]:
-    """Echelon basis of the visible left-module span of the generators:
-    all loss-free products t^a F^j * g with F-degree at most maxdeg."""
+) -> fp_linalg.RowSpace:
+    """The visible left-module span of the generators: all loss-free
+    products t^a F^j * g with F-degree at most maxdeg."""
     ring = ctx.base
     top = flat.fbound if maxdeg is None else maxdeg
     vectors = []
@@ -556,7 +495,20 @@ def module_span(
                 prod = _tuple_mul_lossfree(ctx, a, j, g)
                 if prod is not None:
                     vectors.append(flat.to_vec(prod))
-    return _rref_rows(vectors, ring.p)
+    return fp_linalg.RowSpace(vectors, ring.p, flat.dim)
+
+
+def _f_multiples(
+    ctx: SkewContext, flat: ModuleFlat, elems: Sequence[Sequence[SkewPoly]]
+) -> fp_linalg.RowSpace:
+    """The span of the loss-free products t^a F * m over the given m."""
+    vectors = []
+    for m in elems:
+        for a in range(ctx.base.max_scaled):
+            prod = _tuple_mul_lossfree(ctx, a, 1, m)
+            if prod is not None:
+                vectors.append(flat.to_vec(prod))
+    return fp_linalg.RowSpace(vectors, ctx.base.p, flat.dim)
 
 
 @dataclass
@@ -586,7 +538,6 @@ def filtration_identity_check(
     if not generators:
         raise ValueError("need at least one generator tuple")
     ctx = generators[0][0].ctx
-    ring = ctx.base
     ncomp = len(generators[0])
     gmax = max(
         max((poly.xdegree() for poly in g), default=0) for g in generators
@@ -598,35 +549,19 @@ def filtration_identity_check(
         raise ValueError(f"context window {ctx.window} < required {bspan + 1}")
     flat = ModuleFlat(ctx, ncomp, bspan + 1)
 
-    m_rows = module_span(ctx, generators, flat, maxdeg=bspan)
-    m_elems = [flat.from_vec(r) for r in m_rows]
+    m_span = module_span(ctx, generators, flat, maxdeg=bspan)
+    m_elems = [flat.from_vec(r) for r in m_span.rows.tolist()]
 
     # J M = A F M: loss-free products t^a F * m over a spanning set of M.
-    jm_vectors = []
-    for m in m_elems:
-        for a in range(ring.max_scaled):
-            prod = _tuple_mul_lossfree(ctx, a, 1, m)
-            if prod is not None:
-                jm_vectors.append(flat.to_vec(prod))
-    jm_rows = _rref_rows(jm_vectors, ring.p)
+    jm = _f_multiples(ctx, flat, m_elems)
 
     report = FiltrationReport(k_checked=[], failures=[])
     for k in range(1, k_max + 1):
-        cut = flat.low_cut(k)
-        lhs = _rows_low_part(jm_rows, cut)
-
-        low_cut_prev = flat.low_cut(k - 1)
-        m_low = [flat.from_vec(r) for r in _rows_low_part(m_rows, low_cut_prev)]
-        rhs_vectors = []
-        for m in m_low:
-            for a in range(ring.max_scaled):
-                prod = _tuple_mul_lossfree(ctx, a, 1, m)
-                if prod is not None:
-                    rhs_vectors.append(flat.to_vec(prod))
-        rhs = _rref_rows(rhs_vectors, ring.p)
-
+        lhs = jm.low_part(flat.low_cut(k))
+        m_low = m_span.low_part(flat.low_cut(k - 1)).tolist()
+        rhs = _f_multiples(ctx, flat, [flat.from_vec(r) for r in m_low]).rows
         report.k_checked.append(k)
-        if list(lhs) != list(rhs):
+        if not np.array_equal(lhs, rhs):
             report.failures.append(k)
     return report
 
@@ -639,7 +574,6 @@ def mjm_degree_detect(
     if not generators:
         raise ValueError("need at least one generator tuple")
     ctx = generators[0][0].ctx
-    ring = ctx.base
     ncomp = len(generators[0])
     gmax = max(
         max((poly.xdegree() for poly in g), default=0) for g in generators
@@ -648,31 +582,11 @@ def mjm_degree_detect(
     if ctx.window < fbound:
         raise ValueError(f"context window {ctx.window} < required {fbound}")
     flat = ModuleFlat(ctx, ncomp, fbound)
-    m_rows = module_span(ctx, generators, flat, maxdeg=fbound)
-
+    m_span = module_span(ctx, generators, flat, maxdeg=fbound)
+    # The pieces M^{<=k} are nested, so covering the top one covers them all.
+    top = m_span.low_part(flat.low_cut(bound))
     for d in range(bound + 1):
-        cut_d = flat.low_cut(d)
-        md_elems = [flat.from_vec(r) for r in _rows_low_part(m_rows, cut_d)]
-        rmd_rows = module_span(ctx, md_elems, flat) if md_elems else []
-        ok = True
-        for k in range(bound + 1):
-            cut_k = flat.low_cut(k)
-            for row in _rows_low_part(m_rows, cut_k):
-                if not _reduces_to_zero(row, rmd_rows, ring.p):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        md = m_span.low_part(flat.low_cut(d)).tolist()
+        if module_span(ctx, [flat.from_vec(r) for r in md], flat).contains(top).all():
             return d
     return bound + 1
-
-
-def _reduces_to_zero(v, rref_rows, p) -> bool:
-    w = list(v)
-    for row in rref_rows:
-        c = next(i for i, a in enumerate(row) if a)
-        if w[c]:
-            f = w[c] * pow(row[c], p - 2, p) % p
-            w = [(a - f * b) % p for a, b in zip(w, row)]
-    return not any(w)

@@ -368,7 +368,6 @@ def syzygy_bounded(
         for deg in degrees:
             cols: List[List[int]] = []
             keys: List[Tuple[int, int]] = []
-            row_set: set = set()
             for gi, g in enumerate(generators):
                 for bi, (x, mono) in enumerate(domain.basis):
                     if sum(x) + gdeg[gi] != deg:
@@ -378,13 +377,11 @@ def syzygy_bounded(
                     vec = image.to_vec(prod)
                     cols.append(vec)
                     keys.append((gi, bi))
-                    row_set.update(i for i, c in enumerate(vec) if c)
             if not cols:
                 continue
-            rows = sorted(row_set)
             sub = np.array(cols, dtype=np.int64).T
-            sub = sub[rows] if rows else np.zeros((0, len(cols)), dtype=np.int64)
-            mat = fp_linalg.FpMatrix.from_numpy(sub.reshape(len(rows), len(cols)), ctx.base.p)
+            sub = sub[sub.any(axis=1)]
+            mat = fp_linalg.FpMatrix.from_numpy(sub, ctx.base.p)
             for kvec in fp_linalg.kernel_basis(mat):
                 full = [0] * (len(generators) * domain.dim)
                 for val, (gi, bi) in zip(kvec, keys):

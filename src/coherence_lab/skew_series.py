@@ -154,13 +154,6 @@ class TruncSeries:
                     out.pop(m, None)
         return TruncSeries(self.ring, out)
 
-    def scale_coeff(self, c: int) -> "TruncSeries":
-        p = self.ring.p
-        c %= p
-        if c == 0:
-            return self.ring.zero()
-        return TruncSeries(self.ring, {m: (v * c) % p for m, v in self.terms.items()})
-
     def __pow__(self, n: int) -> "TruncSeries":
         if n < 0:
             raise ValueError("negative powers are not defined")

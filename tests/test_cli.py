@@ -95,6 +95,19 @@ def test_decide_invalid_datum_file(tmp_path, capsys):
     assert "invalid" in err
 
 
+def test_decide_out_of_range_basis_weight(tmp_path, capsys):
+    from coherence_lab.catalog import CATALOG
+
+    bad = json.loads(json.dumps(CATALOG["H3"]["descriptor"]))
+    bad["basis_weights"][0] = 99
+    path = tmp_path / "missing-weight.json"
+    path.write_text(json.dumps(bad))
+    code, out, err = run(["decide", str(path)], capsys)
+    assert code == 2
+    assert "missing weight 99" in err
+    assert "Traceback" not in out + err
+
+
 def test_catalog_listing(capsys):
     code, out, _ = run(["catalog"], capsys)
     assert code == 0

@@ -1,39 +1,12 @@
+import itertools
 import random
 
 import pytest
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from coherence_lab import fp_linalg as fl
 from coherence_lab.fp_linalg import FpMatrix
-
-
-def test_matmul_identity():
-    m = FpMatrix.from_rows([[1, 2, 0], [0, 1, 1], [2, 2, 2]], 3)
-    assert fl.matmul(FpMatrix.identity(3, 3), m) == m
-
-
-def test_matmul_f2_example():
-    a = FpMatrix.from_rows([[1, 1], [1, 0]], 2)
-    b = FpMatrix.from_rows([[1, 0], [1, 1]], 2)
-    assert fl.matmul(a, b).to_rows() == [[0, 1], [1, 0]]
-
-
-def test_matmul_zero():
-    m = FpMatrix.from_rows([[1, 2], [3, 4]], 5)
-    z = FpMatrix.zeros(2, 2, 5)
-    assert fl.matmul(z, m) == z
-
-
-def test_matmul_dimension_mismatch():
-    a = FpMatrix.from_rows([[1, 0]], 2)
-    with pytest.raises(fl.DimensionMismatch):
-        fl.matmul(a, a)
-
-
-def test_matmul_modulus_mismatch():
-    a = FpMatrix.from_rows([[1]], 2)
-    b = FpMatrix.from_rows([[1]], 3)
-    with pytest.raises(fl.ModulusMismatch):
-        fl.matmul(a, b)
 
 
 def test_kernel_zero_matrix():
@@ -74,9 +47,8 @@ def test_solve_rhs_length():
 def test_prime_check():
     with pytest.raises(ValueError):
         FpMatrix.zeros(1, 1, 4)
-    fl.Fp(2)
-    with pytest.raises(ValueError):
-        fl.Fp(1)
+    assert fl.is_prime(2) and fl.is_prime(13)
+    assert not any(fl.is_prime(n) for n in (0, 1, 4, 9))
 
 
 def test_solve_inverts_random_invertible():
@@ -149,3 +121,115 @@ def test_rank_nullity_and_kernel_substitution():
             for v in basis:
                 for i in range(rows):
                     assert sum(m.entry(i, j) * v[j] for j in range(cols)) % p == 0
+
+
+# Independent oracle: sympy's DomainMatrix over GF(p).
+
+ORACLE_PRIMES = (2, 3, 5, 13)
+
+
+def _sympy_matrix(rows, p, ncols):
+    K = GF(p)
+    return DomainMatrix([[K(x) for x in r] for r in rows], (len(rows), ncols), K)
+
+
+def _ints(dm, p):
+    return [[int(x) % p for x in r] for r in dm.to_list()]
+
+
+def _random_rows(rng, p, nrows, ncols):
+    """A random matrix, often rank-deficient: a product through a random
+    inner dimension."""
+    inner = rng.randint(0, min(nrows, ncols))
+    left = [[rng.randrange(p) for _ in range(inner)] for _ in range(nrows)]
+    right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(inner)]
+    return [
+        [sum(left[i][k] * right[k][j] for k in range(inner)) % p for j in range(ncols)]
+        for i in range(nrows)
+    ]
+
+
+def test_rank_rref_kernel_match_sympy():
+    rng = random.Random(20)
+    for p in ORACLE_PRIMES:
+        for _ in range(40):
+            nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+            data = _random_rows(rng, p, nrows, ncols)
+            m = FpMatrix.from_rows(data, p)
+            oracle = _sympy_matrix(data, p, ncols)
+            assert fl.rank(m) == oracle.rank()
+            red, pivots = fl.rref(m)
+            want, want_pivots = oracle.rref()
+            assert red.to_rows() == _ints(want, p)
+            assert tuple(pivots) == tuple(want_pivots)
+            basis = fl.kernel_basis(m)
+            nullity = oracle.nullspace().shape[0]
+            assert len(basis) == nullity
+            if basis:
+                ours = _sympy_matrix(basis, p, ncols)
+                assert ours.rank() == nullity
+                assert not any(map(any, _ints(oracle * ours.transpose(), p)))
+
+
+def test_rowspace_rows_independent_of_spanning_set():
+    rng = random.Random(21)
+    for p in ORACLE_PRIMES:
+        for _ in range(30):
+            dim = rng.randint(1, 7)
+            a = _random_rows(rng, p, rng.randint(1, 6), dim)
+            # A second spanning set: an invertible recombination of a, plus a
+            # zero row and one redundant combination, shuffled.
+            k = len(a)
+            while True:
+                u = [[rng.randrange(p) for _ in range(k)] for _ in range(k)]
+                if _sympy_matrix(u, p, k).rank() == k:
+                    break
+            b = [
+                [sum(u[i][j] * a[j][c] for j in range(k)) % p for c in range(dim)]
+                for i in range(k)
+            ]
+            b.append([0] * dim)
+            b.append([(x + y) % p for x, y in zip(b[0], b[-2])])
+            rng.shuffle(b)
+            rows_a = fl.RowSpace(a, p, dim).rows.tolist()
+            assert fl.RowSpace(b, p, dim).rows.tolist() == rows_a
+            want = [r for r in _ints(_sympy_matrix(a, p, dim).rref()[0], p) if any(r)]
+            assert rows_a == want
+
+
+def test_rowspace_contains_stack_matches_rank():
+    rng = random.Random(22)
+    for p in ORACLE_PRIMES:
+        for _ in range(30):
+            dim = rng.randint(1, 7)
+            a = _random_rows(rng, p, rng.randint(1, 5), dim)
+            space = fl.RowSpace(a, p, dim)
+            stack = [[rng.randrange(p) for _ in range(dim)] for _ in range(4)]
+            coeffs = [rng.randrange(p) for _ in a]
+            stack.append([sum(c * r[j] for c, r in zip(coeffs, a)) % p for j in range(dim)])
+            stack.append([0] * dim)
+            base = fl.rank(FpMatrix.from_rows(a, p))
+            want = [fl.rank(FpMatrix.from_rows(a + [v], p)) == base for v in stack]
+            assert space.contains(stack).tolist() == want
+            assert [bool(space.contains(v)) for v in stack] == want
+            assert want[-2] and want[-1]
+
+
+def test_rowspace_low_part_matches_brute_force():
+    rng = random.Random(23)
+    for p in ORACLE_PRIMES:
+        for _ in range(20):
+            dim = rng.randint(1, 6)
+            space = fl.RowSpace(_random_rows(rng, p, rng.randint(1, 4), dim), p, dim)
+            rows = space.rows.tolist()
+            if p ** len(rows) > 3000:
+                continue
+            members = {
+                tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) % p for j in range(dim))
+                for coeffs in itertools.product(range(p), repeat=len(rows))
+            }
+            for cut in range(dim + 1):
+                low = space.low_part(cut).tolist()
+                assert low == [r for r in rows if not any(r[:cut])]
+                # Its span is exactly the members vanishing before cut.
+                assert len([v for v in members if not any(v[:cut])]) == p ** len(low)

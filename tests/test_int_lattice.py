@@ -119,7 +119,7 @@ def test_merge_pair_on_ray_property():
         assert IntLattice(n, [g]).contains(y)
         # The generator is primitive on its ray: its content is the gcd of
         # the contents of the combined lattice.
-        assert il.content(g) == gcd(il.content(x), il.content(y))
+        assert gcd(*g) == gcd(*x, *y)
 
 
 def test_merge_pair_off_ray_property():
