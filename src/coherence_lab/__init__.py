@@ -3,7 +3,7 @@ algebras of p-adic Lie groups: lattice criteria with constructive
 certificates, bounded skew-polynomial relation checks, and finite-scale
 restriction-of-induction verification."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .coherence import (
     Coherent,

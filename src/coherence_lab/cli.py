@@ -192,7 +192,8 @@ def cmd_verify_skew(args, parser) -> int:
     lines = [
         f"relation generators: soundness {'ok' if relations.soundness_ok else 'FAIL'}, "
         f"completeness {'ok' if relations.completeness_ok else 'FAIL'} "
-        f"({relations.interior_checked}/{relations.kernel_dim} kernel vectors interior)",
+        f"({relations.interior_checked} interior kernel vectors checked against "
+        "span(S))",
         f"free rank-p decomposition: {'ok' if free.ok else 'FAIL'}",
         f"filtration identity k<=4: {'ok' if filtration.ok else 'FAIL'}",
         f"module degree detection: {'ok' if mjm_ok else 'FAIL'} {mjm}",

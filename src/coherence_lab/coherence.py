@@ -24,7 +24,6 @@ from .root_datum import (
     Weight,
     WitnessDescriptor,
     f_image,
-    f_matrix,
     validate,
     valuation_of_character,
     witness_subgroup,
@@ -75,11 +74,7 @@ def decide_solvable(datum: SolvableGroupDatum) -> Verdict:
     if violations:
         raise InvalidDatum("; ".join(violations))
 
-    m = f_matrix(datum)
-    images = [
-        tuple(sum(row[i] * v[i] for i in range(datum.torus_rank)) for row in m)
-        for v in datum.torus_generators
-    ]
+    images = f_image(datum).generators
     n_phi = len(datum.weights)
     result, coeffs = int_lattice.cyclic_cone_generator_tracked(images, n_phi)
 

@@ -47,6 +47,14 @@ def _frac_from_str(s: str) -> Fraction:
         raise DescriptorError(f"bad rational {s!r}: {e}") from None
 
 
+def _int(x: Any) -> int:
+    """A descriptor integer: JSON floats, strings and booleans are refused,
+    never truncated or coerced."""
+    if type(x) is not int:
+        raise DescriptorError(f"expected an integer, got {x!r}")
+    return x
+
+
 def datum_to_descriptor(datum: SolvableGroupDatum) -> Dict[str, Any]:
     brackets = []
     for i in range(datum.lie.dim):
@@ -99,7 +107,7 @@ def parse_descriptor(obj: Dict[str, Any]) -> Union[SolvableGroupDatum, RootSyste
     kind = obj.get("kind")
     if kind == "semisimple":
         try:
-            return RootSystemLabel(str(obj["family"]), int(obj["rank"]))
+            return RootSystemLabel(str(obj["family"]), _int(obj["rank"]))
         except KeyError as e:
             raise DescriptorError(f"semisimple descriptor missing field {e}") from None
         except (TypeError, ValueError) as e:
@@ -108,30 +116,30 @@ def parse_descriptor(obj: Dict[str, Any]) -> Union[SolvableGroupDatum, RootSyste
         raise DescriptorError(f"unknown descriptor kind {kind!r}")
     try:
         field = PadicFieldParams(
-            p=int(obj["p"]),
-            degree=int(obj.get("degree", 1)),
-            ramification=int(obj.get("ramification", 1)),
-            residue_degree=int(obj.get("residue_degree", 1)),
+            p=_int(obj["p"]),
+            degree=_int(obj.get("degree", 1)),
+            ramification=_int(obj.get("ramification", 1)),
+            residue_degree=_int(obj.get("residue_degree", 1)),
         )
         weights = tuple(
-            Weight(tuple(int(x) for x in w["exponents"]), int(w.get("dim", 1)))
+            Weight(tuple(_int(x) for x in w["exponents"]), _int(w.get("dim", 1)))
             for w in obj["weights"]
         )
-        basis_weights = [int(x) for x in obj["basis_weights"]]
+        basis_weights = [_int(x) for x in obj["basis_weights"]]
         brackets: Dict = {}
         for entry in obj.get("brackets", []):
             terms = {
-                int(t["k"]): _frac_from_str(str(t["c"])) for t in entry["terms"]
+                _int(t["k"]): _frac_from_str(str(t["c"])) for t in entry["terms"]
             }
-            brackets[(int(entry["i"]), int(entry["j"]))] = terms
+            brackets[(_int(entry["i"]), _int(entry["j"]))] = terms
         lie = GradedLieAlgebraQ(
             dim=len(basis_weights), weight_of=basis_weights, brackets=brackets
         )
         return SolvableGroupDatum(
             field_params=field,
-            torus_rank=int(obj["torus_rank"]),
+            torus_rank=_int(obj["torus_rank"]),
             torus_generators=tuple(
-                tuple(int(x) for x in g) for g in obj["torus_generators"]
+                tuple(_int(x) for x in g) for g in obj["torus_generators"]
             ),
             weights=weights,
             lie=lie,

@@ -22,15 +22,41 @@ class DimensionMismatch(ValueError):
     pass
 
 
+# Miller-Rabin with the first 13 primes as bases is exact for every n below
+# MR_EXACT_BOUND (Sorenson & Webster, Math. Comp. 2017, arXiv:1509.00864).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
-    """Trial-division primality check; adequate for word-sized moduli."""
+    """Exact primality for p < MR_EXACT_BOUND; larger p raises ValueError.
+
+    Trial division by the 13 base primes settles every p < 43^2 without a
+    modular power; above that, deterministic Miller-Rabin on those bases.
+    """
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    if p < 43 * 43:
+        return True
+    if p >= MR_EXACT_BOUND:
+        raise ValueError(f"p={p} is beyond the exact primality range")
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -127,9 +127,11 @@ def verify_relations(
 
     Soundness: every built S element, completed with a left coefficient on
     D - E found by bounded ideal membership, is an exact relation among
-    (s, t, D - E). Completeness (bound-relative): every kernel basis vector
-    whose twist exponents stay margin below the window and whose series
-    degree stays below trunc - trunc/4 lies in the bounded left span of S.
+    (s, t, D - E). Completeness (bound-relative): the relation kernel on the
+    interior coordinates (twist exponents at most window - margin, series
+    degree at most trunc - trunc/4, no term of the s and t products lost to
+    truncation) lies in the bounded left span of S. Only that interior
+    kernel is computed; kernel_dim is its dimension.
     """
     cap = max(window, m_max) + 2
     ctx = pair_context(p, n_u, n_v, trunc, cap, precision)
@@ -154,40 +156,29 @@ def verify_relations(
         residue = x * s_elem + y * t_elem - lam3 * dme
         report.soundness.append((name, residue.is_zero()))
 
-    kernel = syzygy_bounded(gens3, (window, window))
-    report.kernel_dim = len(kernel)
-
     series_cap = (trunc - trunc // 4) * ring.scale
-    bound_scaled = ring.max_scaled
+    growth_logs = (n_u, n_v)
 
-    def truncation_free(tup) -> bool:
+    def interior(gi: int, xexp, mono) -> bool:
         # A kernel vector whose product with (s, t, D-E) loses a term to
         # series truncation is a boundary artifact, not a relation of the
-        # untruncated ring; the twisted growth is p^(a n_u) resp. p^(b n_v).
-        for (a, b), c in tup[0].coeffs.items():
-            if c.degree_scaled() + p ** (a * n_u) * ring.scale >= bound_scaled:
-                return False
-        for (a, b), c in tup[1].coeffs.items():
-            if c.degree_scaled() + p ** (b * n_v) * ring.scale >= bound_scaled:
-                return False
-        return True
+        # untruncated ring; the twisted growth of the s and t components is
+        # p^(a n_u) resp. p^(b n_v).
+        deg = sum(mono)
+        if deg > series_cap:
+            return False
+        return gi == 2 or (
+            deg + p ** (xexp[gi] * growth_logs[gi]) * ring.scale < ring.max_scaled
+        )
 
-    def interior(tup) -> bool:
-        for lam in tup:
-            if any(e > window - margin for e in lam.max_xexp()):
-                return False
-            if lam.max_series_degree_scaled() > series_cap:
-                return False
-        return truncation_free(tup)
+    bound = window - margin
+    kernel = syzygy_bounded(gens3, (bound, bound), interior)
+    report.kernel_dim = len(kernel)
 
     by_degree: Dict[int, List[PolyPair]] = {}
-    for tup in kernel:
-        if not interior(tup):
-            continue
-        deg = max(tup[0].xdegree(), tup[1].xdegree(), tup[2].xdegree() + 1)
-        if deg < 0:
-            continue
-        by_degree.setdefault(deg, []).append((tup[0], tup[1]))
+    for lx, ly, lz in kernel:
+        deg = max(lx.xdegree(), ly.xdegree(), lz.xdegree() + 1)
+        by_degree.setdefault(deg, []).append((lx, ly))
 
     monos = _series_monomial_list(ring)
     for deg in sorted(by_degree):
@@ -205,14 +196,13 @@ def verify_relations(
                         e > window for e in py.max_xexp()
                     ):
                         continue
-                    vec = _pair_to_vec((px, py), flat_idx, dim)
-                    if vec is not None:
-                        columns.append(vec)
+                    columns.append(_pair_to_vec((px, py), flat_idx, dim))
         span_s = fp_linalg.RowSpace(columns, p, dim)
-        for (lx, ly) in by_degree[deg]:
-            report.interior_checked += 1
-            vec = _pair_to_vec((lx, ly), flat_idx, dim)
-            if vec is None or not span_s.contains(vec):
+        pairs = by_degree[deg]
+        inside = span_s.contains([_pair_to_vec(pr, flat_idx, dim) for pr in pairs])
+        report.interior_checked += len(pairs)
+        for (lx, ly), ok in zip(pairs, inside):
+            if not ok:
                 report.completeness_exceptions.append(
                     f"degree {deg}: kernel vector ({lx!r}, {ly!r}) outside span(S)"
                 )
@@ -242,15 +232,12 @@ def _pair_degree_index(window: int, deg: int, monos):
     return {b: i for i, b in enumerate(basis)}, len(basis)
 
 
-def _pair_to_vec(pair: PolyPair, flat_idx, dim) -> Optional[List[int]]:
+def _pair_to_vec(pair: PolyPair, flat_idx, dim) -> List[int]:
     v = [0] * dim
     for comp, poly in enumerate(pair):
         for xexp, c in poly.coeffs.items():
             for mono, coeff in c.terms.items():
-                key = (comp, xexp, mono)
-                if key not in flat_idx:
-                    return None
-                v[flat_idx[key]] = coeff
+                v[flat_idx[(comp, xexp, mono)]] = coeff
     return v
 
 

@@ -10,16 +10,16 @@ coefficient applies the a-fold endomorphism, so
 
 The module also provides the flattening of bounded slabs of the ring onto an
 F_p monomial basis, bounded ideal membership with verified certificates, and
-bounded syzygy kernels. Flattened matrices are block diagonal with respect
-to total twist degree whenever the generators are twist-homogeneous, and the
-kernel is assembled blockwise in that case.
+bounded syzygy kernels on a coordinate subspace. The syzygy generators are
+twist-homogeneous, so the flattened matrix is block diagonal with respect to
+total twist degree and the kernel is assembled blockwise.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -171,9 +171,6 @@ class SkewPoly:
     def is_x_homogeneous(self) -> bool:
         degs = {sum(x) for x in self.coeffs}
         return len(degs) <= 1
-
-    def max_series_degree_scaled(self) -> int:
-        return max((c.degree_scaled() for c in self.coeffs.values()), default=-1)
 
     def __eq__(self, other) -> bool:
         return (
@@ -342,70 +339,55 @@ def ideal_membership_bounded(
 def syzygy_bounded(
     generators: Sequence[SkewPoly],
     xbounds: XExp,
+    support: Callable[[int, XExp, Tuple[int, ...]], bool],
 ) -> List[Tuple[SkewPoly, ...]]:
-    """Basis of the bounded relation module of the generators.
+    """Basis of the bounded relation module of the generators on a
+    coordinate subspace.
 
-    Returns tuples (lambda_1, ..., lambda_m), each supported on the slab
-    {exponents <= xbounds}, with sum(lambda_i g_i) = 0 in the truncated
-    ring; every basis vector is re-verified by substitution. When all
-    generators are homogeneous in total twist degree the flattened matrix is
-    block diagonal by degree and the kernel is computed blockwise.
+    Returns tuples (lambda_1, ..., lambda_m) with sum(lambda_i g_i) = 0 in
+    the truncated ring, spanning all such relations whose coordinates lie
+    on the slab {exponents <= xbounds} and satisfy support(i, xexp, mono)
+    (generator index, twist exponent, series monomial): the kernel of the
+    flattened matrix restricted to the supported columns. The generators
+    must be nonzero and homogeneous in total twist degree, so the matrix is
+    block diagonal by degree and the kernel is computed blockwise. Every
+    basis vector is re-verified by substitution.
     """
-    if not generators:
-        return []
+    if not generators or any(
+        g.is_zero() or not g.is_x_homogeneous() for g in generators
+    ):
+        raise ValueError("syzygy_bounded needs nonzero twist-homogeneous generators")
     ctx = generators[0].ctx
     domain = FlatSpace(ctx, xbounds)
-    image_bounds = _image_bounds(generators, xbounds)
-    image = FlatSpace(ctx, image_bounds)
+    image = FlatSpace(ctx, _image_bounds(generators, xbounds))
 
-    homogeneous = all(g.is_x_homogeneous() and not g.is_zero() for g in generators)
-    raw_vectors: List[List[int]] = []
-    if homogeneous:
-        gdeg = [g.xdegree() for g in generators]
-        degrees = sorted(
-            {sum(x) + gdeg[gi] for gi in range(len(generators)) for x, _ in domain.basis}
-        )
-        for deg in degrees:
-            cols: List[List[int]] = []
-            keys: List[Tuple[int, int]] = []
-            for gi, g in enumerate(generators):
-                for bi, (x, mono) in enumerate(domain.basis):
-                    if sum(x) + gdeg[gi] != deg:
-                        continue
-                    mu = SkewPoly(ctx, {x: TruncSeries(ctx.base, {mono: 1})})
-                    prod = mu * g
-                    vec = image.to_vec(prod)
-                    cols.append(vec)
-                    keys.append((gi, bi))
-            if not cols:
-                continue
-            sub = np.array(cols, dtype=np.int64).T
-            sub = sub[sub.any(axis=1)]
-            mat = fp_linalg.FpMatrix.from_numpy(sub, ctx.base.p)
-            for kvec in fp_linalg.kernel_basis(mat):
-                full = [0] * (len(generators) * domain.dim)
-                for val, (gi, bi) in zip(kvec, keys):
-                    full[gi * domain.dim + bi] = val
-                raw_vectors.append(full)
-    else:
-        cols = []
-        for g in generators:
-            for (x, mono) in domain.basis:
-                mu = SkewPoly(ctx, {x: TruncSeries(ctx.base, {mono: 1})})
-                cols.append(image.to_vec(mu * g))
-        mat = fp_linalg.FpMatrix.from_numpy(np.array(cols, dtype=np.int64).T, ctx.base.p)
-        raw_vectors = fp_linalg.kernel_basis(mat)
+    blocks: Dict[int, List[Tuple[int, int]]] = {}  # degree -> (generator, basis index)
+    for gi, g in enumerate(generators):
+        gdeg = g.xdegree()
+        for bi, (x, mono) in enumerate(domain.basis):
+            if support(gi, x, mono):
+                blocks.setdefault(sum(x) + gdeg, []).append((gi, bi))
 
     out: List[Tuple[SkewPoly, ...]] = []
-    for full in raw_vectors:
-        lams = tuple(
-            domain.from_vec(full[gi * domain.dim : (gi + 1) * domain.dim])
-            for gi in range(len(generators))
-        )
-        acc = ctx.zero()
-        for lam, g in zip(lams, generators):
-            acc = acc + lam * g
-        if not acc.is_zero():
-            raise AssertionError("syzygy basis vector failed substitution")
-        out.append(lams)
+    for deg in sorted(blocks):
+        keys = blocks[deg]
+        cols = []
+        for gi, bi in keys:
+            x, mono = domain.basis[bi]
+            mu = SkewPoly(ctx, {x: TruncSeries(ctx.base, {mono: 1})})
+            cols.append(image.to_vec(mu * generators[gi]))
+        sub = np.array(cols, dtype=np.int64).T
+        sub = sub[sub.any(axis=1)]
+        mat = fp_linalg.FpMatrix.from_numpy(sub, ctx.base.p)
+        for kvec in fp_linalg.kernel_basis(mat):
+            parts = [[0] * domain.dim for _ in generators]
+            for val, (gi, bi) in zip(kvec, keys):
+                parts[gi][bi] = val
+            lams = tuple(domain.from_vec(v) for v in parts)
+            acc = ctx.zero()
+            for lam, g in zip(lams, generators):
+                acc = acc + lam * g
+            if not acc.is_zero():
+                raise AssertionError("syzygy basis vector failed substitution")
+            out.append(lams)
     return out

@@ -114,10 +114,6 @@ class TruncSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree_scaled(self) -> int:
-        """Max total degree in scaled units (-1 for the zero series)."""
-        return max((sum(m) for m in self.terms), default=-1)
-
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
         p = self.ring.p

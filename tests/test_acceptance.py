@@ -200,6 +200,7 @@ def test_criterion_5_skew_relation_suite():
     elapsed = time.perf_counter() - t0
     ok = all(r[3] for r in results) and elapsed < 60.0
     checked = sum(r[4] for r in results)
+    assert [r[4] for r in results] == [222, 161, 161, 108, 137, 100, 100, 66]
     report(
         5,
         ok,

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -106,6 +107,64 @@ def test_decide_out_of_range_basis_weight(tmp_path, capsys):
     assert code == 2
     assert "missing weight 99" in err
     assert "Traceback" not in out + err
+
+
+def _g3_descriptor_file(tmp_path, mutate):
+    from coherence_lab.catalog import CATALOG
+
+    desc = json.loads(json.dumps(CATALOG["G3"]["descriptor"]))
+    mutate(desc)
+    path = tmp_path / "g3-variant.json"
+    path.write_text(json.dumps(desc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.update(p=2.9),
+        lambda d: d.update(p="3"),
+        lambda d: d.update(torus_generators=[[1.5]]),
+        lambda d: d.update(torus_generators=[["1"]]),
+        lambda d: d.update(torus_rank=True),
+        lambda d: d["weights"][0].update(exponents=[True]),
+        lambda d: d["weights"][1].update(exponents=[False]),
+        lambda d: d.update(basis_weights=[0.0, 1]),
+        lambda d: d.update(p=561),  # Carmichael number
+        lambda d: d.update(p=1000000016000000063),  # (10^9+7)(10^9+9)
+        lambda d: d.update(p=10**25 + 13),  # beyond the exact primality range
+    ],
+    ids=[
+        "float-p",
+        "string-p",
+        "float-torus-entry",
+        "string-torus-entry",
+        "bool-torus-rank",
+        "bool-exponent-true",
+        "bool-exponent-false",
+        "float-basis-weight",
+        "carmichael-p",
+        "semiprime-p",
+        "huge-p",
+    ],
+)
+def test_decide_refuses_mistyped_or_composite_descriptor(tmp_path, capsys, mutate):
+    path = _g3_descriptor_file(tmp_path, mutate)
+    t0 = time.perf_counter()
+    code, out, err = run(["decide", str(path)], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in out + err
+
+
+def test_decide_large_prime_is_fast(tmp_path, capsys):
+    path = _g3_descriptor_file(tmp_path, lambda d: d.update(p=1000000000000000009))
+    t0 = time.perf_counter()
+    code, out, err = run(["decide", str(path)], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert "not coherent" in out and not err
 
 
 def test_catalog_listing(capsys):

@@ -49,6 +49,18 @@ def test_prime_check():
         FpMatrix.zeros(1, 1, 4)
     assert fl.is_prime(2) and fl.is_prime(13)
     assert not any(fl.is_prime(n) for n in (0, 1, 4, 9))
+    # Miller-Rabin range: sympy's isprime as the oracle, plus pseudoprimes.
+    from sympy import isprime
+
+    rng = random.Random(3)
+    for n in list(range(2000)) + [rng.randrange(2, 10**24) for _ in range(300)]:
+        assert fl.is_prime(n) == isprime(n), n
+    assert fl.is_prime(1000000000000000009)
+    assert not fl.is_prime(561)  # Carmichael number
+    assert not fl.is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    assert not fl.is_prime(1000000016000000063)  # (10^9 + 7)(10^9 + 9)
+    with pytest.raises(ValueError):
+        fl.is_prime(fl.MR_EXACT_BOUND)
 
 
 def test_solve_inverts_random_invertible():

@@ -28,7 +28,20 @@ def test_verify_relations_default_passes():
     rep = sc.verify_relations(p=2, n_u=1, n_v=1, window=4, trunc=8, m_max=3)
     assert rep.soundness_ok
     assert rep.completeness_ok
-    assert rep.interior_checked > 50
+    assert rep.interior_checked == 222
+    assert rep.kernel_dim == rep.interior_checked
+
+
+def test_verify_relations_margin_zero_completeness_fails():
+    # Negative control for the completeness arm: without the safety margin
+    # a boundary kernel vector at the window edge falls outside span(S).
+    rep = sc.verify_relations(
+        p=2, n_u=1, n_v=1, window=2, trunc=8, m_max=1, margin=0
+    )
+    assert rep.soundness_ok
+    assert rep.interior_checked == 165
+    assert len(rep.completeness_exceptions) == 1
+    assert not rep.ok
 
 
 def test_verify_relations_small_window():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from coherence_lab.skew_checks import one_var_context, pair_context
@@ -118,12 +119,15 @@ def test_membership_geometric_telescope():
         assert ideal_membership_bounded(elem, [D - E], (m, m)) is not NOT_IN_IDEAL_AT_BOUND
 
 
+FULL_SLAB = lambda *_: True  # noqa: E731
+
+
 def test_syzygy_commutative_pair():
     from coherence_lab import fp_linalg
     from coherence_lab.skew_poly import FlatSpace
 
     ctx, s, t, D, E = _pair(trunc=6)
-    kernel = syzygy_bounded([s, t], (1, 1))
+    kernel = syzygy_bounded([s, t], (1, 1), FULL_SLAB)
     assert kernel
     target = (t, -s)
     assert (target[0] * s + target[1] * t).is_zero()
@@ -137,19 +141,12 @@ def test_syzygy_commutative_pair():
     assert base == extended
 
 
-def test_syzygy_blockwise_matches_dense_kernel():
-    # The degree-blocked kernel must span exactly the null space of the
-    # dense flattened matrix (independent assembly of the same map).
-    import numpy as np
-
+def _dense_kernel(ctx, gens, bounds):
+    """The slab domain and a basis of the null space of the dense flattened
+    matrix (independent assembly of the map that syzygy_bounded blocks)."""
     from coherence_lab import fp_linalg
     from coherence_lab.skew_poly import FlatSpace, _image_bounds
     from coherence_lab.skew_series import TruncSeries
-
-    ctx, s, t, D, E = _pair(p=2, trunc=4, window=4)
-    gens = [s, t, D - E]
-    bounds = (2, 2)
-    kernel = syzygy_bounded(gens, bounds)
 
     domain = FlatSpace(ctx, bounds)
     image = FlatSpace(ctx, _image_bounds(gens, bounds))
@@ -158,8 +155,20 @@ def test_syzygy_blockwise_matches_dense_kernel():
         for (x, mono) in domain.basis:
             mu = SkewPoly(ctx, {x: TruncSeries(ctx.base, {mono: 1})})
             cols.append(image.to_vec(mu * g))
-    mat = fp_linalg.FpMatrix.from_numpy(np.array(cols, dtype=np.int64).T, 2)
-    dense = fp_linalg.kernel_basis(mat)
+    mat = fp_linalg.FpMatrix.from_numpy(np.array(cols, dtype=np.int64).T, ctx.base.p)
+    return domain, fp_linalg.kernel_basis(mat)
+
+
+def test_syzygy_blockwise_matches_dense_kernel():
+    # The degree-blocked kernel must span exactly the null space of the
+    # dense flattened matrix.
+    from coherence_lab import fp_linalg
+
+    ctx, s, t, D, E = _pair(p=2, trunc=4, window=4)
+    gens = [s, t, D - E]
+    bounds = (2, 2)
+    kernel = syzygy_bounded(gens, bounds, FULL_SLAB)
+    domain, dense = _dense_kernel(ctx, gens, bounds)
 
     flat_kernel = [
         domain.to_vec(k[0]) + domain.to_vec(k[1]) + domain.to_vec(k[2])
@@ -173,14 +182,55 @@ def test_syzygy_blockwise_matches_dense_kernel():
     assert rank_blocked == len(flat_kernel) == rank_joint
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_syzygy_support_is_dense_kernel_on_coordinate_subspace(p):
+    # On a random coordinate set I the restricted kernel is K ∩ span(e_I),
+    # of dimension dim K - rank(K restricted to the coordinates outside I).
+    from coherence_lab import fp_linalg
+
+    ctx, s, t, D, E = _pair(p=p, trunc=4, window=4)
+    gens = [s, t, D - E]
+    bounds = (2, 2)
+    domain, dense = _dense_kernel(ctx, gens, bounds)
+    dense_arr = np.array(dense, dtype=np.int64)
+    n = len(gens) * domain.dim
+    rng = random.Random(11 + p)
+    sizes = []
+    for _ in range(6):
+        chosen = {i for i in range(n) if rng.random() < 0.85}
+        off = [i for i in range(n) if i not in chosen]
+        kernel = syzygy_bounded(
+            gens,
+            bounds,
+            lambda gi, x, mono: gi * domain.dim + domain.index[(x, mono)] in chosen,
+        )
+        flat = [sum((domain.to_vec(lam) for lam in k), []) for k in kernel]
+        off_rank = fp_linalg.rank(fp_linalg.FpMatrix.from_numpy(dense_arr[:, off], p))
+        assert len(flat) == len(dense) - off_rank
+        assert all(v[i] == 0 for v in flat for i in off)
+        if flat:
+            assert fp_linalg.rank(fp_linalg.FpMatrix.from_rows(flat, p)) == len(flat)
+            joint = fp_linalg.rank(fp_linalg.FpMatrix.from_rows(flat + dense, p))
+            assert joint == len(dense)
+        sizes.append(len(flat))
+    assert 0 < max(sizes) < len(dense)
+
+
+def test_syzygy_rejects_zero_or_inhomogeneous_generators():
+    ctx, s, t, D, E = _pair(trunc=6)
+    for gens in ([s, ctx.zero()], [s, D + s], []):
+        with pytest.raises(ValueError):
+            syzygy_bounded(gens, (1, 1), FULL_SLAB)
+
+
 def test_syzygy_single_regular_element():
     ctx, s, t, D, E = _pair(trunc=6)
-    assert syzygy_bounded([D - E], (3, 3)) == []
+    assert syzygy_bounded([D - E], (3, 3), FULL_SLAB) == []
 
 
 def test_syzygy_repeated_generator():
     ctx, s, t, D, E = _pair(trunc=6)
-    kernel = syzygy_bounded([s, s], (0, 0))
+    kernel = syzygy_bounded([s, s], (0, 0), FULL_SLAB)
     assert any(
         (k[0] + k[1]).is_zero() and not k[0].is_zero() for k in kernel
     )
