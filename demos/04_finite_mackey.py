@@ -8,7 +8,7 @@ ideal comparison in the Heisenberg case.
 
 from coherence_lab import finite_groups as fg
 
-G = fg.FiniteGroup.unitriangular(3, 1)
+G = fg.FiniteGroup(3, 1)
 print(f"group: {G.name}, order {G.order}")
 
 center = fg.Subgroup(G, [G.index[(0, 0, 1)]])
@@ -31,7 +31,7 @@ print("glued coset representatives partition the right cosets:",
 print()
 
 print("augmentation ideal dimensions:")
-full = fg.Subgroup(G, list(range(G.order)))
+full = G.full()
 print("  dim eps(G) =", len(fg.augmentation_basis(G, full, 3)), "= |G| - 1")
 print("  dim eps(center) =", len(fg.augmentation_basis(G, center, 3)),
       "= |G| - |G/center|")

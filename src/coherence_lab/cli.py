@@ -16,6 +16,7 @@ from typing import Any, Dict, Optional
 
 from . import __version__
 from . import finite_groups as fg
+from . import fp_linalg
 from . import skew_checks as sc
 from .catalog import CATALOG, catalog_check
 from .coherence import InvalidDatum, RootSystemLabel, decide_semisimple, decide_solvable
@@ -30,16 +31,22 @@ from .descriptors import (
 from .root_datum import MalformedDatum
 from .skew_poly import SkewPoly
 
+# name -> (generators, k) for a subgroup of U3(Z/p^a) of order p^(a*k);
+# None generates the whole group from e12, e23 and e13.
 SUBGROUP_SELECTORS = {
-    "center": [(0, 0, 1)],
-    "row": [(1, 0, 0), (0, 0, 1)],
-    "column": [(0, 1, 0), (0, 0, 1)],
-    "e12": [(1, 0, 0)],
-    "e23": [(0, 1, 0)],
-    "diagonal-free": [(1, 1, 0), (0, 0, 1)],
-    "full": None,  # whole group
-    "trivial": [],
+    "center": ([(0, 0, 1)], 1),
+    "row": ([(1, 0, 0), (0, 0, 1)], 2),
+    "column": ([(0, 1, 0), (0, 0, 1)], 2),
+    "e12": ([(1, 0, 0)], 1),
+    "e23": ([(0, 1, 0)], 1),
+    "diagonal-free": ([(1, 1, 0), (0, 0, 1)], 2),
+    "full": (None, 3),
+    "trivial": ([], 0),
 }
+
+# Largest induced dimension [G:G1]*dim that `mackey` takes on: the
+# comparison map is a square matrix of that size, checked densely.
+MAX_INDUCED_DIM = 768
 
 
 def _emit(report: Dict[str, Any], args, human_lines) -> None:
@@ -203,6 +210,12 @@ def cmd_verify_skew(args, parser) -> int:
 
 
 def cmd_obstruction(args, parser) -> int:
+    try:
+        prime = fp_linalg.is_prime(args.p)
+    except ValueError as e:
+        parser.error(str(e))
+    if not prime:
+        parser.error(f"p={args.p} is not prime")
     if (args.nu < 1 or args.nv < 1) and not args.control:
         parser.error("--nu and --nv must be >= 1 (pass --control for the n=0 case)")
     demo = sc.not_fg_demonstration(
@@ -240,28 +253,33 @@ def cmd_obstruction(args, parser) -> int:
 
 
 def _resolve_subgroup(G, name: str):
-    if name not in SUBGROUP_SELECTORS:
-        raise ValueError(
-            f"unknown subgroup selector {name!r} "
-            f"(choose from {sorted(SUBGROUP_SELECTORS)})"
-        )
-    gens = SUBGROUP_SELECTORS[name]
+    gens = SUBGROUP_SELECTORS[name][0]
     if gens is None:
-        return fg.Subgroup(G, list(range(G.order)))
+        return G.full()
     pa = G.pa
     return fg.Subgroup(G, [G.index[tuple(c % pa for c in g)] for g in gens])
 
 
 def cmd_mackey(args, parser) -> int:
     try:
-        G = fg.FiniteGroup.unitriangular(args.p, args.a)
+        G = fg.FiniteGroup(args.p, args.a)
     except (ValueError, fg.BudgetExceeded) as e:
         parser.error(str(e))
-    try:
-        H = _resolve_subgroup(G, args.H)
-        G1 = _resolve_subgroup(G, args.G1)
-    except ValueError as e:
-        parser.error(str(e))
+    for name in (args.H, args.G1):
+        if name not in SUBGROUP_SELECTORS:
+            parser.error(
+                f"unknown subgroup selector {name!r} "
+                f"(choose from {sorted(SUBGROUP_SELECTORS)})"
+            )
+    # [G:G1]*dim from the selector orders, before any subgroup is closed.
+    induced_dim = G.pa ** (3 - SUBGROUP_SELECTORS[args.G1][1]) * args.dim
+    if induced_dim > MAX_INDUCED_DIM:
+        parser.error(
+            f"induced dimension [G:G1]*dim = {induced_dim} exceeds "
+            f"{MAX_INDUCED_DIM}; choose a larger G1, a smaller group or --dim 1"
+        )
+    H = _resolve_subgroup(G, args.H)
+    G1 = _resolve_subgroup(G, args.G1)
     if args.dim == 1:
         module = fg.FinModule.trivial(G1, args.p, 1)
     else:

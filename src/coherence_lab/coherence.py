@@ -23,7 +23,7 @@ from .root_datum import (
     SolvableGroupDatum,
     Weight,
     WitnessDescriptor,
-    f_image,
+    torus_images,
     validate,
     valuation_of_character,
     witness_subgroup,
@@ -74,7 +74,7 @@ def decide_solvable(datum: SolvableGroupDatum) -> Verdict:
     if violations:
         raise InvalidDatum("; ".join(violations))
 
-    images = f_image(datum).generators
+    images = torus_images(datum)
     n_phi = len(datum.weights)
     result, coeffs = int_lattice.cyclic_cone_generator_tracked(images, n_phi)
 

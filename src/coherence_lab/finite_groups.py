@@ -1,19 +1,22 @@
 """Finite p-groups, their group algebras over F_p, and restriction of
 induced modules across double cosets.
 
-Groups are capped at order 4096 and stored as full element tables with
-canonical encodings (unitriangular matrices over Z/p^a flatten to (x, y, z)
-tuples), so every check here is exhaustive rather than clever: subgroups are
-closed by orbit enumeration, coset representatives are the least canonical
-elements of their orbits, and the restriction-of-induction comparison is an
-explicit matrix that is checked for equivariance and invertibility.
+The groups are U_3(Z/p^a), capped at order 4096. An element is the
+unitriangular matrix with x at (1,2), y at (2,3) and z at (1,3), encoded
+(x, y, z) and indexed x*p^2a + y*p^a + z, the sorted order of the
+encodings; products and inverses are closed-form index arithmetic, so no
+multiplication table is stored. Every check here is still exhaustive
+rather than clever: subgroups are closed by orbit enumeration from their
+generators, coset representatives are the least elements of their orbits,
+and the restriction-of-induction comparison is an explicit matrix that is
+checked for equivariance and invertibility.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,99 +34,84 @@ class BudgetExceeded(ValueError):
 
 
 class FiniteGroup:
-    """A finite group on canonically ordered element encodings.
+    """U_3(Z/p^a): upper unitriangular 3x3 matrices over Z/p^a.
 
-    Products and inverses are memoized on demand; the caches only ever fill
-    in values of a fixed pure function, so shared read-mostly use is safe.
+    The product (x1, y1, z1)(x2, y2, z2) is (x1+x2, y1+y2, z1+z2+x1*y2) and
+    the inverse of (x, y, z) is (-x, -y, xy-z), all mod p^a; `mul` and `inv`
+    apply them to indices directly. The identity is index 0.
     """
 
-    def __init__(self, elements: Sequence, mul: Callable, name: str = "G"):
-        if len(elements) > MAX_GROUP_ORDER:
-            raise BudgetExceeded(f"group order {len(elements)} > {MAX_GROUP_ORDER}")
-        self.elements = sorted(elements)
+    def __init__(self, p: int, a: int = 1):
+        if not fp_linalg.is_prime(p):
+            raise ValueError(f"p={p} is not prime")
+        if a < 0:
+            raise ValueError(f"a={a} is negative")
+        # p >= 2, so a >= 5 is over the cap; testing a first never raises a
+        # huge p to a huge power.
+        if a >= 5 or p ** (3 * a) > MAX_GROUP_ORDER:
+            raise BudgetExceeded(f"order {p}^{3 * a} exceeds {MAX_GROUP_ORDER}")
+        pa = p**a
+        self.p = p
+        self.pa = pa
+        self._pa2 = pa * pa
+        self.name = f"U3(Z/{pa})"
+        self.order = pa**3
+        self.elements = [
+            (x, y, z) for x in range(pa) for y in range(pa) for z in range(pa)
+        ]
         self.index = {e: i for i, e in enumerate(self.elements)}
-        self._mul_elem = mul
-        self.name = name
-        self.order = len(self.elements)
-        ident = None
-        for i, e in enumerate(self.elements):
-            if all(mul(e, f) == f for f in self.elements[: min(4, self.order)]):
-                if all(mul(e, f) == f == mul(f, e) for f in self.elements):
-                    ident = i
-                    break
-        if ident is None:
-            raise ValueError("no identity element")
-        self.identity = ident
-        self._inv: List[Optional[int]] = [None] * self.order
+        self.identity = 0
+        # Read by the benchmark tracer; products are not memoised, so it stays empty.
         self._mul_cache: Dict[Tuple[int, int], int] = {}
 
     def mul(self, i: int, j: int) -> int:
-        key = (i, j)
-        k = self._mul_cache.get(key)
-        if k is None:
-            prod = self._mul_elem(self.elements[i], self.elements[j])
-            k = self.index[prod]
-            self._mul_cache[key] = k
-        return k
+        pa = self.pa
+        x1, r = divmod(i, self._pa2)
+        y1, z1 = divmod(r, pa)
+        x2, r = divmod(j, self._pa2)
+        y2, z2 = divmod(r, pa)
+        return ((x1 + x2) % pa * pa + (y1 + y2) % pa) * pa + (z1 + z2 + x1 * y2) % pa
 
     def inv(self, i: int) -> int:
-        if self._inv[i] is None:
-            for j in range(self.order):
-                if self.mul(i, j) == self.identity:
-                    self._inv[i] = j
-                    break
-        j = self._inv[i]
-        assert j is not None
-        return j
+        pa = self.pa
+        x, r = divmod(i, self._pa2)
+        y, z = divmod(r, pa)
+        return (-x % pa * pa + -y % pa) * pa + (x * y - z) % pa
 
     def conjugate(self, g: int, x: int) -> int:
         return self.mul(self.mul(g, x), self.inv(g))
 
-    @classmethod
-    def unitriangular(cls, p: int, a: int = 1) -> "FiniteGroup":
-        """U_3(Z/p^a): upper unitriangular 3x3 matrices, encoded (x, y, z)
-        for the matrix with x at (1,2), y at (2,3), z at (1,3)."""
-        if not fp_linalg.is_prime(p):
-            raise ValueError(f"p={p} is not prime")
-        pa = p**a
-        if pa**3 > MAX_GROUP_ORDER:
-            raise BudgetExceeded(f"order {pa**3} exceeds {MAX_GROUP_ORDER}")
-        elements = [
-            (x, y, z) for x in range(pa) for y in range(pa) for z in range(pa)
-        ]
-
-        def mul(g, h):
-            return (
-                (g[0] + h[0]) % pa,
-                (g[1] + h[1]) % pa,
-                (g[2] + h[2] + g[0] * h[1]) % pa,
-            )
-
-        G = cls(elements, mul, name=f"U3(Z/{pa})")
-        G.p = p
-        G.pa = pa
-        return G
+    def full(self) -> "Subgroup":
+        """The whole group, generated by e12, e23 and e13."""
+        one = 1 % self.pa
+        return Subgroup(
+            self, [self.index[c] for c in ((one, 0, 0), (0, one, 0), (0, 0, one))]
+        )
 
 
 class Subgroup:
-    """A membership-closed subset with generator words for every element."""
+    """A membership-closed subset reached from the identity by generators.
+
+    `steps` maps every element but the identity to (predecessor, generator
+    position): the element is the predecessor times that generator.
+    """
 
     def __init__(self, parent: FiniteGroup, generators: Sequence[int]):
         self.parent = parent
         self.generators = tuple(dict.fromkeys(int(g) for g in generators))
-        words: Dict[int, Tuple[int, ...]] = {parent.identity: tuple()}
+        steps: Dict[int, Optional[Tuple[int, int]]] = {parent.identity: None}
         frontier = [parent.identity]
         while frontier:
             nxt = []
             for e in frontier:
                 for gi, g in enumerate(self.generators):
                     f = parent.mul(e, g)
-                    if f not in words:
-                        words[f] = words[e] + (gi,)
+                    if f not in steps:
+                        steps[f] = (e, gi)
                         nxt.append(f)
             frontier = nxt
-        self.words = words
-        self.elements = tuple(sorted(words))
+        self.steps = steps
+        self.elements = tuple(sorted(steps))
         self.element_set = frozenset(self.elements)
         self.order = len(self.elements)
 
@@ -135,8 +123,15 @@ class Subgroup:
 
 
 def subgroup_from_elements(parent: FiniteGroup, elements: Sequence[int]) -> Subgroup:
-    """Subgroup generated by the given elements (their closure)."""
-    sub = Subgroup(parent, sorted(dict.fromkeys(elements)))
+    """Subgroup generated by the given elements (their closure).
+
+    Only an element outside the closure of the earlier ones becomes a
+    generator, so a p-group of order p^n gets at most n of them.
+    """
+    sub = Subgroup(parent, [])
+    for e in sorted(set(elements)):
+        if not sub.contains(e):
+            sub = Subgroup(parent, sub.generators + (e,))
     return sub
 
 
@@ -176,17 +171,29 @@ def right_coset_reps(big: Subgroup, small: Subgroup) -> List[int]:
 
 
 def double_cosets(G: FiniteGroup, H: Subgroup, G1: Subgroup) -> List[int]:
-    """Representatives of H\\G/G1, the least canonical element per orbit."""
+    """Representatives of H\\G/G1, the least canonical element per orbit.
+
+    Each orbit H g G1 is closed from g under left multiplication by the
+    generators of H and right multiplication by those of G1.
+    """
     seen = set()
     reps = []
     for g in range(G.order):
         if g in seen:
             continue
         reps.append(g)
-        for h in H.elements:
-            hg = G.mul(h, g)
-            for k in G1.elements:
-                seen.add(G.mul(hg, k))
+        seen.add(g)
+        frontier = [g]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in [G.mul(h, x) for h in H.generators] + [
+                    G.mul(x, k) for k in G1.generators
+                ]:
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
     return reps
 
 
@@ -262,10 +269,11 @@ class AlgebraElement:
 class FinModule:
     """A module over F_p for a subgroup, given by generator action matrices.
 
-    Construction factorizes every subgroup element through the generator
-    words and verifies both invertibility of the generator matrices and the
-    homomorphism property on the full element list, so an inconsistent
-    action is rejected up front.
+    An element acts as the product of the generator matrices along its
+    path in `Subgroup.steps`. Construction verifies that the generator
+    matrices are invertible and that x*g acts as x followed by g for every
+    element x and generator g; by induction on path length that is the whole
+    homomorphism property, so an inconsistent action is rejected up front.
     """
 
     def __init__(
@@ -290,7 +298,8 @@ class FinModule:
         for m in self.gen_actions:
             if m.shape != (self.dim, self.dim):
                 raise ValueError("action matrices must be square of equal size")
-        self._cache: Dict[int, np.ndarray] = {}
+        self._eye = np.eye(self.dim, dtype=np.int64)
+        self._cache: Dict[int, np.ndarray] = {subgroup.parent.identity: self._eye}
         if check:
             self._validate()
 
@@ -303,14 +312,22 @@ class FinModule:
 
     def action_of(self, element_index: int) -> np.ndarray:
         m = self._cache.get(element_index)
-        if m is None:
-            word = self.subgroup.words.get(element_index)
-            if word is None:
-                raise NotASubgroup(f"element {element_index} outside the subgroup")
-            m = np.eye(self.dim, dtype=np.int64)
-            for gi in word:
-                m = (m @ self.gen_actions[gi]) % self.p
-            self._cache[element_index] = m
+        if m is not None:
+            return m
+        if not self.subgroup.contains(element_index):
+            raise NotASubgroup(f"element {element_index} outside the subgroup")
+        # Walk back to an element whose matrix is known, then multiply forward.
+        path = []
+        e = element_index
+        while e not in self._cache:
+            prev, gi = self.subgroup.steps[e]
+            path.append((e, gi))
+            e = prev
+        m = self._cache[e]
+        for e, gi in reversed(path):
+            a = self.gen_actions[gi]
+            m = a if m is self._eye else (m @ a) % self.p
+            self._cache[e] = m
         return m
 
     def _validate(self) -> None:
@@ -321,20 +338,21 @@ class FinModule:
         G = self.subgroup.parent
         for x in self.subgroup.elements:
             ax = self.action_of(x)
-            for y in self.subgroup.elements:
-                prod = G.mul(x, y)
-                if not np.array_equal(
-                    (ax @ self.action_of(y)) % self.p, self.action_of(prod)
-                ):
+            for g, a in zip(self.subgroup.generators, self.gen_actions):
+                if not np.array_equal((ax @ a) % self.p, self.action_of(G.mul(x, g))):
                     raise ValueError("generator actions violate the group law")
 
 
-def induce(module: FinModule, big: Subgroup) -> Tuple[FinModule, List[int]]:
+def induce(
+    module: FinModule, big: Subgroup, over: Optional[Subgroup] = None
+) -> Tuple[FinModule, List[int]]:
     """Induced module over `big`, with basis g_i (x) e_j over the left coset
     representatives (returned alongside, in order).
 
     The action permutes the coset blocks and twists by the small-group part:
     g.(g_i (x) m) = g_k (x) ((g_k^-1 g g_i).m) where g g_i lies in g_k*small.
+    With `over`, a subgroup of `big`, the result is the restriction to it:
+    matrices are built for the generators of `over` only.
     """
     small = module.subgroup
     _assert_subgroup_of(big, small)
@@ -346,8 +364,10 @@ def induce(module: FinModule, big: Subgroup) -> Tuple[FinModule, List[int]]:
             rep_of[G.mul(r, h)] = k
     dim = len(reps) * module.dim
     p = module.p
+    over = big if over is None else over
+    _assert_subgroup_of(big, over)
     actions = []
-    for g in big.generators:
+    for g in over.generators:
         m = np.zeros((dim, dim), dtype=np.int64)
         for i, gi in enumerate(reps):
             prod = G.mul(g, gi)
@@ -359,7 +379,7 @@ def induce(module: FinModule, big: Subgroup) -> Tuple[FinModule, List[int]]:
                 i * module.dim : (i + 1) * module.dim,
             ] = block
         actions.append(m)
-    return FinModule(big, p, actions, check=False, dim=dim), reps
+    return FinModule(over, p, actions, check=False, dim=dim), reps
 
 
 def restrict(module: FinModule, small: Subgroup) -> FinModule:
@@ -408,8 +428,7 @@ def mackey_check(
     if module.subgroup.element_set != G1.element_set:
         raise ValueError("module must live over G1")
     p = module.p
-    full = Subgroup(G, list(range(G.order)))
-    lhs_module, lhs_reps = induce(module, full)
+    lhs_module, lhs_reps = induce(module, G.full(), over=H)
     lhs_dim = lhs_module.dim
     lhs_block: Dict[int, int] = {}
     for k, r in enumerate(lhs_reps):
@@ -481,15 +500,13 @@ def coset_rep_check(G: FiniteGroup, H: Subgroup, G1: Subgroup) -> bool:
     a over representatives of (gG1g^-1 cap H)\\gG1g^-1."""
     zs = []
     for g in double_cosets(G, H, G1):
-        conj_elems = sorted(G.conjugate(g, x) for x in G1.elements)
-        K = subgroup_from_elements(G, conj_elems)
+        K = Subgroup(G, [G.conjugate(g, x) for x in G1.generators])
         inter = subgroup_from_elements(
             G, [e for e in K.elements if H.contains(e)]
         )
         for a in right_coset_reps(K, inter):
             zs.append(G.mul(a, g))
-    full = Subgroup(G, list(range(G.order)))
-    expected = len(right_coset_reps(full, H))
+    expected = len(right_coset_reps(G.full(), H))
     cosets = set()
     for z in zs:
         cosets.add(frozenset(G.mul(h, z) for h in H.elements))
@@ -521,9 +538,7 @@ def commutator_identity_report(p: int, a: int) -> CommutatorReport:
     differs by (1+t)(1+s) w^2 and only holds when p = 2, a = 1; the report
     records both so callers can see the distinction.
     """
-    if p**(3 * a) > MAX_GROUP_ORDER:
-        raise BudgetExceeded(f"group order {p**(3*a)} exceeds {MAX_GROUP_ORDER}")
-    G = FiniteGroup.unitriangular(p, a)
+    G = FiniteGroup(p, a)
     pa = G.pa
     gs = G.index[(1 % pa, 0, 0)]
     gt = G.index[(0, 1 % pa, 0)]

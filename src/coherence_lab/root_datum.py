@@ -230,14 +230,18 @@ def f_matrix(datum: SolvableGroupDatum) -> List[List[int]]:
     return [list(w.exponents) for w in datum.weights]
 
 
-def f_image(datum: SolvableGroupDatum) -> IntLattice:
-    """Image lattice of the torus under the valuation map, inside Z^|Phi|."""
+def torus_images(datum: SolvableGroupDatum) -> List[IntVector]:
+    """f(t) in Z^|Phi| for every torus generator t, in order."""
     m = f_matrix(datum)
-    images = [
+    return [
         tuple(sum(row[i] * v[i] for i in range(datum.torus_rank)) for row in m)
         for v in datum.torus_generators
     ]
-    return IntLattice(len(datum.weights), images)
+
+
+def f_image(datum: SolvableGroupDatum) -> IntLattice:
+    """Image lattice of the torus under the valuation map, inside Z^|Phi|."""
+    return IntLattice(len(datum.weights), torus_images(datum))
 
 
 def validate(datum: SolvableGroupDatum) -> List[str]:

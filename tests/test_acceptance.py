@@ -288,7 +288,7 @@ def _subgroup(G, selector):
         "full": None,
     }[selector]
     if coords is None:
-        return fg.Subgroup(G, list(range(G.order)))
+        return G.full()
     pa = G.pa
     return fg.Subgroup(G, [G.index[tuple(c % pa for c in g)] for g in coords])
 
@@ -306,7 +306,7 @@ def test_criterion_8_mackey_suite():
     ok = True
     runs = 0
     for p, a in ((2, 1), (3, 1), (2, 2)):
-        G = fg.FiniteGroup.unitriangular(p, a)
+        G = fg.FiniteGroup(p, a)
         for i, (hname, gname) in enumerate(pairs):
             H = _subgroup(G, hname)
             G1 = _subgroup(G, gname)

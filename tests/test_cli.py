@@ -235,6 +235,18 @@ def test_obstruction_rejects_zero_without_control(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("p", ["4", "1", "0"])
+def test_obstruction_refuses_non_prime(capsys, p):
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["obstruction", "--p", p])
+    assert time.perf_counter() - t0 < 1.0
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "error:" in out.err and "not prime" in out.err
+    assert "Traceback" not in out.out + out.err
+
+
 def test_mackey_defaults(capsys):
     code, out, _ = run(["mackey"], capsys)
     assert code == 0
@@ -253,6 +265,43 @@ def test_mackey_bad_selector(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mackey", "--H", "sideways"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, pins",
+    [
+        (["--p", "2", "--a", "4", "--H", "e12", "--G1", "e23", "--dim", "1"], (256, 256, 16)),
+        (["--p", "13", "--a", "1", "--H", "e12", "--G1", "e23", "--dim", "2"], (338, 338, 13)),
+    ],
+    ids=["order-4096", "p13"],
+)
+def test_mackey_largest_groups(capsys, argv, pins):
+    t0 = time.perf_counter()
+    code, out, _ = run(["--json", "-", "mackey"] + argv, capsys)
+    assert time.perf_counter() - t0 < 20.0
+    assert code == 0
+    m = json.loads(out)["mackey"]
+    assert (m["lhs_dim"], m["rhs_dim"], m["double_cosets"]) == pins
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--p", "3", "--a", "2", "--H", "full", "--G1", "trivial", "--dim", "2"],
+        ["--p", "2", "--a", "4", "--H", "full", "--G1", "trivial", "--dim", "1"],
+        ["--p", "2", "--a", "-1"],
+    ],
+    ids=["induced-1458", "induced-4096", "negative-a"],
+)
+def test_mackey_refused_before_work(capsys, argv):
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["mackey"] + argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "error:" in out.err
+    assert "Traceback" not in out.out + out.err
 
 
 def test_json_report_files_byte_identical(tmp_path, capsys):
