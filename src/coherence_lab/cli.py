@@ -136,8 +136,10 @@ def cmd_verify_skew(args, parser) -> int:
         parser.error("--precision must be 0 or 1")
     if args.precision == 1 and args.window > 3:
         parser.error("--precision 1 needs --window <= 3 (grid size)")
-    if args.nu < 1 or args.nv < 1:
-        parser.error("--nu and --nv must be >= 1")
+    if not 0 <= args.mmax <= 6:
+        parser.error("--mmax must be in [0, 6]")
+    if not (1 <= args.nu <= 16 and 1 <= args.nv <= 16):
+        parser.error("--nu and --nv must be in [1, 16]")
 
     relations = sc.verify_relations(
         p=args.p,

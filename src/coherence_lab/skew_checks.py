@@ -22,6 +22,7 @@ from .skew_poly import (
     NOT_IN_IDEAL_AT_BOUND,
     SkewContext,
     SkewPoly,
+    _series_monomials,
     ideal_membership_bounded,
     syzygy_bounded,
 )
@@ -180,7 +181,7 @@ def verify_relations(
         deg = max(lx.xdegree(), ly.xdegree(), lz.xdegree() + 1)
         by_degree.setdefault(deg, []).append((lx, ly))
 
-    monos = _series_monomial_list(ring)
+    monos = _series_monomials(ring)
     for deg in sorted(by_degree):
         flat_idx, dim = _pair_degree_index(window, deg, monos)
         columns = []
@@ -207,12 +208,6 @@ def verify_relations(
                     f"degree {deg}: kernel vector ({lx!r}, {ly!r}) outside span(S)"
                 )
     return report
-
-
-def _series_monomial_list(ring: SeriesRing) -> List[Tuple[int, ...]]:
-    from .skew_poly import _series_monomials
-
-    return _series_monomials(ring)
 
 
 def _xexps_of_degree(total: int, window: int) -> List[Tuple[int, int]]:

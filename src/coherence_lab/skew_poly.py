@@ -10,9 +10,9 @@ coefficient applies the a-fold endomorphism, so
 
 The module also provides the flattening of bounded slabs of the ring onto an
 F_p monomial basis, bounded ideal membership with verified certificates, and
-bounded syzygy kernels on a coordinate subspace. The syzygy generators are
-twist-homogeneous, so the flattened matrix is block diagonal with respect to
-total twist degree and the kernel is assembled blockwise.
+bounded syzygy kernels on a coordinate subspace. Both take twist-homogeneous
+generators, so their flattened matrices are block diagonal with respect to
+total twist degree and are assembled and solved one degree block at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from . import fp_linalg
 from .skew_series import ContextMismatch, FrobeniusEndo, SeriesRing, TruncSeries
 
 XExp = Tuple[int, ...]
+Mono = Tuple[int, ...]
 
 
 class WindowExceeded(ValueError):
@@ -272,6 +273,86 @@ def _image_bounds(generators: Sequence[SkewPoly], xbounds: XExp) -> XExp:
     )
 
 
+# A domain coordinate of a bounded combination sum(lambda_i g_i): the
+# generator index i and the monomial X^xexp * mono of lambda_i.
+_Key = Tuple[int, XExp, Mono]
+
+
+def _require_homogeneous(generators: Sequence[SkewPoly]) -> None:
+    if not generators or any(
+        g.is_zero() or not g.is_x_homogeneous() for g in generators
+    ):
+        raise ValueError("need nonzero twist-homogeneous generators")
+
+
+def _block_keys(
+    generators: Sequence[SkewPoly],
+    xbounds: XExp,
+    deg: int,
+    monos: Sequence[Mono],
+    support: Callable[[int, XExp, Mono], bool] = lambda *_: True,
+) -> List[_Key]:
+    """The supported domain coordinates whose image has total twist degree
+    deg, by generator and then in FlatSpace basis order."""
+    keys: List[_Key] = []
+    for gi, g in enumerate(generators):
+        xdeg = deg - g.xdegree()
+        for x in itertools.product(*[range(b + 1) for b in xbounds]):
+            if sum(x) == xdeg:
+                keys += [(gi, x, m) for m in monos if support(gi, x, m)]
+    return keys
+
+
+def _block_matrix(
+    generators: Sequence[SkewPoly], keys: Sequence[_Key], *extra: SkewPoly
+) -> np.ndarray:
+    """One column flatten(X^xexp * mono * g_i) per key, then one per extra
+    polynomial.
+
+    Rows are the image coordinates that some column reaches, in order of
+    first appearance: no zero rows, and row order leaves the reduced echelon
+    form, hence every solution and kernel basis, unchanged.
+    """
+    ctx = generators[0].ctx
+    images = (
+        SkewPoly(ctx, {x: TruncSeries(ctx.base, {mono: 1})}) * generators[gi]
+        for gi, x, mono in keys
+    )
+    rows: Dict[Tuple[XExp, Mono], int] = {}
+    entries: List[Tuple[int, int, int]] = []
+    for j, poly in enumerate(itertools.chain(images, extra)):
+        for x, c in poly.coeffs.items():
+            for mono, v in c.terms.items():
+                entries.append((rows.setdefault((x, mono), len(rows)), j, v))
+    mat = np.zeros((len(rows), len(keys) + len(extra)), dtype=np.int64)
+    if entries:
+        r, j, v = zip(*entries)
+        mat[r, j] = v
+    return mat
+
+
+def _coefficients(
+    ctx: SkewContext, n: int, keys: Sequence[_Key], values: Sequence[int]
+) -> Tuple[SkewPoly, ...]:
+    """(lambda_1, ..., lambda_n) from the nonzero coordinates on the keys."""
+    parts: List[Dict[XExp, Dict[Mono, int]]] = [{} for _ in range(n)]
+    for (gi, x, mono), v in zip(keys, values):
+        if v:
+            parts[gi].setdefault(x, {})[mono] = v
+    return tuple(
+        SkewPoly(ctx, {x: TruncSeries(ctx.base, terms) for x, terms in part.items()})
+        for part in parts
+    )
+
+
+def _combination(lams: Sequence[SkewPoly], generators: Sequence[SkewPoly]) -> SkewPoly:
+    """sum(lambda_i * g_i), for the re-verification by substitution."""
+    acc = generators[0].ctx.zero()
+    for lam, g in zip(lams, generators):
+        acc = acc + lam * g
+    return acc
+
+
 @dataclass(frozen=True)
 class MembershipCertificate:
     """coefficients[i] * generators[i] summed reproduces the element."""
@@ -291,55 +372,46 @@ def ideal_membership_bounded(
 
     Searches for coefficients supported on the slab {exponents <= xbounds}
     with sum(lambda_i * g_i) = elem, by exact linear algebra over the
-    flattened monomial basis. On success the certificate is re-verified by
+    flattened monomial basis. The generators must be nonzero and homogeneous
+    in total twist degree, so the system is block diagonal by degree and is
+    solved one homogeneous component of elem at a time (free variables 0, as
+    for the whole system). On success the certificate is re-verified by
     multiplication; on failure returns NOT_IN_IDEAL_AT_BOUND (a statement
     relative to the given bounds only).
     """
-    if not generators:
-        raise ValueError("need at least one generator")
+    _require_homogeneous(generators)
     ctx = elem.ctx
-    domain = FlatSpace(ctx, xbounds)
-    image_bounds = _image_bounds(generators, xbounds)
-    image = FlatSpace(ctx, image_bounds)
-    columns: List[List[int]] = []
-    col_key: List[Tuple[int, int]] = []  # (generator index, domain basis index)
-    for gi, g in enumerate(generators):
-        for bi, (x, mono) in enumerate(domain.basis):
-            mu = SkewPoly(ctx, {x: TruncSeries(ctx.base, {mono: 1})})
-            prod = mu * g
-            if not _fits(prod, image_bounds):
-                continue
-            columns.append(image.to_vec(prod))
-            col_key.append((gi, bi))
-    if not _fits(elem, image_bounds):
+    if not _fits(elem, _image_bounds(generators, xbounds)):
         raise WindowExceeded("element outside the bounded image slab")
-    rhs = image.to_vec(elem)
-    if not columns:
-        return MembershipCertificate(tuple(ctx.zero() for _ in generators)) \
-            if all(c == 0 for c in rhs) else NOT_IN_IDEAL_AT_BOUND
-    mat = fp_linalg.FpMatrix.from_numpy(
-        np.array(columns, dtype=np.int64).T, ctx.base.p
-    )
-    sol = fp_linalg.solve(mat, rhs)
-    if sol is None:
-        return NOT_IN_IDEAL_AT_BOUND
-    lams = [ctx.zero() for _ in generators]
-    for val, (gi, bi) in zip(sol, col_key):
-        if val:
-            x, mono = domain.basis[bi]
-            lams[gi] = lams[gi] + SkewPoly(ctx, {x: TruncSeries(ctx.base, {mono: val})})
-    acc = ctx.zero()
-    for lam, g in zip(lams, generators):
-        acc = acc + lam * g
-    if acc != elem:
+    components: Dict[int, Dict[XExp, TruncSeries]] = {}
+    for x, c in elem.coeffs.items():
+        components.setdefault(sum(x), {})[x] = c
+    p = ctx.base.p
+    monos = _series_monomials(ctx.base)
+    keys: List[_Key] = []
+    values: List[int] = []
+    for deg in sorted(components):
+        block = _block_keys(generators, xbounds, deg, monos)
+        if not block:
+            return NOT_IN_IDEAL_AT_BOUND
+        mat = _block_matrix(generators, block, SkewPoly(ctx, components[deg]))
+        sol = fp_linalg.solve(
+            fp_linalg.FpMatrix.from_numpy(mat[:, :-1], p), mat[:, -1].tolist()
+        )
+        if sol is None:
+            return NOT_IN_IDEAL_AT_BOUND
+        keys += block
+        values += sol
+    lams = _coefficients(ctx, len(generators), keys, values)
+    if _combination(lams, generators) != elem:
         raise AssertionError("membership certificate failed re-multiplication")
-    return MembershipCertificate(tuple(lams))
+    return MembershipCertificate(lams)
 
 
 def syzygy_bounded(
     generators: Sequence[SkewPoly],
     xbounds: XExp,
-    support: Callable[[int, XExp, Tuple[int, ...]], bool],
+    support: Callable[[int, XExp, Mono], bool],
 ) -> List[Tuple[SkewPoly, ...]]:
     """Basis of the bounded relation module of the generators on a
     coordinate subspace.
@@ -353,41 +425,19 @@ def syzygy_bounded(
     block diagonal by degree and the kernel is computed blockwise. Every
     basis vector is re-verified by substitution.
     """
-    if not generators or any(
-        g.is_zero() or not g.is_x_homogeneous() for g in generators
-    ):
-        raise ValueError("syzygy_bounded needs nonzero twist-homogeneous generators")
+    _require_homogeneous(generators)
     ctx = generators[0].ctx
-    domain = FlatSpace(ctx, xbounds)
-    image = FlatSpace(ctx, _image_bounds(generators, xbounds))
-
-    blocks: Dict[int, List[Tuple[int, int]]] = {}  # degree -> (generator, basis index)
-    for gi, g in enumerate(generators):
-        gdeg = g.xdegree()
-        for bi, (x, mono) in enumerate(domain.basis):
-            if support(gi, x, mono):
-                blocks.setdefault(sum(x) + gdeg, []).append((gi, bi))
-
+    monos = _series_monomials(ctx.base)
+    top = sum(xbounds) + max(g.xdegree() for g in generators)
     out: List[Tuple[SkewPoly, ...]] = []
-    for deg in sorted(blocks):
-        keys = blocks[deg]
-        cols = []
-        for gi, bi in keys:
-            x, mono = domain.basis[bi]
-            mu = SkewPoly(ctx, {x: TruncSeries(ctx.base, {mono: 1})})
-            cols.append(image.to_vec(mu * generators[gi]))
-        sub = np.array(cols, dtype=np.int64).T
-        sub = sub[sub.any(axis=1)]
-        mat = fp_linalg.FpMatrix.from_numpy(sub, ctx.base.p)
+    for deg in range(top + 1):
+        keys = _block_keys(generators, xbounds, deg, monos, support)
+        if not keys:
+            continue
+        mat = fp_linalg.FpMatrix.from_numpy(_block_matrix(generators, keys), ctx.base.p)
         for kvec in fp_linalg.kernel_basis(mat):
-            parts = [[0] * domain.dim for _ in generators]
-            for val, (gi, bi) in zip(kvec, keys):
-                parts[gi][bi] = val
-            lams = tuple(domain.from_vec(v) for v in parts)
-            acc = ctx.zero()
-            for lam, g in zip(lams, generators):
-                acc = acc + lam * g
-            if not acc.is_zero():
+            lams = _coefficients(ctx, len(generators), keys, kvec)
+            if not _combination(lams, generators).is_zero():
                 raise AssertionError("syzygy basis vector failed substitution")
             out.append(lams)
     return out

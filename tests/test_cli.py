@@ -201,6 +201,29 @@ def test_verify_skew_flag_ranges(capsys):
         main(["verify-skew", "--window", "9"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mmax", "7"],
+        ["--mmax", "1000000"],
+        ["--mmax", "-1"],
+        ["--nu", "17"],
+        ["--nv", "100000000"],
+        ["--nu", "0"],
+    ],
+    ids=["mmax-7", "mmax-huge", "mmax-negative", "nu-17", "nv-huge", "nu-zero"],
+)
+def test_verify_skew_refused_before_work(capsys, argv):
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-skew"] + argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "error:" in out.err
+    assert "Traceback" not in out.out + out.err
+
+
 def test_verify_skew_small(capsys):
     code, out, _ = run(
         ["verify-skew", "--window", "2", "--mmax", "1"], capsys

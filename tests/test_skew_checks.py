@@ -32,6 +32,16 @@ def test_verify_relations_default_passes():
     assert rep.kernel_dim == rep.interior_checked
 
 
+def test_verify_relations_mid_size_pinned():
+    rep = sc.verify_relations(p=3, n_u=1, n_v=1, window=5, trunc=12, m_max=4)
+    assert [name for name, _ in rep.soundness] == (
+        ["S1[0]", "S2[0]"] + [f"S3[{m}]" for m in range(5)]
+    )
+    assert all(ok for _, ok in rep.soundness)
+    assert rep.interior_checked == 458
+    assert rep.ok
+
+
 def test_verify_relations_margin_zero_completeness_fails():
     # Negative control for the completeness arm: without the safety margin
     # a boundary kernel vector at the window edge falls outside span(S).

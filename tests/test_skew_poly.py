@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -119,6 +120,114 @@ def test_membership_geometric_telescope():
         assert ideal_membership_bounded(elem, [D - E], (m, m)) is not NOT_IN_IDEAL_AT_BOUND
 
 
+def test_membership_demo_certificate_pinned():
+    # The walkthrough certificate of demos/03: D^3 - E^3 = lambda * (D - E).
+    ctx, s, t, D, E = _pair(p=2, trunc=8, window=6)
+    cert = ideal_membership_bounded(ctx.gen("D", 3) - ctx.gen("E", 3), [D - E], (3, 3))
+    lam = cert.coefficients[0]
+    assert lam == ctx.gen("D", 2) + D * E + ctx.gen("E", 2)
+    assert repr(lam) == "(1)E^2 + (1)DE + (1)D^2"
+
+
+def _dense_membership(ctx, elem, gens, bounds):
+    """Whole-slab membership by sympy over GF(p), independent of the
+    degree blocking: the pivot solution (free variables 0) of the dense
+    flattened system, as coefficient polynomials, or None."""
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    from coherence_lab.skew_poly import FlatSpace, _image_bounds
+    from coherence_lab.skew_series import TruncSeries
+
+    p = ctx.base.p
+    domain = FlatSpace(ctx, bounds)
+    image = FlatSpace(ctx, _image_bounds(gens, bounds))
+    cols = [
+        image.to_vec(SkewPoly(ctx, {x: TruncSeries(ctx.base, {mono: 1})}) * g)
+        for g in gens
+        for (x, mono) in domain.basis
+    ]
+    cols.append(image.to_vec(elem))
+    K = GF(p)
+    aug = DomainMatrix(
+        [[K(c[i]) for c in cols] for i in range(image.dim)], (image.dim, len(cols)), K
+    )
+    red, pivots = aug.rref()
+    n = len(cols) - 1
+    if n in pivots:
+        return None
+    red_rows = red.to_list()
+    sol = [0] * n
+    for r, c in enumerate(pivots):
+        sol[c] = int(red_rows[r][n]) % p
+    return tuple(
+        domain.from_vec(sol[i * domain.dim : (i + 1) * domain.dim])
+        for i in range(len(gens))
+    )
+
+
+def _random_lambda(rng, ctx, bounds, degrees):
+    """A random polynomial with terms of the given total twist degrees and
+    twist exponents inside bounds (integer series exponents)."""
+    from coherence_lab.skew_series import TruncSeries
+
+    ring = ctx.base
+    monos = [(a, b) for a in range(ring.trunc) for b in range(ring.trunc - a)]
+    coeffs = {}
+    for x in itertools.product(range(bounds[0] + 1), range(bounds[1] + 1)):
+        if sum(x) in degrees:
+            picks = [rng.choice(monos) for _ in range(rng.randint(0, 2))]
+            coeffs[x] = TruncSeries(ring, {m: rng.randrange(1, ring.p) for m in picks})
+    return SkewPoly(ctx, coeffs)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_membership_blocked_matches_dense_oracle(p):
+    # Certificates must equal the whole-slab pivot solution. [s + t, s] has
+    # free columns inside one generator's block, so it also pins the column
+    # order within a block.
+    ctx, s, t, D, E = _pair(p=p, trunc=3, window=4)
+    ring = ctx.base
+    bounds = (2, 2)
+    rng = random.Random(40 + p)
+    unit = SkewPoly.from_series(ctx, ring.var("s") + ring.one())
+    for gens in ([D - E], [s, D - E], [s + t, s]):
+        members, others = [ctx.zero()], [unit]
+        for _ in range(6):
+            lam = _random_lambda(rng, ctx, bounds, [rng.randint(0, 2)])
+            members.append(lam * rng.choice(gens))
+            mixed = ctx.zero()
+            for g in gens:
+                mixed = mixed + _random_lambda(rng, ctx, bounds, [0, 1, 2]) * g
+            members.append(mixed)
+            x = (rng.randint(0, 2), rng.randint(0, 2))
+            others.append(mixed + SkewPoly(ctx, {x: ring.var("s", rng.randrange(2))}))
+        for i, elem in enumerate(members + others):
+            got = ideal_membership_bounded(elem, gens, bounds)
+            want = _dense_membership(ctx, elem, gens, bounds)
+            if want is None:
+                assert got is NOT_IN_IDEAL_AT_BOUND
+            else:
+                assert got is not NOT_IN_IDEAL_AT_BOUND
+                assert got.coefficients == want
+            # Multiples of D - E have a vanishing sum of coefficients over the
+            # twist exponents, so the unit and every bumped element are
+            # outside its ideal; no ideal here contains the unit.
+            if i < len(members):
+                assert want is not None
+            elif len(gens) == 1 or elem is unit:
+                assert want is None
+
+
+def test_membership_zero_element_and_generator_checks():
+    ctx, s, t, D, E = _pair(trunc=6)
+    cert = ideal_membership_bounded(ctx.zero(), [s, D - E], (1, 1))
+    assert cert.coefficients == (ctx.zero(), ctx.zero())
+    for gens in ([s, ctx.zero()], [D + s], []):
+        with pytest.raises(ValueError):
+            ideal_membership_bounded(D - E, gens, (1, 1))
+
+
 FULL_SLAB = lambda *_: True  # noqa: E731
 
 
@@ -175,6 +284,9 @@ def test_syzygy_blockwise_matches_dense_kernel():
         for k in kernel
     ]
     assert len(flat_kernel) == len(dense)
+    # The matrix is block diagonal, so each dense basis vector (one per free
+    # column) lives in one block and is that block's vector for the column.
+    assert sorted(flat_kernel) == sorted(dense)
     rank_blocked = fp_linalg.rank(fp_linalg.FpMatrix.from_rows(flat_kernel, 2))
     rank_joint = fp_linalg.rank(
         fp_linalg.FpMatrix.from_rows(flat_kernel + dense, 2)
