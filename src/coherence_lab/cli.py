@@ -48,6 +48,13 @@ SUBGROUP_SELECTORS = {
 # comparison map is a square matrix of that size, checked densely.
 MAX_INDUCED_DIM = 768
 
+# Largest truncation `verify-skew --precision 1` takes on, per p. The refined
+# grid multiplies the series slab by p; the worst admitted case over
+# window <= 3 and mmax <= 6 runs in about 21 s, the next truncation up takes
+# 29 s (p = 2), 53 s (p = 3) and 39 s (p = 5), and the cost keeps growing
+# about threefold per step.
+PRECISION1_MAX_TRUNC = {2: 11, 3: 9, 5: 6}
+
 
 def _emit(report: Dict[str, Any], args, human_lines) -> None:
     text = dumps_report(report)
@@ -136,6 +143,11 @@ def cmd_verify_skew(args, parser) -> int:
         parser.error("--precision must be 0 or 1")
     if args.precision == 1 and args.window > 3:
         parser.error("--precision 1 needs --window <= 3 (grid size)")
+    if args.precision == 1 and args.trunc > PRECISION1_MAX_TRUNC[args.p]:
+        parser.error(
+            f"--precision 1 needs --trunc <= {PRECISION1_MAX_TRUNC[args.p]} "
+            f"at p = {args.p} (time budget)"
+        )
     if not 0 <= args.mmax <= 6:
         parser.error("--mmax must be in [0, 6]")
     if not (1 <= args.nu <= 16 and 1 <= args.nv <= 16):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import List, Union
 
 from . import int_lattice, root_datum
-from .int_lattice import IntVector, in_sign_cone, is_zero
+from .int_lattice import IntVector, is_zero
 from .root_datum import (
     PadicFieldParams,
     SolvableGroupDatum,
@@ -77,26 +77,14 @@ def decide_solvable(datum: SolvableGroupDatum) -> Verdict:
     images = torus_images(datum)
     n_phi = len(datum.weights)
     result, coeffs = int_lattice.cyclic_cone_generator_tracked(images, n_phi)
+    int_lattice._check_cone_certificate(images, result, coeffs)
 
     if result.generator is not None:
         gen = result.generator
-        for img in images:
-            if not int_lattice.divides_vec(gen, img):
-                raise AssertionError("coherent certificate failed: image not in Z*gen")
         return Coherent(generator=gen, trivial_image=is_zero(gen))
 
     witness = result.mixed_witness
-    assert witness is not None
     combo = tuple(coeffs)
-    # Certificate soundness: the tracked combination reproduces the witness.
-    recomputed = tuple(
-        sum(coeffs[a] * images[a][i] for a in range(len(images)))
-        for i in range(n_phi)
-    )
-    if recomputed != witness:
-        raise AssertionError("witness combination does not reproduce f(t)")
-    if in_sign_cone(witness):
-        raise AssertionError("mixed witness lies in the sign cone")
     alpha = next(i for i, c in enumerate(witness) if c > 0)
     beta = next(i for i, c in enumerate(witness) if c < 0)
     embedded = witness_subgroup(datum, combo, alpha, beta)

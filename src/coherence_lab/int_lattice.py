@@ -280,6 +280,30 @@ def cyclic_cone_generator_tracked(vectors: Sequence[Sequence[int]], ambient_dim:
     return CyclicConeResult(generator=acc), acc_coeffs
 
 
+def _check_cone_certificate(
+    vectors: Sequence[IntVector], result: CyclicConeResult, coeffs: Sequence[int]
+) -> None:
+    """Re-verify a cyclic_cone_generator_tracked result.
+
+    The tracked combination sum(coeffs[i] * vectors[i]) must reproduce the
+    generator or the witness, which puts it in the lattice by construction.
+    A generator must then divide every input vector; a witness must lie
+    outside the sign cone.
+    """
+    target = result.mixed_witness if result.generator is None else result.generator
+    combo = tuple(
+        sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(len(target))
+    )
+    if combo != target:
+        raise AssertionError("certificate combination does not reproduce its vector")
+    if result.generator is not None:
+        for v in vectors:
+            if not divides_vec(target, v):
+                raise AssertionError("generator does not divide an input vector")
+    elif in_sign_cone(target):
+        raise AssertionError("mixed witness lies in the sign cone")
+
+
 def cyclic_cone_generator(lattice: IntLattice) -> CyclicConeResult:
     """Decide whether the lattice is cyclic with a nonnegative generator.
 
@@ -287,21 +311,10 @@ def cyclic_cone_generator(lattice: IntLattice) -> CyclicConeResult:
     an explicit lattice element outside the sign cone. Exactly one of the two
     happens.
     """
-    result, _ = cyclic_cone_generator_tracked(lattice.generators, lattice.ambient_dim)
-    if result.generator is not None:
-        gen = result.generator
-        if not lattice.contains(gen) and not is_zero(gen):
-            raise AssertionError("cyclic generator not in lattice")
-        for g in lattice.generators:
-            if not divides_vec(gen, g):
-                raise AssertionError("generator does not divide a lattice generator")
-    else:
-        w = result.mixed_witness
-        assert w is not None
-        if not lattice.contains(w):
-            raise AssertionError("mixed witness not in lattice")
-        if in_sign_cone(w):
-            raise AssertionError("mixed witness lies in the sign cone")
+    result, coeffs = cyclic_cone_generator_tracked(
+        lattice.generators, lattice.ambient_dim
+    )
+    _check_cone_certificate(lattice.generators, result, coeffs)
     return result
 
 

@@ -6,13 +6,20 @@ twist exponents inside a window. Soundness statements (an element IS a
 relation, a certificate reproduces its target) are exact. Completeness
 statements are bound-relative and asserted only inside a safety margin,
 because truncation creates spurious kernel vectors near the boundary.
+
+Ring elements enter F_p coordinates one way per setting: span(S) and the
+kernel pairs through the sparse assembler of `skew_poly`, one-variable
+module elements through `ModuleFlat.to_vec`, once per generator. After that
+the one-variable spans stay in coordinates: a loss-free product t^a F^j is
+an index map on coordinate rows (`ModuleFlat.shift`).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +29,7 @@ from .skew_poly import (
     NOT_IN_IDEAL_AT_BOUND,
     SkewContext,
     SkewPoly,
+    _assemble,
     _series_monomials,
     ideal_membership_bounded,
     syzygy_bounded,
@@ -183,24 +191,13 @@ def verify_relations(
 
     monos = _series_monomials(ring)
     for deg in sorted(by_degree):
-        flat_idx, dim = _pair_degree_index(window, deg, monos)
-        columns = []
-        for name, (sx, sy) in labelled:
-            d_i = max(sx.xdegree(), sy.xdegree())
-            if d_i < 0 or d_i > deg:
-                continue
-            for xexp in _xexps_of_degree(deg - d_i, window):
-                for mono in monos:
-                    mu = SkewPoly(ctx, {xexp: TruncSeries(ring, {mono: 1})})
-                    px, py = mu * sx, mu * sy
-                    if any(e > window for e in px.max_xexp()) or any(
-                        e > window for e in py.max_xexp()
-                    ):
-                        continue
-                    columns.append(_pair_to_vec((px, py), flat_idx, dim))
-        span_s = fp_linalg.RowSpace(columns, p, dim)
         pairs = by_degree[deg]
-        inside = span_s.contains([_pair_to_vec(pr, flat_idx, dim) for pr in pairs])
+        mat, _ = _assemble(
+            itertools.chain(_s_multiples(labelled, deg, window, monos), pairs)
+        )
+        n = mat.shape[1] - len(pairs)
+        span_s = fp_linalg.RowSpace(mat[:, :n].T, p, mat.shape[0])
+        inside = span_s.contains(mat[:, n:].T)
         report.interior_checked += len(pairs)
         for (lx, ly), ok in zip(pairs, inside):
             if not ok:
@@ -210,30 +207,26 @@ def verify_relations(
     return report
 
 
-def _xexps_of_degree(total: int, window: int) -> List[Tuple[int, int]]:
-    return [
-        (a, total - a)
-        for a in range(max(0, total - window), min(window, total) + 1)
-    ]
+def _s_multiples(
+    labelled: Sequence[Tuple[str, PolyPair]], deg: int, window: int, monos
+) -> Iterator[PolyPair]:
+    """The products X^xexp * mono * S_i of total twist degree deg whose twist
+    exponents all stay within the window.
 
-
-def _pair_degree_index(window: int, deg: int, monos):
-    basis = [
-        (comp, xexp, mono)
-        for comp in (0, 1)
-        for xexp in _xexps_of_degree(deg, window)
-        for mono in monos
-    ]
-    return {b: i for i, b in enumerate(basis)}, len(basis)
-
-
-def _pair_to_vec(pair: PolyPair, flat_idx, dim) -> List[int]:
-    v = [0] * dim
-    for comp, poly in enumerate(pair):
-        for xexp, c in poly.coeffs.items():
-            for mono, coeff in c.terms.items():
-                v[flat_idx[(comp, xexp, mono)]] = coeff
-    return v
+    The window is checked on the computed product, since a term can vanish
+    by truncation.
+    """
+    for _, (sx, sy) in labelled:
+        d_i = max(sx.xdegree(), sy.xdegree())
+        if d_i < 0 or d_i > deg:
+            continue
+        k = deg - d_i
+        for a in range(max(0, k - window), min(window, k) + 1):
+            for mono in monos:
+                mu = SkewPoly(sx.ctx, {(a, k - a): TruncSeries(sx.ctx.base, {mono: 1})})
+                px, py = mu * sx, mu * sy
+                if max(px.max_xexp() + py.max_xexp()) <= window:
+                    yield px, py
 
 
 def monomial_obstruction(
@@ -373,124 +366,94 @@ def one_var_free_decomposition(p: int, trunc: int) -> FreeDecompositionReport:
 class ModuleFlat:
     """F_p coordinates on n-tuples over the one-variable ring, F-degree
     bounded, ordered high-F-degree first so echelon rows split cleanly into
-    degree filtration pieces."""
+    degree filtration pieces.
+
+    Index ((fbound - j) * ncomp + comp) * max_scaled + e holds the
+    coefficient of t^e F^j in component comp.
+    """
 
     def __init__(self, ctx: SkewContext, ncomp: int, fbound: int):
         self.ctx = ctx
         self.ncomp = ncomp
         self.fbound = fbound
-        ring = ctx.base
-        self.basis = [
-            (comp, j, e)
-            for j in range(fbound, -1, -1)
-            for comp in range(ncomp)
-            for e in range(ring.max_scaled)
-        ]
-        self.index = {b: i for i, b in enumerate(self.basis)}
-        self.dim = len(self.basis)
+        self.dim = (fbound + 1) * ncomp * ctx.base.max_scaled
 
     def to_vec(self, elem: Sequence[SkewPoly]) -> List[int]:
+        width = self.ctx.base.max_scaled
         v = [0] * self.dim
         for comp, poly in enumerate(elem):
             for (j,), c in poly.coeffs.items():
+                if j > self.fbound:
+                    raise KeyError(f"F-degree {j} above {self.fbound}")
                 for (e,), coeff in c.terms.items():
-                    v[self.index[(comp, j, e)]] = coeff
+                    v[((self.fbound - j) * self.ncomp + comp) * width + e] = coeff
         return v
-
-    def from_vec(self, v: Sequence[int]) -> Tuple[SkewPoly, ...]:
-        ring = self.ctx.base
-        per: List[Dict[Tuple[int], Dict[Tuple[int], int]]] = [
-            {} for _ in range(self.ncomp)
-        ]
-        for i, c in enumerate(v):
-            c %= ring.p
-            if c:
-                comp, j, e = self.basis[i]
-                per[comp].setdefault((j,), {})[(e,)] = c
-        return tuple(
-            SkewPoly(
-                self.ctx,
-                {x: TruncSeries(ring, terms) for x, terms in per[comp].items()},
-            )
-            for comp in range(self.ncomp)
-        )
 
     def low_cut(self, k: int) -> int:
         """First basis index of the F-degree <= k zone."""
-        return next(
-            (i for i, (comp, j, e) in enumerate(self.basis) if j <= k), self.dim
+        cut = (self.fbound - k) * self.ncomp * self.ctx.base.max_scaled
+        return min(max(cut, 0), self.dim)
+
+    def fdegrees(self, rows: np.ndarray) -> np.ndarray:
+        """The F-degree of each row; -1 for a zero row."""
+        width = self.ncomp * self.ctx.base.max_scaled
+        blocks = rows.reshape(len(rows), self.fbound + 1, width).any(axis=2)
+        return np.where(blocks.any(axis=1), self.fbound - blocks.argmax(axis=1), -1)
+
+    def shift(self, rows: np.ndarray, a: int, j: int) -> np.ndarray:
+        """The loss-free products t^a F^j * row, as coordinate rows.
+
+        t^a F^j * t^e F^j' = t^(a + e p^j) F^(j' + j), so the product maps
+        coordinate (comp, j', e) to (comp, j' + j, a + e p^j). A row that
+        would lose a nonzero coordinate to series truncation is dropped:
+        silent truncation would identify distinct elements of the
+        untruncated module. F-degree above fbound is an error.
+        """
+        width = self.ctx.base.max_scaled
+        step = self.ctx.base.p**j
+        blocks = np.asarray(rows, dtype=np.int64).reshape(
+            -1, self.fbound + 1, self.ncomp, width
         )
+        if blocks[:, :j].any():
+            raise KeyError(f"F-degree above {self.fbound}")
+        # Exponents e < n land on a, a + p^j, ... inside the slab.
+        n = len(range(a, width, step))
+        kept = blocks[~blocks[..., n:].any(axis=(1, 2, 3))]
+        out = np.zeros_like(kept)
+        out[:, : self.fbound + 1 - j, :, a:width:step] = kept[:, j:, :, :n]
+        return out.reshape(-1, self.dim)
 
 
-def _mul_monomial_lossfree(
-    ctx: SkewContext, a: int, j: int, poly: SkewPoly
-) -> Optional[SkewPoly]:
-    """t^a F^j * poly in the honest (untruncated) ring, or None when any
-    product monomial would overflow the series slab.
-
-    Silent truncation would identify distinct honest elements; skipping
-    lossy products keeps every span vector an exact element of the
-    untruncated module, at the cost of a smaller visible slab.
-    """
-    ring = ctx.base
-    p = ring.p
-    out: Dict[Tuple[int, ...], TruncSeries] = {}
-    terms: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {}
-    for (jj,), c in poly.coeffs.items():
-        for (e,), coeff in c.terms.items():
-            e2 = a + e * p**j
-            if e2 >= ring.max_scaled:
-                return None
-            terms.setdefault((j + jj,), {})[(e2,)] = coeff
-    for x, tms in terms.items():
-        out[x] = TruncSeries(ring, tms)
-    return SkewPoly(ctx, out)
-
-
-def _tuple_mul_lossfree(ctx, a, j, elem) -> Optional[Tuple[SkewPoly, ...]]:
-    parts = []
-    for poly in elem:
-        prod = _mul_monomial_lossfree(ctx, a, j, poly)
-        if prod is None:
-            return None
-        parts.append(prod)
-    return tuple(parts)
+def _t_multiples(flat: ModuleFlat, rows: np.ndarray, j: int) -> np.ndarray:
+    """The loss-free products t^a F^j * row for a = 0, 1, ...; a row that
+    loses a coordinate at some a loses one at every larger a."""
+    out = [np.zeros((0, flat.dim), dtype=np.int64)]
+    for a in range(flat.ctx.base.max_scaled):
+        prod = flat.shift(rows, a, j)
+        if not len(prod):
+            break
+        out.append(prod)
+    return np.concatenate(out)
 
 
 def module_span(
-    ctx: SkewContext,
-    generators: Sequence[Sequence[SkewPoly]],
-    flat: ModuleFlat,
-    maxdeg: Optional[int] = None,
+    flat: ModuleFlat, rows: np.ndarray, maxdeg: Optional[int] = None
 ) -> fp_linalg.RowSpace:
-    """The visible left-module span of the generators: all loss-free
+    """The visible left-module span of the coordinate rows: all loss-free
     products t^a F^j * g with F-degree at most maxdeg."""
-    ring = ctx.base
     top = flat.fbound if maxdeg is None else maxdeg
-    vectors = []
-    for g in generators:
-        gdeg = max((poly.xdegree() for poly in g), default=-1)
-        if gdeg < 0:
-            continue
-        for j in range(top - gdeg + 1):
-            for a in range(ring.max_scaled):
-                prod = _tuple_mul_lossfree(ctx, a, j, g)
-                if prod is not None:
-                    vectors.append(flat.to_vec(prod))
-    return fp_linalg.RowSpace(vectors, ring.p, flat.dim)
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, flat.dim)
+    degs = flat.fdegrees(rows)
+    vectors = [
+        _t_multiples(flat, rows[(degs >= 0) & (degs <= top - j)], j)
+        for j in range(top + 1)
+    ]
+    return fp_linalg.RowSpace(np.concatenate(vectors), flat.ctx.base.p, flat.dim)
 
 
-def _f_multiples(
-    ctx: SkewContext, flat: ModuleFlat, elems: Sequence[Sequence[SkewPoly]]
-) -> fp_linalg.RowSpace:
-    """The span of the loss-free products t^a F * m over the given m."""
-    vectors = []
-    for m in elems:
-        for a in range(ctx.base.max_scaled):
-            prod = _tuple_mul_lossfree(ctx, a, 1, m)
-            if prod is not None:
-                vectors.append(flat.to_vec(prod))
-    return fp_linalg.RowSpace(vectors, ctx.base.p, flat.dim)
+def _f_multiples(flat: ModuleFlat, rows: np.ndarray) -> fp_linalg.RowSpace:
+    """The span of the loss-free products t^a F * m over the rows m."""
+    return fp_linalg.RowSpace(_t_multiples(flat, rows, 1), flat.ctx.base.p, flat.dim)
 
 
 @dataclass
@@ -531,17 +494,15 @@ def filtration_identity_check(
         raise ValueError(f"context window {ctx.window} < required {bspan + 1}")
     flat = ModuleFlat(ctx, ncomp, bspan + 1)
 
-    m_span = module_span(ctx, generators, flat, maxdeg=bspan)
-    m_elems = [flat.from_vec(r) for r in m_span.rows.tolist()]
+    m_span = module_span(flat, [flat.to_vec(g) for g in generators], maxdeg=bspan)
 
     # J M = A F M: loss-free products t^a F * m over a spanning set of M.
-    jm = _f_multiples(ctx, flat, m_elems)
+    jm = _f_multiples(flat, m_span.rows)
 
     report = FiltrationReport(k_checked=[], failures=[])
     for k in range(1, k_max + 1):
         lhs = jm.low_part(flat.low_cut(k))
-        m_low = m_span.low_part(flat.low_cut(k - 1)).tolist()
-        rhs = _f_multiples(ctx, flat, [flat.from_vec(r) for r in m_low]).rows
+        rhs = _f_multiples(flat, m_span.low_part(flat.low_cut(k - 1))).rows
         report.k_checked.append(k)
         if not np.array_equal(lhs, rhs):
             report.failures.append(k)
@@ -564,11 +525,10 @@ def mjm_degree_detect(
     if ctx.window < fbound:
         raise ValueError(f"context window {ctx.window} < required {fbound}")
     flat = ModuleFlat(ctx, ncomp, fbound)
-    m_span = module_span(ctx, generators, flat, maxdeg=fbound)
+    m_span = module_span(flat, [flat.to_vec(g) for g in generators], maxdeg=fbound)
     # The pieces M^{<=k} are nested, so covering the top one covers them all.
     top = m_span.low_part(flat.low_cut(bound))
     for d in range(bound + 1):
-        md = m_span.low_part(flat.low_cut(d)).tolist()
-        if module_span(ctx, [flat.from_vec(r) for r in md], flat).contains(top).all():
+        if module_span(flat, m_span.low_part(flat.low_cut(d))).contains(top).all():
             return d
     return bound + 1

@@ -8,18 +8,21 @@ coefficient applies the a-fold endomorphism, so
 
     (c X^a) (c' X^b) = c * sigma^a(c') X^(a+b).
 
-The module also provides the flattening of bounded slabs of the ring onto an
-F_p monomial basis, bounded ideal membership with verified certificates, and
-bounded syzygy kernels on a coordinate subspace. Both take twist-homogeneous
-generators, so their flattened matrices are block diagonal with respect to
-total twist degree and are assembled and solved one degree block at a time.
+The module also provides bounded ideal membership with verified
+certificates and bounded syzygy kernels on a coordinate subspace. Both take
+twist-homogeneous generators, so their flattened matrices are block diagonal
+with respect to total twist degree and are assembled and solved one degree
+block at a time. One sparse assembler, `_assemble`, puts tuples of ring
+elements into F_p coordinates for these blocks and for the span(S) check of
+`skew_checks`; `FlatSpace`, the dense whole-slab indexer, serves as the
+reference in the tests.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -151,10 +154,6 @@ class SkewPoly:
                 else:
                     out[x] = v
         return SkewPoly(ctx, out)
-
-    def scale_series(self, c: TruncSeries) -> "SkewPoly":
-        """Left multiplication by a plain coefficient."""
-        return SkewPoly(self.ctx, {x: c * v for x, v in self.coeffs.items()})
 
     def xdegree(self) -> int:
         """Max total twist degree (-1 for zero)."""
@@ -303,32 +302,44 @@ def _block_keys(
     return keys
 
 
+def _assemble(
+    columns: Iterable[Sequence[SkewPoly]],
+) -> Tuple[np.ndarray, List[Tuple[int, XExp, Mono]]]:
+    """The F_p matrix with one column per tuple of polynomials, and its row
+    keys.
+
+    Rows are the coordinates (component, twist exponent, monomial) that some
+    column reaches, in order of first appearance: no zero rows, and row
+    order leaves the reduced echelon form, hence every solution, kernel
+    basis and row span, unchanged.
+    """
+    rows: Dict[Tuple[int, XExp, Mono], int] = {}
+    entries: List[Tuple[int, int, int]] = []
+    ncols = 0
+    for j, col in enumerate(columns):
+        ncols = j + 1
+        for comp, poly in enumerate(col):
+            for x, c in poly.coeffs.items():
+                for mono, v in c.terms.items():
+                    entries.append((rows.setdefault((comp, x, mono), len(rows)), j, v))
+    mat = np.zeros((len(rows), ncols), dtype=np.int64)
+    if entries:
+        r, j, v = zip(*entries)
+        mat[r, j] = v
+    return mat, list(rows)
+
+
 def _block_matrix(
     generators: Sequence[SkewPoly], keys: Sequence[_Key], *extra: SkewPoly
 ) -> np.ndarray:
     """One column flatten(X^xexp * mono * g_i) per key, then one per extra
-    polynomial.
-
-    Rows are the image coordinates that some column reaches, in order of
-    first appearance: no zero rows, and row order leaves the reduced echelon
-    form, hence every solution and kernel basis, unchanged.
-    """
+    polynomial."""
     ctx = generators[0].ctx
     images = (
         SkewPoly(ctx, {x: TruncSeries(ctx.base, {mono: 1})}) * generators[gi]
         for gi, x, mono in keys
     )
-    rows: Dict[Tuple[XExp, Mono], int] = {}
-    entries: List[Tuple[int, int, int]] = []
-    for j, poly in enumerate(itertools.chain(images, extra)):
-        for x, c in poly.coeffs.items():
-            for mono, v in c.terms.items():
-                entries.append((rows.setdefault((x, mono), len(rows)), j, v))
-    mat = np.zeros((len(rows), len(keys) + len(extra)), dtype=np.int64)
-    if entries:
-        r, j, v = zip(*entries)
-        mat[r, j] = v
-    return mat
+    return _assemble((poly,) for poly in itertools.chain(images, extra))[0]
 
 
 def _coefficients(

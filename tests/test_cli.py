@@ -210,8 +210,24 @@ def test_verify_skew_flag_ranges(capsys):
         ["--nu", "17"],
         ["--nv", "100000000"],
         ["--nu", "0"],
+        ["--p", "2", "--trunc", "12", "--window", "3", "--precision", "1"],
+        ["--p", "3", "--trunc", "16", "--window", "3", "--mmax", "3"]
+        + ["--precision", "1"],
+        ["--p", "3", "--trunc", "10", "--window", "1", "--precision", "1"],
+        ["--p", "5", "--trunc", "7", "--window", "2", "--precision", "1"],
     ],
-    ids=["mmax-7", "mmax-huge", "mmax-negative", "nu-17", "nv-huge", "nu-zero"],
+    ids=[
+        "mmax-7",
+        "mmax-huge",
+        "mmax-negative",
+        "nu-17",
+        "nv-huge",
+        "nu-zero",
+        "precision1-p2-trunc12",
+        "precision1-p3-trunc16",
+        "precision1-p3-trunc10",
+        "precision1-p5-trunc7",
+    ],
 )
 def test_verify_skew_refused_before_work(capsys, argv):
     t0 = time.perf_counter()
@@ -222,6 +238,16 @@ def test_verify_skew_refused_before_work(capsys, argv):
     out = capsys.readouterr()
     assert "error:" in out.err
     assert "Traceback" not in out.out + out.err
+
+
+def test_verify_skew_precision1_admitted(capsys):
+    code, out, _ = run(
+        ["verify-skew", "--trunc", "6", "--window", "3", "--mmax", "3"]
+        + ["--precision", "1"],
+        capsys,
+    )
+    assert code == 0
+    assert "soundness ok, completeness ok" in out
 
 
 def test_verify_skew_small(capsys):

@@ -170,3 +170,95 @@ def test_cyclic_cone_generator_certificates():
             w = res.mixed_witness
             assert lat.contains(w)
             assert not il.in_sign_cone(w)
+
+
+def test_check_cone_certificate_rejects_forgeries():
+    vecs = [(2, 4), (3, 6)]
+    res, coeffs = il.cyclic_cone_generator_tracked(vecs, 2)
+    il._check_cone_certificate(vecs, res, coeffs)
+    with pytest.raises(AssertionError):
+        il._check_cone_certificate(vecs, res, [c + 1 for c in coeffs])
+    # (2, 4) is a combination of the inputs but does not divide (3, 6).
+    with pytest.raises(AssertionError):
+        il._check_cone_certificate(vecs, il.CyclicConeResult(generator=(2, 4)), [1, 0])
+    # (1, 1) lies in the lattice of (1, 0), (0, 1) but inside the sign cone.
+    with pytest.raises(AssertionError):
+        il._check_cone_certificate(
+            [(1, 0), (0, 1)], il.CyclicConeResult(mixed_witness=(1, 1)), [1, 1]
+        )
+
+
+def test_hnf_matches_sympy():
+    # sympy's Hermite normal form spans the columns and reduces entries to
+    # the right of each pivot; reversing the coordinate order turns it into
+    # this module's row form, entries above each pivot reduced.
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    rng = random.Random(6)
+    checked = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        gens = [
+            [rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randint(1, 6))
+        ]
+        if rng.random() < 0.3:  # a dependent generator
+            gens.append([2 * a - 3 * b for a, b in zip(gens[0], gens[-1])])
+        ours = il.hnf(gens)
+        if not ours:
+            continue
+        cols = hermite_normal_form(Matrix([g[::-1] for g in gens]).T)
+        theirs = [tuple(int(a) for a in col[::-1]) for col in cols.T.tolist()][::-1]
+        assert ours == theirs
+        checked += 1
+    assert checked > 250
+
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+_DETERMINISTIC = settings(derandomize=True, database=None, max_examples=300)
+
+
+def _nonneg_vectors(n):
+    return st.lists(st.integers(0, 20), min_size=n, max_size=n).map(tuple)
+
+
+@_DETERMINISTIC
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(_nonneg_vectors(n), _nonneg_vectors(n))
+    )
+)
+def test_merge_pair_dichotomy_property(xy):
+    x, y = xy
+    n = len(x)
+    out = il.merge_pair(x, y)
+    if isinstance(out, ConeViolation):
+        assert out.witness == tuple(
+            out.coeff_x * a + out.coeff_y * b for a, b in zip(x, y)
+        )
+        assert not il.in_sign_cone(out.witness)
+    else:
+        assert all(a >= 0 for a in out)
+        assert IntLattice(n, [out]) == IntLattice(n, [x, y])
+
+
+_int_vectors = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.integers(-20, 20), min_size=n, max_size=n).map(tuple)
+)
+
+
+@_DETERMINISTIC
+@given(_int_vectors, st.integers(-50, 50))
+def test_divides_vec_multiples_property(g, k):
+    assert il.divides_vec(g, tuple(k * a for a in g))
+
+
+@_DETERMINISTIC
+@given(_int_vectors, st.data())
+def test_divides_vec_non_multiples_property(g, data):
+    v = data.draw(st.lists(st.integers(-20, 20), min_size=len(g), max_size=len(g)))
+    is_multiple = any(
+        tuple(k * a for a in g) == tuple(v) for k in range(-20, 21)
+    )
+    assert il.divides_vec(g, tuple(v)) == is_multiple

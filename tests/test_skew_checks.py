@@ -1,8 +1,12 @@
+import random
+
+import numpy as np
 import pytest
 
+from coherence_lab import fp_linalg
 from coherence_lab import skew_checks as sc
-from coherence_lab.skew_poly import SkewPoly
-from coherence_lab.skew_series import PrecisionUnderflow
+from coherence_lab.skew_poly import SkewPoly, _assemble, _series_monomials
+from coherence_lab.skew_series import PrecisionUnderflow, TruncSeries
 
 
 def test_build_s_generators_shapes():
@@ -52,6 +56,18 @@ def test_verify_relations_margin_zero_completeness_fails():
     assert rep.interior_checked == 165
     assert len(rep.completeness_exceptions) == 1
     assert not rep.ok
+
+
+def test_verify_relations_without_higher_s3_fails_pinned():
+    # Negative control: with S3[0] only, the relation S3[1] = (tE, -sD) is
+    # the first kernel vector outside span(S); 25 fail in all.
+    rep = sc.verify_relations(p=2, n_u=1, n_v=1, window=4, trunc=8, m_max=0)
+    assert rep.soundness_ok
+    exceptions = rep.completeness_exceptions
+    assert exceptions[0] == "degree 1: kernel vector ((t)E, (s)D) outside span(S)"
+    degrees = [int(e.split(":")[0].split()[1]) for e in exceptions]
+    assert [degrees.count(d) for d in (1, 2, 3, 4)] == [1, 5, 13, 6]
+    assert len(degrees) == 25
 
 
 def test_verify_relations_small_window():
@@ -155,3 +171,123 @@ def test_mjm_degree_examples():
     assert sc.mjm_degree_detect([(t,)], 4) == 0
     assert sc.mjm_degree_detect([(t * ctx.gen("F", 2),)], 4) == 2
     assert sc.mjm_degree_detect([(t,), (F,)], 4) == 1
+
+
+def _random_one_var(rng, ctx, maxdeg, emax=None):
+    """A random polynomial with F-degrees at most maxdeg and t-exponents
+    below emax (default: the whole slab)."""
+    ring = ctx.base
+    coeffs = {}
+    for j in range(maxdeg + 1):
+        es = rng.sample(range(emax or ring.max_scaled), rng.randint(0, 3))
+        coeffs[(j,)] = TruncSeries(ring, {(e,): rng.randrange(1, ring.p) for e in es})
+    return SkewPoly(ctx, coeffs)
+
+
+def _term_count(elem):
+    return sum(len(c.terms) for poly in elem for c in poly.coeffs.values())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_module_flat_shift_matches_ring_product(p):
+    # t^a F^j maps distinct terms to distinct terms, so the truncated ring
+    # product is loss-free exactly when it keeps every term.
+    ctx = sc.one_var_context(p, trunc=12, window=4)
+    flat = sc.ModuleFlat(ctx, ncomp=2, fbound=4)
+    rng = random.Random(p)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        emax = rng.choice([3, 12])
+        elem = tuple(_random_one_var(rng, ctx, 2, emax) for _ in range(2))
+        a, j = rng.randrange(12 // emax * 3), rng.randint(0, 2)
+        mu = SkewPoly(ctx, {(j,): TruncSeries(ctx.base, {(a,): 1})})
+        prod = tuple(mu * poly for poly in elem)
+        got = flat.shift(np.array([flat.to_vec(elem)]), a, j)
+        lossfree = _term_count(prod) == _term_count(elem)
+        seen[lossfree] += 1
+        assert got.tolist() == ([flat.to_vec(prod)] if lossfree else [])
+    assert min(seen.values()) > 20
+
+
+def test_module_flat_shift_stack_and_bounds():
+    ctx = sc.one_var_context(3, trunc=9, window=3)
+    flat = sc.ModuleFlat(ctx, ncomp=1, fbound=3)
+    rng = random.Random(7)
+    elems = [(_random_one_var(rng, ctx, 1),) for _ in range(40)]
+    rows = np.array([flat.to_vec(e) for e in elems])
+    stacked = flat.shift(rows, 2, 1)
+    one_by_one = [r for row in rows for r in flat.shift(row, 2, 1).tolist()]
+    assert stacked.tolist() == one_by_one
+    top = (SkewPoly(ctx, {(3,): ctx.base.one()}),)
+    with pytest.raises(KeyError):
+        flat.shift(np.array([flat.to_vec(top)]), 0, 1)
+    # low_cut(k) is the index of the first F-degree <= k coordinate.
+    for k in range(4):
+        unit = (SkewPoly(ctx, {(k,): ctx.base.one()}),)
+        assert flat.to_vec(unit).index(1) == flat.low_cut(k)
+    assert flat.low_cut(-1) == flat.dim and flat.low_cut(5) == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_module_span_matches_ring_products(p):
+    # Reference: every loss-free ring product t^a F^j * g with F-degree at
+    # most maxdeg, flattened one by one.
+    ctx = sc.one_var_context(p, trunc=10, window=5)
+    flat = sc.ModuleFlat(ctx, ncomp=2, fbound=5)
+    rng = random.Random(10 + p)
+    for maxdeg in (5, 3):
+        gens = [
+            tuple(_random_one_var(rng, ctx, rng.randint(0, 2), 4) for _ in range(2))
+            for _ in range(3)
+        ] + [(ctx.zero(), ctx.zero())]
+        vecs = []
+        for g in gens:
+            for j in range(maxdeg - max(poly.xdegree() for poly in g) + 1):
+                for a in range(10):
+                    mu = SkewPoly(ctx, {(j,): TruncSeries(ctx.base, {(a,): 1})})
+                    prod = tuple(mu * poly for poly in g)
+                    if _term_count(prod) == _term_count(g):
+                        vecs.append(flat.to_vec(prod))
+        ref = fp_linalg.RowSpace(vecs, p, flat.dim)
+        got = sc.module_span(flat, [flat.to_vec(g) for g in gens], maxdeg)
+        assert np.array_equal(got.rows, ref.rows)
+        assert len(ref.rows) > 10
+
+
+def _dense_pair_span(multiples, deg, window, monos, p):
+    """Reference: span(S) at one degree on the dense basis of all (component,
+    twist exponent of degree deg inside the window, monomial) coordinates."""
+    basis = [
+        (comp, (a, deg - a), mono)
+        for comp in (0, 1)
+        for a in range(max(0, deg - window), min(window, deg) + 1)
+        for mono in monos
+    ]
+    index = {b: i for i, b in enumerate(basis)}
+    vecs = []
+    for pair in multiples:
+        v = [0] * len(basis)
+        for comp, poly in enumerate(pair):
+            for xexp, c in poly.coeffs.items():
+                for mono, coeff in c.terms.items():
+                    v[index[(comp, xexp, mono)]] = coeff
+        vecs.append(v)
+    return fp_linalg.RowSpace(vecs, p, len(basis)), index
+
+
+@pytest.mark.parametrize("p,trunc,window,m_max", [(2, 8, 4, 3), (3, 6, 3, 2)])
+def test_span_s_assembly_matches_dense_reference(p, trunc, window, m_max):
+    ctx = sc.pair_context(p, 1, 1, trunc, max(window, m_max) + 2)
+    labelled = sc.build_S_generators(ctx, 1, 1, m_max)
+    monos = _series_monomials(ctx.base)
+    ranks = []
+    for deg in range(2 * window - 1):  # kernel degrees at margin 1
+        multiples = list(sc._s_multiples(labelled, deg, window, monos))
+        ref, index = _dense_pair_span(multiples, deg, window, monos, p)
+        mat, keys = _assemble(multiples)
+        rows = fp_linalg.RowSpace(mat.T, p, len(keys)).rows
+        spread = np.zeros((len(rows), len(index)), dtype=np.int64)
+        spread[:, [index[k] for k in keys]] = rows
+        assert np.array_equal(fp_linalg.RowSpace(spread, p, len(index)).rows, ref.rows)
+        ranks.append(len(ref.rows))
+    assert min(ranks[1:]) > 0
