@@ -1,7 +1,8 @@
 """Walkthrough: restriction of induced modules over finite p-groups.
 
 Everything the double-coset formula asserts is rebuilt explicitly at finite
-scale: both sides as matrices, the comparison map, its equivariance and
+scale: both sides and the comparison map as block maps (each coset block
+goes to one other block through one small matrix), its equivariance and
 invertibility; plus the commutator identity that drives the augmentation
 ideal comparison in the Heisenberg case.
 """

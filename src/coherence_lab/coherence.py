@@ -102,10 +102,7 @@ def _check_embedded(
     datum: SolvableGroupDatum, combo: IntVector, w: WitnessDescriptor
 ) -> None:
     """Re-verify the embedded witness: sign pattern and bracket closure."""
-    t_val = tuple(
-        sum(combo[a] * datum.torus_generators[a][i] for a in range(len(combo)))
-        for i in range(datum.torus_rank)
-    )
+    t_val = root_datum._torus_element(datum, combo)
     if valuation_of_character(datum.weights[w.alpha], t_val) != w.n_alpha:
         raise AssertionError("witness n_alpha mismatch")
     if valuation_of_character(datum.weights[w.beta], t_val) != w.n_beta:
@@ -115,12 +112,8 @@ def _check_embedded(
     expected_dim = 2 if w.kind == "G3" else 3
     if len(w.subalgebra_basis) != expected_dim:
         raise AssertionError(f"{w.kind} witness must have dimension {expected_dim}")
-    basis = root_datum._rref_frac([list(v) for v in w.subalgebra_basis])
-    for x in w.subalgebra_basis:
-        for y in w.subalgebra_basis:
-            b = datum.lie.bracket(x, y)
-            if any(c != 0 for c in b) and not root_datum._in_span(basis, b):
-                raise AssertionError("witness subalgebra is not bracket-closed")
+    if not root_datum._bracket_closed(datum.lie, w.subalgebra_basis):
+        raise AssertionError("witness subalgebra is not bracket-closed")
 
 
 @dataclass(frozen=True)

@@ -7,16 +7,18 @@ unitriangular matrix with x at (1,2), y at (2,3) and z at (1,3), encoded
 encodings; products and inverses are closed-form index arithmetic, so no
 multiplication table is stored. Every check here is still exhaustive
 rather than clever: subgroups are closed by orbit enumeration from their
-generators, coset representatives are the least elements of their orbits,
-and the restriction-of-induction comparison is an explicit matrix that is
-checked for equivariance and invertibility.
+generators, and every coset partition (left, right or double) is one orbit
+enumeration whose representatives are the least elements of their orbits.
+Induced actions and the restriction-of-induction comparison map are block
+maps: each sends a coset block to one other block through one d x d matrix,
+so equivariance and invertibility are checked block by block, exactly.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,61 +142,40 @@ def _assert_subgroup_of(outer: Subgroup, inner: Subgroup) -> None:
         raise NotASubgroup("claimed subgroup is not contained")
 
 
-def left_coset_reps(big: Subgroup, small: Subgroup) -> List[int]:
-    """Representatives of big/small (cosets g*small), least element first."""
-    _assert_subgroup_of(big, small)
-    G = big.parent
-    seen = set()
-    reps = []
-    for g in big.elements:
-        if g in seen:
-            continue
-        reps.append(g)
-        for h in small.elements:
-            seen.add(G.mul(g, h))
-    return reps
+def _orbits(
+    G: FiniteGroup,
+    domain: Iterable[int],
+    left: Sequence[int] = (),
+    right: Sequence[int] = (),
+) -> Tuple[List[int], Dict[int, int]]:
+    """Orbits on `domain` of x -> h*x (h in `left`) and x -> x*k (k in `right`).
 
-
-def right_coset_reps(big: Subgroup, small: Subgroup) -> List[int]:
-    """Representatives of small\\big (cosets small*g), least element first."""
-    _assert_subgroup_of(big, small)
-    G = big.parent
-    seen = set()
-    reps = []
-    for g in big.elements:
-        if g in seen:
+    Returns the least element of each orbit, in ascending order, and a label
+    giving every element its orbit's position in that list. `domain` must be
+    ascending and a union of orbits. Generators suffice: in a finite group
+    every element is a product of them, with no inverses needed.
+    """
+    reps: List[int] = []
+    label: Dict[int, int] = {}
+    for g in domain:
+        if g in label:
             continue
+        n = len(reps)
         reps.append(g)
-        for h in small.elements:
-            seen.add(G.mul(h, g))
-    return reps
+        label[g] = n
+        stack = [g]
+        while stack:
+            x = stack.pop()
+            for y in [G.mul(h, x) for h in left] + [G.mul(x, k) for k in right]:
+                if y not in label:
+                    label[y] = n
+                    stack.append(y)
+    return reps, label
 
 
 def double_cosets(G: FiniteGroup, H: Subgroup, G1: Subgroup) -> List[int]:
-    """Representatives of H\\G/G1, the least canonical element per orbit.
-
-    Each orbit H g G1 is closed from g under left multiplication by the
-    generators of H and right multiplication by those of G1.
-    """
-    seen = set()
-    reps = []
-    for g in range(G.order):
-        if g in seen:
-            continue
-        reps.append(g)
-        seen.add(g)
-        frontier = [g]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in [G.mul(h, x) for h in H.generators] + [
-                    G.mul(x, k) for k in G1.generators
-                ]:
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-    return reps
+    """Representatives of H\\G/G1, the least canonical element per orbit."""
+    return _orbits(G, range(G.order), H.generators, G1.generators)[0]
 
 
 class AlgebraElement:
@@ -343,43 +324,45 @@ class FinModule:
                     raise ValueError("generator actions violate the group law")
 
 
-def induce(
-    module: FinModule, big: Subgroup, over: Optional[Subgroup] = None
-) -> Tuple[FinModule, List[int]]:
-    """Induced module over `big`, with basis g_i (x) e_j over the left coset
-    representatives (returned alongside, in order).
+# A block map (perm, blocks) sends column block i to row block perm[i]
+# through the matrix blocks[i]; every other block of that column is zero.
+BlockMap = Tuple[List[int], List[np.ndarray]]
 
-    The action permutes the coset blocks and twists by the small-group part:
-    g.(g_i (x) m) = g_k (x) ((g_k^-1 g g_i).m) where g g_i lies in g_k*small.
-    With `over`, a subgroup of `big`, the result is the restriction to it:
-    matrices are built for the generators of `over` only.
+
+def _block_map(
+    module: FinModule, reps: Sequence[int], label: Dict[int, int], xs: Sequence[int]
+) -> BlockMap:
+    """The block map sending column block i to the left coset of xs[i]: with
+    xs[i] = g_k gamma, g_k in `reps` (`label` gives every element its coset's
+    position) and gamma in the small group, block i goes to block k through
+    the action of gamma.
+
+    On the module induced from `module`, with basis g_i (x) e_j over `reps`,
+    g acts by the block map of xs = [g g_i]: g.(g_i (x) m) = g_k (x) (gamma.m).
     """
+    G = module.subgroup.parent
+    perm = [label[x] for x in xs]
+    return perm, [module.action_of(G.mul(G.inv(reps[k]), x)) for k, x in zip(perm, xs)]
+
+
+def induce(module: FinModule, big: Subgroup) -> Tuple[FinModule, List[int]]:
+    """Induced module over `big`, with basis g_i (x) e_j over the left coset
+    representatives (returned alongside, in order), as dense matrices for the
+    generators of `big`."""
     small = module.subgroup
     _assert_subgroup_of(big, small)
     G = big.parent
-    reps = left_coset_reps(big, small)
-    rep_of: Dict[int, int] = {}
-    for k, r in enumerate(reps):
-        for h in small.elements:
-            rep_of[G.mul(r, h)] = k
-    dim = len(reps) * module.dim
-    p = module.p
-    over = big if over is None else over
-    _assert_subgroup_of(big, over)
+    reps, label = _orbits(G, big.elements, right=small.generators)
+    d = module.dim
+    dim = len(reps) * d
     actions = []
-    for g in over.generators:
+    for g in big.generators:
         m = np.zeros((dim, dim), dtype=np.int64)
-        for i, gi in enumerate(reps):
-            prod = G.mul(g, gi)
-            k = rep_of[prod]
-            gamma = G.mul(G.inv(reps[k]), prod)
-            block = module.action_of(gamma)
-            m[
-                k * module.dim : (k + 1) * module.dim,
-                i * module.dim : (i + 1) * module.dim,
-            ] = block
+        perm, blocks = _block_map(module, reps, label, [G.mul(g, r) for r in reps])
+        for i, (k, block) in enumerate(zip(perm, blocks)):
+            m[k * d : (k + 1) * d, i * d : (i + 1) * d] = block
         actions.append(m)
-    return FinModule(over, p, actions, check=False, dim=dim), reps
+    return FinModule(big, module.p, actions, check=False, dim=dim), reps
 
 
 def restrict(module: FinModule, small: Subgroup) -> FinModule:
@@ -414,6 +397,37 @@ class MackeyReport:
         return self.dims_match and self.psi_equivariant and self.psi_bijective
 
 
+def _intertwines(left: BlockMap, psi: BlockMap, right: BlockMap, p: int) -> bool:
+    """True iff left.psi == psi.right over F_p, compared column block by
+    column block.
+
+    Column block c of left.psi is left's block k = psi_perm[c] times psi's
+    block c, in row block left_perm[k]; that of psi.right is psi's block
+    j = right_perm[c] times right's block c, in row block psi_perm[j]. The
+    columns are equal exactly when both land in the same row block with equal
+    matrices, or both matrices are zero.
+    """
+    lperm, lblocks = left
+    pperm, pblocks = psi
+    rperm, rblocks = right
+    for c, (k, j) in enumerate(zip(pperm, rperm)):
+        a = (lblocks[k] @ pblocks[c]) % p
+        b = (pblocks[j] @ rblocks[c]) % p
+        if not (lperm[k] == pperm[j] and np.array_equal(a, b)) and (a.any() or b.any()):
+            return False
+    return True
+
+
+def _bijective(psi: BlockMap, rows: int, p: int) -> bool:
+    """True iff the block map psi onto `rows` row blocks is invertible over
+    F_p: it permutes the blocks and every block has full rank."""
+    perm, blocks = psi
+    return sorted(perm) == list(range(rows)) and all(
+        fp_linalg.rank(fp_linalg.FpMatrix.from_numpy(b, p)) == b.shape[0]
+        for b in blocks
+    )
+
+
 def mackey_check(
     G: FiniteGroup, H: Subgroup, G1: Subgroup, module: FinModule
 ) -> MackeyReport:
@@ -421,75 +435,64 @@ def mackey_check(
 
     Builds Res_H Ind_G1^G M and the direct sum over double-coset
     representatives g of Ind_{gG1g^-1 cap H}^H (M conjugated by g), together
-    with the comparison map that sends r (x) (g (x) m) to (r g) (x) m, and
-    checks exactly that this map intertwines the H-action and is bijective
-    over F_p.
+    with the comparison map that sends r (x) (g (x) m) to (r g) (x) m, all as
+    block maps, and checks exactly that this map intertwines the action of
+    every generator of H and is bijective over F_p.
     """
     if module.subgroup.element_set != G1.element_set:
         raise ValueError("module must live over G1")
     p = module.p
-    lhs_module, lhs_reps = induce(module, G.full(), over=H)
-    lhs_dim = lhs_module.dim
-    lhs_block: Dict[int, int] = {}
-    for k, r in enumerate(lhs_reps):
-        for h in G1.elements:
-            lhs_block[G.mul(r, h)] = k
+    lhs_reps, lhs_label = _orbits(G, range(G.order), right=G1.generators)
 
     xreps = double_cosets(G, H, G1)
-    rhs_pieces = []  # (H/K_g reps, conjugated module restricted to K_g, g)
+    # (H/K_g reps, their labels, conjugated module restricted to K_g, g)
+    rhs_pieces = []
     for g in xreps:
         conj = conjugate_module(module, g)
         inter_elems = [e for e in conj.subgroup.elements if H.contains(e)]
         K = subgroup_from_elements(G, inter_elems)
         if set(K.elements) != set(inter_elems):
             raise NotASubgroup("intersection is not closed")
-        piece = restrict(conj, K)
-        hreps = left_coset_reps(H, K)
-        rhs_pieces.append((hreps, piece, g))
-    rhs_dim = sum(len(hreps) * piece.dim for hreps, piece, _ in rhs_pieces)
+        hreps, hlabel = _orbits(G, H.elements, right=K.generators)
+        rhs_pieces.append((hreps, hlabel, restrict(conj, K), g))
 
-    d = module.dim
-    psi = np.zeros((lhs_dim, rhs_dim), dtype=np.int64)
-    col = 0
-    for hreps, piece, g in rhs_pieces:
-        for hi in hreps:
-            hg = G.mul(hi, g)
-            k = lhs_block[hg]
-            gamma = G.mul(G.inv(lhs_reps[k]), hg)
-            block = module.action_of(gamma)
-            psi[k * d : (k + 1) * d, col : col + d] = block
-            col += d
+    # Column block (h_i, g) of psi goes to the lhs coset of h_i g.
+    psi = _block_map(
+        module,
+        lhs_reps,
+        lhs_label,
+        [G.mul(hi, g) for hreps, _, _, g in rhs_pieces for hi in hreps],
+    )
 
-    dims_match = lhs_dim == rhs_dim
+    def rhs_block_map(h: int) -> BlockMap:
+        # The block direct sum of the inductions, one piece after another.
+        perm, blocks, offset = [], [], 0
+        for hreps, hlabel, piece, _ in rhs_pieces:
+            piece_perm, piece_blocks = _block_map(
+                piece, hreps, hlabel, [G.mul(h, r) for r in hreps]
+            )
+            perm += [offset + k for k in piece_perm]
+            blocks += piece_blocks
+            offset += len(hreps)
+        return perm, blocks
 
-    # H-action on the right side is the block direct sum of the inductions.
-    inductions = [induce(piece, H)[0] for _, piece, _ in rhs_pieces]
-
-    def rhs_action(h: int) -> np.ndarray:
-        m = np.zeros((rhs_dim, rhs_dim), dtype=np.int64)
-        offset = 0
-        for ind_piece in inductions:
-            sz = ind_piece.dim
-            m[offset : offset + sz, offset : offset + sz] = ind_piece.action_of(h)
-            offset += sz
-        return m
-
-    equivariant = True
-    for h in H.generators:
-        lhs_act = lhs_module.action_of(h)
-        if not np.array_equal((lhs_act @ psi) % p, (psi @ rhs_action(h)) % p):
-            equivariant = False
-            break
-
-    bijective = dims_match and fp_linalg.rank(
-        fp_linalg.FpMatrix.from_numpy(psi, p)
-    ) == lhs_dim
+    lhs_dim = len(lhs_reps) * module.dim
+    rhs_dim = len(psi[0]) * module.dim
+    equivariant = all(
+        _intertwines(
+            _block_map(module, lhs_reps, lhs_label, [G.mul(h, r) for r in lhs_reps]),
+            psi,
+            rhs_block_map(h),
+            p,
+        )
+        for h in H.generators
+    )
     return MackeyReport(
         lhs_dim=lhs_dim,
         rhs_dim=rhs_dim,
-        dims_match=dims_match,
+        dims_match=lhs_dim == rhs_dim,
         psi_equivariant=equivariant,
-        psi_bijective=bijective,
+        psi_bijective=_bijective(psi, len(lhs_reps), p),
         double_coset_count=len(xreps),
     )
 
@@ -504,13 +507,9 @@ def coset_rep_check(G: FiniteGroup, H: Subgroup, G1: Subgroup) -> bool:
         inter = subgroup_from_elements(
             G, [e for e in K.elements if H.contains(e)]
         )
-        for a in right_coset_reps(K, inter):
-            zs.append(G.mul(a, g))
-    expected = len(right_coset_reps(G.full(), H))
-    cosets = set()
-    for z in zs:
-        cosets.add(frozenset(G.mul(h, z) for h in H.elements))
-    return len(zs) == expected and len(cosets) == len(zs)
+        zs += [G.mul(a, g) for a in _orbits(G, K.elements, left=inter.generators)[0]]
+    reps, label = _orbits(G, range(G.order), left=H.generators)
+    return len(zs) == len(reps) and len({label[z] for z in zs}) == len(zs)
 
 
 @dataclass

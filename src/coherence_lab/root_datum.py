@@ -225,6 +225,14 @@ def valuation_of_character(w: Weight, t: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(w.exponents, t))
 
 
+def _torus_element(datum: SolvableGroupDatum, combo: Sequence[int]) -> IntVector:
+    """The torus element sum_a combo[a] * torus_generators[a], in Z^d."""
+    return tuple(
+        sum(c * t[i] for c, t in zip(combo, datum.torus_generators))
+        for i in range(datum.torus_rank)
+    )
+
+
 def f_matrix(datum: SolvableGroupDatum) -> List[List[int]]:
     """The |Phi| x d exponent matrix, one row per weight in order."""
     return [list(w.exponents) for w in datum.weights]
@@ -316,22 +324,18 @@ def validate(datum: SolvableGroupDatum) -> List[str]:
     except NotNilpotent:
         out.append("lower central series does not reach zero")
 
-    # Valuation additivity along nonzero brackets, re-checked numerically.
-    for i in range(lie.dim):
-        for j in range(i + 1, lie.dim):
-            if not lie.bracket_basis(i, j):
-                continue
-            wi = datum.weights[lie.weight_of[i]]
-            wj = datum.weights[lie.weight_of[j]]
-            wsum = Weight(tuple(a + b for a, b in zip(wi.exponents, wj.exponents)))
-            for t in datum.torus_generators:
-                if len(t) != d or len(wi.exponents) != d or len(wj.exponents) != d:
-                    continue
-                lhs = valuation_of_character(wsum, t)
-                rhs = valuation_of_character(wi, t) + valuation_of_character(wj, t)
-                if lhs != rhs:
-                    out.append(f"valuation additivity fails at bracket ({i}, {j})")
     return out
+
+
+def _bracket_closed(lie: GradedLieAlgebraQ, basis: Sequence[QVector]) -> bool:
+    """True iff the bracket of any two basis vectors lies in their span."""
+    span = _rref_frac([list(v) for v in basis])
+    for x in basis:
+        for y in basis:
+            b = lie.bracket(x, y)
+            if any(c != 0 for c in b) and not _in_span(span, b):
+                return False
+    return True
 
 
 def subalgebra_generated(
@@ -421,10 +425,7 @@ def witness_subgroup(
     combo = tuple(int(c) for c in torus_combination)
     if len(combo) != len(datum.torus_generators):
         raise ValueError("torus_combination length must match torus_generators")
-    t_val = tuple(
-        sum(combo[a] * datum.torus_generators[a][i] for a in range(len(combo)))
-        for i in range(datum.torus_rank)
-    )
+    t_val = _torus_element(datum, combo)
 
     def val(weight_idx: int) -> int:
         return valuation_of_character(datum.weights[weight_idx], t_val)
@@ -481,11 +482,8 @@ def _witness_recurse(
         raise MalformedDatum("generated subalgebra failed to shrink")
 
     def descriptor(kind: str, basis: Sequence[QVector]) -> WitnessDescriptor:
-        for x in basis:
-            for y in basis:
-                b = lie.bracket(x, y)
-                if any(c != 0 for c in b) and not _in_span(_rref_frac([list(v) for v in basis]), b):
-                    raise MalformedDatum("witness basis is not bracket-closed")
+        if not _bracket_closed(lie, basis):
+            raise MalformedDatum("witness basis is not bracket-closed")
         return WitnessDescriptor(
             kind=kind,
             alpha=wpos,

@@ -321,8 +321,12 @@ def test_mackey_bad_selector(capsys):
     [
         (["--p", "2", "--a", "4", "--H", "e12", "--G1", "e23", "--dim", "1"], (256, 256, 16)),
         (["--p", "13", "--a", "1", "--H", "e12", "--G1", "e23", "--dim", "2"], (338, 338, 13)),
+        # Induced dimensions 1458 and 4096: only the group-order cap bounds
+        # `mackey`.
+        (["--p", "3", "--a", "2", "--H", "full", "--G1", "trivial", "--dim", "2"], (1458, 1458, 1)),
+        (["--p", "2", "--a", "4", "--H", "full", "--G1", "trivial", "--dim", "1"], (4096, 4096, 1)),
     ],
-    ids=["order-4096", "p13"],
+    ids=["order-4096", "p13", "induced-1458", "induced-4096"],
 )
 def test_mackey_largest_groups(capsys, argv, pins):
     t0 = time.perf_counter()
@@ -335,12 +339,8 @@ def test_mackey_largest_groups(capsys, argv, pins):
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["--p", "3", "--a", "2", "--H", "full", "--G1", "trivial", "--dim", "2"],
-        ["--p", "2", "--a", "4", "--H", "full", "--G1", "trivial", "--dim", "1"],
-        ["--p", "2", "--a", "-1"],
-    ],
-    ids=["induced-1458", "induced-4096", "negative-a"],
+    [["--p", "2", "--a", "-1"]],
+    ids=["negative-a"],
 )
 def test_mackey_refused_before_work(capsys, argv):
     t0 = time.perf_counter()

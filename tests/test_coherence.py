@@ -62,6 +62,27 @@ def test_decide_h3():
     assert (out.embedded.n_u, out.embedded.n_v) == (1, 1)
 
 
+def test_check_embedded_rejects_forged_witnesses():
+    import dataclasses
+
+    datum = h3_datum()
+    out = decide_solvable(datum)
+    w = out.embedded
+    ch._check_embedded(datum, out.torus_combination, w)
+    e1, e2, _ = w.subalgebra_basis
+    forgeries = {
+        "not bracket-closed": dataclasses.replace(w, kind="G3", subalgebra_basis=(e1, e2)),
+        "n_alpha mismatch": dataclasses.replace(w, n_alpha=w.n_alpha + 1),
+        "n_beta mismatch": dataclasses.replace(w, n_beta=w.n_beta - 1),
+    }
+    for message, forged in forgeries.items():
+        with pytest.raises(AssertionError, match=message):
+            ch._check_embedded(datum, out.torus_combination, forged)
+    # The torus element is re-derived from the combination, not trusted.
+    with pytest.raises(AssertionError, match="n_alpha mismatch"):
+        ch._check_embedded(datum, (2,), w)
+
+
 def test_decide_p_semidirect_qp():
     datum = SolvableGroupDatum(
         PadicFieldParams(p=2),

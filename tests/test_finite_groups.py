@@ -187,6 +187,18 @@ def test_coset_rep_check(u3f2, u3f3):
     assert fg.coset_rep_check(u3f3, H3, named(u3f3, (1, 0, 0), (0, 0, 1)))
 
 
+def test_coset_rep_check_rejects_colliding_representatives(u3f3, monkeypatch):
+    # Swap one double-coset representative for another from the same double
+    # coset: as many glued representatives as right cosets, but two collide.
+    G = u3f3
+    H, G1 = named(G, (0, 0, 1)), named(G, (1, 0, 0), (0, 0, 1))
+    reps = fg.double_cosets(G, H, G1)
+    first = {G.mul(G.mul(h, reps[0]), k) for h in H.elements for k in G1.elements}
+    twin = max(first)
+    monkeypatch.setattr(fg, "double_cosets", lambda *_: reps[:-1] + [twin])
+    assert not fg.coset_rep_check(G, H, G1)
+
+
 def test_induction_transitive(u3f3):
     # Ind_G1^G agrees with Ind_H'^G o Ind_G1^H' through the chain
     # <g13>  <=  <g12, g13>  <=  G: dimensions and an explicit intertwiner.
@@ -328,12 +340,26 @@ def test_full_group_from_three_generators(p, a):
     assert full.elements == tuple(range(G.order))
 
 
+# Selector name -> k, where the subgroup of U3(Z/p^a) has order p^(a*k).
+SELECTOR_ORDER_EXPONENTS = {
+    "center": 1,
+    "row": 2,
+    "column": 2,
+    "e12": 1,
+    "e23": 1,
+    "diagonal-free": 2,
+    "full": 3,
+    "trivial": 0,
+}
+
+
 @pytest.mark.parametrize("p, a", [(2, 1), (3, 1), (2, 2), (3, 2), (13, 1)])
 def test_selector_orders_closed_form(p, a):
     from coherence_lab.cli import SUBGROUP_SELECTORS, _resolve_subgroup
 
     G = FiniteGroup(p, a)
-    for name, (_, k) in SUBGROUP_SELECTORS.items():
+    assert set(SUBGROUP_SELECTORS) == set(SELECTOR_ORDER_EXPONENTS)
+    for name, k in SELECTOR_ORDER_EXPONENTS.items():
         S = _resolve_subgroup(G, name)
         assert S.order == G.pa**k, name
         if G.order <= 27:
@@ -343,23 +369,242 @@ def test_selector_orders_closed_form(p, a):
         assert Subgroup(G, list(range(G.order))).elements == G.full().elements
 
 
-def _double_cosets_by_products(G, H, G1):
-    seen, reps = set(), []
-    for g in range(G.order):
-        if g not in seen:
+def _partition_by_products(G, domain, left, right):
+    """Least element of each class h*g*k (h in `left`, k in `right`, both
+    lists of all elements) and every element's class position, by brute
+    force over all the products."""
+    reps, label = [], {}
+    for g in domain:
+        if g not in label:
+            for x in {G.mul(G.mul(h, g), k) for h in left for k in right}:
+                label[x] = len(reps)
             reps.append(g)
-            seen |= {G.mul(G.mul(h, g), k) for h in H.elements for k in G1.elements}
-    return reps
+    return reps, label
+
+
+def _double_cosets_by_products(G, H, G1):
+    return _partition_by_products(G, range(G.order), H.elements, G1.elements)[0]
+
+
+def _selector_subgroups(G):
+    from coherence_lab.cli import SUBGROUP_SELECTORS, _resolve_subgroup
+
+    return {name: _resolve_subgroup(G, name) for name in SUBGROUP_SELECTORS}
 
 
 def test_double_cosets_match_products_over_all_selectors(u3f2, u3f3):
-    from coherence_lab.cli import SUBGROUP_SELECTORS, _resolve_subgroup
-
     for G in (u3f2, u3f3):
-        subs = [_resolve_subgroup(G, name) for name in SUBGROUP_SELECTORS]
+        subs = _selector_subgroups(G).values()
         for H in subs:
             for G1 in subs:
                 assert fg.double_cosets(G, H, G1) == _double_cosets_by_products(G, H, G1)
+
+
+def test_orbit_labels_match_product_partitions(u3f2, u3f3):
+    # Left cosets big/small, right cosets small\big and double cosets
+    # H\G/G1: representatives and every element's label.
+    for G in (u3f2, u3f3):
+        subs = list(_selector_subgroups(G).values())
+        one = [G.identity]
+        for big in subs:
+            for small in subs:
+                if small.element_set <= big.element_set:
+                    assert fg._orbits(
+                        G, big.elements, right=small.generators
+                    ) == _partition_by_products(G, big.elements, one, small.elements)
+                    assert fg._orbits(
+                        G, big.elements, left=small.generators
+                    ) == _partition_by_products(G, big.elements, small.elements, one)
+                assert fg._orbits(
+                    G, range(G.order), big.generators, small.generators
+                ) == _partition_by_products(G, range(G.order), big.elements, small.elements)
+
+
+def _dense(block_map, rows, d):
+    perm, blocks = block_map
+    m = np.zeros((rows * d, len(perm) * d), dtype=np.int64)
+    for i, (k, b) in enumerate(zip(perm, blocks)):
+        m[k * d : (k + 1) * d, i * d : (i + 1) * d] = b
+    return m
+
+
+def _dense_mackey(G, H, G1, module):
+    """The dense comparison: Res_H Ind_G1^G M, the double-coset sum and psi as
+    full matrices, cosets by brute-force products, equivariance as dense
+    products and bijectivity as the rank of psi."""
+    from coherence_lab import fp_linalg
+
+    p, d = module.p, module.dim
+    one = [G.identity]
+
+    def induced(mod, reps, label, g):
+        m = np.zeros((len(reps) * d, len(reps) * d), dtype=np.int64)
+        for i, gi in enumerate(reps):
+            prod = G.mul(g, gi)
+            k = label[prod]
+            m[k * d : (k + 1) * d, i * d : (i + 1) * d] = mod.action_of(
+                G.mul(G.inv(reps[k]), prod)
+            )
+        return m
+
+    lhs_reps, lhs_label = _partition_by_products(G, range(G.order), one, G1.elements)
+    xreps = _double_cosets_by_products(G, H, G1)
+    pieces = []
+    for g in xreps:
+        conj = fg.conjugate_module(module, g)
+        K = fg.subgroup_from_elements(
+            G, [e for e in conj.subgroup.elements if H.contains(e)]
+        )
+        hreps, hlabel = _partition_by_products(G, H.elements, one, K.elements)
+        pieces.append((hreps, hlabel, fg.restrict(conj, K), g))
+    lhs_dim = len(lhs_reps) * d
+    rhs_dim = sum(len(hreps) for hreps, _, _, _ in pieces) * d
+
+    psi = np.zeros((lhs_dim, rhs_dim), dtype=np.int64)
+    col = 0
+    for hreps, _, _, g in pieces:
+        for hi in hreps:
+            hg = G.mul(hi, g)
+            k = lhs_label[hg]
+            psi[k * d : (k + 1) * d, col : col + d] = module.action_of(
+                G.mul(G.inv(lhs_reps[k]), hg)
+            )
+            col += d
+
+    equivariant = True
+    for h in H.generators:
+        rhs = np.zeros((rhs_dim, rhs_dim), dtype=np.int64)
+        offset = 0
+        for hreps, hlabel, piece, _ in pieces:
+            size = len(hreps) * d
+            rhs[offset : offset + size, offset : offset + size] = induced(
+                piece, hreps, hlabel, h
+            )
+            offset += size
+        lhs = induced(module, lhs_reps, lhs_label, h)
+        if not np.array_equal((lhs @ psi) % p, (psi @ rhs) % p):
+            equivariant = False
+            break
+    bijective = lhs_dim == rhs_dim and fp_linalg.rank(
+        fp_linalg.FpMatrix.from_numpy(psi, p)
+    ) == lhs_dim
+    return fg.MackeyReport(
+        lhs_dim=lhs_dim,
+        rhs_dim=rhs_dim,
+        dims_match=lhs_dim == rhs_dim,
+        psi_equivariant=equivariant,
+        psi_bijective=bijective,
+        double_coset_count=len(xreps),
+    )
+
+
+def _central_module(G1, p):
+    """e13 acts as a Jordan block, every other generator trivially; None where
+    that is not an action of G1 (e13 is a commutator or a power there)."""
+    G = G1.parent
+    z = G.index[(0, 0, 1 % G.pa)]
+    jordan, eye = np.array([[1, 1], [0, 1]]), np.eye(2, dtype=np.int64)
+    try:
+        return FinModule(G1, p, [jordan if g == z else eye for g in G1.generators])
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("p, a", [(2, 1), (3, 1), (2, 2)])
+def test_mackey_block_path_matches_dense_reference(p, a):
+    G = FiniteGroup(p, a)
+    subs = _selector_subgroups(G).values()
+    for H in subs:
+        for G1 in subs:
+            modules = [fg.random_unipotent_module(G1, p, dim=d, seed=17) for d in (1, 2)]
+            # The unipotent modules ignore e13; this one does not.
+            modules.append(_central_module(G1, p))
+            for M in filter(None, modules):
+                assert fg.mackey_check(G, H, G1, M) == _dense_mackey(G, H, G1, M)
+
+
+def _random_block(rng, p, d, kind):
+    from coherence_lab import fp_linalg
+
+    if kind == "zero":
+        return np.zeros((d, d), dtype=np.int64)
+    if kind == "singular":
+        u = rng.integers(0, p, size=(d, 1))
+        return (u @ rng.integers(0, p, size=(1, d))) % p
+    while True:
+        b = rng.integers(0, p, size=(d, d))
+        if fp_linalg.rank(fp_linalg.FpMatrix.from_numpy(b, p)) == d:
+            return b
+
+
+def _inverse_mod(b, p):
+    import sympy
+
+    return np.array(sympy.Matrix(b.tolist()).inv_mod(p).tolist(), dtype=np.int64)
+
+
+@pytest.mark.parametrize("p, d", [(2, 1), (2, 2), (3, 2), (5, 2)])
+def test_block_predicates_match_dense_products_and_rank(p, d):
+    from coherence_lab import fp_linalg
+
+    rng = np.random.default_rng(100 * p + d)
+    outcomes = {"intertwines": set(), "bijective": set(), "zero_moved": 0}
+    for trial in range(300):
+        n = int(rng.integers(1, 6))
+        kinds = ["invertible", "invertible", "singular", "zero"]
+        lperm = rng.permutation(n).tolist()
+        left = (lperm, [_random_block(rng, p, d, "invertible") for _ in range(n)])
+        if trial % 3 == 0:
+            # Not a bijection on blocks, arbitrary blocks, arbitrary right side.
+            psi = (
+                rng.integers(0, n, size=n).tolist(),
+                [_random_block(rng, p, d, kinds[rng.integers(4)]) for _ in range(n)],
+            )
+            right = (
+                rng.integers(0, n, size=n).tolist(),
+                [_random_block(rng, p, d, kinds[rng.integers(4)]) for _ in range(n)],
+            )
+        else:
+            # psi permutes blocks and right = psi^-1 left psi on its invertible
+            # blocks; a zero psi block gets a zero right block sent anywhere,
+            # so both products vanish in different row blocks.
+            perm = rng.permutation(n).tolist()
+            blocks = [
+                _random_block(rng, p, d, "zero" if rng.random() < 0.2 else "invertible")
+                for _ in range(n)
+            ]
+            psi = (perm, blocks)
+            where = {k: c for c, k in enumerate(perm)}
+            rperm, rblocks = [], []
+            for c in range(n):
+                k = perm[c]
+                j = where[lperm[k]]
+                if not blocks[c].any() or not blocks[j].any():
+                    j = int(rng.integers(n))
+                    rblocks.append(np.zeros((d, d), dtype=np.int64))
+                    outcomes["zero_moved"] += perm[j] != lperm[k]
+                else:
+                    rblocks.append(
+                        (_inverse_mod(blocks[j], p) @ left[1][k] @ blocks[c]) % p
+                    )
+                rperm.append(j)
+            if trial % 3 == 2:
+                # Perturb one entry of one right block.
+                c = int(rng.integers(n))
+                rblocks[c] = rblocks[c].copy()
+                rblocks[c][0, 0] = (rblocks[c][0, 0] + 1) % p
+            right = (rperm, rblocks)
+        L, P, R = _dense(left, n, d), _dense(psi, n, d), _dense(right, n, d)
+        dense_eq = np.array_equal((L @ P) % p, (P @ R) % p)
+        assert fg._intertwines(left, psi, right, p) == dense_eq
+        outcomes["intertwines"].add(dense_eq)
+        dense_bij = fp_linalg.rank(fp_linalg.FpMatrix.from_numpy(P, p)) == n * d
+        assert fg._bijective(psi, n, p) == dense_bij
+        outcomes["bijective"].add(dense_bij)
+        # More column blocks than row blocks is never bijective.
+        assert not fg._bijective((psi[0] + [0], psi[1] + [psi[1][0]]), n, p)
+    assert outcomes["intertwines"] == outcomes["bijective"] == {True, False}
+    assert outcomes["zero_moved"] > 0
 
 
 def test_subgroup_from_elements_few_generators(u3f3):
