@@ -14,13 +14,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from .coherence import (
-    Coherent,
-    NotCoherent,
-    decide_semisimple,
-    decide_solvable,
-)
-from .descriptors import SCHEMA, parse_descriptor
+from .coherence import decide
+from .descriptors import SCHEMA, parse_descriptor, verdict_to_json
 
 
 def _semisimple(family: str, rank: int) -> Dict[str, Any]:
@@ -163,41 +158,21 @@ CATALOG: Dict[str, Dict[str, Any]] = {
 }
 
 
-def decide_entry(name: str):
-    """Fresh verdict for a catalog entry."""
-    entry = CATALOG[name]
-    parsed = parse_descriptor(entry["descriptor"])
-    from .coherence import RootSystemLabel
-
-    if isinstance(parsed, RootSystemLabel):
-        return decide_semisimple(parsed)
-    return decide_solvable(parsed)
-
-
 def catalog_check() -> List[Dict[str, Any]]:
     """Re-decide every entry; one result row per name, in catalog order."""
     rows = []
     for name, entry in CATALOG.items():
-        verdict = decide_entry(name)
-        if isinstance(verdict, (Coherent, NotCoherent)):
-            got = "coherent" if isinstance(verdict, Coherent) else "not_coherent"
-            witness = (
-                verdict.embedded.kind if isinstance(verdict, NotCoherent) else None
-            )
-        else:
-            got = "coherent" if verdict.coherent else "not_coherent"
-            witness = None
-        ok = got == entry["expected"]
-        expected_witness = entry.get("expected_witness")
-        if ok and expected_witness is not None:
-            ok = witness == expected_witness
+        vjson = verdict_to_json(decide(parse_descriptor(entry["descriptor"])))
+        got = vjson["verdict"]
+        witness = vjson["embedded"]["kind"] if "embedded" in vjson else None
         rows.append(
             {
                 "name": name,
                 "expected": entry["expected"],
                 "got": got,
                 "witness": witness,
-                "ok": ok,
+                "ok": got == entry["expected"]
+                and entry.get("expected_witness") in (None, witness),
             }
         )
     return rows

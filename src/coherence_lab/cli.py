@@ -19,13 +19,14 @@ from . import finite_groups as fg
 from . import fp_linalg
 from . import skew_checks as sc
 from .catalog import CATALOG, catalog_check
-from .coherence import InvalidDatum, RootSystemLabel, decide_semisimple, decide_solvable
+from .coherence import InvalidDatum, decide
 from .descriptors import (
     SCHEMA,
     DescriptorError,
     dumps_report,
     loads_descriptor,
     parse_descriptor,
+    to_descriptor,
     verdict_to_json,
 )
 from .root_datum import MalformedDatum
@@ -75,43 +76,27 @@ def _base_report(command: str, inputs: Dict[str, Any]) -> Dict[str, Any]:
 
 def cmd_decide(args) -> int:
     target = args.target
-    if target in CATALOG:
-        descriptor = CATALOG[target]["descriptor"]
-        try:
-            parsed = parse_descriptor(descriptor)
-        except DescriptorError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-    else:
-        path = Path(target)
-        if not path.exists():
-            print(
-                f"error: {target!r} is neither a catalog name nor a file",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            parsed = loads_descriptor(path.read_text())
-        except DescriptorError as e:
-            print(f"error: {path}: {e}", file=sys.stderr)
-            return 2
-        from .descriptors import datum_to_descriptor, label_to_descriptor
-
-        descriptor = (
-            label_to_descriptor(parsed)
-            if isinstance(parsed, RootSystemLabel)
-            else datum_to_descriptor(parsed)
-        )
+    path = Path(target)
+    if target not in CATALOG and not path.exists():
+        print(f"error: {target!r} is neither a catalog name nor a file", file=sys.stderr)
+        return 2
     try:
-        if isinstance(parsed, RootSystemLabel):
-            verdict = decide_semisimple(parsed)
+        if target in CATALOG:
+            parsed = parse_descriptor(CATALOG[target]["descriptor"])
         else:
-            verdict = decide_solvable(parsed)
+            parsed = loads_descriptor(path.read_text())
+    except DescriptorError as e:
+        print(f"error: {path}: {e}", file=sys.stderr)
+        return 2
+    try:
+        verdict = decide(parsed)
     except (InvalidDatum, MalformedDatum) as e:
         print(f"error: invalid group datum: {e}", file=sys.stderr)
         return 2
     vjson = verdict_to_json(verdict)
-    report = _base_report("decide", {"target": target, "descriptor": descriptor})
+    report = _base_report(
+        "decide", {"target": target, "descriptor": to_descriptor(parsed)}
+    )
     report["result"] = vjson
     lines = [f"{target}: {vjson['verdict'].replace('_', ' ')}"]
     if "generator" in vjson:
@@ -128,26 +113,22 @@ def cmd_decide(args) -> int:
     return 0
 
 
-def cmd_verify_skew(args, parser) -> int:
-    if args.p not in (2, 3, 5):
-        parser.error("--p must be one of 2, 3, 5")
+def cmd_verify_skew(args) -> int:
     if not 1 <= args.trunc <= 16:
-        parser.error("--trunc must be in [1, 16]")
+        PARSER.error("--trunc must be in [1, 16]")
     if not 1 <= args.window <= 6:
-        parser.error("--window must be in [1, 6]")
-    if not 0 <= args.precision <= 1:
-        parser.error("--precision must be 0 or 1")
+        PARSER.error("--window must be in [1, 6]")
     if args.precision == 1 and args.window > 3:
-        parser.error("--precision 1 needs --window <= 3 (grid size)")
+        PARSER.error("--precision 1 needs --window <= 3 (grid size)")
     if args.precision == 1 and args.trunc > PRECISION1_MAX_TRUNC[args.p]:
-        parser.error(
+        PARSER.error(
             f"--precision 1 needs --trunc <= {PRECISION1_MAX_TRUNC[args.p]} "
             f"at p = {args.p} (time budget)"
         )
     if not 0 <= args.mmax <= 6:
-        parser.error("--mmax must be in [0, 6]")
+        PARSER.error("--mmax must be in [0, 6]")
     if not (1 <= args.nu <= 16 and 1 <= args.nv <= 16):
-        parser.error("--nu and --nv must be in [1, 16]")
+        PARSER.error("--nu and --nv must be in [1, 16]")
 
     relations = sc.verify_relations(
         p=args.p,
@@ -219,15 +200,15 @@ def cmd_verify_skew(args, parser) -> int:
     return 0 if ok else 1
 
 
-def cmd_obstruction(args, parser) -> int:
+def cmd_obstruction(args) -> int:
     try:
         prime = fp_linalg.is_prime(args.p)
     except ValueError as e:
-        parser.error(str(e))
+        PARSER.error(str(e))
     if not prime:
-        parser.error(f"p={args.p} is not prime")
+        PARSER.error(f"p={args.p} is not prime")
     if (args.nu < 1 or args.nv < 1) and not args.control:
-        parser.error("--nu and --nv must be >= 1 (pass --control for the n=0 case)")
+        PARSER.error("--nu and --nv must be >= 1 (pass --control for the n=0 case)")
     demo = sc.not_fg_demonstration(
         p=args.p, n_u=args.nu, n_v=args.nv, n_max=args.nmax, window=args.window
     )
@@ -270,17 +251,11 @@ def _resolve_subgroup(G, name: str):
     return fg.Subgroup(G, [G.index[tuple(c % pa for c in g)] for g in gens])
 
 
-def cmd_mackey(args, parser) -> int:
+def cmd_mackey(args) -> int:
     try:
         G = fg.FiniteGroup(args.p, args.a)
     except (ValueError, fg.BudgetExceeded) as e:
-        parser.error(str(e))
-    for name in (args.H, args.G1):
-        if name not in SUBGROUP_SELECTORS:
-            parser.error(
-                f"unknown subgroup selector {name!r} "
-                f"(choose from {sorted(SUBGROUP_SELECTORS)})"
-            )
+        PARSER.error(str(e))
     H = _resolve_subgroup(G, args.H)
     G1 = _resolve_subgroup(G, args.G1)
     if args.dim == 1:
@@ -398,18 +373,20 @@ def build_parser() -> argparse.ArgumentParser:
         "decide", help="coherence verdict for a catalog name or descriptor file"
     )
     p_decide.add_argument("target", help="catalog name or path to a descriptor JSON")
+    p_decide.set_defaults(run=cmd_decide)
 
     p_skew = sub.add_parser(
         "verify-skew", help="relation-generator and one-variable filtration checks"
     )
-    p_skew.add_argument("--p", type=int, default=2)
+    p_skew.add_argument("--p", type=int, default=2, choices=(2, 3, 5))
     p_skew.add_argument("--nu", type=int, default=1)
     p_skew.add_argument("--nv", type=int, default=1)
     p_skew.add_argument("--trunc", type=int, default=8)
-    p_skew.add_argument("--precision", type=int, default=0)
+    p_skew.add_argument("--precision", type=int, default=0, choices=(0, 1))
     p_skew.add_argument("--window", type=int, default=4)
     p_skew.add_argument("--mmax", type=int, default=3)
     p_skew.add_argument("--corrupt-s1", action="store_true", help=argparse.SUPPRESS)
+    p_skew.set_defaults(run=cmd_verify_skew)
 
     p_obs = sub.add_parser(
         "obstruction", help="monomial obstruction to finite generation"
@@ -422,39 +399,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs.add_argument(
         "--control", action="store_true", help="allow nu/nv = 0 control runs"
     )
+    p_obs.set_defaults(run=cmd_obstruction)
 
     p_mack = sub.add_parser(
         "mackey", help="restriction-of-induction checks on finite unitriangular groups"
     )
     p_mack.add_argument("--p", type=int, default=2)
     p_mack.add_argument("--a", type=int, default=1)
-    p_mack.add_argument("--H", default="e12", help=f"one of {sorted(SUBGROUP_SELECTORS)}")
-    p_mack.add_argument("--G1", default="e23", help="subgroup selector")
+    p_mack.add_argument("--H", default="e12", choices=SUBGROUP_SELECTORS)
+    p_mack.add_argument("--G1", default="e23", choices=SUBGROUP_SELECTORS)
     p_mack.add_argument("--dim", type=int, default=1, choices=(1, 2))
+    p_mack.set_defaults(run=cmd_mackey)
 
     p_cat = sub.add_parser("catalog", help="named groups and expected verdicts")
     p_cat.add_argument("name", nargs="?", help="echo one entry's descriptor")
     p_cat.add_argument(
         "--check", action="store_true", help="re-decide every entry and compare"
     )
+    p_cat.set_defaults(run=cmd_catalog)
     return parser
 
 
+# Built once per process: every main() call parses with the same tree.
+PARSER = build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "decide":
-        return cmd_decide(args)
-    if args.command == "verify-skew":
-        return cmd_verify_skew(args, parser)
-    if args.command == "obstruction":
-        return cmd_obstruction(args, parser)
-    if args.command == "mackey":
-        return cmd_mackey(args, parser)
-    if args.command == "catalog":
-        return cmd_catalog(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    args = PARSER.parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ certificates which are re-verified before a verdict is returned.
 
 decide_semisimple applies the rank rule for split-semisimple groups; the
 type-A Borel construction ties the two procedures together and is also the
-source of the embedded witness on the negative branch.
+source of the embedded witness on the negative branch. decide picks the
+procedure for a parsed descriptor.
 """
 
 from __future__ import annotations
@@ -159,6 +160,16 @@ def decide_semisimple(rs: RootSystemLabel) -> SemisimpleVerdict:
         reason=f"root system {rs} has rank {rs.rank} >= 2: the Borel subgroup's "
         "valuation image has rank >= 2, so it cannot be cyclic",
     )
+
+
+def decide(
+    parsed: Union[SolvableGroupDatum, RootSystemLabel]
+) -> Union[Verdict, SemisimpleVerdict]:
+    """Verdict for a parsed descriptor: the rank rule for a root-system
+    label, the lattice criterion for a solvable datum."""
+    if isinstance(parsed, RootSystemLabel):
+        return decide_semisimple(parsed)
+    return decide_solvable(parsed)
 
 
 def borel_datum_type_A(rank: int, field_params: PadicFieldParams) -> SolvableGroupDatum:

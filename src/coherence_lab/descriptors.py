@@ -98,6 +98,13 @@ def label_to_descriptor(label: RootSystemLabel) -> Dict[str, Any]:
     }
 
 
+def to_descriptor(parsed: Union[SolvableGroupDatum, RootSystemLabel]) -> Dict[str, Any]:
+    """The canonical descriptor of a parsed label or datum."""
+    if isinstance(parsed, RootSystemLabel):
+        return label_to_descriptor(parsed)
+    return datum_to_descriptor(parsed)
+
+
 def parse_descriptor(obj: Dict[str, Any]) -> Union[SolvableGroupDatum, RootSystemLabel]:
     if not isinstance(obj, dict):
         raise DescriptorError("descriptor must be a JSON object")

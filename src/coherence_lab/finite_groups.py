@@ -422,9 +422,11 @@ def _bijective(psi: BlockMap, rows: int, p: int) -> bool:
     """True iff the block map psi onto `rows` row blocks is invertible over
     F_p: it permutes the blocks and every block has full rank."""
     perm, blocks = psi
+    # The blocks are FinModule.action_of's cached arrays, which are never
+    # mutated, so one object is one matrix: rank each object once.
     return sorted(perm) == list(range(rows)) and all(
         fp_linalg.rank(fp_linalg.FpMatrix.from_numpy(b, p)) == b.shape[0]
-        for b in blocks
+        for b in {id(b): b for b in blocks}.values()
     )
 
 

@@ -206,7 +206,8 @@ class FrobeniusEndo:
         if x.ring != self.ring:
             raise ContextMismatch("endomorphism applied outside its ring")
         p = self.ring.p
-        out = self.ring.zero()
+        # Exponent scaling is injective, so no two terms share an image.
+        terms = {}
         for mono, c in x.terms.items():
             new = []
             for name, e in zip(self.ring.variables, mono):
@@ -220,8 +221,10 @@ class FrobeniusEndo:
                             f"exponent {e}/p^{self.ring.precision} not divisible by p^{-m}"
                         )
                     new.append(e // q)
-            out = out + self.ring.monomial(tuple(new), c)
-        return out
+            c %= p
+            if c and sum(new) < self.ring.max_scaled:
+                terms[tuple(new)] = c
+        return TruncSeries(self.ring, terms)
 
     def __repr__(self) -> str:
         parts = [f"{v}->{v}^p^{m}" for v, m in self.logs.items() if m]

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from coherence_lab.catalog import CATALOG
 from coherence_lab.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(args, capsys):
@@ -37,8 +44,6 @@ def test_decide_unknown_target(capsys):
 
 
 def test_decide_descriptor_file(tmp_path, capsys):
-    from coherence_lab.catalog import CATALOG
-
     path = tmp_path / "h3.json"
     path.write_text(json.dumps(CATALOG["H3"]["descriptor"]))
     code, out, _ = run(["decide", str(path)], capsys)
@@ -85,8 +90,6 @@ def test_decide_invalid_label_file(tmp_path, capsys):
 
 
 def test_decide_invalid_datum_file(tmp_path, capsys):
-    from coherence_lab.catalog import CATALOG
-
     bad = json.loads(json.dumps(CATALOG["G3"]["descriptor"]))
     bad["weights"][1]["exponents"] = [1]  # duplicate weight
     path = tmp_path / "invalid.json"
@@ -97,8 +100,6 @@ def test_decide_invalid_datum_file(tmp_path, capsys):
 
 
 def test_decide_out_of_range_basis_weight(tmp_path, capsys):
-    from coherence_lab.catalog import CATALOG
-
     bad = json.loads(json.dumps(CATALOG["H3"]["descriptor"]))
     bad["basis_weights"][0] = 99
     path = tmp_path / "missing-weight.json"
@@ -110,8 +111,6 @@ def test_decide_out_of_range_basis_weight(tmp_path, capsys):
 
 
 def _g3_descriptor_file(tmp_path, mutate):
-    from coherence_lab.catalog import CATALOG
-
     desc = json.loads(json.dumps(CATALOG["G3"]["descriptor"]))
     mutate(desc)
     path = tmp_path / "g3-variant.json"
@@ -215,6 +214,7 @@ def test_verify_skew_flag_ranges(capsys):
         + ["--precision", "1"],
         ["--p", "3", "--trunc", "10", "--window", "1", "--precision", "1"],
         ["--p", "5", "--trunc", "7", "--window", "2", "--precision", "1"],
+        ["--precision", "2"],
     ],
     ids=[
         "mmax-7",
@@ -227,6 +227,7 @@ def test_verify_skew_flag_ranges(capsys):
         "precision1-p3-trunc16",
         "precision1-p3-trunc10",
         "precision1-p5-trunc7",
+        "precision-2",
     ],
 )
 def test_verify_skew_refused_before_work(capsys, argv):
@@ -368,3 +369,36 @@ def test_json_stdout_only_json(capsys):
     report = json.loads(out)
     assert report["command"] == "decide"
     assert report["result"]["verdict"] == "coherent"
+
+
+def test_parser_reused_after_refusal(capsys):
+    # One parser serves every call in a process; a refused call leaves
+    # nothing behind that changes the next report.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-skew", "--p", "7"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(["--json", "-", "decide", "H3"], capsys)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "coherence_lab.cli", "--json", "-", "decide", "H3"],
+        capture_output=True,
+        env=env,
+        check=False,
+    )
+    assert (code, out.encode()) == (fresh.returncode, fresh.stdout)
+
+
+def test_decide_name_and_descriptor_file_agree(tmp_path, capsys):
+    for name, entry in CATALOG.items():
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(entry["descriptor"]))
+        reports = []
+        for target in (name, str(path)):
+            code, out, _ = run(["--json", "-", "decide", target], capsys)
+            assert code == 0
+            reports.append(json.loads(out))
+        by_name, by_file = reports
+        assert by_name["inputs"]["descriptor"] == by_file["inputs"]["descriptor"]
+        assert by_name["inputs"]["descriptor"] == entry["descriptor"]
+        assert by_name["result"] == by_file["result"]

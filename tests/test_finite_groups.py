@@ -636,3 +636,23 @@ def test_module_action_along_steps(u3f3):
         for y in full.elements:
             lhs = (M.action_of(x) @ M.action_of(y)) % 3
             assert np.array_equal(lhs, M.action_of(G.mul(x, y)))
+
+
+def test_bijective_ranks_shared_blocks_once_and_still_sees_singular():
+    sing = np.array([[1, 1], [0, 0]], dtype=np.int64)
+    eye = np.eye(2, dtype=np.int64)
+    assert not fg._bijective(([0, 1, 2], [sing, sing, sing]), 3, 2)
+    assert not fg._bijective(([2, 0, 1], [eye, sing, eye]), 3, 2)
+    assert fg._bijective(([2, 0, 1], [eye, eye, eye]), 3, 2)
+
+
+def test_mackey_unchecked_singular_module_is_not_bijective(u3f2):
+    # psi is equivariant here; only the rank of its one singular block shows
+    # that it is not invertible.
+    G = u3f2
+    H = named(G, (1, 1, 0), (0, 0, 1))
+    G1 = named(G, (0, 0, 1))
+    M = FinModule(G1, 2, [np.array([[1, 1], [0, 0]])], check=False)
+    rep = fg.mackey_check(G, H, G1, M)
+    assert rep.psi_equivariant and rep.dims_match
+    assert not rep.psi_bijective and not rep.ok
