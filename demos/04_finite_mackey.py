@@ -3,8 +3,9 @@
 Everything the double-coset formula asserts is rebuilt explicitly at finite
 scale: both sides and the comparison map as block maps (each coset block
 goes to one other block through one small matrix), its equivariance and
-invertibility; plus the commutator identity that drives the augmentation
-ideal comparison in the Heisenberg case.
+invertibility, and the glued coset representatives, all read from one
+double-coset decomposition; plus the commutator identity that drives the
+augmentation ideal comparison in the Heisenberg case.
 """
 
 from coherence_lab import finite_groups as fg
@@ -25,10 +26,8 @@ print("restriction of the induced module vs the double-coset sum:")
 print(f"  dimensions {rep.lhs_dim} = {rep.rhs_dim}: {rep.dims_match}")
 print(f"  comparison map equivariant: {rep.psi_equivariant}")
 print(f"  comparison map invertible over F_3: {rep.psi_bijective}")
-print()
-
-print("glued coset representatives partition the right cosets:",
-      fg.coset_rep_check(G, center, row))
+print("  glued coset representatives partition the right cosets:",
+      rep.coset_reps_ok)
 print()
 
 print("augmentation ideal dimensions:")

@@ -11,7 +11,9 @@ generators, and every coset partition (left, right or double) is one orbit
 enumeration whose representatives are the least elements of their orbits.
 Induced actions and the restriction-of-induction comparison map are block
 maps: each sends a coset block to one other block through one d x d matrix,
-so equivariance and invertibility are checked block by block, exactly.
+so equivariance and invertibility are checked block by block, exactly. A
+Mackey check decomposes H\\G/G1 once, and the comparison map and the glued
+coset-representative check share that decomposition.
 """
 
 from __future__ import annotations
@@ -191,10 +193,6 @@ class AlgebraElement:
         self.coeffs = [c % p for c in coeffs]
 
     @classmethod
-    def zero(cls, group: FiniteGroup, p: int) -> "AlgebraElement":
-        return cls(group, p, [0] * group.order)
-
-    @classmethod
     def of(cls, group: FiniteGroup, p: int, element_index: int, c: int = 1):
         v = [0] * group.order
         v[element_index] = c % p
@@ -214,9 +212,6 @@ class AlgebraElement:
             self.group, self.p, [a - b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.group, self.p, [-a for a in self.coeffs])
-
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         out = [0] * self.group.order
         for i, a in enumerate(self.coeffs):
@@ -226,9 +221,6 @@ class AlgebraElement:
                         k = self.group.mul(i, j)
                         out[k] = (out[k] + a * b) % self.p
         return AlgebraElement(self.group, self.p, out)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def __eq__(self, other) -> bool:
         return (
@@ -391,10 +383,30 @@ class MackeyReport:
     psi_equivariant: bool
     psi_bijective: bool
     double_coset_count: int
+    coset_reps_ok: bool
 
     @property
     def ok(self) -> bool:
-        return self.dims_match and self.psi_equivariant and self.psi_bijective
+        return all(
+            (self.dims_match, self.psi_equivariant, self.psi_bijective, self.coset_reps_ok)
+        )
+
+
+Piece = Tuple[int, FinModule, Subgroup]
+
+
+def _decompose(G: FiniteGroup, H: Subgroup, module: FinModule) -> List[Piece]:
+    """Per representative g of H\\G/G1 (G1 the module's subgroup), ascending:
+    (g, the module conjugated by g, K_g = gG1g^-1 cap H), each closed once."""
+    pieces = []
+    for g in double_cosets(G, H, module.subgroup):
+        conj = conjugate_module(module, g)
+        inter_elems = [e for e in conj.subgroup.elements if H.contains(e)]
+        K = subgroup_from_elements(G, inter_elems)
+        if set(K.elements) != set(inter_elems):
+            raise NotASubgroup("intersection is not closed")
+        pieces.append((g, conj, K))
+    return pieces
 
 
 def _intertwines(left: BlockMap, psi: BlockMap, right: BlockMap, p: int) -> bool:
@@ -446,15 +458,10 @@ def mackey_check(
     p = module.p
     lhs_reps, lhs_label = _orbits(G, range(G.order), right=G1.generators)
 
-    xreps = double_cosets(G, H, G1)
+    pieces = _decompose(G, H, module)
     # (H/K_g reps, their labels, conjugated module restricted to K_g, g)
     rhs_pieces = []
-    for g in xreps:
-        conj = conjugate_module(module, g)
-        inter_elems = [e for e in conj.subgroup.elements if H.contains(e)]
-        K = subgroup_from_elements(G, inter_elems)
-        if set(K.elements) != set(inter_elems):
-            raise NotASubgroup("intersection is not closed")
+    for g, conj, K in pieces:
         hreps, hlabel = _orbits(G, H.elements, right=K.generators)
         rhs_pieces.append((hreps, hlabel, restrict(conj, K), g))
 
@@ -495,21 +502,18 @@ def mackey_check(
         dims_match=lhs_dim == rhs_dim,
         psi_equivariant=equivariant,
         psi_bijective=_bijective(psi, len(lhs_reps), p),
-        double_coset_count=len(xreps),
+        double_coset_count=len(pieces),
+        coset_reps_ok=coset_rep_check(G, H, pieces),
     )
 
 
-def coset_rep_check(G: FiniteGroup, H: Subgroup, G1: Subgroup) -> bool:
+def coset_rep_check(G: FiniteGroup, H: Subgroup, pieces: Sequence[Piece]) -> bool:
     """Verify the glued representative set Z = {a g} hits every right
-    H-coset exactly once, where g runs over double-coset representatives and
-    a over representatives of (gG1g^-1 cap H)\\gG1g^-1."""
+    H-coset exactly once, where (g, conj, K) runs over the pieces of
+    `_decompose` and a over representatives of K\\gG1g^-1."""
     zs = []
-    for g in double_cosets(G, H, G1):
-        K = Subgroup(G, [G.conjugate(g, x) for x in G1.generators])
-        inter = subgroup_from_elements(
-            G, [e for e in K.elements if H.contains(e)]
-        )
-        zs += [G.mul(a, g) for a in _orbits(G, K.elements, left=inter.generators)[0]]
+    for g, conj, K in pieces:
+        zs += [G.mul(a, g) for a in _orbits(G, conj.subgroup.elements, left=K.generators)[0]]
     reps, label = _orbits(G, range(G.order), left=H.generators)
     return len(zs) == len(reps) and len({label[z] for z in zs}) == len(zs)
 
@@ -561,12 +565,6 @@ def commutator_identity_report(p: int, a: int) -> CommutatorReport:
         algebra_identity=lhs == corrected,
         printed_order_holds=lhs == printed,
     )
-
-
-def commutator_identity_check(p: int, a: int) -> bool:
-    """True iff the group commutator identity and its algebra rearrangement
-    hold exactly (see commutator_identity_report)."""
-    return commutator_identity_report(p, a).ok
 
 
 def augmentation_basis(G: FiniteGroup, H: Subgroup, p: int) -> List[List[int]]:

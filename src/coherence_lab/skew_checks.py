@@ -241,8 +241,7 @@ def monomial_obstruction(
     Exponents may be p-power fractions; they are checked on the 1/p^r grid,
     with r defaulting to the minimal sufficient precision.
     """
-    pair = _obstruction_witness(p, s_exp, t_exp, n_u, n_v, window, precision)
-    return pair is not None
+    return _obstruction_witness(p, s_exp, t_exp, n_u, n_v, window, precision) is not None
 
 
 def _obstruction_witness(
@@ -259,7 +258,7 @@ def _obstruction_witness(
     te = Fraction(t_exp) * scale
     if se.denominator != 1 or te.denominator != 1:
         raise PrecisionUnderflow(f"monomial exponents not on the 1/p^{r} grid")
-    se, te = int(se), int(te)
+    ks, kt = _floor_log(p, int(se)), _floor_log(p, int(te))
     for a in range(-window, window + 1):
         for b in range(max(1 - a, -window), window + 1):
             ea = a * n_u + r
@@ -268,9 +267,17 @@ def _obstruction_witness(
                 raise PrecisionUnderflow(
                     f"precision {r} cannot represent p^({a}*{n_u}) or p^({b}*{n_v})"
                 )
-            if se >= p**ea and te >= p**eb:
+            if ea <= ks and eb <= kt:
                 return (a, b)
     return None
+
+
+def _floor_log(p: int, n: int) -> int:
+    """The largest k with p^k <= n, or -1: for e >= 0, n >= p^e iff e <= k."""
+    k, pk = -1, 1
+    while pk <= n:
+        k, pk = k + 1, pk * p
+    return k
 
 
 @dataclass
@@ -307,12 +314,10 @@ def not_fg_demonstration(
     span of the generators up to level m; unwinding the module action, that
     would place s*t in one of the twisted product ideals, so each stage is
     certified by the monomial obstruction. With n_u = n_v = 0 the control
-    collapses at every stage.
+    collapses at every stage. The witness does not depend on m: it is computed once.
     """
-    steps = []
-    for m in range(1, n_max + 1):
-        pair = _obstruction_witness(p, 1, 1, n_u, n_v, window, precision)
-        steps.append(ChainStep(stage=m, strict=pair is None, collapse_pair=pair))
+    pair = _obstruction_witness(p, 1, 1, n_u, n_v, window, precision)
+    steps = [ChainStep(m, pair is None, pair) for m in range(1, n_max + 1)]
     return NotFgReport(p=p, n_u=n_u, n_v=n_v, window=window, steps=steps)
 
 

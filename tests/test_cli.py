@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from coherence_lab import finite_groups as fg
+from coherence_lab import fp_linalg
 from coherence_lab.catalog import CATALOG
 from coherence_lab.cli import main
 
@@ -295,6 +297,115 @@ def test_obstruction_refuses_non_prime(capsys, p):
     out = capsys.readouterr()
     assert "error:" in out.err and "not prime" in out.err
     assert "Traceback" not in out.out + out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--window", "0"],
+        ["--window", "65"],
+        ["--window", "2000"],
+        ["--nmax", "0"],
+        ["--nmax", "-3"],
+        ["--nmax", "65"],
+        ["--nmax", "3000000"],
+        ["--nu", "17"],
+        ["--nv", "-1"],
+        ["--nu", "-5", "--control"],
+        ["--nv", "17", "--control"],
+    ],
+    ids=[
+        "window-0",
+        "window-65",
+        "window-2000",
+        "nmax-0",
+        "nmax-negative",
+        "nmax-65",
+        "nmax-huge",
+        "nu-17",
+        "nv-negative",
+        "nu-negative-control",
+        "nv-17-control",
+    ],
+)
+def test_obstruction_refused_before_work(capsys, argv):
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["obstruction"] + argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "error:" in out.err
+    assert "Traceback" not in out.out + out.err
+
+
+def test_obstruction_worst_admitted_corner_is_fast(capsys):
+    # The largest prime is_prime settles exactly, at the largest admitted
+    # window, stage count and n_u, n_v.
+    p = fp_linalg.MR_EXACT_BOUND - 1
+    while not fp_linalg.is_prime(p):
+        p -= 1
+    t0 = time.perf_counter()
+    code, out, _ = run(
+        ["obstruction", "--p", str(p), "--window", "64", "--nmax", "64"]
+        + ["--nu", "16", "--nv", "16"],
+        capsys,
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert "strict at all 64 stages: True" in out
+
+
+@pytest.mark.parametrize(
+    "case", ["decide-directory", "decide-not-utf8", "json-directory", "json-no-parent"]
+)
+def test_file_errors_exit_two(tmp_path, capsys, case):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"kind": "solvable", "name": "\xe9"}')
+    argv = {
+        "decide-directory": ["decide", str(tmp_path)],
+        "decide-not-utf8": ["decide", str(latin1)],
+        "json-directory": ["--json", str(tmp_path), "decide", "H3"],
+        "json-no-parent": ["--json", str(tmp_path / "missing" / "x.json"), "decide", "H3"],
+    }[case]
+    t0 = time.perf_counter()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"error: {tmp_path}")
+    assert "Traceback" not in out.out + out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--p", "2", "--a", "1", "--H", "e12", "--G1", "e23"],
+        ["--p", "3", "--a", "1", "--H", "center", "--G1", "row", "--dim", "2"],
+        ["--p", "2", "--a", "2", "--H", "diagonal-free", "--G1", "trivial"],
+    ],
+    ids=["defaults", "p3-center-row", "p2a2-diagonal-free-trivial"],
+)
+def test_mackey_decomposes_double_cosets_once(capsys, monkeypatch, argv):
+    # One H\G/G1 enumeration per run, one conjugate closure and one
+    # intersection closure per double coset.
+    calls = {"double_cosets": 0, "conjugate_module": 0, "subgroup_from_elements": 0}
+    for name in calls:
+        original = getattr(fg, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(fg, name, counted)
+    code, out, _ = run(["--json", "-", "mackey"] + argv, capsys)
+    report = json.loads(out)
+    assert code == 0 and report["coset_representatives_ok"]
+    n = report["mackey"]["double_cosets"]
+    assert calls == {"double_cosets": 1, "conjugate_module": n, "subgroup_from_elements": n}
 
 
 def test_mackey_defaults(capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -177,26 +179,54 @@ def test_mackey_dimension_identity(u3f3):
     assert total == (G.order // G1.order) * M.dim == rep.lhs_dim
 
 
+def _coset_reps_ok(G, H, G1):
+    return fg.coset_rep_check(G, H, fg._decompose(G, H, FinModule.trivial(G1, G.p)))
+
+
 def test_coset_rep_check(u3f2, u3f3):
     G = u3f2
     full = G.full()
-    assert fg.coset_rep_check(G, full, named(G, (0, 1, 0)))
-    assert fg.coset_rep_check(G, named(G, (1, 0, 0)), named(G, (0, 1, 0)))
-    assert fg.coset_rep_check(G, named(G, (1, 0, 0)), full)
-    H3 = named(u3f3, (0, 0, 1))
-    assert fg.coset_rep_check(u3f3, H3, named(u3f3, (1, 0, 0), (0, 0, 1)))
+    assert _coset_reps_ok(G, full, named(G, (0, 1, 0)))
+    assert _coset_reps_ok(G, named(G, (1, 0, 0)), named(G, (0, 1, 0)))
+    assert _coset_reps_ok(G, named(G, (1, 0, 0)), full)
+    H3, G1 = named(u3f3, (0, 0, 1)), named(u3f3, (1, 0, 0), (0, 0, 1))
+    assert _coset_reps_ok(u3f3, H3, G1)
+    assert fg.mackey_check(u3f3, H3, G1, FinModule.trivial(G1, 3)).coset_reps_ok
 
 
-def test_coset_rep_check_rejects_colliding_representatives(u3f3, monkeypatch):
+def test_coset_rep_check_rejects_colliding_representatives(u3f3):
     # Swap one double-coset representative for another from the same double
     # coset: as many glued representatives as right cosets, but two collide.
     G = u3f3
     H, G1 = named(G, (0, 0, 1)), named(G, (1, 0, 0), (0, 0, 1))
-    reps = fg.double_cosets(G, H, G1)
-    first = {G.mul(G.mul(h, reps[0]), k) for h in H.elements for k in G1.elements}
-    twin = max(first)
-    monkeypatch.setattr(fg, "double_cosets", lambda *_: reps[:-1] + [twin])
-    assert not fg.coset_rep_check(G, H, G1)
+    M = FinModule.trivial(G1, 3)
+    pieces = fg._decompose(G, H, M)
+    assert fg.coset_rep_check(G, H, pieces)
+    g0 = pieces[0][0]
+    twin = max({G.mul(G.mul(h, g0), k) for h in H.elements for k in G1.elements})
+    conj = fg.conjugate_module(M, twin)
+    K = fg.subgroup_from_elements(G, [e for e in conj.subgroup.elements if H.contains(e)])
+    assert len(pieces) > 1 and twin != g0
+    assert not fg.coset_rep_check(G, H, pieces[:-1] + [(twin, conj, K)])
+    # A failed glued-representative verdict fails the whole Mackey report.
+    rep = fg.mackey_check(G, H, G1, M)
+    assert rep.ok and not dataclasses.replace(rep, coset_reps_ok=False).ok
+
+
+def test_decompose_pieces_match_products(u3f2, u3f3):
+    # Every piece is (g, M conjugated by g, gG1g^-1 cap H), g running over
+    # the double-coset representatives in ascending order.
+    for G in (u3f2, u3f3):
+        subs = _selector_subgroups(G).values()
+        for H in subs:
+            for G1 in subs:
+                M = fg.random_unipotent_module(G1, G.p, dim=2, seed=5)
+                pieces = fg._decompose(G, H, M)
+                assert [g for g, _, _ in pieces] == _double_cosets_by_products(G, H, G1)
+                for g, conj, K in pieces:
+                    conj_elems = {G.conjugate(g, x) for x in G1.elements}
+                    assert set(conj.subgroup.elements) == conj_elems
+                    assert set(K.elements) == conj_elems & H.element_set
 
 
 def test_induction_transitive(u3f3):
@@ -244,7 +274,7 @@ def test_commutator_identity_cases():
         rep = fg.commutator_identity_report(p, a)
         assert rep.group_identity
         assert rep.algebra_identity
-        assert fg.commutator_identity_check(p, a)
+        assert rep.ok
 
 
 def test_commutator_unit_factor_order_matters():
@@ -265,7 +295,7 @@ def test_commutator_centrality_control(u3f3):
 
 def test_commutator_budget():
     with pytest.raises(fg.BudgetExceeded):
-        fg.commutator_identity_check(2, 5)
+        fg.commutator_identity_report(2, 5)
 
 
 def test_augmentation_basis(u3f2):
@@ -431,7 +461,9 @@ def _dense(block_map, rows, d):
 def _dense_mackey(G, H, G1, module):
     """The dense comparison: Res_H Ind_G1^G M, the double-coset sum and psi as
     full matrices, cosets by brute-force products, equivariance as dense
-    products and bijectivity as the rank of psi."""
+    products and bijectivity as the rank of psi; the glued representatives
+    a g (a over (gG1g^-1 cap H)\\gG1g^-1) against the right H-cosets, all by
+    products."""
     from coherence_lab import fp_linalg
 
     p, d = module.p, module.dim
@@ -459,6 +491,14 @@ def _dense_mackey(G, H, G1, module):
         pieces.append((hreps, hlabel, fg.restrict(conj, K), g))
     lhs_dim = len(lhs_reps) * d
     rhs_dim = sum(len(hreps) for hreps, _, _, _ in pieces) * d
+
+    zs = []
+    for g in xreps:
+        conj_elems = sorted({G.conjugate(g, x) for x in G1.elements})
+        inter = [e for e in conj_elems if e in H.element_set]
+        zs += [G.mul(a, g) for a in _partition_by_products(G, conj_elems, inter, one)[0]]
+    h_reps, h_label = _partition_by_products(G, range(G.order), H.elements, one)
+    coset_reps_ok = len(zs) == len(h_reps) == len({h_label[z] for z in zs})
 
     psi = np.zeros((lhs_dim, rhs_dim), dtype=np.int64)
     col = 0
@@ -495,6 +535,7 @@ def _dense_mackey(G, H, G1, module):
         psi_equivariant=equivariant,
         psi_bijective=bijective,
         double_coset_count=len(xreps),
+        coset_reps_ok=coset_reps_ok,
     )
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -123,6 +124,67 @@ def test_not_fg_demonstration():
     rep = sc.not_fg_demonstration(2, 0, 1, n_max=3, window=4)
     assert not rep.all_strict
     assert all(s.collapse_pair is not None for s in rep.steps)
+
+
+def test_not_fg_demonstration_computes_the_witness_once(monkeypatch):
+    calls = []
+    witness = sc._obstruction_witness
+
+    def counted(*args):
+        calls.append(args)
+        return witness(*args)
+
+    monkeypatch.setattr(sc, "_obstruction_witness", counted)
+    rep = sc.not_fg_demonstration(2, 1, 1, n_max=6, window=8)
+    assert len(calls) == 1 and len(rep.steps) == 6 and rep.all_strict
+    rep = sc.not_fg_demonstration(2, 0, 1, n_max=3, window=4)
+    assert len(calls) == 2 and [s.stage for s in rep.steps] == [1, 2, 3]
+    assert len({s.collapse_pair for s in rep.steps}) == 1
+
+
+def _witness_by_powers(p, s_exp, t_exp, n_u, n_v, window, precision):
+    """The witness search comparing against p^e computed outright."""
+    r = window * max(n_u, n_v, 1) if precision is None else precision
+    se, te = Fraction(s_exp) * p**r, Fraction(t_exp) * p**r
+    if se.denominator != 1 or te.denominator != 1:
+        raise PrecisionUnderflow(f"monomial exponents not on the 1/p^{r} grid")
+    for a in range(-window, window + 1):
+        for b in range(max(1 - a, -window), window + 1):
+            ea, eb = a * n_u + r, b * n_v + r
+            if ea < 0 or eb < 0:
+                raise PrecisionUnderflow(
+                    f"precision {r} cannot represent p^({a}*{n_u}) or p^({b}*{n_v})"
+                )
+            if se >= p**ea and te >= p**eb:
+                return (a, b)
+    return None
+
+
+def _outcome(fn, *args):
+    try:
+        pair = fn(*args)
+    except PrecisionUnderflow as e:
+        return "underflow", str(e)
+    return ("none", None) if pair is None else ("pair", pair)
+
+
+def test_witness_exponent_comparison_matches_powers():
+    # Same first pair, or the same PrecisionUnderflow, as comparing against
+    # the powers themselves, on exponents at, just below and between powers.
+    kinds = set()
+    for p in (2, 3, 5):
+        exps = [0, -1, 1, Fraction(1, 2), Fraction(3, 4), Fraction(1, p), p - 1, p**2, p**3 - 1]
+        for window in (1, 2, 3):
+            for n_u in (0, 1, 2):
+                for n_v in (0, 1, 3):
+                    for s_exp in exps:
+                        for t_exp in exps:
+                            for precision in (None, 0, 1, 4):
+                                args = (p, s_exp, t_exp, n_u, n_v, window, precision)
+                                got = _outcome(sc._obstruction_witness, *args)
+                                assert got == _outcome(_witness_by_powers, *args), args
+                                kinds.add(got[0])
+    assert kinds == {"underflow", "none", "pair"}
 
 
 def test_one_var_free_decomposition():
