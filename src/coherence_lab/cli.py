@@ -58,11 +58,12 @@ def _emit(report: Dict[str, Any], args, human_lines) -> None:
     if args.json == "-":
         sys.stdout.write(text)
         return
-    if args.json:
+    if args.json_file:
         try:
-            Path(args.json).write_text(text)
+            args.json_file.write(text)
+            args.json_file.flush()
         except OSError as e:
-            PARSER.exit(2, f"error: {args.json}: {e}\n")
+            PARSER.exit(2, f"error: {args.json}: {e.strerror}\n")
     if not args.quiet:
         for line in human_lines:
             print(line)
@@ -423,7 +424,18 @@ PARSER = build_parser()
 
 def main(argv: Optional[list] = None) -> int:
     args = PARSER.parse_args(argv)
-    return args.run(args)
+    args.json_file = None
+    if not args.json or args.json == "-":
+        return args.run(args)
+    # Opened before the work so that an unwritable path is refused at once;
+    # an input error found later leaves the file empty.
+    try:
+        args.json_file = open(args.json, "w")
+    except OSError as e:
+        print(f"error: {args.json}: {e.strerror}", file=sys.stderr)
+        return 2
+    with args.json_file:
+        return args.run(args)
 
 
 if __name__ == "__main__":

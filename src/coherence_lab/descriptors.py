@@ -55,6 +55,15 @@ def _int(x: Any) -> int:
     return x
 
 
+def _entry(x: Any) -> int:
+    """A weight exponent or torus-generator entry: an integer with
+    |x| < 2**31, so that every valuation image stays below d * 2**62."""
+    x = _int(x)
+    if not -(2**31) < x < 2**31:
+        raise DescriptorError("weight exponent or torus entry outside (-2**31, 2**31)")
+    return x
+
+
 def datum_to_descriptor(datum: SolvableGroupDatum) -> Dict[str, Any]:
     brackets = []
     for i in range(datum.lie.dim):
@@ -129,7 +138,7 @@ def parse_descriptor(obj: Dict[str, Any]) -> Union[SolvableGroupDatum, RootSyste
             residue_degree=_int(obj.get("residue_degree", 1)),
         )
         weights = tuple(
-            Weight(tuple(_int(x) for x in w["exponents"]), _int(w.get("dim", 1)))
+            Weight(tuple(_entry(x) for x in w["exponents"]), _int(w.get("dim", 1)))
             for w in obj["weights"]
         )
         basis_weights = [_int(x) for x in obj["basis_weights"]]
@@ -146,7 +155,7 @@ def parse_descriptor(obj: Dict[str, Any]) -> Union[SolvableGroupDatum, RootSyste
             field_params=field,
             torus_rank=_int(obj["torus_rank"]),
             torus_generators=tuple(
-                tuple(_int(x) for x in g) for g in obj["torus_generators"]
+                tuple(_entry(x) for x in g) for g in obj["torus_generators"]
             ),
             weights=weights,
             lie=lie,
@@ -208,4 +217,6 @@ def loads_descriptor(text: str) -> Union[SolvableGroupDatum, RootSystemLabel]:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise DescriptorError(f"JSON parse error at line {e.lineno}: {e.msg}") from None
+    except ValueError as e:  # an integer above the int/str digit limit
+        raise DescriptorError(f"JSON parse error: {e}") from None
     return parse_descriptor(obj)

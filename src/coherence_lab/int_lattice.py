@@ -254,7 +254,8 @@ def cyclic_cone_generator_tracked(vectors: Sequence[Sequence[int]], ambient_dim:
     """Fold vectors through merge_pair, tracking combination coefficients.
 
     Returns (result, coeffs) where coeffs expresses the generator or the
-    witness as an integer combination of the input vectors.
+    witness as an integer combination of the input vectors. The pair is
+    re-verified with _check_cone_certificate before it is returned.
     """
     vecs = [_as_vec(v) for v in vectors]
     for v in vecs:
@@ -265,19 +266,24 @@ def cyclic_cone_generator_tracked(vectors: Sequence[Sequence[int]], ambient_dim:
     for idx, v in enumerate(vecs):
         sign = 1
         if not in_sign_cone(v):
-            coeffs = [0] * n
-            coeffs[idx] = 1
-            return CyclicConeResult(mixed_witness=v), coeffs
+            result = CyclicConeResult(mixed_witness=v)
+            acc_coeffs = [0] * n
+            acc_coeffs[idx] = 1
+            break
         if any(a < 0 for a in v):
             v = vec_scale(-1, v)
             sign = -1
         merged, cx, cy, ok = _merge_tracked(acc, v)
-        coeffs = [cx * c for c in acc_coeffs]
-        coeffs[idx] += cy * sign
+        acc_coeffs = [cx * c for c in acc_coeffs]
+        acc_coeffs[idx] += cy * sign
         if not ok:
-            return CyclicConeResult(mixed_witness=merged), coeffs
-        acc, acc_coeffs = merged, coeffs
-    return CyclicConeResult(generator=acc), acc_coeffs
+            result = CyclicConeResult(mixed_witness=merged)
+            break
+        acc = merged
+    else:
+        result = CyclicConeResult(generator=acc)
+    _check_cone_certificate(vecs, result, acc_coeffs)
+    return result, acc_coeffs
 
 
 def _check_cone_certificate(
@@ -311,11 +317,7 @@ def cyclic_cone_generator(lattice: IntLattice) -> CyclicConeResult:
     an explicit lattice element outside the sign cone. Exactly one of the two
     happens.
     """
-    result, coeffs = cyclic_cone_generator_tracked(
-        lattice.generators, lattice.ambient_dim
-    )
-    _check_cone_certificate(lattice.generators, result, coeffs)
-    return result
+    return cyclic_cone_generator_tracked(lattice.generators, lattice.ambient_dim)[0]
 
 
 def divides_vec(g: IntVector, v: IntVector) -> bool:

@@ -147,23 +147,22 @@ class GradedLieAlgebraQ:
             if cleaned:
                 raw[(i, j)] = cleaned
         self._raw = raw
-        # Normalized table keyed by i < j; the i < j orientation wins when
-        # both are present (validate() reports any inconsistency).
+        # Normalized table holding both orientations; the i < j entry wins
+        # when both are given (validate() reports any inconsistency).
         table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
         for i in range(dim):
             for j in range(i + 1, dim):
-                if (i, j) in raw:
-                    table[(i, j)] = dict(raw[(i, j)])
-                elif (j, i) in raw:
-                    table[(i, j)] = {k: -c for k, c in raw[(j, i)].items()}
+                terms = raw.get((i, j))
+                if terms is None and (j, i) in raw:
+                    terms = {k: -c for k, c in raw[(j, i)].items()}
+                if terms:
+                    table[(i, j)] = dict(terms)
+                    table[(j, i)] = {k: -c for k, c in terms.items()}
         self._table = table
 
     def bracket_basis(self, i: int, j: int) -> Dict[int, Fraction]:
-        if i == j:
-            return {}
-        key, sign = ((i, j), 1) if i < j else ((j, i), -1)
-        terms = self._table.get(key, {})
-        return {k: sign * c for k, c in terms.items()}
+        """[e_i, e_j] as {k: c}. The dict is shared: callers must not mutate it."""
+        return self._table.get((i, j), {})
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> QVector:
         out = [Fraction(0)] * self.dim
@@ -412,14 +411,22 @@ def witness_subgroup(
 ) -> WitnessDescriptor:
     """Locate an embedded G3- or H3-type subgroup witnessing non-coherence.
 
-    The search runs the structural induction directly: pick one-dimensional
-    pieces of the alpha and beta weight spaces (n_alpha(t) > 0 > n_beta(t)),
-    and look at the subalgebra they generate. If it is two-dimensional it is
-    abelian and gives a G3 witness; if the bracket line commutes with both
-    generators the three span a Heisenberg algebra and give an H3 witness.
-    Otherwise one generator is replaced by a bracket, chosen by the sign of
-    the new valuation, and the generated subalgebra strictly shrinks, so the
-    recursion terminates.
+    The structural induction runs as one loop over a homogeneous pair
+    vpos, vneg with n(vpos) > 0 > n(vneg), starting from basis vectors of
+    the alpha and beta weight spaces. With z = [vpos, vneg]: z = 0 gives an
+    abelian G3 witness, and z commuting with both gives a Heisenberg H3
+    witness; both bases are bracket-closed by construction. Otherwise one
+    generator is replaced by a bracket, chosen by the sign of n(z) =
+    n(vpos) + n(vneg) (valuations are linear): z replaces vpos if n(z) > 0
+    and vneg if n(z) < 0; if n(z) = 0, vpos becomes [vpos, z] when that is
+    nonzero and vneg becomes [vneg, z] otherwise.
+
+    Termination: the new pair lies in span(kept generator) + [S, S], S the
+    subalgebra the old pair generates. Were it to generate all of S,
+    S/[S, S] would be at most one-dimensional, so nilpotent S (validate()
+    checks nilpotency) would be too, against z != 0. So S shrinks strictly,
+    there are at most dim - 2 replacements, and MalformedDatum is raised
+    past dim iterations.
     """
     lie = datum.lie
     combo = tuple(int(c) for c in torus_combination)
@@ -427,98 +434,61 @@ def witness_subgroup(
         raise ValueError("torus_combination length must match torus_generators")
     t_val = _torus_element(datum, combo)
 
-    def val(weight_idx: int) -> int:
-        return valuation_of_character(datum.weights[weight_idx], t_val)
-
     if not (0 <= alpha < len(datum.weights) and 0 <= beta < len(datum.weights)):
         raise PreconditionViolation("alpha/beta out of range")
-    if val(alpha) <= 0 or val(beta) >= 0:
-        raise PreconditionViolation(
-            f"need n_alpha > 0 > n_beta, got {val(alpha)}, {val(beta)}"
-        )
-
-    def space_indices(widx: int) -> List[int]:
-        return [i for i in range(lie.dim) if lie.weight_of[i] == widx]
-
-    vpos = lie.basis_vector(space_indices(alpha)[0])
-    vneg = lie.basis_vector(space_indices(beta)[0])
-    if all(c == 0 for c in lie.bracket(vpos, vneg)):
-        # Deterministic fallback: if the full weight spaces fail to commute,
-        # prefer a representative pair with nonzero bracket.
-        for i in space_indices(alpha):
-            for j in space_indices(beta):
-                if any(c != 0 for c in lie.bracket_basis(i, j).values()):
-                    vpos = lie.basis_vector(i)
-                    vneg = lie.basis_vector(j)
-                    break
-            else:
-                continue
-            break
-
-    return _witness_recurse(datum, combo, t_val, vpos, alpha, vneg, beta, lie.dim + 1)
-
-
-def _witness_recurse(
-    datum: SolvableGroupDatum,
-    combo: IntVector,
-    t_val: IntVector,
-    vpos: QVector,
-    wpos: int,
-    vneg: QVector,
-    wneg: int,
-    prev_dim: int,
-) -> WitnessDescriptor:
-    lie = datum.lie
-    npos = valuation_of_character(datum.weights[wpos], t_val)
-    nneg = valuation_of_character(datum.weights[wneg], t_val)
+    npos = valuation_of_character(datum.weights[alpha], t_val)
+    nneg = valuation_of_character(datum.weights[beta], t_val)
     if npos <= 0 or nneg >= 0:
-        raise MalformedDatum("sign invariant broken during recursion")
-    for v in (vpos, vneg):
-        if _is_homogeneous(lie, v) is None:
-            raise MalformedDatum("non-homogeneous generator during recursion")
+        raise PreconditionViolation(f"need n_alpha > 0 > n_beta, got {npos}, {nneg}")
 
-    sub = subalgebra_generated(lie, [vpos, vneg])
-    if len(sub) >= prev_dim:
-        raise MalformedDatum("generated subalgebra failed to shrink")
+    pairs = [
+        (i, j)
+        for i in range(lie.dim) if lie.weight_of[i] == alpha
+        for j in range(lie.dim) if lie.weight_of[j] == beta
+    ]
+    # Deterministic choice: the first representative pair with a nonzero
+    # bracket, else the first pair.
+    i, j = next((ij for ij in pairs if lie.bracket_basis(*ij)), pairs[0])
+    vpos, vneg = lie.basis_vector(i), lie.basis_vector(j)
 
-    def descriptor(kind: str, basis: Sequence[QVector]) -> WitnessDescriptor:
-        if not _bracket_closed(lie, basis):
-            raise MalformedDatum("witness basis is not bracket-closed")
-        return WitnessDescriptor(
-            kind=kind,
-            alpha=wpos,
-            beta=wneg,
-            n_alpha=npos,
-            n_beta=nneg,
-            n_u=npos,
-            n_v=-nneg,
-            n_prime=datum.field_params.ramification,
-            torus_combination=combo,
-            subalgebra_basis=tuple(basis),
-        )
+    wpos, wneg = alpha, beta
+    for _ in range(lie.dim):
+        if _is_homogeneous(lie, vpos) is None or _is_homogeneous(lie, vneg) is None:
+            raise MalformedDatum("non-homogeneous generator in the witness search")
+        z = lie.bracket(vpos, vneg)
+        if not any(z):
+            basis = (vpos, vneg)
+            break
+        wz = _weight_sum_index(datum, wpos, wneg)
+        zpos = lie.bracket(vpos, z)
+        zneg = None if any(zpos) else lie.bracket(vneg, z)
+        if zneg is not None and not any(zneg):
+            basis = (vpos, vneg, z)
+            break
+        nz = npos + nneg
+        if nz > 0:
+            vpos, wpos, npos = z, wz, nz
+        elif nz < 0:
+            vneg, wneg, nneg = z, wz, nz
+        elif zneg is None:
+            vpos, wpos = zpos, _weight_sum_index(datum, wpos, wz)
+        else:
+            vneg, wneg = zneg, _weight_sum_index(datum, wneg, wz)
+    else:
+        raise MalformedDatum(f"witness search did not end within {lie.dim} steps")
 
-    z = lie.bracket(vpos, vneg)
-    if all(c == 0 for c in z):
-        return descriptor("G3", (vpos, vneg))
-
-    wz = _weight_sum_index(datum, wpos, wneg)
-    if all(c == 0 for c in lie.bracket(vpos, z)) and all(
-        c == 0 for c in lie.bracket(vneg, z)
-    ):
-        return descriptor("H3", (vpos, vneg, z))
-
-    ndelta = npos + nneg
-    if ndelta > 0:
-        return _witness_recurse(datum, combo, t_val, z, wz, vneg, wneg, len(sub))
-    if ndelta < 0:
-        return _witness_recurse(datum, combo, t_val, vpos, wpos, z, wz, len(sub))
-    zz = lie.bracket(vpos, z)
-    if any(c != 0 for c in zz):
-        wgamma = _weight_sum_index(datum, wpos, wz)
-        return _witness_recurse(datum, combo, t_val, zz, wgamma, vneg, wneg, len(sub))
-    zz = lie.bracket(vneg, z)
-    wgamma = _weight_sum_index(datum, wneg, wz)
-    return _witness_recurse(datum, combo, t_val, vpos, wpos, zz, wgamma, len(sub))
+    return WitnessDescriptor(
+        kind="G3" if len(basis) == 2 else "H3",
+        alpha=wpos,
+        beta=wneg,
+        n_alpha=npos,
+        n_beta=nneg,
+        n_u=npos,
+        n_v=-nneg,
+        n_prime=datum.field_params.ramification,
+        torus_combination=combo,
+        subalgebra_basis=basis,
+    )
 
 
 def _weight_sum_index(datum: SolvableGroupDatum, wi: int, wj: int) -> int:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from coherence_lab import cli
 from coherence_lab import finite_groups as fg
 from coherence_lab import fp_linalg
 from coherence_lab.catalog import CATALOG
@@ -357,17 +358,41 @@ def test_obstruction_worst_admitted_corner_is_fast(capsys):
 
 
 @pytest.mark.parametrize(
-    "case", ["decide-directory", "decide-not-utf8", "json-directory", "json-no-parent"]
+    "case",
+    [
+        "decide-directory",
+        "decide-not-utf8",
+        "decide-huge-json-int",
+        "decide-huge-exponent",
+        "json-directory",
+        "json-no-parent",
+        "json-refused-before-work",
+    ],
 )
-def test_file_errors_exit_two(tmp_path, capsys, case):
+def test_file_errors_exit_two(tmp_path, capsys, monkeypatch, case):
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"kind": "solvable", "name": "\xe9"}')
+    # An integer above the 4300-digit int/str conversion limit.
+    huge_int = tmp_path / "huge-int.json"
+    huge_int.write_text('{"schema": "coherence-lab/1", "p": ' + "9" * 5000 + "}")
+    # Parses, but f(t) would have 8001 digits: refused at parse time.
+    huge_exp = tmp_path / "huge-exponent.json"
+    desc = json.loads(json.dumps(CATALOG["pZ-semidirect-Qp"]["descriptor"]))
+    desc["torus_generators"] = [[10**4000]]
+    desc["weights"][0]["exponents"] = [10**4000]
+    huge_exp.write_text(json.dumps(desc))
+    missing = tmp_path / "missing" / "x.json"
     argv = {
         "decide-directory": ["decide", str(tmp_path)],
         "decide-not-utf8": ["decide", str(latin1)],
+        "decide-huge-json-int": ["decide", str(huge_int)],
+        "decide-huge-exponent": ["decide", str(huge_exp)],
         "json-directory": ["--json", str(tmp_path), "decide", "H3"],
-        "json-no-parent": ["--json", str(tmp_path / "missing" / "x.json"), "decide", "H3"],
+        "json-no-parent": ["--json", str(missing), "decide", "H3"],
+        "json-refused-before-work": ["--json", str(missing), "decide", "H3"],
     }[case]
+    if case == "json-refused-before-work":
+        monkeypatch.setattr(cli, "decide", lambda parsed: pytest.fail("decide ran"))
     t0 = time.perf_counter()
     try:
         code = main(argv)
@@ -378,6 +403,8 @@ def test_file_errors_exit_two(tmp_path, capsys, case):
     out = capsys.readouterr()
     assert out.err.startswith(f"error: {tmp_path}")
     assert "Traceback" not in out.out + out.err
+    if case.startswith("json-"):
+        assert out.err.count(argv[1]) == 1
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,13 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as Q
 
 import pytest
 
 from coherence_lab import coherence as ch
+from coherence_lab import int_lattice
+from coherence_lab import root_datum as rd
 from coherence_lab.coherence import (
     Coherent,
     InvalidDatum,
@@ -21,6 +25,7 @@ from coherence_lab.root_datum import (
     Weight,
     valuation_of_character,
 )
+from coherence_lab.descriptors import verdict_to_json
 
 from datagen import random_datum
 
@@ -215,3 +220,51 @@ def test_certificate_soundness_randomized():
             assert w.n_alpha > 0 > w.n_beta
     # The generator must exercise both branches to be worth anything.
     assert seen[Coherent] > 5 and seen[NotCoherent] > 5
+
+
+def test_witness_basis_spans_generated_subalgebra():
+    rng = random.Random(8)
+    kinds = set()
+    for _ in range(120):
+        datum = random_datum(rng)
+        out = decide_solvable(datum)
+        if isinstance(out, Coherent):
+            continue
+        lie, basis = datum.lie, out.embedded.subalgebra_basis
+        kinds.add(out.embedded.kind)
+        assert rd._rref_frac(basis) == rd.subalgebra_generated(lie, basis[:2])
+        if out.embedded.kind == "G3":
+            assert len(basis) == 2 and not any(lie.bracket(*basis))
+        else:
+            assert len(basis) == 3 and lie.bracket(basis[0], basis[1]) == basis[2]
+            assert not any(lie.bracket(basis[0], basis[2]))
+            assert not any(lie.bracket(basis[1], basis[2]))
+    assert kinds == {"G3", "H3"}
+
+
+def test_decide_builds_and_verifies_each_certificate_once(monkeypatch):
+    calls = {"subalgebra_generated": 0, "_bracket_closed": 0, "_check_cone_certificate": 0}
+    for module, name in (
+        (rd, "subalgebra_generated"),
+        (rd, "_bracket_closed"),
+        (int_lattice, "_check_cone_certificate"),
+    ):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    out = decide_solvable(h3_datum())
+    assert isinstance(out, NotCoherent) and out.embedded.kind == "H3"
+    assert calls == {"subalgebra_generated": 0, "_bracket_closed": 1, "_check_cone_certificate": 1}
+
+
+def test_verdict_digest_over_seeded_data():
+    rng = random.Random(9)
+    verdicts = [verdict_to_json(decide_solvable(random_datum(rng))) for _ in range(200)]
+    digest = hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
+    # Pinned before the witness search became one loop: the verdicts, witness
+    # kinds and bases must not move.
+    assert digest == "6ffd3106fb0cba102f790d24cfe19ba4b63a85442879c8afc81123d66f631a03"

@@ -73,3 +73,21 @@ def test_dumps_report_deterministic():
     report = {"schema": ds.SCHEMA, "b": 1, "a": 2}
     assert ds.dumps_report(report) == ds.dumps_report(dict(report))
     assert ds.dumps_report(report).endswith("\n")
+
+
+@pytest.mark.parametrize("field", ["weight", "torus"])
+def test_entry_bound(field):
+    # Weight exponents and torus-generator entries stay within (-2**31, 2**31).
+    def parsed(x):
+        desc = json.loads(json.dumps(CATALOG["pZ-semidirect-Qp"]["descriptor"]))
+        if field == "weight":
+            desc["weights"][0]["exponents"] = [x]
+        else:
+            desc["torus_generators"] = [[x]]
+        return ds.parse_descriptor(desc)
+
+    assert parsed(2**31 - 1).torus_rank == 1
+    assert parsed(-(2**31) + 1).torus_rank == 1
+    for x in (2**31, -(2**31)):
+        with pytest.raises(ds.DescriptorError, match="2\\*\\*31"):
+            parsed(x)

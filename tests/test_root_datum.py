@@ -286,3 +286,22 @@ def test_witness_subgroup_representative_fallback():
     assert rd.validate(datum) == []
     w = rd.witness_subgroup(datum, (1,), 0, 1)
     assert w.kind == "H3"
+
+
+def test_witness_subgroup_refuses_non_nilpotent_algebra():
+    # sl_2 graded by weights (1), (-1), (0): the pair (e, f) regenerates all
+    # of sl_2 at every step, so the search cannot end.
+    lie = GradedLieAlgebraQ(
+        3,
+        [0, 1, 2],
+        {(0, 1): {2: Q(1)}, (2, 0): {0: Q(2)}, (2, 1): {1: Q(-2)}},
+    )
+    datum = SolvableGroupDatum(
+        PadicFieldParams(p=2),
+        1,
+        ((1,),),
+        (Weight((1,)), Weight((-1,)), Weight((0,))),
+        lie,
+    )
+    with pytest.raises(rd.MalformedDatum):
+        rd.witness_subgroup(datum, (1,), 0, 1)
