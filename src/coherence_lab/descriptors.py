@@ -219,4 +219,6 @@ def loads_descriptor(text: str) -> Union[SolvableGroupDatum, RootSystemLabel]:
         raise DescriptorError(f"JSON parse error at line {e.lineno}: {e.msg}") from None
     except ValueError as e:  # an integer above the int/str digit limit
         raise DescriptorError(f"JSON parse error: {e}") from None
+    except RecursionError:
+        raise DescriptorError("JSON parse error: nesting too deep") from None
     return parse_descriptor(obj)

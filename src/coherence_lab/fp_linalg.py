@@ -1,8 +1,10 @@
 """Dense exact linear algebra over the prime field F_p.
 
 Matrices are stored as numpy int64 arrays with entries reduced into [0, p).
-All arithmetic is exact; for the small primes used here (p <= 5 in practice)
-int64 products can never overflow between reductions.
+All arithmetic is exact. Matrix products go through `_mulmod`, which runs
+them as float64 (BLAS) products whenever every exact sum of products stays
+below 2^53, so float64 only ever carries exact integers, and as int64
+products otherwise.
 
 Elimination uses the lexicographically first nonzero pivot (scan columns left
 to right, take the topmost usable row), so every computed basis and every
@@ -147,6 +149,20 @@ def _rref(a: np.ndarray, p: int):
     return pivots
 
 
+def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for entries in [0, p).
+
+    Each entry of the product is a sum of inner_dim products below (p-1)^2,
+    so under the float64 bound every partial sum is an integer below 2^53
+    and the BLAS product is exact in any summation order.
+    """
+    if a.shape[-1] * (p - 1) ** 2 < 2**53:
+        prod = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    else:
+        prod = a @ b
+    return prod % p
+
+
 def rref(m: FpMatrix):
     """Reduced row echelon form. Returns (matrix, pivot column indices)."""
     a = m.numpy()
@@ -173,7 +189,7 @@ class RowSpace:
     def contains(self, v):
         """Whether v lies in the space; one bool per vector for a stack."""
         w = np.asarray(v, dtype=np.int64) % self.p
-        return ~((w - w[..., self.pivots] @ self.rows) % self.p).any(axis=-1)
+        return ~(w - _mulmod(w[..., self.pivots], self.rows, self.p)).any(axis=-1)
 
     def low_part(self, cut: int) -> np.ndarray:
         """The rows with no support before coordinate cut: a basis of the
@@ -194,20 +210,15 @@ def kernel_basis(m: FpMatrix) -> List[List[int]]:
     """
     p = m.p
     space = RowSpace(m._a, p, m.cols)
-    pivot_set = set(space.pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis: List[List[int]] = []
-    for f in free:
-        v = [0] * m.cols
-        v[f] = 1
-        for r_idx, c in enumerate(space.pivots):
-            v[c] = (-int(space.rows[r_idx, f])) % p
-        basis.append(v)
-    if basis:
-        check = (m._a @ np.array(basis, dtype=np.int64).T) % p
-        if np.any(check):
-            raise AssertionError("kernel vector failed substitution check")
-    return basis
+    is_free = np.ones(m.cols, dtype=bool)
+    is_free[space.pivots] = False
+    free = np.flatnonzero(is_free)
+    basis = np.zeros((len(free), m.cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, space.pivots] = (-space.rows[:, free].T) % p
+    if _mulmod(m._a, basis.T, p).any():
+        raise AssertionError("kernel vector failed substitution check")
+    return basis.tolist()
 
 
 def solve(m: FpMatrix, rhs: Sequence[int]) -> Optional[List[int]]:
@@ -224,6 +235,6 @@ def solve(m: FpMatrix, rhs: Sequence[int]) -> Optional[List[int]]:
         return None
     x = np.zeros(m.cols, dtype=np.int64)
     x[space.pivots] = space.rows[:, m.cols]
-    if np.any((m._a @ x - b) % m.p):
+    if np.any((_mulmod(m._a, x, m.p) - b) % m.p):
         raise AssertionError("solve result failed substitution check")
     return x.tolist()

@@ -7,11 +7,12 @@ relation, a certificate reproduces its target) are exact. Completeness
 statements are bound-relative and asserted only inside a safety margin,
 because truncation creates spurious kernel vectors near the boundary.
 
-Ring elements enter F_p coordinates one way per setting: span(S) and the
-kernel pairs through the sparse assembler of `skew_poly`, one-variable
-module elements through `ModuleFlat.to_vec`, once per generator. After that
-the one-variable spans stay in coordinates: a loss-free product t^a F^j is
-an index map on coordinate rows (`ModuleFlat.shift`).
+Ring elements enter F_p coordinates once per generator: the S-generators
+and the kernel pairs through `skew_poly._Coords`, one-variable module
+elements through `ModuleFlat.to_vec`. After that the spans stay in
+coordinates: a product X^xexp * mono * S_i is an index map on the
+coordinates of S_i (`_Coords.shifted`), and a loss-free product t^a F^j one
+on coordinate rows (`ModuleFlat.shift`).
 """
 
 from __future__ import annotations
@@ -24,13 +25,16 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import fp_linalg
-from .skew_series import FrobeniusEndo, PrecisionUnderflow, SeriesRing, TruncSeries
+from .skew_series import FrobeniusEndo, PrecisionUnderflow, SeriesRing
 from .skew_poly import (
     NOT_IN_IDEAL_AT_BOUND,
     SkewContext,
     SkewPoly,
     _assemble,
+    _Batch,
+    _Coords,
     _series_monomials,
+    _Terms,
     ideal_membership_bounded,
     syzygy_bounded,
 )
@@ -185,11 +189,16 @@ def verify_relations(
         deg = max(lx.xdegree(), ly.xdegree(), lz.xdegree() + 1)
         by_degree.setdefault(deg, []).append((lx, ly))
 
-    monos = _series_monomials(ring)
+    coords = _Coords(ctx)
+    flats = [coords.terms(pair) for _, pair in labelled]
+    monos = np.array(_series_monomials(ring), dtype=np.int64)
     for deg in sorted(by_degree):
         pairs = by_degree[deg]
         mat, _ = _assemble(
-            itertools.chain(_s_multiples(labelled, deg, window, monos), pairs)
+            itertools.chain(
+                _s_multiples(coords, flats, deg, window, monos),
+                map(coords.column, pairs),
+            )
         )
         n = mat.shape[1] - len(pairs)
         span_s = fp_linalg.RowSpace(mat[:, :n].T, p, mat.shape[0])
@@ -204,25 +213,28 @@ def verify_relations(
 
 
 def _s_multiples(
-    labelled: Sequence[Tuple[str, PolyPair]], deg: int, window: int, monos
-) -> Iterator[PolyPair]:
+    coords: _Coords,
+    flats: Sequence[_Terms],
+    deg: int,
+    window: int,
+    monos: np.ndarray,
+) -> Iterator[_Batch]:
     """The products X^xexp * mono * S_i of total twist degree deg whose twist
-    exponents all stay within the window.
+    exponents all stay within the window, one batch of columns per
+    flattened S_i.
 
     The window is checked on the computed product, since a term can vanish
     by truncation.
     """
-    for _, (sx, sy) in labelled:
-        d_i = max(sx.xdegree(), sy.xdegree())
+    for t in flats:
+        d_i = int(t.x.sum(axis=1).max(initial=-1))
         if d_i < 0 or d_i > deg:
             continue
         k = deg - d_i
-        for a in range(max(0, k - window), min(window, k) + 1):
-            for mono in monos:
-                mu = SkewPoly(sx.ctx, {(a, k - a): TruncSeries(sx.ctx.base, {mono: 1})})
-                px, py = mu * sx, mu * sy
-                if max(px.max_xexp() + py.max_xexp()) <= window:
-                    yield px, py
+        a = np.arange(max(0, k - window), min(window, k) + 1)
+        xs = np.repeat(np.column_stack([a, k - a]), len(monos), axis=0)
+        codes, top = coords.shifted(t, xs, np.tile(monos, (len(a), 1)))
+        yield codes[top <= window], t.coeff
 
 
 def monomial_obstruction(

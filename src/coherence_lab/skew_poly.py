@@ -12,22 +12,31 @@ The module also provides bounded ideal membership with verified
 certificates and bounded syzygy kernels on a coordinate subspace. Both take
 twist-homogeneous generators, so their flattened matrices are block diagonal
 with respect to total twist degree and are assembled and solved one degree
-block at a time. One sparse assembler, `_assemble`, puts tuples of ring
-elements into F_p coordinates for these blocks and for the span(S) check of
-`skew_checks`; `FlatSpace`, the dense whole-slab indexer, serves as the
-reference in the tests.
+block at a time. The columns of these blocks, and the multiples of the
+span(S) check of `skew_checks`, never become ring elements: `_Coords`
+flattens each generator once into F_p coordinates, and left multiplication
+by a monomial is an index map on those coordinates (`_Coords.shifted`).
+One sparse assembler, `_assemble`, turns coordinate columns into a matrix.
+Only the re-verifications multiply ring elements. `FlatSpace`, the dense
+whole-slab indexer, serves as the reference in the tests.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from . import fp_linalg
-from .skew_series import ContextMismatch, FrobeniusEndo, SeriesRing, TruncSeries
+from .skew_series import (
+    ContextMismatch,
+    FrobeniusEndo,
+    PrecisionUnderflow,
+    SeriesRing,
+    TruncSeries,
+)
 
 XExp = Tuple[int, ...]
 Mono = Tuple[int, ...]
@@ -302,44 +311,156 @@ def _block_keys(
     return keys
 
 
-def _assemble(
-    columns: Iterable[Sequence[SkewPoly]],
-) -> Tuple[np.ndarray, List[Tuple[int, XExp, Mono]]]:
-    """The F_p matrix with one column per tuple of polynomials, and its row
-    keys.
+class _Terms(NamedTuple):
+    """The terms of a tuple of ring elements as parallel arrays, in the
+    order a product visits them: by component, twist exponent, monomial."""
 
-    Rows are the coordinates (component, twist exponent, monomial) that some
-    column reaches, in order of first appearance: no zero rows, and row
-    order leaves the reduced echelon form, hence every solution, kernel
-    basis and row span, unchanged.
+    comp: np.ndarray  # (T,)
+    x: np.ndarray  # (T, number of twist variables)
+    mono: np.ndarray  # (T, number of series variables)
+    coeff: np.ndarray  # (T,)
+    code: np.ndarray  # (T,) coordinate codes
+
+
+# Columns for `_assemble`: one column per row of codes (-1 marks no entry),
+# with values broadcast against the codes.
+_Batch = Tuple[np.ndarray, np.ndarray]
+
+
+class _Coords:
+    """F_p coordinates (component, twist exponent, series monomial) of
+    tuples of ring elements, as closed-form integer codes.
+
+    A code is mixed-radix: the component, then each twist exponent (digit
+    <= window), then each scaled series exponent (digit < max_scaled).
     """
-    rows: Dict[Tuple[int, XExp, Mono], int] = {}
-    entries: List[Tuple[int, int, int]] = []
+
+    def __init__(self, ctx: SkewContext):
+        ring = ctx.base
+        self.ctx = ctx
+        self.nx, self.nv = len(ctx.twist_vars), len(ring.variables)
+        radix = [ctx.window + 1] * self.nx + [ring.max_scaled] * self.nv
+        weights = np.cumprod([1] + radix[::-1])[::-1]
+        self.wcomp = int(weights[0])
+        self.wx = weights[1 : self.nx + 1]
+        self.wm = weights[self.nx + 1 :]
+        # logs[i, v]: the exponent-multiplier log of twist variable i on v.
+        self.logs = np.array(
+            [[ctx.endo_logs[x][v] for v in ring.variables] for x in ctx.twist_vars],
+            dtype=np.int64,
+        ).reshape(self.nx, self.nv)
+
+    def terms(self, polys: Sequence[SkewPoly]) -> _Terms:
+        """The terms of the tuple polys, with their codes."""
+        found = [
+            (comp, x, mono, c)
+            for comp, poly in enumerate(polys)
+            for x, series in poly.coeffs.items()
+            for mono, c in series.terms.items()
+        ]
+        comp = np.array([t[0] for t in found], dtype=np.int64)
+        x = np.array([t[1] for t in found], dtype=np.int64).reshape(-1, self.nx)
+        mono = np.array([t[2] for t in found], dtype=np.int64).reshape(-1, self.nv)
+        if (x > self.ctx.window).any():
+            raise WindowExceeded(f"term outside window {self.ctx.window}")
+        return _Terms(
+            comp,
+            x,
+            mono,
+            np.array([t[3] for t in found], dtype=np.int64),
+            comp * self.wcomp + x @ self.wx + mono @ self.wm,
+        )
+
+    def column(self, polys: Sequence[SkewPoly]) -> _Batch:
+        t = self.terms(polys)
+        return t.code[None], t.coeff
+
+    def shifted(
+        self, t: _Terms, xs: np.ndarray, ms: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The products (ms[i] X^xs[i]) * t by an index map on coordinates.
+
+        m X^x * c' X^y = m sigma^x(c') X^(x+y), and sigma^x scales each
+        series exponent by p^(net log), so a term (comp, y, m') goes to
+        (comp, x + y, m + sigma^x(m')) with its coefficient unchanged, and
+        is dropped once its degree reaches the truncation. As in
+        `SkewPoly.__mul__`, the first term in product order with x + y
+        outside the context window raises WindowExceeded, or, if its image
+        exponent leaves the grid, PrecisionUnderflow. Returns the codes,
+        one row per product with -1 for a truncated term, and each
+        product's largest twist exponent (0 for a zero product).
+        """
+        ring = self.ctx.base
+        bound = ring.max_scaled
+        logs = xs @ self.logs
+        # p^|log| as a Python int, clamped to the truncation: a larger
+        # factor truncates every nonzero exponent it scales, and a larger
+        # divisor exceeds every exponent it divides, just the same.
+        uniq, inv = np.unique(logs, return_inverse=True)
+        power = np.array(
+            [min(ring.p ** abs(g), bound) for g in uniq.tolist()], dtype=np.int64
+        )[inv].reshape(logs.shape)
+        mult = np.where(logs > 0, power, 1)[:, None]
+        div = np.where(logs < 0, power, 1)[:, None]
+        under = (t.mono % div).any(axis=2)
+        mono = ms[:, None] + t.mono * mult // div
+        x = xs[:, None] + t.x
+        over = (x > self.ctx.window).any(axis=2)
+        bad = over | under
+        if bad.any():
+            i, j = np.unravel_index(int(bad.argmax()), bad.shape)
+            if over[i, j]:
+                raise WindowExceeded(
+                    f"product exponent {tuple(x[i, j].tolist())} "
+                    f"exceeds window {self.ctx.window}"
+                )
+            v = int((t.mono[j] % div[i, 0] != 0).argmax())
+            raise PrecisionUnderflow(
+                f"exponent {t.mono[j, v]}/p^{ring.precision} "
+                f"not divisible by p^{-logs[i, v]}"
+            )
+        kept = mono.sum(axis=2) < bound
+        codes = np.where(kept, t.comp * self.wcomp + x @ self.wx + mono @ self.wm, -1)
+        top = np.where(kept[..., None], x, 0).max(axis=(1, 2), initial=0)
+        return codes, top
+
+
+def _assemble(batches: Iterable[_Batch]) -> Tuple[np.ndarray, np.ndarray]:
+    """The F_p matrix with one column per row of each batch, and its row
+    codes.
+
+    Rows are the codes that some column reaches, ascending: no zero rows,
+    and row order leaves the reduced echelon form, hence every solution,
+    kernel basis and row span, unchanged.
+    """
+    empty = np.zeros(0, dtype=np.int64)
+    cols, codes, values = [empty], [empty], [empty]
     ncols = 0
-    for j, col in enumerate(columns):
-        ncols = j + 1
-        for comp, poly in enumerate(col):
-            for x, c in poly.coeffs.items():
-                for mono, v in c.terms.items():
-                    entries.append((rows.setdefault((comp, x, mono), len(rows)), j, v))
-    mat = np.zeros((len(rows), ncols), dtype=np.int64)
-    if entries:
-        r, j, v = zip(*entries)
-        mat[r, j] = v
-    return mat, list(rows)
+    for c, v in batches:
+        hit = c >= 0
+        cols.append(np.nonzero(hit)[0] + ncols)
+        codes.append(c[hit])
+        values.append(np.broadcast_to(v, c.shape)[hit])
+        ncols += len(c)
+    keys, rows = np.unique(np.concatenate(codes), return_inverse=True)
+    mat = np.zeros((len(keys), ncols), dtype=np.int64)
+    mat[rows, np.concatenate(cols)] = np.concatenate(values)
+    return mat, keys
 
 
 def _block_matrix(
-    generators: Sequence[SkewPoly], keys: Sequence[_Key], *extra: SkewPoly
+    coords: _Coords, flats: Sequence[_Terms], keys: Sequence[_Key], *extra: SkewPoly
 ) -> np.ndarray:
-    """One column flatten(X^xexp * mono * g_i) per key, then one per extra
-    polynomial."""
-    ctx = generators[0].ctx
-    images = (
-        SkewPoly(ctx, {x: TruncSeries(ctx.base, {mono: 1})}) * generators[gi]
-        for gi, x, mono in keys
-    )
-    return _assemble((poly,) for poly in itertools.chain(images, extra))[0]
+    """One column flatten(X^xexp * mono * g_i) per key, shifted from the
+    flattened generator flats[i], then one per extra polynomial."""
+    batches = []
+    for gi, group in itertools.groupby(keys, key=lambda key: key[0]):
+        _, xs, ms = zip(*group)
+        xs = np.array(xs, dtype=np.int64).reshape(-1, coords.nx)
+        ms = np.array(ms, dtype=np.int64).reshape(-1, coords.nv)
+        batches.append((coords.shifted(flats[gi], xs, ms)[0], flats[gi].coeff))
+    batches += [coords.column((poly,)) for poly in extra]
+    return _assemble(batches)[0]
 
 
 def _coefficients(
@@ -347,9 +468,10 @@ def _coefficients(
 ) -> Tuple[SkewPoly, ...]:
     """(lambda_1, ..., lambda_n) from the nonzero coordinates on the keys."""
     parts: List[Dict[XExp, Dict[Mono, int]]] = [{} for _ in range(n)]
-    for (gi, x, mono), v in zip(keys, values):
-        if v:
-            parts[gi].setdefault(x, {})[mono] = v
+    values = np.asarray(values)
+    for i in np.flatnonzero(values).tolist():
+        gi, x, mono = keys[i]
+        parts[gi].setdefault(x, {})[mono] = int(values[i])
     return tuple(
         SkewPoly(ctx, {x: TruncSeries(ctx.base, terms) for x, terms in part.items()})
         for part in parts
@@ -399,13 +521,15 @@ def ideal_membership_bounded(
         components.setdefault(sum(x), {})[x] = c
     p = ctx.base.p
     monos = _series_monomials(ctx.base)
+    coords = _Coords(ctx)
+    flats = [coords.terms((g,)) for g in generators]
     keys: List[_Key] = []
     values: List[int] = []
     for deg in sorted(components):
         block = _block_keys(generators, xbounds, deg, monos)
         if not block:
             return NOT_IN_IDEAL_AT_BOUND
-        mat = _block_matrix(generators, block, SkewPoly(ctx, components[deg]))
+        mat = _block_matrix(coords, flats, block, SkewPoly(ctx, components[deg]))
         sol = fp_linalg.solve(
             fp_linalg.FpMatrix.from_numpy(mat[:, :-1], p), mat[:, -1].tolist()
         )
@@ -439,13 +563,17 @@ def syzygy_bounded(
     _require_homogeneous(generators)
     ctx = generators[0].ctx
     monos = _series_monomials(ctx.base)
+    coords = _Coords(ctx)
+    flats = [coords.terms((g,)) for g in generators]
     top = sum(xbounds) + max(g.xdegree() for g in generators)
     out: List[Tuple[SkewPoly, ...]] = []
     for deg in range(top + 1):
         keys = _block_keys(generators, xbounds, deg, monos, support)
         if not keys:
             continue
-        mat = fp_linalg.FpMatrix.from_numpy(_block_matrix(generators, keys), ctx.base.p)
+        mat = fp_linalg.FpMatrix.from_numpy(
+            _block_matrix(coords, flats, keys), ctx.base.p
+        )
         for kvec in fp_linalg.kernel_basis(mat):
             lams = _coefficients(ctx, len(generators), keys, kvec)
             if not _combination(lams, generators).is_zero():

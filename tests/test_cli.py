@@ -62,6 +62,15 @@ def test_decide_malformed_file(tmp_path, capsys):
     assert "line" in err
 
 
+def test_decide_deeply_nested_file(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run(["decide", str(path)], capsys)
+    assert code == 2
+    assert "nesting too deep" in err
+    assert "Traceback" not in out + err
+
+
 def test_decide_oversized_datum_file(tmp_path, capsys):
     big = {
         "schema": "coherence-lab/1",

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -245,3 +246,43 @@ def test_rowspace_low_part_matches_brute_force():
                 assert low == [r for r in rows if not any(r[:cut])]
                 # Its span is exactly the members vanishing before cut.
                 assert len([v for v in members if not any(v[:cut])]) == p ** len(low)
+
+
+def _prime_near(n, step):
+    while not fl.is_prime(n):
+        n += step
+    return n
+
+
+def _python_mulmod(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def test_mulmod_exact_at_float_bound():
+    import numpy as np
+
+    rng = random.Random(22)
+    inner = 4
+    # Largest p with inner * (p-1)^2 < 2^53: float64 products, every exact
+    # sum just below 2^53.
+    lo = _prime_near(math.isqrt((2**53 - 1) // inner) + 1, -1)
+    assert inner * (lo - 1) ** 2 < 2**53
+    # Smallest prime above it: int64 products, sums just above 2^53 where
+    # float64 cannot hold every integer.
+    hi = _prime_near(lo + 1, 1)
+    assert inner * (hi - 1) ** 2 >= 2**53
+    for p in (lo, hi):
+        a = [[p - 1] * inner]
+        a += [[rng.randrange(p) for _ in range(inner)] for _ in range(4)]
+        b = [[p - 1] * 3]
+        b += [[rng.randrange(p) for _ in range(3)] for _ in range(inner - 1)]
+        got = fl._mulmod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
+        assert got.tolist() == _python_mulmod(a, b, p)
+    # The int64 branch matters: an odd exact sum above 2^53 is not a
+    # float64 value.
+    a = np.array([[hi - 2] * (inner - 1) + [hi - 1]], dtype=np.int64)
+    b = np.full((inner, 1), hi - 2, dtype=np.int64)
+    exact = (inner - 1) * (hi - 2) ** 2 + (hi - 1) * (hi - 2)
+    assert exact > 2**53 and exact % 2 == 1
+    assert int((a.astype(float) @ b.astype(float))[0, 0]) != exact
+    assert fl._mulmod(a, b, hi).tolist() == [[exact % hi]]

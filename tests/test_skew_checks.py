@@ -6,7 +6,7 @@ import pytest
 
 from coherence_lab import fp_linalg
 from coherence_lab import skew_checks as sc
-from coherence_lab.skew_poly import SkewPoly, _assemble, _series_monomials
+from coherence_lab.skew_poly import SkewPoly, _assemble, _Coords, _series_monomials
 from coherence_lab.skew_series import PrecisionUnderflow, TruncSeries
 
 
@@ -337,19 +337,52 @@ def _dense_pair_span(multiples, deg, window, monos, p):
     return fp_linalg.RowSpace(vecs, p, len(basis)), index
 
 
+def _explicit_s_multiples(labelled, deg, window, monos):
+    """Reference: the products X^xexp * mono * S_i of total twist degree deg
+    by ring multiplication, kept when every twist exponent of the computed
+    product stays within the window."""
+    for _, (sx, sy) in labelled:
+        d_i = max(sx.xdegree(), sy.xdegree())
+        if d_i < 0 or d_i > deg:
+            continue
+        k = deg - d_i
+        for a in range(max(0, k - window), min(window, k) + 1):
+            for mono in monos:
+                mu = SkewPoly(sx.ctx, {(a, k - a): TruncSeries(sx.ctx.base, {mono: 1})})
+                px, py = mu * sx, mu * sy
+                if max(px.max_xexp() + py.max_xexp()) <= window:
+                    yield px, py
+
+
+def _code_keys(coords, pairs):
+    """Coordinate code -> (component, twist exponent, monomial) over the
+    terms of the pairs."""
+    out = {}
+    for pair in pairs:
+        t = coords.terms(pair)
+        for code, comp, x, mono in zip(t.code, t.comp, t.x, t.mono):
+            out[int(code)] = (int(comp), tuple(x.tolist()), tuple(mono.tolist()))
+    return out
+
+
 @pytest.mark.parametrize("p,trunc,window,m_max", [(2, 8, 4, 3), (3, 6, 3, 2)])
 def test_span_s_assembly_matches_dense_reference(p, trunc, window, m_max):
     ctx = sc.pair_context(p, 1, 1, trunc, max(window, m_max) + 2)
     labelled = sc.build_S_generators(ctx, 1, 1, m_max)
     monos = _series_monomials(ctx.base)
+    coords = _Coords(ctx)
+    flats = [coords.terms(pair) for _, pair in labelled]
     ranks = []
     for deg in range(2 * window - 1):  # kernel degrees at margin 1
-        multiples = list(sc._s_multiples(labelled, deg, window, monos))
+        multiples = list(_explicit_s_multiples(labelled, deg, window, monos))
         ref, index = _dense_pair_span(multiples, deg, window, monos, p)
-        mat, keys = _assemble(multiples)
-        rows = fp_linalg.RowSpace(mat.T, p, len(keys)).rows
+        mat, codes = _assemble(
+            sc._s_multiples(coords, flats, deg, window, np.array(monos))
+        )
+        keys = _code_keys(coords, multiples)
+        rows = fp_linalg.RowSpace(mat.T, p, len(codes)).rows
         spread = np.zeros((len(rows), len(index)), dtype=np.int64)
-        spread[:, [index[k] for k in keys]] = rows
+        spread[:, [index[keys[c]] for c in codes.tolist()]] = rows
         assert np.array_equal(fp_linalg.RowSpace(spread, p, len(index)).rows, ref.rows)
         ranks.append(len(ref.rows))
     assert min(ranks[1:]) > 0

@@ -346,3 +346,153 @@ def test_syzygy_repeated_generator():
     assert any(
         (k[0] + k[1]).is_zero() and not k[0].is_zero() for k in kernel
     )
+
+
+# The index map of left multiplication by a monomial, against the explicit
+# ring product.
+
+
+def _random_tuple(rng, ctx, ncomp, nterms, maxdeg):
+    """A tuple of random polynomials with twist exponents of total degree at
+    most maxdeg (not homogeneous)."""
+    from coherence_lab.skew_poly import _series_monomials
+    from coherence_lab.skew_series import TruncSeries
+
+    monos = _series_monomials(ctx.base)
+    xexps = [
+        x for x in itertools.product(range(maxdeg + 1), repeat=2) if sum(x) <= maxdeg
+    ]
+    out = []
+    for _ in range(ncomp):
+        coeffs = {}
+        for x in rng.sample(xexps, rng.randint(1, min(nterms, len(xexps)))):
+            picks = rng.sample(monos, rng.randint(1, 3))
+            terms = {m: rng.randrange(1, ctx.base.p) for m in picks}
+            coeffs[x] = TruncSeries(ctx.base, terms)
+        out.append(SkewPoly(ctx, coeffs))
+    return tuple(out)
+
+
+def _monomial(ctx, x, mono):
+    from coherence_lab.skew_series import TruncSeries
+
+    return SkewPoly(ctx, {tuple(x): TruncSeries(ctx.base, {tuple(mono): 1})})
+
+
+def _outcome(call):
+    from coherence_lab.skew_series import PrecisionUnderflow
+
+    try:
+        return call()
+    except (WindowExceeded, PrecisionUnderflow) as e:
+        return type(e), str(e)
+
+
+def _check_index_map(ctx, g, shifts):
+    """Every column of the index map of the shifts on g, and the matrix
+    `_assemble` makes of them, equal those of the explicit products mu * g,
+    and so does each product's largest twist exponent; an exception is the
+    first one the explicit products raise, with the same message."""
+    from coherence_lab.skew_poly import _assemble, _Coords
+
+    coords = _Coords(ctx)
+    xs = np.array([x for x, _ in shifts], dtype=np.int64).reshape(-1, 2)
+    ms = np.array([m for _, m in shifts], dtype=np.int64).reshape(-1, 2)
+    t = coords.terms(g)
+
+    def result(batches, top):
+        mat, rows = _assemble(batches)
+        cols = [
+            {c: v for c, v in zip(codes.tolist(), vals.tolist()) if c != -1}
+            for block, vals in batches
+            for codes in block
+        ]
+        return mat.tolist(), rows.tolist(), list(top), cols
+
+    def mapped():
+        codes, top = coords.shifted(t, xs, ms)
+        return result([(codes, t.coeff)], top.tolist())
+
+    def explicit():
+        prods = [tuple(_monomial(ctx, x, m) * poly for poly in g) for x, m in shifts]
+        top = [max(sum((poly.max_xexp() for poly in prod), ())) for prod in prods]
+        return result([coords.column(prod) for prod in prods], top)
+
+    want = _outcome(explicit)
+    assert _outcome(mapped) == want
+    return want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("precision", [0, 1])
+def test_index_map_matches_ring_product(p, precision):
+    from coherence_lab.skew_poly import _series_monomials
+
+    rng = random.Random(100 * p + precision)
+    trunc = 6 if precision == 0 else 3
+    window = 4
+    for n_u, n_v in ((1, 1), (2, 1), (1, 3)):
+        ctx = pair_context(p, n_u, n_v, trunc, window, precision)
+        monos = _series_monomials(ctx.base)
+        for _ in range(3):
+            g = _random_tuple(rng, ctx, 2, 3, 2)
+            top = max(max(poly.max_xexp()) for poly in g)
+            shifts = [
+                (x, m)
+                for x in itertools.product(range(window - top + 1), repeat=2)
+                for m in monos
+            ]
+            mat, rows, _, _ = _check_index_map(ctx, g, shifts)
+            assert len(mat[0]) == len(shifts) and any(map(any, mat))
+            # The truncation drops terms: some column has fewer entries
+            # than g has terms.
+            t_count = sum(len(c.terms) for poly in g for c in poly.coeffs.values())
+            assert min(sum(map(bool, col)) for col in zip(*mat)) < t_count
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_index_map_scale_beyond_truncation(p):
+    # --nu 16 --nv 16 at window 6: sigma^x scales by p^(16 a), far beyond
+    # int64 at p = 5, a = 6; every nonzero exponent it scales truncates.
+    ctx = pair_context(p, 16, 16, 16, 6)
+    s = ctx.base.var("s")
+    g = (SkewPoly.from_series(ctx, s + ctx.base.var("t", 2) + ctx.base.one()),)
+    shifts = [((a, b), (1, 0)) for a in range(7) for b in range(7)]
+    mat, rows, top, _ = _check_index_map(ctx, g, shifts)
+    col = [r[shifts.index(((6, 0), (1, 0)))] for r in mat]
+    assert sum(map(bool, col)) == 2  # s^1 * sigma(1), s^1 * sigma(t^2) with b = 0
+    assert top[-1] == 6
+
+
+def test_index_map_window_and_precision_errors():
+    from fractions import Fraction
+
+    from coherence_lab.skew_series import PrecisionUnderflow, SeriesRing
+    from coherence_lab.skew_poly import SkewContext, _series_monomials
+
+    ctx = pair_context(3, 1, 1, 6, 4)
+    g = (ctx.gen("D", 2), ctx.gen("E") * ctx.gen("D"))
+    kind, _ = _check_index_map(ctx, g, [((1, 0), (0, 0)), ((3, 0), (1, 0))])
+    assert kind is WindowExceeded
+    # A negative endomorphism log: D divides s-exponents by p, which leaves
+    # the 1/p grid on s^(1/p).
+    ring = SeriesRing(3, ("s", "t"), 2, 1)
+    neg = SkewContext(ring, ("D", "E"), {"D": {"s": -1}, "E": {"t": -1}}, 3)
+    root = SkewPoly.from_series(neg, ring.var("s", Fraction(1, 3)))
+    kind, _ = _check_index_map(neg, (root,), [((0, 1), (0, 0)), ((1, 0), (0, 0))])
+    assert kind is PrecisionUnderflow
+    assert _check_index_map(neg, (root * neg.gen("E"),), [((0, 2), (0, 0))])[0] == [[1]]
+    # Over random tuples and shifts, in and out of the window, the first
+    # failing term in product order decides the exception.
+    rng = random.Random(7)
+    monos = _series_monomials(ring)
+    kinds = set()
+    for _ in range(60):
+        g = _random_tuple(rng, neg, 2, 3, 2)
+        shifts = [
+            ((rng.randint(0, 2), rng.randint(0, 2)), rng.choice(monos))
+            for _ in range(rng.randint(1, 4))
+        ]
+        out = _check_index_map(neg, g, shifts)
+        kinds.add(out[0] if isinstance(out[0], type) else list)
+    assert kinds == {WindowExceeded, PrecisionUnderflow, list}
