@@ -24,7 +24,6 @@ from .root_datum import (
     f_image,
     f_matrix,
     lower_central_series,
-    subalgebra_generated,
     validate,
     valuation_of_character,
     witness_subgroup,
@@ -51,7 +50,6 @@ __all__ = [
     "f_image",
     "f_matrix",
     "lower_central_series",
-    "subalgebra_generated",
     "validate",
     "valuation_of_character",
     "witness_subgroup",

@@ -8,6 +8,7 @@ and serialization is insertion-ordered so reports are byte-deterministic.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any, Dict, Union
 
@@ -27,6 +28,11 @@ from .root_datum import (
 )
 
 SCHEMA = "coherence-lab/1"
+
+# Bound on every bracket constant's numerator and on the least common
+# denominator of all of them. README "Scale limits" derives from it that
+# every rational a report prints stays under the int/str digit limit.
+BRACKET_BOUND = 10**190
 
 
 class DescriptorError(ValueError):
@@ -62,6 +68,19 @@ def _entry(x: Any) -> int:
     if not -(2**31) < x < 2**31:
         raise DescriptorError("weight exponent or torus entry outside (-2**31, 2**31)")
     return x
+
+
+def _check_bracket_constants(brackets: Dict) -> None:
+    common = 1
+    for terms in brackets.values():
+        for c in terms.values():
+            if abs(c.numerator) >= BRACKET_BOUND:
+                raise DescriptorError("bracket constant numerator at or above 10**190")
+            common = math.lcm(common, c.denominator)
+            if common >= BRACKET_BOUND:
+                raise DescriptorError(
+                    "bracket constant denominators: least common multiple at or above 10**190"
+                )
 
 
 def datum_to_descriptor(datum: SolvableGroupDatum) -> Dict[str, Any]:
@@ -148,6 +167,7 @@ def parse_descriptor(obj: Dict[str, Any]) -> Union[SolvableGroupDatum, RootSyste
                 _int(t["k"]): _frac_from_str(str(t["c"])) for t in entry["terms"]
             }
             brackets[(_int(entry["i"]), _int(entry["j"]))] = terms
+        _check_bracket_constants(brackets)
         lie = GradedLieAlgebraQ(
             dim=len(basis_weights), weight_of=basis_weights, brackets=brackets
         )

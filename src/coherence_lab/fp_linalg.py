@@ -178,10 +178,16 @@ class RowSpace:
     """
 
     def __init__(self, vectors, p: int, dim: int):
+        # One working copy beside the caller's array: the rows kept, reduced
+        # in place, or the reduction itself when no row is dropped. A row
+        # that vanishes only mod p is kept and ends below the basis.
         a = np.asarray(vectors, dtype=np.int64).reshape(len(vectors), dim)
-        # One copy of the input at a time: the masked copy is the working one.
-        a = a[(a % p).any(axis=1)]
-        a %= p
+        nonzero = a.any(axis=1)
+        if nonzero.all():
+            a = a % p
+        else:
+            a = a[nonzero]
+            a %= p
         self.p = p
         self.pivots = _rref(a, p)
         self.rows = a[: len(self.pivots)]

@@ -12,6 +12,15 @@ The group itself is never materialized. A datum records
 The valuation of a character on a torus element is then an integer dot
 product, and everything downstream (the f-matrix, its image lattice, the
 embedded-subgroup search) is exact integer or rational arithmetic.
+
+validate() checks the datum exhaustively up to MAX_EXHAUSTIVE_DIM: grading
+on every bracket, Jacobi on every basis triple, and nilpotency through the
+lower central series (de Graaf, Lie Algebras: Theory and Algorithms,
+North-Holland 2000, sec. 1.15 and ch. 5). These kernels touch only nonzero
+structure constants: the Jacobi sum of a triple accumulates in a dict keyed
+by target index, each series term is spanned by the [e_i, y] formed from
+bracket_basis, and the rational elimination skips zero entries. The results
+equal those of a dense scan, since RREF over Q is unique.
 """
 
 from __future__ import annotations
@@ -79,41 +88,46 @@ def _q(x) -> Fraction:
 
 
 def _rref_frac(rows: Sequence[Sequence[Fraction]]) -> List[QVector]:
-    """Reduced row echelon form over Q; zero rows dropped. Canonical."""
+    """Reduced row echelon form over Q; zero rows dropped. Canonical.
+
+    Scaling and elimination touch only the pivot row's nonzero entries.
+    """
     work = [list(map(_q, r)) for r in rows]
     if not work:
         return []
     ncols = len(work[0])
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [inv * a for a in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        row = work[r]
+        support = [k for k in range(c, ncols) if row[k]]
+        inv = 1 / row[c]
+        for k in support:
+            row[k] *= inv
+        for i, other in enumerate(work):
+            f = other[c]
+            if f and i != r:
+                for k in support:
+                    other[k] -= f * row[k]
         r += 1
         if r == len(work):
             break
-    return [tuple(row) for row in work if any(a != 0 for a in row)]
+    return [tuple(row) for row in work if any(row)]
 
 
 def _in_span(rref_rows: Sequence[QVector], v: Sequence[Fraction]) -> bool:
     w = list(map(_q, v))
     for row in rref_rows:
-        c = next(i for i, a in enumerate(row) if a != 0)
-        if w[c] != 0:
-            f = w[c] / row[c]
-            w = [a - f * b for a, b in zip(w, row)]
-    return all(a == 0 for a in w)
+        support = [k for k, a in enumerate(row) if a]
+        f = w[support[0]]
+        if f:
+            f /= row[support[0]]
+            for k in support:
+                w[k] -= f * row[k]
+    return not any(w)
 
 
 class GradedLieAlgebraQ:
@@ -166,14 +180,12 @@ class GradedLieAlgebraQ:
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> QVector:
         out = [Fraction(0)] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                for k, c in self.bracket_basis(i, j).items():
-                    out[k] += xi * yj * c
+            if xi:
+                for j, yj in ys:
+                    for k, c in self.bracket_basis(i, j).items():
+                        out[k] += xi * yj * c
         return tuple(out)
 
     def basis_vector(self, i: int) -> QVector:
@@ -309,13 +321,12 @@ def validate(datum: SolvableGroupDatum) -> List[str]:
     for i in range(lie.dim):
         for j in range(i + 1, lie.dim):
             for k in range(j + 1, lie.dim):
-                acc = [Fraction(0)] * lie.dim
+                acc: Dict[int, Fraction] = {}
                 for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = lie.bracket_basis(b, c)
-                    for m, cm in inner.items():
+                    for m, cm in lie.bracket_basis(b, c).items():
                         for n, cn in lie.bracket_basis(a, m).items():
-                            acc[n] += cm * cn
-                if any(x != 0 for x in acc):
+                            acc[n] = acc.get(n, 0) + cm * cn
+                if any(acc.values()):
                     out.append(f"Jacobi identity fails on (e{i + 1}, e{j + 1}, e{k + 1})")
 
     try:
@@ -337,35 +348,32 @@ def _bracket_closed(lie: GradedLieAlgebraQ, basis: Sequence[QVector]) -> bool:
     return True
 
 
-def subalgebra_generated(
-    lie: GradedLieAlgebraQ, vectors: Sequence[Sequence[Fraction]]
-) -> List[QVector]:
-    """Basis (canonical rref) of the smallest bracket-closed subspace
-    containing the given vectors."""
-    basis = _rref_frac([list(map(_q, v)) for v in vectors])
-    while True:
-        new = []
-        for x in basis:
-            for y in basis:
-                b = lie.bracket(x, y)
-                if any(c != 0 for c in b) and not _in_span(basis, b):
-                    new.append(b)
-        if not new:
-            return basis
-        basis = _rref_frac([list(v) for v in basis] + [list(v) for v in new])
-
-
 def lower_central_series(lie: GradedLieAlgebraQ) -> List[List[QVector]]:
     """Descending chain g = g^1 >= g^2 = [g, g^1] >= ... down to zero.
 
-    Raises NotNilpotent if the chain stabilizes at a nonzero term.
+    Each g^(k+1) is the span of the [e_i, y], y a basis row of g^k, formed
+    from the nonzero structure constants only. Every term is returned as its
+    canonical RREF basis. Raises NotNilpotent if the chain stabilizes at a
+    nonzero term.
     """
-    full = [lie.basis_vector(i) for i in range(lie.dim)]
-    chain = [_rref_frac([list(v) for v in full])]
+    dim = lie.dim
+    chain = [[lie.basis_vector(i) for i in range(dim)]]
     while chain[-1]:
         prev = chain[-1]
-        brackets = [lie.bracket(x, y) for x in full for y in prev]
-        nxt = _rref_frac([list(b) for b in brackets if any(c != 0 for c in b)])
+        rows = []
+        for y in prev:
+            ys = [(j, yj) for j, yj in enumerate(y) if yj]
+            for i in range(dim):
+                acc: Dict[int, Fraction] = {}
+                for j, yj in ys:
+                    for k, c in lie.bracket_basis(i, j).items():
+                        acc[k] = acc.get(k, 0) + yj * c
+                if any(acc.values()):
+                    row = [Fraction(0)] * dim
+                    for k, c in acc.items():
+                        row[k] = c
+                    rows.append(row)
+        nxt = _rref_frac(rows)
         if len(nxt) >= len(prev):
             raise NotNilpotent("lower central series fails to descend to zero")
         chain.append(nxt)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,73 @@ def test_decide_large_prime_is_fast(tmp_path, capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 0
     assert "not coherent" in out and not err
+
+
+def _filiform_descriptor_file(tmp_path, c1, c2):
+    """The filiform algebra [e1, e2] = c1 e3, [e1, e3] = c2 e4 with weights
+    (1), (-2), (-1), (0): its H3 witness basis holds c1 * c2."""
+    desc = {
+        "schema": "coherence-lab/1",
+        "kind": "solvable",
+        "p": 2,
+        "torus_rank": 1,
+        "torus_generators": [[1]],
+        "weights": [{"exponents": [e]} for e in (1, -2, -1, 0)],
+        "basis_weights": [0, 1, 2, 3],
+        "brackets": [
+            {"i": 0, "j": 1, "terms": [{"k": 2, "c": c1}]},
+            {"i": 0, "j": 2, "terms": [{"k": 3, "c": c2}]},
+        ],
+    }
+    path = tmp_path / "filiform.json"
+    path.write_text(json.dumps(desc))
+    return path
+
+
+BOUND = 10**190
+
+
+@pytest.mark.parametrize(
+    "c1, c2",
+    [
+        (str(BOUND - 1), str(BOUND - 1)),
+        (str(-(BOUND - 1)), f"{BOUND - 1}/{BOUND - 2}"),
+        (f"1/{BOUND - 2}", f"-3/{BOUND - 2}"),
+    ],
+    ids=["numerators", "numerator-and-denominator", "common-denominator"],
+)
+def test_decide_bracket_constants_at_bound(tmp_path, capsys, c1, c2):
+    path = _filiform_descriptor_file(tmp_path, c1, c2)
+    t0 = time.perf_counter()
+    code, out, err = run(["--json", "-", "decide", str(path)], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and not err
+    embedded = json.loads(out)["result"]["embedded"]
+    assert embedded["kind"] == "H3"
+    product = Fraction(c1) * Fraction(c2)
+    assert f"{product.numerator}/{product.denominator}" in sum(
+        embedded["subalgebra_basis"], []
+    )
+
+
+@pytest.mark.parametrize(
+    "c1, c2",
+    [
+        (str(BOUND), "1"),
+        ("1", str(-BOUND)),
+        (f"{BOUND}/7", "1"),
+        ("1", f"1/{BOUND}"),
+        (f"1/{10**95}", f"1/{10**95 + 1}"),  # each below, lcm above
+        (str(10**3000), str(10**3000)),
+    ],
+    ids=["numerator", "negative", "fraction", "denominator", "common-denominator", "huge"],
+)
+def test_decide_bracket_constants_above_bound(tmp_path, capsys, c1, c2):
+    path = _filiform_descriptor_file(tmp_path, c1, c2)
+    code, out, err = run(["decide", str(path)], capsys)
+    assert code == 2 and not out
+    assert err.startswith("error:") and "10**190" in err
+    assert "Traceback" not in err
 
 
 def test_catalog_listing(capsys):

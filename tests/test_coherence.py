@@ -27,6 +27,7 @@ from coherence_lab.root_datum import (
 )
 from coherence_lab.descriptors import verdict_to_json
 
+import lie_reference as ref
 from datagen import random_datum
 
 
@@ -232,7 +233,7 @@ def test_witness_basis_spans_generated_subalgebra():
             continue
         lie, basis = datum.lie, out.embedded.subalgebra_basis
         kinds.add(out.embedded.kind)
-        assert rd._rref_frac(basis) == rd.subalgebra_generated(lie, basis[:2])
+        assert rd._rref_frac(basis) == ref.subalgebra_generated(lie, basis[:2])
         if out.embedded.kind == "G3":
             assert len(basis) == 2 and not any(lie.bracket(*basis))
         else:
@@ -243,9 +244,8 @@ def test_witness_basis_spans_generated_subalgebra():
 
 
 def test_decide_builds_and_verifies_each_certificate_once(monkeypatch):
-    calls = {"subalgebra_generated": 0, "_bracket_closed": 0, "_check_cone_certificate": 0}
+    calls = {"_bracket_closed": 0, "_check_cone_certificate": 0}
     for module, name in (
-        (rd, "subalgebra_generated"),
         (rd, "_bracket_closed"),
         (int_lattice, "_check_cone_certificate"),
     ):
@@ -258,7 +258,7 @@ def test_decide_builds_and_verifies_each_certificate_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     out = decide_solvable(h3_datum())
     assert isinstance(out, NotCoherent) and out.embedded.kind == "H3"
-    assert calls == {"subalgebra_generated": 0, "_bracket_closed": 1, "_check_cone_certificate": 1}
+    assert calls == {"_bracket_closed": 1, "_check_cone_certificate": 1}
 
 
 def test_verdict_digest_over_seeded_data():

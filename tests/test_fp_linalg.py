@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
@@ -208,6 +209,21 @@ def test_rowspace_rows_independent_of_spanning_set():
             assert fl.RowSpace(b, p, dim).rows.tolist() == rows_a
             want = [r for r in _ints(_sympy_matrix(a, p, dim).rref()[0], p) if any(r)]
             assert rows_a == want
+
+
+def test_rowspace_leaves_the_input_alone():
+    # Entries outside [0, p), with and without rows that vanish mod p: the
+    # caller's array is never written, and zero rows do not change the space.
+    p = 5
+    full = np.array([[7, -3, 0, 12], [1, 2, 3, 4], [-1, 8, 2, 0]], dtype=np.int64)
+    padded = np.array([[5, -10, 0, 15], *full, [0, 0, 0, 0]], dtype=np.int64)
+    want = fl.RowSpace(full.tolist(), p, 4).rows.tolist()
+    for a in (full, padded):
+        before = a.copy()
+        space = fl.RowSpace(a, p, 4)
+        assert np.array_equal(a, before)
+        assert space.rows.tolist() == want
+        assert not np.shares_memory(space.rows, a)
 
 
 def test_rowspace_contains_stack_matches_rank():
