@@ -1,21 +1,26 @@
-"""Dense exact linear algebra over the prime field F_p.
+"""Exact linear algebra over the prime field F_p.
 
 Matrices are stored as numpy int64 arrays with entries reduced into [0, p).
 All arithmetic is exact. Matrix products go through `_mulmod`, which runs
 them as float64 (BLAS) products whenever every exact sum of products stays
-below 2^53, so float64 only ever carries exact integers, and as int64
-products otherwise.
+below 2^53, so float64 only ever carries exact integers, as int64 products
+while those sums stay below 2^63, and on Python ints beyond that.
 
-Elimination uses the lexicographically first nonzero pivot (scan columns left
-to right, take the topmost usable row), so every computed basis and every
-solution is deterministic and reproducible. `_rref` is the only elimination
-loop; `RowSpace` wraps it and answers every span question (membership,
-equality, filtration pieces), and rank, kernel and solve are built on it.
+Elimination is sparse: `_rref` reads each row's nonzero entries once into a
+dict and works on Python ints, so it is exact for every p. Each row is
+reduced against the basis so far, and its smallest remaining column becomes
+a new pivot, which is then cleared from the earlier basis rows. The basis
+is fully reduced after every row, so at the end it is the reduced row
+echelon form. That form is unique for a row space, so every computed basis
+and every solution is deterministic and independent of the row order.
+`_rref` is the only elimination loop; `RowSpace` wraps it and answers every
+span question (membership, equality, filtration pieces), and rank, kernel
+and solve are built on it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -124,28 +129,57 @@ class FpMatrix:
         return f"FpMatrix({self.to_rows()}, p={self.p})"
 
 
-def _rref(a: np.ndarray, p: int):
-    """Reduced row echelon form in place; returns the pivot column list."""
-    nrows, ncols = a.shape
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+def _rref(a: np.ndarray, p: int) -> List[int]:
+    """Reduced row echelon form of `a` (entries in [0, p)) in place, with
+    zero rows below; returns the pivot column list.
+
+    The sparse elimination of the module docstring: rows are {column: value}
+    dicts, and a column -> pivots index finds the basis rows that hold a new
+    pivot's column without scanning every row.
+    """
+    ri, ci = np.nonzero(a)
+    cols, vals = ci.tolist(), a[ri, ci].tolist()
+    ends = np.cumsum(np.bincount(ri)).tolist()
+    basis: Dict[int, Dict[int, int]] = {}  # pivot -> row off the pivot
+    holders: Dict[int, Set[int]] = {}  # free column -> pivots holding it
+    start = 0
+    for end in ends:
+        row = dict(zip(cols[start:end], vals[start:end]))
+        start = end
+        for c in [c for c in row if c in basis]:
+            f = row.pop(c)
+            for k, v in basis[c].items():
+                x = (row.get(k, 0) - f * v) % p
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+        if not row:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        other = np.nonzero(a[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
-        pivots.append(c)
-        r += 1
+        piv = min(row)
+        inv = pow(row.pop(piv), p - 2, p)
+        new = {k: v * inv % p for k, v in row.items()}
+        for q in holders.pop(piv, ()):
+            b = basis[q]
+            f = b.pop(piv)
+            for k, v in new.items():
+                x = (b.get(k, 0) - f * v) % p
+                if x:
+                    if k not in b:
+                        holders.setdefault(k, set()).add(q)
+                    b[k] = x
+                else:
+                    del b[k]
+                    holders[k].discard(q)
+        basis[piv] = new
+        for k in new:
+            holders.setdefault(k, set()).add(piv)
+    pivots = sorted(basis)
+    rows = [{c: 1, **basis[c]} for c in pivots]
+    at_r = [i for i, row in enumerate(rows) for _ in row]
+    at_c = [k for row in rows for k in row]
+    a.fill(0)
+    a[at_r, at_c] = [v for row in rows for v in row.values()]
     return pivots
 
 
@@ -154,13 +188,17 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
     Each entry of the product is a sum of inner_dim products below (p-1)^2,
     so under the float64 bound every partial sum is an integer below 2^53
-    and the BLAS product is exact in any summation order.
+    and the BLAS product is exact in any summation order; under 2^63 the
+    int64 product cannot overflow; above it the product runs on Python ints.
     """
-    if a.shape[-1] * (p - 1) ** 2 < 2**53:
+    bound = a.shape[-1] * (p - 1) ** 2
+    if bound < 2**53:
         prod = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    else:
+    elif bound < 2**63:
         prod = a @ b
-    return prod % p
+    else:
+        prod = a.astype(object) @ b.astype(object)
+    return (prod % p).astype(np.int64, copy=False)
 
 
 def rref(m: FpMatrix):

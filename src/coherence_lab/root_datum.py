@@ -161,17 +161,17 @@ class GradedLieAlgebraQ:
             if cleaned:
                 raw[(i, j)] = cleaned
         self._raw = raw
-        # Normalized table holding both orientations; the i < j entry wins
-        # when both are given (validate() reports any inconsistency).
+        # Normalized table holding both orientations, built from the given
+        # entries only; the i < j entry wins when both are given (validate()
+        # reports any inconsistency) and diagonal entries never enter it.
         table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                terms = raw.get((i, j))
-                if terms is None and (j, i) in raw:
-                    terms = {k: -c for k, c in raw[(j, i)].items()}
-                if terms:
-                    table[(i, j)] = dict(terms)
-                    table[(j, i)] = {k: -c for k, c in terms.items()}
+        for (i, j), terms in raw.items():
+            if i == j or (i > j and (j, i) in raw):
+                continue
+            if i > j:
+                i, j, terms = j, i, {k: -c for k, c in terms.items()}
+            table[(i, j)] = dict(terms)
+            table[(j, i)] = {k: -c for k, c in terms.items()}
         self._table = table
 
     def bracket_basis(self, i: int, j: int) -> Dict[int, Fraction]:

@@ -6,14 +6,17 @@ Every function here scans all coordinates and builds dense Fraction lists:
 coordinate pairs, `lower_central_series` brackets dense basis vectors, and
 `validate` accumulates each Jacobi triple in a dense list. The results must
 equal the program's, chain for chain and violation string for violation
-string. `subalgebra_generated` (the closure of a set of vectors under the
-bracket) has no caller in the program and lives here only as an oracle.
+string. `bracket_table` is the dim^2 pair scan that once normalized the
+given structure constants; the program now builds the same table from the
+given entries only. `subalgebra_generated` (the closure of a set of vectors
+under the bracket) has no caller in the program and lives here only as an
+oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from coherence_lab.root_datum import (
     GradedLieAlgebraQ,
@@ -58,6 +61,23 @@ def in_span(rref_rows: Sequence[QVector], v: Sequence[Fraction]) -> bool:
             f = w[c] / row[c]
             w = [a - f * b for a, b in zip(w, row)]
     return all(a == 0 for a in w)
+
+
+def bracket_table(
+    dim: int, raw: Dict[Tuple[int, int], Dict[int, Fraction]]
+) -> Dict[Tuple[int, int], Dict[int, Fraction]]:
+    """Both orientations of every off-diagonal bracket; the i < j entry wins
+    over a given (j, i) entry, and diagonal entries are ignored."""
+    table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            terms = raw.get((i, j))
+            if terms is None and (j, i) in raw:
+                terms = {k: -c for k, c in raw[(j, i)].items()}
+            if terms:
+                table[(i, j)] = dict(terms)
+                table[(j, i)] = {k: -c for k, c in terms.items()}
+    return table
 
 
 def bracket(lie: GradedLieAlgebraQ, x: Sequence[Fraction], y: Sequence[Fraction]) -> QVector:

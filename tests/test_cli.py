@@ -90,6 +90,30 @@ def test_decide_oversized_datum_file(tmp_path, capsys):
     assert "invalid" in err
 
 
+def test_decide_refuses_large_dim_before_quadratic_work(tmp_path, capsys):
+    # One weight of multiplicity 4000 and no brackets: the bracket table is
+    # built from the given entries only, so the dim bound refuses at once.
+    n = 4000
+    big = {
+        "schema": "coherence-lab/1",
+        "kind": "solvable",
+        "p": 2,
+        "torus_rank": 0,
+        "torus_generators": [],
+        "weights": [{"exponents": [], "dim": n}],
+        "basis_weights": [0] * n,
+        "brackets": [],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(big))
+    t0 = time.perf_counter()
+    code, out, err = run(["decide", str(path)], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert f"invalid group datum: dim {n} exceeds exhaustive-validation bound 12" in err
+    assert "Traceback" not in out + err
+
+
 def test_decide_invalid_label_file(tmp_path, capsys):
     path = tmp_path / "a0.json"
     path.write_text(

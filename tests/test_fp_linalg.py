@@ -7,7 +7,9 @@ import pytest
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
+import fp_reference
 from coherence_lab import fp_linalg as fl
+from coherence_lab import skew_checks
 from coherence_lab.fp_linalg import FpMatrix
 
 
@@ -302,3 +304,130 @@ def test_mulmod_exact_at_float_bound():
     assert exact > 2**53 and exact % 2 == 1
     assert int((a.astype(float) @ b.astype(float))[0, 0]) != exact
     assert fl._mulmod(a, b, hi).tolist() == [[exact % hi]]
+    # Above 2^63 the int64 product wraps, and the Python-int one is exact.
+    p = 2**31 - 1
+    a = [[p - 1] * 6] + [[rng.randrange(p) for _ in range(6)] for _ in range(3)]
+    b = [[rng.randrange(p) for _ in range(3)] for _ in range(5)] + [[p - 1] * 3]
+    exact = 6 * (p - 1) ** 2
+    assert exact >= 2**63
+    wide = np.full((1, 6), p - 1, dtype=np.int64)
+    assert int((wide @ wide.T)[0, 0]) != exact
+    assert fl._mulmod(wide, wide.T, p).tolist() == [[exact % p]]
+    got = fl._mulmod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
+    assert got.tolist() == _python_mulmod(a, b, p)
+
+
+# The sparse elimination against the dense reference loop and sympy.
+
+SPARSE_PRIMES = (2, 3, 5, 13, 2**31 - 1)
+
+
+def _sympy_rref(a, p):
+    """RREF and pivots of an int array over GF(p), by sympy's sparse
+    DomainMatrix."""
+    K = GF(p)
+    rows = {}
+    for i, j in zip(*np.nonzero(a)):
+        rows.setdefault(int(i), {})[int(j)] = K(int(a[i, j]))
+    red, pivots = DomainMatrix(rows, a.shape, K).rref()
+    out = np.zeros(a.shape, dtype=np.int64)
+    for i, row in red.to_sdm().items():
+        for j, x in row.items():
+            out[i, j] = int(x) % p
+    return out, list(pivots)
+
+
+def _check_rref(a, p):
+    """_rref on a reduced array equals the dense reference and sympy."""
+    got = a.copy()
+    pivots = fl._rref(got, p)
+    want = a.copy()
+    assert pivots == fp_reference.rref(want, p)
+    assert np.array_equal(got, want)
+    if a.size:
+        red, sym_pivots = _sympy_rref(a, p)
+        assert pivots == sym_pivots
+        assert np.array_equal(got, red)
+    return got, pivots
+
+
+def _sparse_structured(rng, p, nrows, ncols):
+    """Unreduced rows with 1-4 nonzeros, duplicates, combinations of two
+    earlier rows, and rows of multiples of p, which vanish only mod p."""
+    rows = []
+    for _ in range(nrows):
+        roll = rng.random()
+        row = [0] * ncols
+        if len(rows) >= 2 and roll < 0.25:
+            x, y = rng.sample(rows, 2)
+            c, d = rng.randrange(p), rng.randrange(p)
+            row = [(c * u + d * v) % p for u, v in zip(x, y)]
+        elif rows and roll < 0.4:
+            row = list(rng.choice(rows))
+        elif ncols and roll < 0.5:
+            for _ in range(rng.randint(1, 4)):
+                row[rng.randrange(ncols)] = p * rng.choice((-2, -1, 1, 2))
+        elif ncols:
+            for _ in range(rng.randint(1, 4)):
+                row[rng.randrange(ncols)] = rng.randrange(1, p) + p * rng.randint(-1, 1)
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(nrows, ncols)
+
+
+@pytest.mark.parametrize("p", SPARSE_PRIMES)
+def test_sparse_rref_matches_dense_reference_and_sympy(p):
+    rng = random.Random(p)
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 3), (2, 15), (15, 2), (24, 9), (9, 24), (40, 40)]
+    for nrows, ncols in shapes:
+        assert fl._rref(np.zeros((nrows, ncols), dtype=np.int64), p) == []
+        for _ in range(12 if ncols else 1):
+            raw = _sparse_structured(rng, p, nrows, ncols)
+            got, pivots = _check_rref(raw % p, p)
+            # RowSpace drops rows that are zero as given and keeps those
+            # that vanish only mod p; the space is the same.
+            space = fl.RowSpace(raw, p, ncols)
+            assert space.pivots == pivots
+            assert np.array_equal(space.rows, got[: len(pivots)])
+
+
+def test_sparse_rref_on_verify_skew_blocks(monkeypatch):
+    # Every elimination input of the relation check at (2,8,4,3): the
+    # per-degree syzygy blocks and the span(S) blocks, as `_assemble` builds
+    # them, and the membership solves.
+    seen = []
+    real = fl._rref
+
+    def record(a, p):
+        seen.append((a.copy(), p))
+        return real(a, p)
+
+    monkeypatch.setattr(fl, "_rref", record)
+    report = skew_checks.verify_relations(2, 1, 1, 4, 8, 3)
+    monkeypatch.undo()
+    assert report.ok and report.interior_checked == 222
+    assert len(seen) == 18
+    assert max(a.shape for a, _ in seen) == (627, 356)
+    for a, p in seen:
+        _check_rref(a, p)
+
+
+def test_large_prime_kernel_and_membership_exact():
+    # p = 2^31 - 1: 6 (p-1)^2 exceeds 2^63, so int64 products would wrap.
+    p = 2**31 - 1
+    rng = random.Random(31)
+    for _ in range(50):
+        data = [[rng.randrange(p) for _ in range(6)] for _ in range(4)]
+        want, pivots = _rref_reference(data, p)
+        space = fl.RowSpace(data, p, 6)
+        assert space.pivots == pivots
+        assert space.rows.tolist() == want[: len(pivots)]
+        basis = fl.kernel_basis(FpMatrix.from_rows(data, p))
+        assert len(basis) == 6 - len(pivots)
+        assert _python_mulmod(data, [list(c) for c in zip(*basis)], p) == [
+            [0] * len(basis) for _ in data
+        ]
+        coeffs = [rng.randrange(p) for _ in data]
+        member = [sum(c * r[j] for c, r in zip(coeffs, data)) % p for j in range(6)]
+        other = [rng.randrange(p) for _ in range(6)]
+        outside = len(_rref_reference(data + [other], p)[1]) > len(pivots)
+        assert space.contains([member, other]).tolist() == [True, not outside]

@@ -193,6 +193,28 @@ def test_validate_refuses_large_dimension():
         rd.validate(datum)
 
 
+def test_bracket_table_matches_pair_scan():
+    # Random constants given in either orientation, both orientations with
+    # different values, on the diagonal, and with zero coefficients that are
+    # dropped: the table equals the dim^2 pair scan's.
+    rng = random.Random(13)
+    for _ in range(300):
+        dim = rng.randint(0, 7)
+        given = {}
+        for _ in range(rng.randint(0, dim * dim)):
+            ij = (rng.randrange(dim), rng.randrange(dim))
+            given[ij] = {
+                rng.randrange(dim): Q(rng.randint(-2, 2), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 3))
+            }
+        lie = GradedLieAlgebraQ(dim, [0] * dim, given)
+        want = ref.bracket_table(dim, lie._raw)
+        assert lie._table == want
+        for i in range(dim):
+            for j in range(dim):
+                assert lie.bracket_basis(i, j) == want.get((i, j), {})
+
+
 def test_subalgebra_generated():
     lie = heisenberg_datum().lie
     ex, ey, ez = (lie.basis_vector(i) for i in range(3))
