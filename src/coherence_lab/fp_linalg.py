@@ -3,8 +3,8 @@
 Matrices are stored as numpy int64 arrays with entries reduced into [0, p).
 All arithmetic is exact. Matrix products go through `_mulmod`, which runs
 them as float64 (BLAS) products whenever every exact sum of products stays
-below 2^53, so float64 only ever carries exact integers, as int64 products
-while those sums stay below 2^63, and on Python ints beyond that.
+below 2^53, so float64 only ever carries exact integers, and on Python ints
+(object arrays) beyond that.
 
 Elimination is sparse: `_rref` reads each row's nonzero entries once into a
 dict and works on Python ints, so it is exact for every p. Each row is
@@ -188,14 +188,12 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
     Each entry of the product is a sum of inner_dim products below (p-1)^2,
     so under the float64 bound every partial sum is an integer below 2^53
-    and the BLAS product is exact in any summation order; under 2^63 the
-    int64 product cannot overflow; above it the product runs on Python ints.
+    and the BLAS product is exact in any summation order; above it the
+    product runs on Python ints, which are exact for every p.
     """
     bound = a.shape[-1] * (p - 1) ** 2
     if bound < 2**53:
         prod = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    elif bound < 2**63:
-        prod = a @ b
     else:
         prod = a.astype(object) @ b.astype(object)
     return (prod % p).astype(np.int64, copy=False)

@@ -285,8 +285,8 @@ def test_mulmod_exact_at_float_bound():
     # sum just below 2^53.
     lo = _prime_near(math.isqrt((2**53 - 1) // inner) + 1, -1)
     assert inner * (lo - 1) ** 2 < 2**53
-    # Smallest prime above it: int64 products, sums just above 2^53 where
-    # float64 cannot hold every integer.
+    # Smallest prime above it: Python-int products, sums just above 2^53
+    # where float64 cannot hold every integer.
     hi = _prime_near(lo + 1, 1)
     assert inner * (hi - 1) ** 2 >= 2**53
     for p in (lo, hi):
@@ -296,7 +296,7 @@ def test_mulmod_exact_at_float_bound():
         b += [[rng.randrange(p) for _ in range(3)] for _ in range(inner - 1)]
         got = fl._mulmod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
         assert got.tolist() == _python_mulmod(a, b, p)
-    # The int64 branch matters: an odd exact sum above 2^53 is not a
+    # The Python-int branch matters: an odd exact sum above 2^53 is not a
     # float64 value.
     a = np.array([[hi - 2] * (inner - 1) + [hi - 1]], dtype=np.int64)
     b = np.full((inner, 1), hi - 2, dtype=np.int64)
@@ -304,7 +304,7 @@ def test_mulmod_exact_at_float_bound():
     assert exact > 2**53 and exact % 2 == 1
     assert int((a.astype(float) @ b.astype(float))[0, 0]) != exact
     assert fl._mulmod(a, b, hi).tolist() == [[exact % hi]]
-    # Above 2^63 the int64 product wraps, and the Python-int one is exact.
+    # Above 2^63 an int64 product would wrap; the Python-int one is exact.
     p = 2**31 - 1
     a = [[p - 1] * 6] + [[rng.randrange(p) for _ in range(6)] for _ in range(3)]
     b = [[rng.randrange(p) for _ in range(3)] for _ in range(5)] + [[p - 1] * 3]
