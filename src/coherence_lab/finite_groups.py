@@ -305,8 +305,7 @@ class FinModule:
 
     def _validate(self) -> None:
         for m in self.gen_actions:
-            mat = fp_linalg.FpMatrix.from_numpy(m, self.p)
-            if fp_linalg.rank(mat) != self.dim:
+            if fp_linalg.rank(fp_linalg.FpMatrix(m, self.p)) != self.dim:
                 raise ValueError("action matrix is singular")
         G = self.subgroup.parent
         for x in self.subgroup.elements:
@@ -437,7 +436,7 @@ def _bijective(psi: BlockMap, rows: int, p: int) -> bool:
     # The blocks are FinModule.action_of's cached arrays, which are never
     # mutated, so one object is one matrix: rank each object once.
     return sorted(perm) == list(range(rows)) and all(
-        fp_linalg.rank(fp_linalg.FpMatrix.from_numpy(b, p)) == b.shape[0]
+        fp_linalg.rank(fp_linalg.FpMatrix(b, p)) == b.shape[0]
         for b in {id(b): b for b in blocks}.values()
     )
 
@@ -510,7 +509,15 @@ def mackey_check(
 def coset_rep_check(G: FiniteGroup, H: Subgroup, pieces: Sequence[Piece]) -> bool:
     """Verify the glued representative set Z = {a g} hits every right
     H-coset exactly once, where (g, conj, K) runs over the pieces of
-    `_decompose` and a over representatives of K\\gG1g^-1."""
+    `_decompose` and a over representatives of K\\gG1g^-1.
+
+    The representatives are the least elements of the cosets Ka, which are
+    also those of the left cosets aK: indices are lex on (x, y, z), so a
+    coset's least element m has the least (x, y) in its projection to the
+    abelian U3/Z, then the least z. For any m, Km and mK have the same
+    projection and the same fibre m(K cap Z) over that of m, as the centre
+    Z = {(0, 0, z)} commutes with m; so m is least in both or in neither.
+    """
     zs = []
     for g, conj, K in pieces:
         zs += [G.mul(a, g) for a in _orbits(G, conj.subgroup.elements, left=K.generators)[0]]

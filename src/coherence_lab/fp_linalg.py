@@ -1,26 +1,28 @@
 """Exact linear algebra over the prime field F_p.
 
-Matrices are stored as numpy int64 arrays with entries reduced into [0, p).
-All arithmetic is exact. Matrix products go through `_mulmod`, which runs
-them as float64 (BLAS) products whenever every exact sum of products stays
-below 2^53, so float64 only ever carries exact integers, and on Python ints
-(object arrays) beyond that.
+Matrices are numpy int64 arrays. All arithmetic is exact. Matrix products
+go through `_mulmod`, which runs them as float64 (BLAS) products whenever
+every exact sum of products stays below 2^53, so float64 only ever carries
+exact integers, and on Python ints (object arrays) beyond that.
 
-Elimination is sparse: `_rref` reads each row's nonzero entries once into a
-dict and works on Python ints, so it is exact for every p. Each row is
-reduced against the basis so far, and its smallest remaining column becomes
-a new pivot, which is then cleared from the earlier basis rows. The basis
-is fully reduced after every row, so at the end it is the reduced row
-echelon form. That form is unique for a row space, so every computed basis
-and every solution is deterministic and independent of the row order.
-`_rref` is the only elimination loop; `RowSpace` wraps it and answers every
-span question (membership, equality, filtration pieces), and rank, kernel
-and solve are built on it.
+Elimination is sparse: `_rref` only reads its input, takes each row's
+nonzero entries reduced mod p (skipping those that vanish) into a dict and
+works on Python ints, so it is exact for every p. Each row is reduced
+against the basis so far, and its smallest remaining column becomes a new
+pivot, which is then cleared from the earlier basis rows. The basis is
+fully reduced after every row, so at the end it is the reduced row echelon
+form, which `_rref` returns as a new array. That form is unique for a row
+space, so every computed basis and every solution is deterministic and
+independent of the row order. `_rref` is the only elimination loop;
+`RowSpace` wraps it and answers every span question (membership, equality,
+filtration pieces), and rank, kernel and solve are built on it. `FpMatrix`
+and `rref` remain for the benchmark's tracer, which wraps `rref` and reads
+`rows` and `cols` of the `rank` and `kernel_basis` argument.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -68,77 +70,30 @@ def is_prime(p: int) -> bool:
 
 
 class FpMatrix:
-    """A rows x cols matrix over F_p."""
+    """A rows x cols matrix over F_p, held as an int64 array reduced into
+    [0, p)."""
 
-    def __init__(self, rows: int, cols: int, entries: Sequence[int], p: int):
+    def __init__(self, a, p: int):
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        if len(entries) != rows * cols:
-            raise DimensionMismatch(
-                f"expected {rows * cols} entries, got {len(entries)}"
-            )
-        self.rows = rows
-        self.cols = cols
+        self._a = np.asarray(a, dtype=np.int64) % p
+        self.rows, self.cols = self._a.shape
         self.p = p
-        self._a = np.array(entries, dtype=np.int64).reshape(rows, cols) % p
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], p: int) -> "FpMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat: List[int] = []
-        for r in rows:
-            if len(r) != ncols:
-                raise DimensionMismatch("ragged rows")
-            flat.extend(int(x) for x in r)
-        return cls(nrows, ncols, flat, p)
-
-    @classmethod
-    def from_numpy(cls, a: np.ndarray, p: int) -> "FpMatrix":
-        m = cls(0, 0, [], p)
-        m.rows, m.cols = int(a.shape[0]), int(a.shape[1])
-        m._a = np.asarray(a, dtype=np.int64).reshape(m.rows, m.cols) % p
-        return m
-
-    @classmethod
-    def identity(cls, n: int, p: int) -> "FpMatrix":
-        return cls.from_numpy(np.eye(n, dtype=np.int64), p)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, p: int) -> "FpMatrix":
-        return cls.from_numpy(np.zeros((rows, cols), dtype=np.int64), p)
-
-    def entry(self, i: int, j: int) -> int:
-        return int(self._a[i, j])
-
-    def to_rows(self) -> List[List[int]]:
-        return [[int(x) for x in r] for r in self._a]
-
-    def numpy(self) -> np.ndarray:
-        return self._a.copy()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FpMatrix)
-            and other.p == self.p
-            and other._a.shape == self._a.shape
-            and bool(np.array_equal(other._a, self._a))
-        )
-
-    def __repr__(self) -> str:
-        return f"FpMatrix({self.to_rows()}, p={self.p})"
 
 
-def _rref(a: np.ndarray, p: int) -> List[int]:
-    """Reduced row echelon form of `a` (entries in [0, p)) in place, with
-    zero rows below; returns the pivot column list.
+def _rref(a: np.ndarray, p: int) -> Tuple[List[int], np.ndarray]:
+    """Pivot columns and reduced echelon basis (rank x cols) of the rows of
+    `a` over F_p. `a` is only read: its entries may lie outside [0, p), and
+    the nonzeros that vanish mod p are skipped.
 
     The sparse elimination of the module docstring: rows are {column: value}
     dicts, and a column -> pivots index finds the basis rows that hold a new
     pivot's column without scanning every row.
     """
     ri, ci = np.nonzero(a)
-    cols, vals = ci.tolist(), a[ri, ci].tolist()
+    vals = a[ri, ci] % p
+    hit = vals != 0
+    ri, cols, vals = ri[hit], ci[hit].tolist(), vals[hit].tolist()
     ends = np.cumsum(np.bincount(ri)).tolist()
     basis: Dict[int, Dict[int, int]] = {}  # pivot -> row off the pivot
     holders: Dict[int, Set[int]] = {}  # free column -> pivots holding it
@@ -178,9 +133,9 @@ def _rref(a: np.ndarray, p: int) -> List[int]:
     rows = [{c: 1, **basis[c]} for c in pivots]
     at_r = [i for i, row in enumerate(rows) for _ in row]
     at_c = [k for row in rows for k in row]
-    a.fill(0)
-    a[at_r, at_c] = [v for row in rows for v in row.values()]
-    return pivots
+    out = np.zeros((len(pivots), a.shape[1]), dtype=np.int64)
+    out[at_r, at_c] = [v for row in rows for v in row.values()]
+    return pivots, out
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -199,34 +154,25 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (prod % p).astype(np.int64, copy=False)
 
 
-def rref(m: FpMatrix):
-    """Reduced row echelon form. Returns (matrix, pivot column indices)."""
-    a = m.numpy()
-    pivots = _rref(a, m.p)
-    return FpMatrix.from_numpy(a, m.p), pivots
+def rref(m: FpMatrix) -> Tuple[np.ndarray, List[int]]:
+    """Reduced row echelon form of m, an array of m's shape with zero rows
+    below, and its pivot column indices."""
+    pivots, rows = _rref(m._a, m.p)
+    return np.pad(rows, [(0, m.rows - len(pivots)), (0, 0)]), pivots
 
 
 class RowSpace:
     """The span of some vectors in F_p^dim, held as its reduced echelon basis.
 
-    Zero vectors are dropped before elimination. `rows` are sorted by pivot
-    column, so two spanning sets of one space give equal `rows`.
+    The vectors are only read, and their entries may lie outside [0, p).
+    `rows` are sorted by pivot column, so two spanning sets of one space
+    give equal `rows`.
     """
 
     def __init__(self, vectors, p: int, dim: int):
-        # One working copy beside the caller's array: the rows kept, reduced
-        # in place, or the reduction itself when no row is dropped. A row
-        # that vanishes only mod p is kept and ends below the basis.
-        a = np.asarray(vectors, dtype=np.int64).reshape(len(vectors), dim)
-        nonzero = a.any(axis=1)
-        if nonzero.all():
-            a = a % p
-        else:
-            a = a[nonzero]
-            a %= p
         self.p = p
-        self.pivots = _rref(a, p)
-        self.rows = a[: len(self.pivots)]
+        a = np.asarray(vectors, dtype=np.int64).reshape(len(vectors), dim)
+        self.pivots, self.rows = _rref(a, p)
 
     def contains(self, v):
         """Whether v lies in the space; one bool per vector for a stack."""
@@ -243,8 +189,8 @@ def rank(m: FpMatrix) -> int:
     return len(RowSpace(m._a, m.p, m.cols).pivots)
 
 
-def kernel_basis(m: FpMatrix) -> List[List[int]]:
-    """A basis of the right null space of m, one vector per free column.
+def kernel_basis(m: FpMatrix) -> np.ndarray:
+    """A basis of the right null space of m, one row per free column.
 
     Basis vectors are indexed by the free columns in ascending order; each
     has a 1 in its free coordinate. Every vector is re-verified by exact
@@ -252,26 +198,24 @@ def kernel_basis(m: FpMatrix) -> List[List[int]]:
     """
     p = m.p
     space = RowSpace(m._a, p, m.cols)
-    is_free = np.ones(m.cols, dtype=bool)
-    is_free[space.pivots] = False
-    free = np.flatnonzero(is_free)
+    free = np.setdiff1d(np.arange(m.cols), space.pivots)
     basis = np.zeros((len(free), m.cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, space.pivots] = (-space.rows[:, free].T) % p
     if _mulmod(m._a, basis.T, p).any():
         raise AssertionError("kernel vector failed substitution check")
-    return basis.tolist()
+    return basis
 
 
-def solve(m: FpMatrix, rhs: Sequence[int]) -> Optional[List[int]]:
-    """Some x with m.x = rhs, or None.
+def solve(m: FpMatrix, rhs: Sequence[int]) -> Optional[np.ndarray]:
+    """Some x with m.x = rhs, as an int64 array, or None.
 
     Free variables are set to zero, so the result is the lexicographically
     first pivot solution. A returned x is verified by substitution.
     """
     if len(rhs) != m.rows:
         raise DimensionMismatch(f"rhs length {len(rhs)} != {m.rows} rows")
-    b = np.array(rhs, dtype=np.int64)
+    b = np.asarray(rhs, dtype=np.int64)
     space = RowSpace(np.column_stack([m._a, b]), m.p, m.cols + 1)
     if m.cols in space.pivots:
         return None
@@ -279,4 +223,4 @@ def solve(m: FpMatrix, rhs: Sequence[int]) -> Optional[List[int]]:
     x[space.pivots] = space.rows[:, m.cols]
     if np.any((_mulmod(m._a, x, m.p) - b) % m.p):
         raise AssertionError("solve result failed substitution check")
-    return x.tolist()
+    return x

@@ -469,6 +469,27 @@ def _f_multiples(flat: ModuleFlat, rows: np.ndarray) -> fp_linalg.RowSpace:
     return fp_linalg.RowSpace(_t_multiples(flat, rows, 1), flat.ctx.base.p, flat.dim)
 
 
+def _generated_span(
+    generators: Sequence[Sequence[SkewPoly]], k: int, headroom: int
+) -> Tuple[ModuleFlat, fp_linalg.RowSpace]:
+    """Coordinates on a slab of F-degree k + gmax + 2 + headroom (gmax the
+    largest generator degree), and the span of the generator tuples up to
+    F-degree k + gmax + 2 in it. The context window must admit the slab."""
+    if not generators:
+        raise ValueError("need at least one generator tuple")
+    ctx = generators[0][0].ctx
+    gmax = max(
+        max((poly.xdegree() for poly in g), default=0) for g in generators
+    )
+    span_deg = k + gmax + 2
+    fbound = span_deg + headroom
+    if ctx.window < fbound:
+        raise ValueError(f"context window {ctx.window} < required {fbound}")
+    flat = ModuleFlat(ctx, len(generators[0]), fbound)
+    rows = [flat.to_vec(g) for g in generators]
+    return flat, module_span(flat, rows, maxdeg=span_deg)
+
+
 @dataclass
 class FiltrationReport:
     k_checked: List[int]
@@ -493,21 +514,9 @@ def filtration_identity_check(
     filtration of the span of A F * (basis of M); the right side comes from
     the low-degree part of M.
     """
-    if not generators:
-        raise ValueError("need at least one generator tuple")
-    ctx = generators[0][0].ctx
-    ncomp = len(generators[0])
-    gmax = max(
-        max((poly.xdegree() for poly in g), default=0) for g in generators
-    )
     # M is generated to degree B with two units of slack above k_max; JM
     # products then reach B + 1, which the slab and window must admit.
-    bspan = k_max + gmax + 2
-    if ctx.window < bspan + 1:
-        raise ValueError(f"context window {ctx.window} < required {bspan + 1}")
-    flat = ModuleFlat(ctx, ncomp, bspan + 1)
-
-    m_span = module_span(flat, [flat.to_vec(g) for g in generators], maxdeg=bspan)
+    flat, m_span = _generated_span(generators, k_max, 1)
 
     # J M = A F M: loss-free products t^a F * m over a spanning set of M.
     jm = _f_multiples(flat, m_span.rows)
@@ -527,18 +536,7 @@ def mjm_degree_detect(
 ) -> int:
     """Smallest d <= bound such that R * M^{<=d} covers every filtration
     piece M^{<=k} for k <= bound; bound+1 signals not detected."""
-    if not generators:
-        raise ValueError("need at least one generator tuple")
-    ctx = generators[0][0].ctx
-    ncomp = len(generators[0])
-    gmax = max(
-        max((poly.xdegree() for poly in g), default=0) for g in generators
-    )
-    fbound = bound + gmax + 2
-    if ctx.window < fbound:
-        raise ValueError(f"context window {ctx.window} < required {fbound}")
-    flat = ModuleFlat(ctx, ncomp, fbound)
-    m_span = module_span(flat, [flat.to_vec(g) for g in generators], maxdeg=fbound)
+    flat, m_span = _generated_span(generators, bound, 0)
     # The pieces M^{<=k} are nested, so covering the top one covers them all.
     top = m_span.low_part(flat.low_cut(bound))
     for d in range(bound + 1):

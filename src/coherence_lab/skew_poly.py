@@ -530,13 +530,11 @@ def ideal_membership_bounded(
         if not block:
             return NOT_IN_IDEAL_AT_BOUND
         mat = _block_matrix(coords, flats, block, SkewPoly(ctx, components[deg]))
-        sol = fp_linalg.solve(
-            fp_linalg.FpMatrix.from_numpy(mat[:, :-1], p), mat[:, -1].tolist()
-        )
+        sol = fp_linalg.solve(fp_linalg.FpMatrix(mat[:, :-1], p), mat[:, -1])
         if sol is None:
             return NOT_IN_IDEAL_AT_BOUND
         keys += block
-        values += sol
+        values += sol.tolist()
     lams = _coefficients(ctx, len(generators), keys, values)
     if _combination(lams, generators) != elem:
         raise AssertionError("membership certificate failed re-multiplication")
@@ -571,9 +569,7 @@ def syzygy_bounded(
         keys = _block_keys(generators, xbounds, deg, monos, support)
         if not keys:
             continue
-        mat = fp_linalg.FpMatrix.from_numpy(
-            _block_matrix(coords, flats, keys), ctx.base.p
-        )
+        mat = fp_linalg.FpMatrix(_block_matrix(coords, flats, keys), ctx.base.p)
         for kvec in fp_linalg.kernel_basis(mat):
             lams = _coefficients(ctx, len(generators), keys, kvec)
             if not _combination(lams, generators).is_zero():

@@ -213,6 +213,25 @@ def test_coset_rep_check_rejects_colliding_representatives(u3f3):
     assert rep.ok and not dataclasses.replace(rep, coset_reps_ok=False).ok
 
 
+def test_coset_reps_left_and_right_transversals_agree():
+    # coset_rep_check takes the least element of every right coset Ka of K
+    # in gG1g^-1; those of the left cosets aK form the same set (its
+    # docstring says why), also where the two partitions differ.
+    differ = 0
+    for p, a in ((2, 1), (3, 1), (2, 2)):
+        G = FiniteGroup(p, a)
+        subs = _selector_subgroups(G).values()
+        for H in subs:
+            for G1 in subs:
+                for _, conj, K in fg._decompose(G, H, FinModule.trivial(G1, p)):
+                    L = conj.subgroup.elements
+                    right = fg._orbits(G, L, left=K.generators)
+                    left = fg._orbits(G, L, right=K.generators)
+                    assert right[0] == left[0]
+                    differ += right[1] != left[1]
+    assert differ
+
+
 def test_decompose_pieces_match_products(u3f2, u3f3):
     # Every piece is (g, M conjugated by g, gG1g^-1 cap H), g running over
     # the double-coset representatives in ascending order.
@@ -262,7 +281,7 @@ def test_induction_transitive(u3f3):
             col += d
     from coherence_lab import fp_linalg
 
-    assert fp_linalg.rank(fp_linalg.FpMatrix.from_numpy(phi, p)) == direct.dim
+    assert fp_linalg.rank(fp_linalg.FpMatrix(phi, p)) == direct.dim
     for g in full.generators:
         lhs = (direct.action_of(g) @ phi) % p
         rhs = (phi @ outer.action_of(g)) % p
@@ -525,9 +544,7 @@ def _dense_mackey(G, H, G1, module):
         if not np.array_equal((lhs @ psi) % p, (psi @ rhs) % p):
             equivariant = False
             break
-    bijective = lhs_dim == rhs_dim and fp_linalg.rank(
-        fp_linalg.FpMatrix.from_numpy(psi, p)
-    ) == lhs_dim
+    bijective = lhs_dim == rhs_dim and fp_linalg.rank(fp_linalg.FpMatrix(psi, p)) == lhs_dim
     return fg.MackeyReport(
         lhs_dim=lhs_dim,
         rhs_dim=rhs_dim,
@@ -574,7 +591,7 @@ def _random_block(rng, p, d, kind):
         return (u @ rng.integers(0, p, size=(1, d))) % p
     while True:
         b = rng.integers(0, p, size=(d, d))
-        if fp_linalg.rank(fp_linalg.FpMatrix.from_numpy(b, p)) == d:
+        if fp_linalg.rank(fp_linalg.FpMatrix(b, p)) == d:
             return b
 
 
@@ -639,7 +656,7 @@ def test_block_predicates_match_dense_products_and_rank(p, d):
         dense_eq = np.array_equal((L @ P) % p, (P @ R) % p)
         assert fg._intertwines(left, psi, right, p) == dense_eq
         outcomes["intertwines"].add(dense_eq)
-        dense_bij = fp_linalg.rank(fp_linalg.FpMatrix.from_numpy(P, p)) == n * d
+        dense_bij = fp_linalg.rank(fp_linalg.FpMatrix(P, p)) == n * d
         assert fg._bijective(psi, n, p) == dense_bij
         outcomes["bijective"].add(dense_bij)
         # More column blocks than row blocks is never bijective.

@@ -14,43 +14,44 @@ from coherence_lab.fp_linalg import FpMatrix
 
 
 def test_kernel_zero_matrix():
-    assert len(fl.kernel_basis(FpMatrix.zeros(2, 3, 2))) == 3
+    basis = fl.kernel_basis(FpMatrix(np.zeros((2, 3), dtype=np.int64), 2))
+    assert basis.tolist() == np.eye(3, dtype=np.int64).tolist()
 
 
 def test_kernel_identity():
-    assert fl.kernel_basis(FpMatrix.identity(4, 3)) == []
+    assert fl.kernel_basis(FpMatrix(np.eye(4, dtype=np.int64), 3)).shape == (0, 4)
 
 
 def test_kernel_f3_example():
     # All 9 vectors over F_3 were enumerated by hand: the null space of
     # [1 2] is spanned by (1, 1) since 1 + 2 = 0 mod 3.
-    basis = fl.kernel_basis(FpMatrix.from_rows([[1, 2]], 3))
+    basis = fl.kernel_basis(FpMatrix([[1, 2]], 3)).tolist()
     assert len(basis) == 1
     v = basis[0]
     assert v in ([1, 1], [2, 2])
 
 
 def test_solve_identity():
-    m = FpMatrix.identity(2, 3)
-    assert fl.solve(m, [1, 0]) == [1, 0]
+    m = FpMatrix(np.eye(2, dtype=np.int64), 3)
+    assert fl.solve(m, [1, 0]).tolist() == [1, 0]
 
 
 def test_solve_tie_break_lexicographic():
-    assert fl.solve(FpMatrix.from_rows([[1, 1]], 2), [1]) == [1, 0]
+    assert fl.solve(FpMatrix([[1, 1]], 2), [1]).tolist() == [1, 0]
 
 
 def test_solve_no_solution():
-    assert fl.solve(FpMatrix.from_rows([[0, 0]], 2), [1]) is None
+    assert fl.solve(FpMatrix([[0, 0]], 2), [1]) is None
 
 
 def test_solve_rhs_length():
     with pytest.raises(fl.DimensionMismatch):
-        fl.solve(FpMatrix.identity(2, 2), [1, 0, 0])
+        fl.solve(FpMatrix(np.eye(2, dtype=np.int64), 2), [1, 0, 0])
 
 
 def test_prime_check():
     with pytest.raises(ValueError):
-        FpMatrix.zeros(1, 1, 4)
+        FpMatrix([[0]], 4)
     assert fl.is_prime(2) and fl.is_prime(13)
     assert not any(fl.is_prime(n) for n in (0, 1, 4, 9))
     # Miller-Rabin range: sympy's isprime as the oracle, plus pseudoprimes.
@@ -73,16 +74,13 @@ def test_solve_inverts_random_invertible():
         for _ in range(30):
             n = rng.randint(1, 6)
             while True:
-                m = FpMatrix.from_rows(
-                    [[rng.randrange(p) for _ in range(n)] for _ in range(n)], p
-                )
+                data = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+                m = FpMatrix(data, p)
                 if fl.rank(m) == n:
                     break
             x = [rng.randrange(p) for _ in range(n)]
-            rhs = [
-                sum(m.entry(i, j) * x[j] for j in range(n)) % p for i in range(n)
-            ]
-            assert fl.solve(m, rhs) == x
+            rhs = [sum(data[i][j] * x[j] for j in range(n)) % p for i in range(n)]
+            assert fl.solve(m, rhs).tolist() == x
 
 
 def _rref_reference(rows, p):
@@ -117,9 +115,9 @@ def test_rref_matches_independent_reference():
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
             data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-            got, got_piv = fl.rref(FpMatrix.from_rows(data, p))
+            got, got_piv = fl.rref(FpMatrix(data, p))
             want, want_piv = _rref_reference(data, p)
-            assert got.to_rows() == want
+            assert got.tolist() == want
             assert got_piv == want_piv
 
 
@@ -129,14 +127,13 @@ def test_rank_nullity_and_kernel_substitution():
         for _ in range(40):
             rows = rng.randint(1, 7)
             cols = rng.randint(1, 7)
-            m = FpMatrix.from_rows(
-                [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], p
-            )
-            basis = fl.kernel_basis(m)
+            data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+            m = FpMatrix(data, p)
+            basis = fl.kernel_basis(m).tolist()
             assert fl.rank(m) + len(basis) == cols
             for v in basis:
                 for i in range(rows):
-                    assert sum(m.entry(i, j) * v[j] for j in range(cols)) % p == 0
+                    assert sum(data[i][j] * v[j] for j in range(cols)) % p == 0
 
 
 # Independent oracle: sympy's DomainMatrix over GF(p).
@@ -171,14 +168,14 @@ def test_rank_rref_kernel_match_sympy():
         for _ in range(40):
             nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
             data = _random_rows(rng, p, nrows, ncols)
-            m = FpMatrix.from_rows(data, p)
+            m = FpMatrix(data, p)
             oracle = _sympy_matrix(data, p, ncols)
             assert fl.rank(m) == oracle.rank()
             red, pivots = fl.rref(m)
             want, want_pivots = oracle.rref()
-            assert red.to_rows() == _ints(want, p)
+            assert red.tolist() == _ints(want, p)
             assert tuple(pivots) == tuple(want_pivots)
-            basis = fl.kernel_basis(m)
+            basis = fl.kernel_basis(m).tolist()
             nullity = oracle.nullspace().shape[0]
             assert len(basis) == nullity
             if basis:
@@ -213,19 +210,37 @@ def test_rowspace_rows_independent_of_spanning_set():
             assert rows_a == want
 
 
-def test_rowspace_leaves_the_input_alone():
-    # Entries outside [0, p), with and without rows that vanish mod p: the
-    # caller's array is never written, and zero rows do not change the space.
+def test_rowspace_leaves_the_input_alone(monkeypatch):
+    # Entries outside [0, p), with and without rows that vanish mod p: no
+    # caller's array is written, zero rows do not change the space, no result
+    # shares memory with an input, and RowSpace eliminates the caller's array
+    # itself, a transposed slice included, rather than a copy of it.
     p = 5
     full = np.array([[7, -3, 0, 12], [1, 2, 3, 4], [-1, 8, 2, 0]], dtype=np.int64)
     padded = np.array([[5, -10, 0, 15], *full, [0, 0, 0, 0]], dtype=np.int64)
     want = fl.RowSpace(full.tolist(), p, 4).rows.tolist()
+    seen = []
+    real = fl._rref
+    monkeypatch.setattr(fl, "_rref", lambda a, p: seen.append(a) or real(a, p))
     for a in (full, padded):
-        before = a.copy()
+        rhs = 3 * a[:, 0] - a[:, 2]  # m x = rhs for x = (3, 0, -1, 0)
+        before, rhs_before = a.copy(), rhs.copy()
         space = fl.RowSpace(a, p, 4)
-        assert np.array_equal(a, before)
-        assert space.rows.tolist() == want
-        assert not np.shares_memory(space.rows, a)
+        assert np.shares_memory(seen[-1], a)
+        fl.RowSpace(a[:, :3].T, p, len(a))
+        assert np.shares_memory(seen[-1], a)
+        m = FpMatrix(a, p)
+        reduced = m._a.copy()
+        red, pivots = fl.rref(m)
+        basis = fl.kernel_basis(m)
+        x = fl.solve(m, rhs)
+        assert np.array_equal(a, before) and np.array_equal(rhs, rhs_before)
+        assert np.array_equal(m._a, reduced)
+        assert space.rows.tolist() == want == red[: len(pivots)].tolist()
+        assert not ((a @ basis.T) % p).any()
+        assert not ((a @ x - rhs) % p).any()
+        for out in (space.rows, red, basis, x):
+            assert not any(np.shares_memory(out, b) for b in (a, m._a, rhs))
 
 
 def test_rowspace_contains_stack_matches_rank():
@@ -239,8 +254,8 @@ def test_rowspace_contains_stack_matches_rank():
             coeffs = [rng.randrange(p) for _ in a]
             stack.append([sum(c * r[j] for c, r in zip(coeffs, a)) % p for j in range(dim)])
             stack.append([0] * dim)
-            base = fl.rank(FpMatrix.from_rows(a, p))
-            want = [fl.rank(FpMatrix.from_rows(a + [v], p)) == base for v in stack]
+            base = fl.rank(FpMatrix(a, p))
+            want = [fl.rank(FpMatrix(a + [v], p)) == base for v in stack]
             assert space.contains(stack).tolist() == want
             assert [bool(space.contains(v)) for v in stack] == want
             assert want[-2] and want[-1]
@@ -338,22 +353,27 @@ def _sympy_rref(a, p):
 
 
 def _check_rref(a, p):
-    """_rref on a reduced array equals the dense reference and sympy."""
-    got = a.copy()
-    pivots = fl._rref(got, p)
-    want = a.copy()
+    """_rref on an array with entries in any range leaves it alone, and its
+    basis equals the nonzero rows of the dense reference and of sympy, both
+    run on the array reduced into [0, p)."""
+    before = a.copy()
+    pivots, got = fl._rref(a, p)
+    assert np.array_equal(a, before)
+    assert got.shape == (len(pivots), a.shape[1])
+    want = a % p
     assert pivots == fp_reference.rref(want, p)
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, want[: len(pivots)])
     if a.size:
-        red, sym_pivots = _sympy_rref(a, p)
+        red, sym_pivots = _sympy_rref(a % p, p)
         assert pivots == sym_pivots
-        assert np.array_equal(got, red)
+        assert np.array_equal(got, red[: len(pivots)])
     return got, pivots
 
 
 def _sparse_structured(rng, p, nrows, ncols):
-    """Unreduced rows with 1-4 nonzeros, duplicates, combinations of two
-    earlier rows, and rows of multiples of p, which vanish only mod p."""
+    """Unreduced rows with 1-4 nonzeros (negative ones among them), zero
+    rows, duplicates, combinations of two earlier rows, and rows of multiples
+    of p, which vanish only mod p."""
     rows = []
     for _ in range(nrows):
         roll = rng.random()
@@ -367,6 +387,8 @@ def _sparse_structured(rng, p, nrows, ncols):
         elif ncols and roll < 0.5:
             for _ in range(rng.randint(1, 4)):
                 row[rng.randrange(ncols)] = p * rng.choice((-2, -1, 1, 2))
+        elif ncols and roll > 0.9:
+            pass  # a zero row
         elif ncols:
             for _ in range(rng.randint(1, 4)):
                 row[rng.randrange(ncols)] = rng.randrange(1, p) + p * rng.randint(-1, 1)
@@ -379,21 +401,22 @@ def test_sparse_rref_matches_dense_reference_and_sympy(p):
     rng = random.Random(p)
     shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 3), (2, 15), (15, 2), (24, 9), (9, 24), (40, 40)]
     for nrows, ncols in shapes:
-        assert fl._rref(np.zeros((nrows, ncols), dtype=np.int64), p) == []
+        _check_rref(np.zeros((nrows, ncols), dtype=np.int64), p)
         for _ in range(12 if ncols else 1):
             raw = _sparse_structured(rng, p, nrows, ncols)
-            got, pivots = _check_rref(raw % p, p)
-            # RowSpace drops rows that are zero as given and keeps those
-            # that vanish only mod p; the space is the same.
+            got, pivots = _check_rref(raw, p)
             space = fl.RowSpace(raw, p, ncols)
             assert space.pivots == pivots
-            assert np.array_equal(space.rows, got[: len(pivots)])
+            assert np.array_equal(space.rows, got)
 
 
 def test_sparse_rref_on_verify_skew_blocks(monkeypatch):
     # Every elimination input of the relation check at (2,8,4,3): the
     # per-degree syzygy blocks and the span(S) blocks, as `_assemble` builds
-    # them, and the membership solves.
+    # them, and the membership solves. `RowSpace` hands its input to `_rref`
+    # uncopied, so the S multiples that flatten to zero arrive as zero rows:
+    # the largest span(S) block is 792 x 356 with 165 of them (627 x 356
+    # when they were dropped first).
     seen = []
     real = fl._rref
 
@@ -406,7 +429,8 @@ def test_sparse_rref_on_verify_skew_blocks(monkeypatch):
     monkeypatch.undo()
     assert report.ok and report.interior_checked == 222
     assert len(seen) == 18
-    assert max(a.shape for a, _ in seen) == (627, 356)
+    assert max(a.shape for a, _ in seen) == (792, 356)
+    assert max((~a.any(axis=1)).sum() for a, _ in seen) == 165
     for a, p in seen:
         _check_rref(a, p)
 
@@ -421,7 +445,7 @@ def test_large_prime_kernel_and_membership_exact():
         space = fl.RowSpace(data, p, 6)
         assert space.pivots == pivots
         assert space.rows.tolist() == want[: len(pivots)]
-        basis = fl.kernel_basis(FpMatrix.from_rows(data, p))
+        basis = fl.kernel_basis(FpMatrix(data, p)).tolist()
         assert len(basis) == 6 - len(pivots)
         assert _python_mulmod(data, [list(c) for c in zip(*basis)], p) == [
             [0] * len(basis) for _ in data

@@ -235,6 +235,25 @@ def test_mjm_degree_examples():
     assert sc.mjm_degree_detect([(t,), (F,)], 4) == 1
 
 
+def test_one_var_checks_refuse_at_the_window_bound():
+    # The slab is k + gmax + 2 F-degrees, one more for the filtration check;
+    # a window one short of it is refused with the slab in the message.
+    for check, gens, need in (
+        (sc.filtration_identity_check, lambda t, F: [(t, F)], 8),
+        (sc.mjm_degree_detect, lambda t, F: [(t,)], 6),
+    ):
+        for window in (need - 1, need):
+            ctx, t, F = _one_var(window=window)
+            if window < need:
+                with pytest.raises(ValueError) as err:
+                    check(gens(t, F), 4)
+                assert str(err.value) == f"context window {window} < required {need}"
+            else:
+                check(gens(t, F), 4)
+        with pytest.raises(ValueError, match="^need at least one generator tuple$"):
+            check([], 4)
+
+
 def _random_one_var(rng, ctx, maxdeg, emax=None):
     """A random polynomial with F-degrees at most maxdeg and t-exponents
     below emax (default: the whole slab)."""
