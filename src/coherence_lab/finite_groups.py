@@ -589,7 +589,8 @@ def augmentation_basis(G: FiniteGroup, H: Subgroup, p: int) -> List[List[int]]:
             v[G.mul(g, h)] += 1
             v[g] -= 1
             rows.append(v)
-    return fp_linalg.RowSpace(rows, p, G.order).rows.tolist()
+    a = np.array(rows, dtype=np.int64).reshape(-1, G.order)
+    return fp_linalg.RowSpace(fp_linalg.FpMatrix(a, p)).rows.tolist()
 
 
 def random_unipotent_module(

@@ -1,23 +1,28 @@
 """Exact linear algebra over the prime field F_p.
 
-Matrices are numpy int64 arrays. All arithmetic is exact. Matrix products
-go through `_mulmod`, which runs them as float64 (BLAS) products whenever
-every exact sum of products stays below 2^53, so float64 only ever carries
-exact integers, and on Python ints (object arrays) beyond that.
+A matrix is an `FpMatrix`: its shape, p, and its nonzero entries as
+parallel row, column and value arrays, row-major, with values in [1, p).
+It is built from a dense array (`FpMatrix.dense`, one `np.nonzero` scan) or
+from entries (`FpMatrix.entries`), as the skew layer's assembler makes
+them, so a sparse system is never held as a dense array. All arithmetic is
+exact. Dense products go through `_mulmod`, which runs them as float64
+(BLAS) products whenever every exact sum of products stays below 2^53, so
+float64 only ever carries exact integers, and on Python ints (object
+arrays) beyond that; products of an `FpMatrix` with a dense array run on
+its entries (`_entries_mulmod`).
 
-Elimination is sparse: `_rref` only reads its input, takes each row's
-nonzero entries reduced mod p (skipping those that vanish) into a dict and
-works on Python ints, so it is exact for every p. Each row is reduced
+Elimination is sparse: `_rref` reads the entries of each row into a dict
+and works on Python ints, so it is exact for every p. Each row is reduced
 against the basis so far, and its smallest remaining column becomes a new
 pivot, which is then cleared from the earlier basis rows. The basis is
 fully reduced after every row, so at the end it is the reduced row echelon
-form, which `_rref` returns as a new array. That form is unique for a row
-space, so every computed basis and every solution is deterministic and
+form, which `_rref` returns as a new dense array. That form is unique for a
+row space, so every computed basis and every solution is deterministic and
 independent of the row order. `_rref` is the only elimination loop;
 `RowSpace` wraps it and answers every span question (membership, equality,
-filtration pieces), and rank, kernel and solve are built on it. `FpMatrix`
-and `rref` remain for the benchmark's tracer, which wraps `rref` and reads
-`rows` and `cols` of the `rank` and `kernel_basis` argument.
+filtration pieces), and rank, kernel and solve are built on it. `rref`
+remains for the benchmark's tracer, which wraps it and reads `rows` and
+`cols` of the `rank` and `kernel_basis` argument.
 """
 
 from __future__ import annotations
@@ -70,31 +75,60 @@ def is_prime(p: int) -> bool:
 
 
 class FpMatrix:
-    """A rows x cols matrix over F_p, held as an int64 array reduced into
-    [0, p)."""
+    """A rows x cols matrix over F_p, held as its nonzero entries: parallel
+    int64 arrays `row`, `col` and `val` in row-major order, with values in
+    [1, p) and no (row, col) pair twice.
+
+    `FpMatrix(a, p)` takes the nonzero entries mod p of a 2-D array with
+    entries in any range; `FpMatrix.entries` takes them as index lists.
+    """
 
     def __init__(self, a, p: int):
+        a = np.asarray(a, dtype=np.int64)
+        row, col = np.nonzero(a)
+        self._keep(a.shape, p, row, col, a[row, col])
+
+    @classmethod
+    def entries(cls, row, col, val, shape: Tuple[int, int], p: int) -> "FpMatrix":
+        """The matrix with entry val[i] at (row[i], col[i]), in any order
+        and any range. Raises ValueError if an index lies outside the shape
+        or a (row, col) pair repeats."""
+        row, col, val = (np.asarray(x, dtype=np.int64) for x in (row, col, val))
+        rows, cols = shape
+        if len(row) and not (
+            0 <= row.min() and row.max() < rows and 0 <= col.min() and col.max() < cols
+        ):
+            raise ValueError(f"entry index outside the {rows} x {cols} shape")
+        order = np.lexsort((col, row))
+        row, col = row[order], col[order]
+        if ((row[1:] == row[:-1]) & (col[1:] == col[:-1])).any():
+            raise ValueError("repeated (row, col) entry")
+        m = cls.__new__(cls)
+        m._keep(shape, p, row, col, val[order])
+        return m
+
+    def _keep(self, shape, p: int, row, col, val) -> None:
+        """Store the row-major entries whose values do not vanish mod p."""
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        self._a = np.asarray(a, dtype=np.int64) % p
-        self.rows, self.cols = self._a.shape
+        self.rows, self.cols = shape
         self.p = p
+        val = val % p
+        hit = val != 0
+        self.row, self.col, self.val = row[hit], col[hit], val[hit]
 
 
-def _rref(a: np.ndarray, p: int) -> Tuple[List[int], np.ndarray]:
+def _rref(m: FpMatrix) -> Tuple[List[int], np.ndarray]:
     """Pivot columns and reduced echelon basis (rank x cols) of the rows of
-    `a` over F_p. `a` is only read: its entries may lie outside [0, p), and
-    the nonzeros that vanish mod p are skipped.
+    m over F_p.
 
     The sparse elimination of the module docstring: rows are {column: value}
     dicts, and a column -> pivots index finds the basis rows that hold a new
     pivot's column without scanning every row.
     """
-    ri, ci = np.nonzero(a)
-    vals = a[ri, ci] % p
-    hit = vals != 0
-    ri, cols, vals = ri[hit], ci[hit].tolist(), vals[hit].tolist()
-    ends = np.cumsum(np.bincount(ri)).tolist()
+    p = m.p
+    cols, vals = m.col.tolist(), m.val.tolist()
+    ends = np.cumsum(np.bincount(m.row)).tolist()
     basis: Dict[int, Dict[int, int]] = {}  # pivot -> row off the pivot
     holders: Dict[int, Set[int]] = {}  # free column -> pivots holding it
     start = 0
@@ -133,9 +167,17 @@ def _rref(a: np.ndarray, p: int) -> Tuple[List[int], np.ndarray]:
     rows = [{c: 1, **basis[c]} for c in pivots]
     at_r = [i for i, row in enumerate(rows) for _ in row]
     at_c = [k for row in rows for k in row]
-    out = np.zeros((len(pivots), a.shape[1]), dtype=np.int64)
+    out = np.zeros((len(pivots), m.cols), dtype=np.int64)
     out[at_r, at_c] = [v for row in rows for v in row.values()]
     return pivots, out
+
+
+# Cells of a product tile: `_entries_mulmod` takes at most this many
+# products at once, and `RowSpace.contains` densifies and multiplies its
+# query in tiles of about this many cells, never fewer than _SIDE rows or
+# columns at a time.
+_TILE = 1 << 16
+_SIDE = 1 << 8
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -154,30 +196,68 @@ def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (prod % p).astype(np.int64, copy=False)
 
 
+def _entries_mulmod(m: FpMatrix, b: np.ndarray) -> np.ndarray:
+    """m @ b mod p on the entries of m, for b (m.cols x k) with entries in
+    [0, p), taken in column tiles of b of at most _TILE products.
+
+    Each product is reduced mod p before the row sums. Products run in int64
+    while (p - 1)^2 fits in it and on Python ints beyond; a row sum of
+    reduced products could only wrap int64 past 2^63 / p > 3 * 10^9 terms.
+    """
+    p = m.p
+    kind = np.int64 if (p - 1) ** 2 < 2**63 else object
+    out = np.zeros((m.rows, b.shape[1]), dtype=np.int64)
+    starts = np.flatnonzero(np.diff(m.row, prepend=-1))
+    if not len(starts):
+        return out
+    val = m.val.astype(kind)[:, None]
+    step = max(1, _TILE // len(val))
+    for j in range(0, b.shape[1], step):
+        prod = val * b[m.col, j : j + step].astype(kind) % p
+        out[m.row[starts], j : j + step] = np.add.reduceat(prod, starts) % p
+    return out
+
+
 def rref(m: FpMatrix) -> Tuple[np.ndarray, List[int]]:
     """Reduced row echelon form of m, an array of m's shape with zero rows
     below, and its pivot column indices."""
-    pivots, rows = _rref(m._a, m.p)
+    pivots, rows = _rref(m)
     return np.pad(rows, [(0, m.rows - len(pivots)), (0, 0)]), pivots
 
 
 class RowSpace:
-    """The span of some vectors in F_p^dim, held as its reduced echelon basis.
+    """The span of the rows of an `FpMatrix`, held as its reduced echelon
+    basis.
 
-    The vectors are only read, and their entries may lie outside [0, p).
     `rows` are sorted by pivot column, so two spanning sets of one space
     give equal `rows`.
     """
 
-    def __init__(self, vectors, p: int, dim: int):
-        self.p = p
-        a = np.asarray(vectors, dtype=np.int64).reshape(len(vectors), dim)
-        self.pivots, self.rows = _rref(a, p)
+    def __init__(self, m: FpMatrix):
+        self.p = m.p
+        self.pivots, self.rows = _rref(m)
 
-    def contains(self, v):
-        """Whether v lies in the space; one bool per vector for a stack."""
-        w = np.asarray(v, dtype=np.int64) % self.p
-        return ~(w - _mulmod(w[..., self.pivots], self.rows, self.p)).any(axis=-1)
+    def contains(self, q: FpMatrix) -> np.ndarray:
+        """Whether each row of q lies in the space, as a bool array.
+
+        A row w lies in it iff w = w[pivots] . rows. The rows of q are
+        densified, and the basis multiplied, one tile at a time, so neither
+        is ever copied whole.
+        """
+        p, dim = self.p, self.rows.shape[1]
+        if q.cols != dim:
+            raise DimensionMismatch(f"query width {q.cols} != dimension {dim}")
+        step = max(_SIDE, _TILE // max(dim, 1))
+        out = np.ones(q.rows, dtype=bool)
+        for i in range(0, q.rows, step):
+            lo, hi = np.searchsorted(q.row, [i, i + step])
+            w = np.zeros((min(step, q.rows - i), dim), dtype=np.int64)
+            w[q.row[lo:hi] - i, q.col[lo:hi]] = q.val[lo:hi]
+            head = w[:, self.pivots]
+            for j in range(0, dim, step):
+                prod = _mulmod(head, self.rows[:, j : j + step], p)
+                out[i : i + step] &= ~(w[:, j : j + step] - prod).any(axis=1)
+        return out
 
     def low_part(self, cut: int) -> np.ndarray:
         """The rows with no support before coordinate cut: a basis of the
@@ -186,7 +266,7 @@ class RowSpace:
 
 
 def rank(m: FpMatrix) -> int:
-    return len(RowSpace(m._a, m.p, m.cols).pivots)
+    return len(_rref(m)[0])
 
 
 def kernel_basis(m: FpMatrix) -> np.ndarray:
@@ -197,12 +277,12 @@ def kernel_basis(m: FpMatrix) -> np.ndarray:
     substitution before being returned.
     """
     p = m.p
-    space = RowSpace(m._a, p, m.cols)
+    space = RowSpace(m)
     free = np.setdiff1d(np.arange(m.cols), space.pivots)
     basis = np.zeros((len(free), m.cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, space.pivots] = (-space.rows[:, free].T) % p
-    if _mulmod(m._a, basis.T, p).any():
+    if _entries_mulmod(m, basis.T).any():
         raise AssertionError("kernel vector failed substitution check")
     return basis
 
@@ -215,12 +295,22 @@ def solve(m: FpMatrix, rhs: Sequence[int]) -> Optional[np.ndarray]:
     """
     if len(rhs) != m.rows:
         raise DimensionMismatch(f"rhs length {len(rhs)} != {m.rows} rows")
-    b = np.asarray(rhs, dtype=np.int64)
-    space = RowSpace(np.column_stack([m._a, b]), m.p, m.cols + 1)
+    p = m.p
+    b = np.asarray(rhs, dtype=np.int64) % p
+    at = np.flatnonzero(b)
+    space = RowSpace(
+        FpMatrix.entries(
+            np.concatenate([m.row, at]),
+            np.concatenate([m.col, np.full(len(at), m.cols)]),
+            np.concatenate([m.val, b[at]]),
+            (m.rows, m.cols + 1),
+            p,
+        )
+    )
     if m.cols in space.pivots:
         return None
     x = np.zeros(m.cols, dtype=np.int64)
     x[space.pivots] = space.rows[:, m.cols]
-    if np.any((_mulmod(m._a, x, m.p) - b) % m.p):
+    if (_entries_mulmod(m, x[:, None])[:, 0] != b).any():
         raise AssertionError("solve result failed substitution check")
     return x

@@ -194,15 +194,24 @@ def verify_relations(
     monos = np.array(_series_monomials(ring), dtype=np.int64)
     for deg in sorted(by_degree):
         pairs = by_degree[deg]
-        mat, _ = _assemble(
+        m, _ = _assemble(
             itertools.chain(
                 _s_multiples(coords, flats, deg, window, monos),
                 map(coords.column, pairs),
+            ),
+            p,
+        )
+        # The columns as rows, an index swap: the S multiples, then the pairs.
+        n = m.cols - len(pairs)
+        s = m.col < n
+        span_s = fp_linalg.RowSpace(
+            fp_linalg.FpMatrix.entries(m.col[s], m.row[s], m.val[s], (n, m.rows), p)
+        )
+        inside = span_s.contains(
+            fp_linalg.FpMatrix.entries(
+                m.col[~s] - n, m.row[~s], m.val[~s], (len(pairs), m.rows), p
             )
         )
-        n = mat.shape[1] - len(pairs)
-        span_s = fp_linalg.RowSpace(mat[:, :n].T, p, mat.shape[0])
-        inside = span_s.contains(mat[:, n:].T)
         report.interior_checked += len(pairs)
         for (lx, ly), ok in zip(pairs, inside):
             if not ok:
@@ -219,12 +228,12 @@ def _s_multiples(
     window: int,
     monos: np.ndarray,
 ) -> Iterator[_Batch]:
-    """The products X^xexp * mono * S_i of total twist degree deg whose twist
-    exponents all stay within the window, one batch of columns per
-    flattened S_i.
+    """The nonzero products X^xexp * mono * S_i of total twist degree deg
+    whose twist exponents all stay within the window, one batch of columns
+    per flattened S_i.
 
     The window is checked on the computed product, since a term can vanish
-    by truncation.
+    by truncation; a product that truncates to nothing spans nothing.
     """
     for t in flats:
         d_i = int(t.x.sum(axis=1).max(initial=-1))
@@ -234,7 +243,7 @@ def _s_multiples(
         a = np.arange(max(0, k - window), min(window, k) + 1)
         xs = np.repeat(np.column_stack([a, k - a]), len(monos), axis=0)
         codes, top = coords.shifted(t, xs, np.tile(monos, (len(a), 1)))
-        yield codes[top <= window], t.coeff
+        yield codes[(top <= window) & (codes >= 0).any(axis=1)], t.coeff
 
 
 def monomial_obstruction(
@@ -461,12 +470,16 @@ def module_span(
         _t_multiples(flat, rows[(degs >= 0) & (degs <= top - j)], j)
         for j in range(top + 1)
     ]
-    return fp_linalg.RowSpace(np.concatenate(vectors), flat.ctx.base.p, flat.dim)
+    return fp_linalg.RowSpace(
+        fp_linalg.FpMatrix(np.concatenate(vectors), flat.ctx.base.p)
+    )
 
 
 def _f_multiples(flat: ModuleFlat, rows: np.ndarray) -> fp_linalg.RowSpace:
     """The span of the loss-free products t^a F * m over the rows m."""
-    return fp_linalg.RowSpace(_t_multiples(flat, rows, 1), flat.ctx.base.p, flat.dim)
+    return fp_linalg.RowSpace(
+        fp_linalg.FpMatrix(_t_multiples(flat, rows, 1), flat.ctx.base.p)
+    )
 
 
 def _generated_span(
@@ -540,6 +553,7 @@ def mjm_degree_detect(
     # The pieces M^{<=k} are nested, so covering the top one covers them all.
     top = m_span.low_part(flat.low_cut(bound))
     for d in range(bound + 1):
-        if module_span(flat, m_span.low_part(flat.low_cut(d))).contains(top).all():
+        span = module_span(flat, m_span.low_part(flat.low_cut(d)))
+        if span.contains(fp_linalg.FpMatrix(top, span.p)).all():
             return d
     return bound + 1

@@ -16,7 +16,8 @@ block at a time. The columns of these blocks, and the multiples of the
 span(S) check of `skew_checks`, never become ring elements: `_Coords`
 flattens each generator once into F_p coordinates, and left multiplication
 by a monomial is an index map on those coordinates (`_Coords.shifted`).
-One sparse assembler, `_assemble`, turns coordinate columns into a matrix.
+One sparse assembler, `_assemble`, turns coordinate columns into the
+entries of an `fp_linalg.FpMatrix`; no block is ever held as a dense array.
 Only the re-verifications multiply ring elements. `FlatSpace`, the dense
 whole-slab indexer, serves as the reference in the tests.
 """
@@ -425,13 +426,16 @@ class _Coords:
         return codes, top
 
 
-def _assemble(batches: Iterable[_Batch]) -> Tuple[np.ndarray, np.ndarray]:
-    """The F_p matrix with one column per row of each batch, and its row
-    codes.
+def _assemble(
+    batches: Iterable[_Batch], p: int
+) -> Tuple[fp_linalg.FpMatrix, np.ndarray]:
+    """The F_p matrix with one column per row of each batch, as its entries,
+    and its row codes.
 
     Rows are the codes that some column reaches, ascending: no zero rows,
     and row order leaves the reduced echelon form, hence every solution,
-    kernel basis and row span, unchanged.
+    kernel basis and row span, unchanged. A column's codes are distinct (the
+    index map of `_Coords.shifted` is injective), so no entry repeats.
     """
     empty = np.zeros(0, dtype=np.int64)
     cols, codes, values = [empty], [empty], [empty]
@@ -443,14 +447,15 @@ def _assemble(batches: Iterable[_Batch]) -> Tuple[np.ndarray, np.ndarray]:
         values.append(np.broadcast_to(v, c.shape)[hit])
         ncols += len(c)
     keys, rows = np.unique(np.concatenate(codes), return_inverse=True)
-    mat = np.zeros((len(keys), ncols), dtype=np.int64)
-    mat[rows, np.concatenate(cols)] = np.concatenate(values)
-    return mat, keys
+    m = fp_linalg.FpMatrix.entries(
+        rows, np.concatenate(cols), np.concatenate(values), (len(keys), ncols), p
+    )
+    return m, keys
 
 
 def _block_matrix(
     coords: _Coords, flats: Sequence[_Terms], keys: Sequence[_Key], *extra: SkewPoly
-) -> np.ndarray:
+) -> fp_linalg.FpMatrix:
     """One column flatten(X^xexp * mono * g_i) per key, shifted from the
     flattened generator flats[i], then one per extra polynomial."""
     batches = []
@@ -460,7 +465,7 @@ def _block_matrix(
         ms = np.array(ms, dtype=np.int64).reshape(-1, coords.nv)
         batches.append((coords.shifted(flats[gi], xs, ms)[0], flats[gi].coeff))
     batches += [coords.column((poly,)) for poly in extra]
-    return _assemble(batches)[0]
+    return _assemble(batches, coords.ctx.base.p)[0]
 
 
 def _coefficients(
@@ -529,8 +534,15 @@ def ideal_membership_bounded(
         block = _block_keys(generators, xbounds, deg, monos)
         if not block:
             return NOT_IN_IDEAL_AT_BOUND
-        mat = _block_matrix(coords, flats, block, SkewPoly(ctx, components[deg]))
-        sol = fp_linalg.solve(fp_linalg.FpMatrix(mat[:, :-1], p), mat[:, -1])
+        m = _block_matrix(coords, flats, block, SkewPoly(ctx, components[deg]))
+        n = len(block)
+        lhs = m.col < n
+        rhs = np.zeros(m.rows, dtype=np.int64)
+        rhs[m.row[~lhs]] = m.val[~lhs]
+        a = fp_linalg.FpMatrix.entries(
+            m.row[lhs], m.col[lhs], m.val[lhs], (m.rows, n), p
+        )
+        sol = fp_linalg.solve(a, rhs)
         if sol is None:
             return NOT_IN_IDEAL_AT_BOUND
         keys += block
@@ -569,7 +581,7 @@ def syzygy_bounded(
         keys = _block_keys(generators, xbounds, deg, monos, support)
         if not keys:
             continue
-        mat = fp_linalg.FpMatrix(_block_matrix(coords, flats, keys), ctx.base.p)
+        mat = _block_matrix(coords, flats, keys)
         for kvec in fp_linalg.kernel_basis(mat):
             lams = _coefficients(ctx, len(generators), keys, kvec)
             if not _combination(lams, generators).is_zero():

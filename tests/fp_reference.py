@@ -1,5 +1,6 @@
 """Dense reference elimination over F_p, kept as a test oracle for the
-sparse `coherence_lab.fp_linalg._rref`.
+sparse `coherence_lab.fp_linalg._rref`, and the dense array of an
+`FpMatrix`'s entries.
 
 `rref` is the column-by-column numpy loop the program used before its
 elimination became sparse: for each column it takes the topmost usable row
@@ -38,3 +39,10 @@ def rref(a: np.ndarray, p: int) -> List[int]:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def dense(m) -> np.ndarray:
+    """The rows x cols int64 array holding the entries of the FpMatrix m."""
+    out = np.zeros((m.rows, m.cols), dtype=np.int64)
+    out[m.row, m.col] = m.val
+    return out

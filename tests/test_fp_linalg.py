@@ -204,43 +204,49 @@ def test_rowspace_rows_independent_of_spanning_set():
             b.append([0] * dim)
             b.append([(x + y) % p for x, y in zip(b[0], b[-2])])
             rng.shuffle(b)
-            rows_a = fl.RowSpace(a, p, dim).rows.tolist()
-            assert fl.RowSpace(b, p, dim).rows.tolist() == rows_a
+            rows_a = fl.RowSpace(FpMatrix(a, p)).rows.tolist()
+            assert fl.RowSpace(FpMatrix(b, p)).rows.tolist() == rows_a
             want = [r for r in _ints(_sympy_matrix(a, p, dim).rref()[0], p) if any(r)]
             assert rows_a == want
 
 
 def test_rowspace_leaves_the_input_alone(monkeypatch):
     # Entries outside [0, p), with and without rows that vanish mod p: no
-    # caller's array is written, zero rows do not change the space, no result
-    # shares memory with an input, and RowSpace eliminates the caller's array
-    # itself, a transposed slice included, rather than a copy of it.
+    # caller's array and no matrix's entries are written, zero rows do not
+    # change the space, no result shares memory with an input, and RowSpace
+    # eliminates the caller's matrix itself, a transposed one included,
+    # rather than a copy of it; its entries, densified here, are the array
+    # reduced mod p.
     p = 5
     full = np.array([[7, -3, 0, 12], [1, 2, 3, 4], [-1, 8, 2, 0]], dtype=np.int64)
     padded = np.array([[5, -10, 0, 15], *full, [0, 0, 0, 0]], dtype=np.int64)
-    want = fl.RowSpace(full.tolist(), p, 4).rows.tolist()
+    want = fl.RowSpace(FpMatrix(full.tolist(), p)).rows.tolist()
     seen = []
     real = fl._rref
-    monkeypatch.setattr(fl, "_rref", lambda a, p: seen.append(a) or real(a, p))
+    monkeypatch.setattr(fl, "_rref", lambda m: seen.append(m) or real(m))
     for a in (full, padded):
         rhs = 3 * a[:, 0] - a[:, 2]  # m x = rhs for x = (3, 0, -1, 0)
         before, rhs_before = a.copy(), rhs.copy()
-        space = fl.RowSpace(a, p, 4)
-        assert np.shares_memory(seen[-1], a)
-        fl.RowSpace(a[:, :3].T, p, len(a))
-        assert np.shares_memory(seen[-1], a)
         m = FpMatrix(a, p)
-        reduced = m._a.copy()
+        entries = [e.copy() for e in (m.row, m.col, m.val)]
+        assert np.array_equal(fp_reference.dense(m), a % p)
+        space = fl.RowSpace(m)
+        assert seen[-1] is m
+        t = FpMatrix.entries(m.col, m.row, m.val, (m.cols, m.rows), p)
+        fl.RowSpace(t)
+        assert seen[-1] is t and np.array_equal(fp_reference.dense(t), a.T % p)
         red, pivots = fl.rref(m)
         basis = fl.kernel_basis(m)
         x = fl.solve(m, rhs)
         assert np.array_equal(a, before) and np.array_equal(rhs, rhs_before)
-        assert np.array_equal(m._a, reduced)
+        assert all(map(np.array_equal, (m.row, m.col, m.val), entries))
         assert space.rows.tolist() == want == red[: len(pivots)].tolist()
         assert not ((a @ basis.T) % p).any()
         assert not ((a @ x - rhs) % p).any()
         for out in (space.rows, red, basis, x):
-            assert not any(np.shares_memory(out, b) for b in (a, m._a, rhs))
+            assert not any(
+                np.shares_memory(out, b) for b in (a, rhs, m.row, m.col, m.val)
+            )
 
 
 def test_rowspace_contains_stack_matches_rank():
@@ -249,15 +255,15 @@ def test_rowspace_contains_stack_matches_rank():
         for _ in range(30):
             dim = rng.randint(1, 7)
             a = _random_rows(rng, p, rng.randint(1, 5), dim)
-            space = fl.RowSpace(a, p, dim)
+            space = fl.RowSpace(FpMatrix(a, p))
             stack = [[rng.randrange(p) for _ in range(dim)] for _ in range(4)]
             coeffs = [rng.randrange(p) for _ in a]
             stack.append([sum(c * r[j] for c, r in zip(coeffs, a)) % p for j in range(dim)])
             stack.append([0] * dim)
             base = fl.rank(FpMatrix(a, p))
             want = [fl.rank(FpMatrix(a + [v], p)) == base for v in stack]
-            assert space.contains(stack).tolist() == want
-            assert [bool(space.contains(v)) for v in stack] == want
+            assert space.contains(FpMatrix(stack, p)).tolist() == want
+            assert [bool(space.contains(FpMatrix([v], p))[0]) for v in stack] == want
             assert want[-2] and want[-1]
 
 
@@ -266,7 +272,7 @@ def test_rowspace_low_part_matches_brute_force():
     for p in ORACLE_PRIMES:
         for _ in range(20):
             dim = rng.randint(1, 6)
-            space = fl.RowSpace(_random_rows(rng, p, rng.randint(1, 4), dim), p, dim)
+            space = fl.RowSpace(FpMatrix(_random_rows(rng, p, rng.randint(1, 4), dim), p))
             rows = space.rows.tolist()
             if p ** len(rows) > 3000:
                 continue
@@ -353,11 +359,11 @@ def _sympy_rref(a, p):
 
 
 def _check_rref(a, p):
-    """_rref on an array with entries in any range leaves it alone, and its
-    basis equals the nonzero rows of the dense reference and of sympy, both
-    run on the array reduced into [0, p)."""
+    """_rref on the entries of an array with entries in any range leaves the
+    array alone, and its basis equals the nonzero rows of the dense
+    reference and of sympy, both run on the array reduced into [0, p)."""
     before = a.copy()
-    pivots, got = fl._rref(a, p)
+    pivots, got = fl._rref(FpMatrix(a, p))
     assert np.array_equal(a, before)
     assert got.shape == (len(pivots), a.shape[1])
     want = a % p
@@ -405,7 +411,7 @@ def test_sparse_rref_matches_dense_reference_and_sympy(p):
         for _ in range(12 if ncols else 1):
             raw = _sparse_structured(rng, p, nrows, ncols)
             got, pivots = _check_rref(raw, p)
-            space = fl.RowSpace(raw, p, ncols)
+            space = fl.RowSpace(FpMatrix(raw, p))
             assert space.pivots == pivots
             assert np.array_equal(space.rows, got)
 
@@ -413,24 +419,24 @@ def test_sparse_rref_matches_dense_reference_and_sympy(p):
 def test_sparse_rref_on_verify_skew_blocks(monkeypatch):
     # Every elimination input of the relation check at (2,8,4,3): the
     # per-degree syzygy blocks and the span(S) blocks, as `_assemble` builds
-    # them, and the membership solves. `RowSpace` hands its input to `_rref`
-    # uncopied, so the S multiples that flatten to zero arrive as zero rows:
-    # the largest span(S) block is 792 x 356 with 165 of them (627 x 356
-    # when they were dropped first).
+    # them, and the membership solves, densified here. The S multiples that
+    # truncate to nothing are dropped before assembly, so no block has a
+    # zero row: the largest span(S) block is 627 x 356 (792 x 356 with 165
+    # zero rows when they were kept).
     seen = []
     real = fl._rref
 
-    def record(a, p):
-        seen.append((a.copy(), p))
-        return real(a, p)
+    def record(m):
+        seen.append((fp_reference.dense(m), m.p))
+        return real(m)
 
     monkeypatch.setattr(fl, "_rref", record)
     report = skew_checks.verify_relations(2, 1, 1, 4, 8, 3)
     monkeypatch.undo()
     assert report.ok and report.interior_checked == 222
     assert len(seen) == 18
-    assert max(a.shape for a, _ in seen) == (792, 356)
-    assert max((~a.any(axis=1)).sum() for a, _ in seen) == 165
+    assert max(a.shape for a, _ in seen) == (627, 356)
+    assert max((~a.any(axis=1)).sum() for a, _ in seen) == 0
     for a, p in seen:
         _check_rref(a, p)
 
@@ -442,7 +448,7 @@ def test_large_prime_kernel_and_membership_exact():
     for _ in range(50):
         data = [[rng.randrange(p) for _ in range(6)] for _ in range(4)]
         want, pivots = _rref_reference(data, p)
-        space = fl.RowSpace(data, p, 6)
+        space = fl.RowSpace(FpMatrix(data, p))
         assert space.pivots == pivots
         assert space.rows.tolist() == want[: len(pivots)]
         basis = fl.kernel_basis(FpMatrix(data, p)).tolist()
@@ -454,4 +460,4 @@ def test_large_prime_kernel_and_membership_exact():
         member = [sum(c * r[j] for c, r in zip(coeffs, data)) % p for j in range(6)]
         other = [rng.randrange(p) for _ in range(6)]
         outside = len(_rref_reference(data + [other], p)[1]) > len(pivots)
-        assert space.contains([member, other]).tolist() == [True, not outside]
+        assert space.contains(FpMatrix([member, other], p)).tolist() == [True, not outside]

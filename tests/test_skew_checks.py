@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fp_reference
 from coherence_lab import fp_linalg
 from coherence_lab import skew_checks as sc
 from coherence_lab.skew_poly import SkewPoly, _assemble, _Coords, _series_monomials
@@ -329,7 +330,7 @@ def test_module_span_matches_ring_products(p):
                     prod = tuple(mu * poly for poly in g)
                     if _term_count(prod) == _term_count(g):
                         vecs.append(flat.to_vec(prod))
-        ref = fp_linalg.RowSpace(vecs, p, flat.dim)
+        ref = fp_linalg.RowSpace(fp_linalg.FpMatrix(vecs, p))
         got = sc.module_span(flat, [flat.to_vec(g) for g in gens], maxdeg)
         assert np.array_equal(got.rows, ref.rows)
         assert len(ref.rows) > 10
@@ -353,7 +354,8 @@ def _dense_pair_span(multiples, deg, window, monos, p):
                 for mono, coeff in c.terms.items():
                     v[index[(comp, xexp, mono)]] = coeff
         vecs.append(v)
-    return fp_linalg.RowSpace(vecs, p, len(basis)), index
+    vecs = np.array(vecs, dtype=np.int64).reshape(-1, len(basis))
+    return fp_linalg.RowSpace(fp_linalg.FpMatrix(vecs, p)), index
 
 
 def _explicit_s_multiples(labelled, deg, window, monos):
@@ -395,13 +397,14 @@ def test_span_s_assembly_matches_dense_reference(p, trunc, window, m_max):
     for deg in range(2 * window - 1):  # kernel degrees at margin 1
         multiples = list(_explicit_s_multiples(labelled, deg, window, monos))
         ref, index = _dense_pair_span(multiples, deg, window, monos, p)
-        mat, codes = _assemble(
-            sc._s_multiples(coords, flats, deg, window, np.array(monos))
+        m, codes = _assemble(
+            sc._s_multiples(coords, flats, deg, window, np.array(monos)), p
         )
+        mat = fp_reference.dense(m)
         keys = _code_keys(coords, multiples)
-        rows = fp_linalg.RowSpace(mat.T, p, len(codes)).rows
+        rows = fp_linalg.RowSpace(fp_linalg.FpMatrix(mat.T, p)).rows
         spread = np.zeros((len(rows), len(index)), dtype=np.int64)
         spread[:, [index[keys[c]] for c in codes.tolist()]] = rows
-        assert np.array_equal(fp_linalg.RowSpace(spread, p, len(index)).rows, ref.rows)
+        assert np.array_equal(fp_linalg.RowSpace(fp_linalg.FpMatrix(spread, p)).rows, ref.rows)
         ranks.append(len(ref.rows))
     assert min(ranks[1:]) > 0

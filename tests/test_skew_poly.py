@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 
+import fp_reference
+
 from coherence_lab.skew_checks import one_var_context, pair_context
 from coherence_lab.skew_poly import (
     NOT_IN_IDEAL_AT_BOUND,
@@ -388,7 +390,8 @@ def _outcome(call):
 
 def _check_index_map(ctx, g, shifts):
     """Every column of the index map of the shifts on g, and the matrix
-    `_assemble` makes of them, equal those of the explicit products mu * g,
+    `_assemble` makes of them (densified here), equal those of the explicit
+    products mu * g,
     and so does each product's largest twist exponent; an exception is the
     first one the explicit products raise, with the same message."""
     from coherence_lab.skew_poly import _assemble, _Coords
@@ -399,7 +402,8 @@ def _check_index_map(ctx, g, shifts):
     t = coords.terms(g)
 
     def result(batches, top):
-        mat, rows = _assemble(batches)
+        m, rows = _assemble(batches, ctx.base.p)
+        mat = fp_reference.dense(m)
         cols = [
             {c: v for c, v in zip(codes.tolist(), vals.tolist()) if c != -1}
             for block, vals in batches
