@@ -2,7 +2,7 @@
 
 A matrix is an `FpMatrix`: its shape, p, and its nonzero entries as
 parallel row, column and value arrays, row-major, with values in [1, p).
-It is built from a dense array (`FpMatrix.dense`, one `np.nonzero` scan) or
+It is built from a dense array (`FpMatrix(a, p)`, one `np.nonzero` scan) or
 from entries (`FpMatrix.entries`), as the skew layer's assembler makes
 them, so a sparse system is never held as a dense array. All arithmetic is
 exact. Dense products go through `_mulmod`, which runs them as float64

@@ -267,6 +267,24 @@ def test_rowspace_contains_stack_matches_rank():
             assert want[-2] and want[-1]
 
 
+def test_rowspace_contains_in_tiles():
+    # A query taller and a space wider than one tile: the tiled product
+    # agrees with the whole one, w - w[pivots] . rows, in int64 at p = 13.
+    p, dim = 13, 2 * fl._SIDE + 7
+    rng = np.random.default_rng(24)
+    gens = rng.integers(0, p, (fl._SIDE // 2, dim)) * (rng.random((fl._SIDE // 2, dim)) < 0.05)
+    space = fl.RowSpace(FpMatrix(gens, p))
+    members = rng.integers(0, p, (fl._SIDE, len(gens))) @ gens % p
+    others = rng.integers(-p, p, (fl._SIDE + 5, dim)) * (rng.random((fl._SIDE + 5, dim)) < 0.02)
+    queries = np.concatenate([members, others, np.zeros((3, dim), dtype=np.int64)])
+    rng.shuffle(queries)
+    w = queries % p
+    want = ~((w - w[:, space.pivots] @ space.rows) % p).any(axis=1)
+    got = space.contains(FpMatrix(queries, p))
+    assert got.tolist() == want.tolist()
+    assert 0 < (~got).sum() and got.sum() >= len(members) + 3
+
+
 def test_rowspace_low_part_matches_brute_force():
     rng = random.Random(23)
     for p in ORACLE_PRIMES:
@@ -461,3 +479,141 @@ def test_large_prime_kernel_and_membership_exact():
         other = [rng.randrange(p) for _ in range(6)]
         outside = len(_rref_reference(data + [other], p)[1]) > len(pivots)
         assert space.contains(FpMatrix([member, other], p)).tolist() == [True, not outside]
+
+
+# The entries constructor against the dense one.
+
+
+def _python_rows_times(a, x, p):
+    """a . x mod p for each row of a, on Python ints."""
+    return [sum(int(u) * int(v) for u, v in zip(row, x)) % p for row in a]
+
+
+def _shuffled_entries(rng, raw, p):
+    """The nonzeros of raw, plus entries of multiples of p (zero among them)
+    at some zero positions, in a random order."""
+    row, col = np.nonzero(raw)
+    val = raw[row, col]
+    zr, zc = np.nonzero(raw == 0)
+    extra = rng.sample(range(len(zr)), min(len(zr), 3))
+    row = np.concatenate([row, zr[extra]])
+    col = np.concatenate([col, zc[extra]])
+    val = np.concatenate([val, [p * rng.choice((-1, 0, 2)) for _ in extra]])
+    order = list(range(len(row)))
+    rng.shuffle(order)
+    return row[order], col[order], val[order]
+
+
+@pytest.mark.parametrize("p", SPARSE_PRIMES)
+def test_entries_constructor_matches_dense(p):
+    # Unreduced values, values that vanish mod p, zero rows and columns, and
+    # 0 x n and n x 0 shapes: both constructors hold the same entries and
+    # give the same rank, rref, kernel and solve, which match sympy and the
+    # dense reference on the reduced array.
+    rng = random.Random(500 + p)
+    shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 3), (2, 15), (15, 2), (24, 9), (9, 24)]
+    for nrows, ncols in shapes:
+        for _ in range(8 if nrows and ncols else 1):
+            raw = _sparse_structured(rng, p, nrows, ncols)
+            dense = FpMatrix(raw, p)
+            ents = FpMatrix.entries(*_shuffled_entries(rng, raw, p), raw.shape, p)
+            for a, b in zip((dense.row, dense.col, dense.val), (ents.row, ents.col, ents.val)):
+                assert np.array_equal(a, b)
+            reduced = raw % p
+            assert np.array_equal(fp_reference.dense(ents), reduced)
+            want_pivots = fp_reference.rref(reduced.copy(), p)
+            want = _sympy_rref(reduced, p)[0] if raw.size else reduced
+            x = [rng.randrange(p) for _ in range(ncols)]
+            rhs = [_python_rows_times(raw, x, p)]
+            rhs.append([(v + 1) % p for v in rhs[0]])  # often inconsistent
+            for m in (dense, ents):
+                assert fl.rank(m) == len(want_pivots)
+                red, pivots = fl.rref(m)
+                assert pivots == want_pivots and np.array_equal(red, want)
+                basis = fl.kernel_basis(m)
+                assert len(basis) == ncols - len(pivots)
+                for v in basis.tolist():
+                    assert not any(_python_rows_times(raw, v, p))
+                for b in rhs:
+                    aug = np.column_stack([reduced, np.array(b, dtype=np.int64)])
+                    red, piv = _sympy_rref(aug, p)
+                    got = fl.solve(m, b)
+                    if ncols in piv:
+                        assert got is None
+                    else:
+                        want_x = np.zeros(ncols, dtype=np.int64)
+                        want_x[piv] = red[: len(piv), ncols]
+                        assert np.array_equal(got, want_x)
+            assert np.array_equal(fl.kernel_basis(dense), fl.kernel_basis(ents))
+
+
+def test_entries_constructor_refuses_bad_indices():
+    with pytest.raises(ValueError, match="outside"):
+        FpMatrix.entries([0, 2], [0, 0], [1, 1], (2, 2), 3)
+    with pytest.raises(ValueError, match="outside"):
+        FpMatrix.entries([0], [-1], [1], (2, 2), 3)
+    # A repeated pair is refused even when the values would cancel.
+    with pytest.raises(ValueError, match="repeated"):
+        FpMatrix.entries([1, 0, 1], [0, 1, 0], [1, 1, 2], (2, 2), 3)
+    with pytest.raises(ValueError, match="not prime"):
+        FpMatrix.entries([], [], [], (2, 2), 4)
+
+
+def test_assemble_emits_each_entry_once(monkeypatch):
+    # The index map is injective: on every block of the relation check at
+    # (2,8,4,3), no column of `_assemble`'s batches reaches a code twice, so
+    # the entries type holds each (row, column) pair once.
+    from coherence_lab import skew_poly
+
+    blocks = []
+    real = skew_poly._assemble
+
+    def record(batches, p):
+        batches = list(batches)
+        blocks.append([codes for codes, _ in batches])
+        return real(batches, p)
+
+    monkeypatch.setattr(skew_poly, "_assemble", record)
+    monkeypatch.setattr(skew_checks, "_assemble", record)
+    report = skew_checks.verify_relations(2, 1, 1, 4, 8, 3)
+    monkeypatch.undo()
+    assert report.ok
+    assert len(blocks) == 18
+    columns = 0
+    for block in blocks:
+        for codes in block:
+            for column in codes.tolist():
+                hit = [c for c in column if c >= 0]
+                assert len(set(hit)) == len(hit)
+                columns += 1
+    assert columns > 1000
+
+
+@pytest.mark.parametrize("p", [3, _prime_near(2**32, 1)])
+def test_substitution_checks_fire(monkeypatch, p):
+    # With one entry of the reduced basis changed, kernel_basis and solve
+    # fail their substitution checks; unchanged, they pass them. Above 2^32,
+    # (p - 1)^2 exceeds int64 and the checks multiply on Python ints.
+    assert ((p - 1) ** 2 >= 2**63) == (p > 3)
+    rng = random.Random(p)
+    data = [[rng.randrange(p) for _ in range(6)] for _ in range(4)]
+    for v in fl.kernel_basis(FpMatrix(data, p)).tolist():
+        assert not any(_python_rows_times(data, v, p))
+    b = _python_rows_times(data, [rng.randrange(p) for _ in range(6)], p)
+    assert _python_rows_times(data, fl.solve(FpMatrix(data, p), b).tolist(), p) == b
+    m = FpMatrix([[1, 1, 0], [0, 1, 1]], p)
+    rhs = [2, 2]
+    assert fl.solve(m, rhs).tolist() == [0, 2, 0]
+    assert fl.kernel_basis(m).tolist() == [[1, p - 1, 1]]
+    real = fl._rref
+
+    def tampered(a):
+        pivots, rows = real(a)
+        rows[0, -1] = (rows[0, -1] + 1) % a.p
+        return pivots, rows
+
+    monkeypatch.setattr(fl, "_rref", tampered)
+    with pytest.raises(AssertionError, match="kernel vector failed"):
+        fl.kernel_basis(m)
+    with pytest.raises(AssertionError, match="solve result failed"):
+        fl.solve(m, rhs)
