@@ -590,7 +590,8 @@ def augmentation_basis(G: FiniteGroup, H: Subgroup, p: int) -> List[List[int]]:
             v[g] -= 1
             rows.append(v)
     a = np.array(rows, dtype=np.int64).reshape(-1, G.order)
-    return fp_linalg.RowSpace(fp_linalg.FpMatrix(a, p)).rows.tolist()
+    basis = fp_linalg.RowSpace(fp_linalg.FpMatrix(a, p)).basis
+    return [[row.get(c, 0) for c in range(G.order)] for row in basis.values()]
 
 
 def random_unipotent_module(

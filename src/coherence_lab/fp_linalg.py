@@ -4,30 +4,29 @@ A matrix is an `FpMatrix`: its shape, p, and its nonzero entries as
 parallel row, column and value arrays, row-major, with values in [1, p).
 It is built from a dense array (`FpMatrix(a, p)`, one `np.nonzero` scan) or
 from entries (`FpMatrix.entries`), as the skew layer's assembler makes
-them, so a sparse system is never held as a dense array. All arithmetic is
-exact. Dense products go through `_mulmod`, which runs them as float64
-(BLAS) products whenever every exact sum of products stays below 2^53, so
-float64 only ever carries exact integers, and on Python ints (object
-arrays) beyond that; products of an `FpMatrix` with a dense array run on
-its entries (`_entries_mulmod`).
+them, so a sparse system is never held as a dense array. Values are int64,
+so p must lie below 2^63; every product and sum of them runs on Python
+ints, so all arithmetic is exact.
 
-Elimination is sparse: `_rref` reads the entries of each row into a dict
-and works on Python ints, so it is exact for every p. Each row is reduced
-against the basis so far, and its smallest remaining column becomes a new
-pivot, which is then cleared from the earlier basis rows. The basis is
-fully reduced after every row, so at the end it is the reduced row echelon
-form, which `_rref` returns as a new dense array. That form is unique for a
-row space, so every computed basis and every solution is deterministic and
-independent of the row order. `_rref` is the only elimination loop;
-`RowSpace` wraps it and answers every span question (membership, equality,
-filtration pieces), and rank, kernel and solve are built on it. `rref`
-remains for the benchmark's tracer, which wraps it and reads `rows` and
-`cols` of the `rank` and `kernel_basis` argument.
+Elimination is sparse: `_rref` reads each row's entries into a
+{column: value} dict, reduces it against the basis so far, and makes its
+smallest remaining column a new pivot, which is then cleared from the
+earlier basis rows. The basis is fully reduced after every row, so at the
+end it is the reduced row echelon form, which `_rref` returns as those
+dicts, by ascending pivot. That form is unique for a row space, so every
+computed basis and every solution is deterministic and independent of the
+row order. `_rref` is the only elimination loop; `RowSpace` wraps it and
+answers every span question (membership, equality, filtration pieces), and
+rank, kernel and solve are built on it. Kernel vectors and solutions are
+{column: value} dicts too, by ascending column, and both are re-verified by
+substitution on the entries. `rref` remains as a dense view for the
+benchmark's tracer, which wraps it and reads `rows` and `cols` of the
+`rank` and `kernel_basis` argument.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -77,7 +76,8 @@ def is_prime(p: int) -> bool:
 class FpMatrix:
     """A rows x cols matrix over F_p, held as its nonzero entries: parallel
     int64 arrays `row`, `col` and `val` in row-major order, with values in
-    [1, p) and no (row, col) pair twice.
+    [1, p) and no (row, col) pair twice. The prime p must lie below 2^63, so
+    that every value fits in int64.
 
     `FpMatrix(a, p)` takes the nonzero entries mod p of a 2-D array with
     entries in any range; `FpMatrix.entries` takes them as index lists.
@@ -109,6 +109,8 @@ class FpMatrix:
 
     def _keep(self, shape, p: int, row, col, val) -> None:
         """Store the row-major entries whose values do not vanish mod p."""
+        if p >= 2**63:
+            raise ValueError(f"modulus {p} is not below 2^63: values are int64")
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.rows, self.cols = shape
@@ -118,31 +120,50 @@ class FpMatrix:
         self.row, self.col, self.val = row[hit], col[hit], val[hit]
 
 
-def _rref(m: FpMatrix) -> Tuple[List[int], np.ndarray]:
-    """Pivot columns and reduced echelon basis (rank x cols) of the rows of
-    m over F_p.
+# A sparse row or vector: {column: value}, values in [1, p).
+Row = Dict[int, int]
 
-    The sparse elimination of the module docstring: rows are {column: value}
-    dicts, and a column -> pivots index finds the basis rows that hold a new
-    pivot's column without scanning every row.
+
+def _dict_rows(m: FpMatrix) -> Iterator[Row]:
+    """The rows of m as dicts, zero rows included."""
+    cols, vals = m.col.tolist(), m.val.tolist()
+    start = 0
+    for end in np.cumsum(np.bincount(m.row, minlength=m.rows)).tolist():
+        yield dict(zip(cols[start:end], vals[start:end]))
+        start = end
+
+
+def _reduce(w: Row, basis: Dict[int, Row], p: int) -> Row:
+    """w - sum of w[c] * basis[c] over the pivots c in w, in place.
+
+    Each basis row holds 1 at its pivot and 0 at every other pivot, so no
+    subtraction changes w at another pivot: the result is zero at every
+    pivot, and it is empty iff w lies in the span of the basis.
+    """
+    for c in [c for c in w if c in basis]:
+        f = w[c]
+        for k, v in basis[c].items():
+            x = (w.get(k, 0) - f * v) % p
+            if x:
+                w[k] = x
+            else:
+                del w[k]
+    return w
+
+
+def _rref(m: FpMatrix) -> Dict[int, Row]:
+    """The reduced echelon basis of the rows of m over F_p: pivot column ->
+    row, by ascending pivot, each row with its 1 at the pivot.
+
+    The sparse elimination of the module docstring: a column -> pivots
+    index finds the basis rows that hold a new pivot's column without
+    scanning every row.
     """
     p = m.p
-    cols, vals = m.col.tolist(), m.val.tolist()
-    ends = np.cumsum(np.bincount(m.row)).tolist()
-    basis: Dict[int, Dict[int, int]] = {}  # pivot -> row off the pivot
+    basis: Dict[int, Row] = {}
     holders: Dict[int, Set[int]] = {}  # free column -> pivots holding it
-    start = 0
-    for end in ends:
-        row = dict(zip(cols[start:end], vals[start:end]))
-        start = end
-        for c in [c for c in row if c in basis]:
-            f = row.pop(c)
-            for k, v in basis[c].items():
-                x = (row.get(k, 0) - f * v) % p
-                if x:
-                    row[k] = x
-                else:
-                    del row[k]
+    for row in _dict_rows(m):
+        _reduce(row, basis, p)
         if not row:
             continue
         piv = min(row)
@@ -160,135 +181,109 @@ def _rref(m: FpMatrix) -> Tuple[List[int], np.ndarray]:
                 else:
                     del b[k]
                     holders[k].discard(q)
-        basis[piv] = new
         for k in new:
             holders.setdefault(k, set()).add(piv)
-    pivots = sorted(basis)
-    rows = [{c: 1, **basis[c]} for c in pivots]
+        new[piv] = 1
+        basis[piv] = new
+    return dict(sorted(basis.items()))
+
+
+def _dense(rows: Sequence[Row], shape: Tuple[int, int]) -> np.ndarray:
+    """The int64 array of the given shape with the rows at its top."""
+    out = np.zeros(shape, dtype=np.int64)
     at_r = [i for i, row in enumerate(rows) for _ in row]
-    at_c = [k for row in rows for k in row]
-    out = np.zeros((len(pivots), m.cols), dtype=np.int64)
+    at_c = [c for row in rows for c in row]
     out[at_r, at_c] = [v for row in rows for v in row.values()]
-    return pivots, out
+    return out
 
 
-# Cells of a product tile: `_entries_mulmod` takes at most this many
-# products at once, and `RowSpace.contains` densifies and multiplies its
-# query in tiles of about this many cells, never fewer than _SIDE rows or
-# columns at a time.
-_TILE = 1 << 16
-_SIDE = 1 << 8
+def _times(m: FpMatrix, vecs: Iterable[Row]) -> Iterator[Row]:
+    """m . v mod p for each vector v, as {row: value} without zeros.
 
-
-def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for entries in [0, p).
-
-    Each entry of the product is a sum of inner_dim products below (p-1)^2,
-    so under the float64 bound every partial sum is an integer below 2^53
-    and the BLAS product is exact in any summation order; above it the
-    product runs on Python ints, which are exact for every p.
-    """
-    bound = a.shape[-1] * (p - 1) ** 2
-    if bound < 2**53:
-        prod = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    else:
-        prod = a.astype(object) @ b.astype(object)
-    return (prod % p).astype(np.int64, copy=False)
-
-
-def _entries_mulmod(m: FpMatrix, b: np.ndarray) -> np.ndarray:
-    """m @ b mod p on the entries of m, for b (m.cols x k) with entries in
-    [0, p), taken in column tiles of b of at most _TILE products.
-
-    Each product is reduced mod p before the row sums. Products run in int64
-    while (p - 1)^2 fits in it and on Python ints beyond; a row sum of
-    reduced products could only wrap int64 past 2^63 / p > 3 * 10^9 terms.
+    m's entries are indexed by column once, so the cost is linear in the
+    entries each vector touches; the products run on Python ints.
     """
     p = m.p
-    kind = np.int64 if (p - 1) ** 2 < 2**63 else object
-    out = np.zeros((m.rows, b.shape[1]), dtype=np.int64)
-    starts = np.flatnonzero(np.diff(m.row, prepend=-1))
-    if not len(starts):
-        return out
-    val = m.val.astype(kind)[:, None]
-    step = max(1, _TILE // len(val))
-    for j in range(0, b.shape[1], step):
-        prod = val * b[m.col, j : j + step].astype(kind) % p
-        out[m.row[starts], j : j + step] = np.add.reduceat(prod, starts) % p
-    return out
+    by_col: Dict[int, List[Tuple[int, int]]] = {}
+    for r, c, v in zip(m.row.tolist(), m.col.tolist(), m.val.tolist()):
+        by_col.setdefault(c, []).append((r, v))
+    for vec in vecs:
+        acc: Row = {}
+        for c, x in vec.items():
+            for r, v in by_col.get(c, ()):
+                acc[r] = (acc.get(r, 0) + x * v) % p
+        yield {r: v for r, v in acc.items() if v}
 
 
 def rref(m: FpMatrix) -> Tuple[np.ndarray, List[int]]:
     """Reduced row echelon form of m, an array of m's shape with zero rows
     below, and its pivot column indices."""
-    pivots, rows = _rref(m)
-    return np.pad(rows, [(0, m.rows - len(pivots)), (0, 0)]), pivots
+    basis = _rref(m)
+    return _dense(list(basis.values()), (m.rows, m.cols)), list(basis)
 
 
 class RowSpace:
     """The span of the rows of an `FpMatrix`, held as its reduced echelon
-    basis.
+    basis: `basis` maps each pivot column, ascending, to its row.
 
-    `rows` are sorted by pivot column, so two spanning sets of one space
-    give equal `rows`.
+    Two spanning sets of one space give equal `basis`.
     """
 
     def __init__(self, m: FpMatrix):
-        self.p = m.p
-        self.pivots, self.rows = _rref(m)
+        self.p, self.cols = m.p, m.cols
+        self.basis = _rref(m)
+
+    @property
+    def pivots(self) -> List[int]:
+        return list(self.basis)
 
     def contains(self, q: FpMatrix) -> np.ndarray:
-        """Whether each row of q lies in the space, as a bool array.
-
-        A row w lies in it iff w = w[pivots] . rows. The rows of q are
-        densified, and the basis multiplied, one tile at a time, so neither
-        is ever copied whole.
-        """
-        p, dim = self.p, self.rows.shape[1]
-        if q.cols != dim:
-            raise DimensionMismatch(f"query width {q.cols} != dimension {dim}")
-        step = max(_SIDE, _TILE // max(dim, 1))
-        out = np.ones(q.rows, dtype=bool)
-        for i in range(0, q.rows, step):
-            lo, hi = np.searchsorted(q.row, [i, i + step])
-            w = np.zeros((min(step, q.rows - i), dim), dtype=np.int64)
-            w[q.row[lo:hi] - i, q.col[lo:hi]] = q.val[lo:hi]
-            head = w[:, self.pivots]
-            for j in range(0, dim, step):
-                prod = _mulmod(head, self.rows[:, j : j + step], p)
-                out[i : i + step] &= ~(w[:, j : j + step] - prod).any(axis=1)
-        return out
+        """Whether each row of q lies in the space, as a bool array: each
+        row is reduced against the basis once."""
+        if q.cols != self.cols:
+            raise DimensionMismatch(f"query width {q.cols} != dimension {self.cols}")
+        return np.fromiter(
+            (not _reduce(w, self.basis, self.p) for w in _dict_rows(q)),
+            dtype=bool,
+            count=q.rows,
+        )
 
     def low_part(self, cut: int) -> np.ndarray:
-        """The rows with no support before coordinate cut: a basis of the
+        """The basis rows with no support before coordinate cut, which are
+        those with pivot >= cut, as a dense array: a basis of the
         intersection of the space with the span of coordinates >= cut."""
-        return self.rows[~self.rows[:, :cut].any(axis=1)]
+        rows = [row for c, row in self.basis.items() if c >= cut]
+        return _dense(rows, (len(rows), self.cols))
 
 
 def rank(m: FpMatrix) -> int:
-    return len(_rref(m)[0])
+    return len(_rref(m))
 
 
-def kernel_basis(m: FpMatrix) -> np.ndarray:
-    """A basis of the right null space of m, one row per free column.
+def kernel_basis(m: FpMatrix) -> List[Row]:
+    """A basis of the right null space of m, one vector per free column, as
+    {column: value} by ascending column.
 
-    Basis vectors are indexed by the free columns in ascending order; each
-    has a 1 in its free coordinate. Every vector is re-verified by exact
+    Vectors come by ascending free column; each has a 1 at its free column
+    and -row_c[free] at each pivot c. Every vector is re-verified by exact
     substitution before being returned.
     """
     p = m.p
-    space = RowSpace(m)
-    free = np.setdiff1d(np.arange(m.cols), space.pivots)
-    basis = np.zeros((len(free), m.cols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, space.pivots] = (-space.rows[:, free].T) % p
-    if _entries_mulmod(m, basis.T).any():
+    basis = _rref(m)
+    vecs = {f: {f: 1} for f in range(m.cols) if f not in basis}
+    for c, row in basis.items():
+        for f, v in row.items():
+            if f != c:
+                vecs[f][c] = -v % p
+    out = [dict(sorted(v.items())) for v in vecs.values()]
+    if any(_times(m, out)):
         raise AssertionError("kernel vector failed substitution check")
-    return basis
+    return out
 
 
-def solve(m: FpMatrix, rhs: Sequence[int]) -> Optional[np.ndarray]:
-    """Some x with m.x = rhs, as an int64 array, or None.
+def solve(m: FpMatrix, rhs: Sequence[int]) -> Optional[Row]:
+    """Some x with m.x = rhs, as {column: value} by ascending column, or
+    None.
 
     Free variables are set to zero, so the result is the lexicographically
     first pivot solution. A returned x is verified by substitution.
@@ -298,7 +293,7 @@ def solve(m: FpMatrix, rhs: Sequence[int]) -> Optional[np.ndarray]:
     p = m.p
     b = np.asarray(rhs, dtype=np.int64) % p
     at = np.flatnonzero(b)
-    space = RowSpace(
+    basis = _rref(
         FpMatrix.entries(
             np.concatenate([m.row, at]),
             np.concatenate([m.col, np.full(len(at), m.cols)]),
@@ -307,10 +302,9 @@ def solve(m: FpMatrix, rhs: Sequence[int]) -> Optional[np.ndarray]:
             p,
         )
     )
-    if m.cols in space.pivots:
+    if m.cols in basis:
         return None
-    x = np.zeros(m.cols, dtype=np.int64)
-    x[space.pivots] = space.rows[:, m.cols]
-    if (_entries_mulmod(m, x[:, None])[:, 0] != b).any():
+    x = {c: row[m.cols] for c, row in basis.items() if m.cols in row}
+    if next(_times(m, [x])) != dict(zip(at.tolist(), b[at].tolist())):
         raise AssertionError("solve result failed substitution check")
     return x

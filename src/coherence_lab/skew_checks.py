@@ -532,14 +532,15 @@ def filtration_identity_check(
     flat, m_span = _generated_span(generators, k_max, 1)
 
     # J M = A F M: loss-free products t^a F * m over a spanning set of M.
-    jm = _f_multiples(flat, m_span.rows)
+    jm = _f_multiples(flat, m_span.low_part(0))
 
     report = FiltrationReport(k_checked=[], failures=[])
     for k in range(1, k_max + 1):
-        lhs = jm.low_part(flat.low_cut(k))
-        rhs = _f_multiples(flat, m_span.low_part(flat.low_cut(k - 1))).rows
+        cut = flat.low_cut(k)
+        lhs = {c: row for c, row in jm.basis.items() if c >= cut}
+        rhs = _f_multiples(flat, m_span.low_part(flat.low_cut(k - 1))).basis
         report.k_checked.append(k)
-        if not np.array_equal(lhs, rhs):
+        if lhs != rhs:
             report.failures.append(k)
     return report
 

@@ -469,14 +469,13 @@ def _block_matrix(
 
 
 def _coefficients(
-    ctx: SkewContext, n: int, keys: Sequence[_Key], values: Sequence[int]
+    ctx: SkewContext, n: int, pairs: Iterable[Tuple[_Key, int]]
 ) -> Tuple[SkewPoly, ...]:
-    """(lambda_1, ..., lambda_n) from the nonzero coordinates on the keys."""
+    """(lambda_1, ..., lambda_n) from (key, value) pairs with nonzero values,
+    in the order their terms are to be stored."""
     parts: List[Dict[XExp, Dict[Mono, int]]] = [{} for _ in range(n)]
-    values = np.asarray(values)
-    for i in np.flatnonzero(values).tolist():
-        gi, x, mono = keys[i]
-        parts[gi].setdefault(x, {})[mono] = int(values[i])
+    for (gi, x, mono), v in pairs:
+        parts[gi].setdefault(x, {})[mono] = v
     return tuple(
         SkewPoly(ctx, {x: TruncSeries(ctx.base, terms) for x, terms in part.items()})
         for part in parts
@@ -528,8 +527,7 @@ def ideal_membership_bounded(
     monos = _series_monomials(ctx.base)
     coords = _Coords(ctx)
     flats = [coords.terms((g,)) for g in generators]
-    keys: List[_Key] = []
-    values: List[int] = []
+    pairs: List[Tuple[_Key, int]] = []
     for deg in sorted(components):
         block = _block_keys(generators, xbounds, deg, monos)
         if not block:
@@ -545,9 +543,8 @@ def ideal_membership_bounded(
         sol = fp_linalg.solve(a, rhs)
         if sol is None:
             return NOT_IN_IDEAL_AT_BOUND
-        keys += block
-        values += sol.tolist()
-    lams = _coefficients(ctx, len(generators), keys, values)
+        pairs += [(block[c], v) for c, v in sol.items()]
+    lams = _coefficients(ctx, len(generators), pairs)
     if _combination(lams, generators) != elem:
         raise AssertionError("membership certificate failed re-multiplication")
     return MembershipCertificate(lams)
@@ -583,7 +580,8 @@ def syzygy_bounded(
             continue
         mat = _block_matrix(coords, flats, keys)
         for kvec in fp_linalg.kernel_basis(mat):
-            lams = _coefficients(ctx, len(generators), keys, kvec)
+            pairs = ((keys[c], v) for c, v in kvec.items())
+            lams = _coefficients(ctx, len(generators), pairs)
             if not _combination(lams, generators).is_zero():
                 raise AssertionError("syzygy basis vector failed substitution")
             out.append(lams)

@@ -1,6 +1,6 @@
 """Dense reference elimination over F_p, kept as a test oracle for the
-sparse `coherence_lab.fp_linalg._rref`, and the dense array of an
-`FpMatrix`'s entries.
+sparse `coherence_lab.fp_linalg._rref`, and dense arrays of an `FpMatrix`'s
+entries and of {column: value} rows.
 
 `rref` is the column-by-column numpy loop the program used before its
 elimination became sparse: for each column it takes the topmost usable row
@@ -45,4 +45,14 @@ def dense(m) -> np.ndarray:
     """The rows x cols int64 array holding the entries of the FpMatrix m."""
     out = np.zeros((m.rows, m.cols), dtype=np.int64)
     out[m.row, m.col] = m.val
+    return out
+
+
+def dense_rows(rows, cols: int) -> np.ndarray:
+    """The len(rows) x cols int64 array of {column: value} rows, such as the
+    values of a reduced basis or a list of kernel vectors."""
+    out = np.zeros((len(rows), cols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            out[i, c] = v
     return out

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import numpy as np
@@ -15,29 +14,29 @@ from coherence_lab.fp_linalg import FpMatrix
 
 def test_kernel_zero_matrix():
     basis = fl.kernel_basis(FpMatrix(np.zeros((2, 3), dtype=np.int64), 2))
-    assert basis.tolist() == np.eye(3, dtype=np.int64).tolist()
+    assert basis == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_kernel_identity():
-    assert fl.kernel_basis(FpMatrix(np.eye(4, dtype=np.int64), 3)).shape == (0, 4)
+    assert fl.kernel_basis(FpMatrix(np.eye(4, dtype=np.int64), 3)) == []
 
 
 def test_kernel_f3_example():
     # All 9 vectors over F_3 were enumerated by hand: the null space of
     # [1 2] is spanned by (1, 1) since 1 + 2 = 0 mod 3.
-    basis = fl.kernel_basis(FpMatrix([[1, 2]], 3)).tolist()
+    basis = fl.kernel_basis(FpMatrix([[1, 2]], 3))
     assert len(basis) == 1
     v = basis[0]
-    assert v in ([1, 1], [2, 2])
+    assert v in ({0: 1, 1: 1}, {0: 2, 1: 2})
 
 
 def test_solve_identity():
     m = FpMatrix(np.eye(2, dtype=np.int64), 3)
-    assert fl.solve(m, [1, 0]).tolist() == [1, 0]
+    assert fl.solve(m, [1, 0]) == {0: 1}
 
 
 def test_solve_tie_break_lexicographic():
-    assert fl.solve(FpMatrix([[1, 1]], 2), [1]).tolist() == [1, 0]
+    assert fl.solve(FpMatrix([[1, 1]], 2), [1]) == {0: 1}
 
 
 def test_solve_no_solution():
@@ -80,7 +79,9 @@ def test_solve_inverts_random_invertible():
                     break
             x = [rng.randrange(p) for _ in range(n)]
             rhs = [sum(data[i][j] * x[j] for j in range(n)) % p for i in range(n)]
-            assert fl.solve(m, rhs).tolist() == x
+            got = fl.solve(m, rhs)
+            assert got == {j: v for j, v in enumerate(x) if v}
+            assert list(got) == sorted(got)
 
 
 def _rref_reference(rows, p):
@@ -129,7 +130,7 @@ def test_rank_nullity_and_kernel_substitution():
             cols = rng.randint(1, 7)
             data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
             m = FpMatrix(data, p)
-            basis = fl.kernel_basis(m).tolist()
+            basis = fp_reference.dense_rows(fl.kernel_basis(m), cols).tolist()
             assert fl.rank(m) + len(basis) == cols
             for v in basis:
                 for i in range(rows):
@@ -175,7 +176,7 @@ def test_rank_rref_kernel_match_sympy():
             want, want_pivots = oracle.rref()
             assert red.tolist() == _ints(want, p)
             assert tuple(pivots) == tuple(want_pivots)
-            basis = fl.kernel_basis(m).tolist()
+            basis = fp_reference.dense_rows(fl.kernel_basis(m), ncols).tolist()
             nullity = oracle.nullspace().shape[0]
             assert len(basis) == nullity
             if basis:
@@ -204,23 +205,23 @@ def test_rowspace_rows_independent_of_spanning_set():
             b.append([0] * dim)
             b.append([(x + y) % p for x, y in zip(b[0], b[-2])])
             rng.shuffle(b)
-            rows_a = fl.RowSpace(FpMatrix(a, p)).rows.tolist()
-            assert fl.RowSpace(FpMatrix(b, p)).rows.tolist() == rows_a
+            basis_a = fl.RowSpace(FpMatrix(a, p)).basis
+            assert fl.RowSpace(FpMatrix(b, p)).basis == basis_a
             want = [r for r in _ints(_sympy_matrix(a, p, dim).rref()[0], p) if any(r)]
-            assert rows_a == want
+            assert fp_reference.dense_rows(list(basis_a.values()), dim).tolist() == want
 
 
 def test_rowspace_leaves_the_input_alone(monkeypatch):
     # Entries outside [0, p), with and without rows that vanish mod p: no
     # caller's array and no matrix's entries are written, zero rows do not
-    # change the space, no result shares memory with an input, and RowSpace
-    # eliminates the caller's matrix itself, a transposed one included,
-    # rather than a copy of it; its entries, densified here, are the array
-    # reduced mod p.
+    # change the space, the dense rref shares no memory with an input, and
+    # RowSpace eliminates the caller's matrix itself, a transposed one
+    # included, rather than a copy of it; its entries, densified here, are
+    # the array reduced mod p.
     p = 5
     full = np.array([[7, -3, 0, 12], [1, 2, 3, 4], [-1, 8, 2, 0]], dtype=np.int64)
     padded = np.array([[5, -10, 0, 15], *full, [0, 0, 0, 0]], dtype=np.int64)
-    want = fl.RowSpace(FpMatrix(full.tolist(), p)).rows.tolist()
+    want = fl.RowSpace(FpMatrix(full.tolist(), p)).basis
     seen = []
     real = fl._rref
     monkeypatch.setattr(fl, "_rref", lambda m: seen.append(m) or real(m))
@@ -240,13 +241,12 @@ def test_rowspace_leaves_the_input_alone(monkeypatch):
         x = fl.solve(m, rhs)
         assert np.array_equal(a, before) and np.array_equal(rhs, rhs_before)
         assert all(map(np.array_equal, (m.row, m.col, m.val), entries))
-        assert space.rows.tolist() == want == red[: len(pivots)].tolist()
-        assert not ((a @ basis.T) % p).any()
-        assert not ((a @ x - rhs) % p).any()
-        for out in (space.rows, red, basis, x):
-            assert not any(
-                np.shares_memory(out, b) for b in (a, rhs, m.row, m.col, m.val)
-            )
+        assert space.basis == want
+        want_rows = fp_reference.dense_rows(list(want.values()), 4)
+        assert want_rows.tolist() == red[: len(pivots)].tolist()
+        assert not ((a @ fp_reference.dense_rows(basis, 4).T) % p).any()
+        assert not ((a @ fp_reference.dense_rows([x], 4)[0] - rhs) % p).any()
+        assert not any(np.shares_memory(red, b) for b in (a, rhs, m.row, m.col, m.val))
 
 
 def test_rowspace_contains_stack_matches_rank():
@@ -267,22 +267,42 @@ def test_rowspace_contains_stack_matches_rank():
             assert want[-2] and want[-1]
 
 
-def test_rowspace_contains_in_tiles():
-    # A query taller and a space wider than one tile: the tiled product
-    # agrees with the whole one, w - w[pivots] . rows, in int64 at p = 13.
-    p, dim = 13, 2 * fl._SIDE + 7
-    rng = np.random.default_rng(24)
-    gens = rng.integers(0, p, (fl._SIDE // 2, dim)) * (rng.random((fl._SIDE // 2, dim)) < 0.05)
-    space = fl.RowSpace(FpMatrix(gens, p))
-    members = rng.integers(0, p, (fl._SIDE, len(gens))) @ gens % p
-    others = rng.integers(-p, p, (fl._SIDE + 5, dim)) * (rng.random((fl._SIDE + 5, dim)) < 0.02)
-    queries = np.concatenate([members, others, np.zeros((3, dim), dtype=np.int64)])
-    rng.shuffle(queries)
-    w = queries % p
-    want = ~((w - w[:, space.pivots] @ space.rows) % p).any(axis=1)
-    got = space.contains(FpMatrix(queries, p))
-    assert got.tolist() == want.tolist()
-    assert 0 < (~got).sum() and got.sum() >= len(members) + 3
+def test_rowspace_contains_matches_brute_force():
+    # Members, non-members, zero rows and entries outside [0, p): contains
+    # agrees with w - sum of w[c] * row_c over the pivots c of an
+    # independent pure-Python reduced basis, on Python ints, at p = 13 and
+    # above 2^32, where (p - 1)^2 exceeds int64.
+    for p in (13, _prime_near(2**32, 1)):
+        rng = random.Random(24 + p)
+        dim = 61
+        gens = [
+            [rng.randrange(1, p) if rng.random() < 0.08 else 0 for _ in range(dim)]
+            for _ in range(30)
+        ]
+        members = []
+        for _ in range(40):
+            coeffs = [rng.randrange(p) for _ in gens]
+            members.append(
+                [sum(c * g[j] for c, g in zip(coeffs, gens)) % p for j in range(dim)]
+            )
+        others = [
+            [rng.randrange(-p, p) if rng.random() < 0.03 else 0 for _ in range(dim)]
+            for _ in range(45)
+        ]
+        queries = members + others + [[0] * dim] * 3
+        rng.shuffle(queries)
+        reduced, pivots = _rref_reference(gens, p)
+        want = []
+        for w in queries:
+            r = [x % p for x in w]
+            for c, row in zip(pivots, reduced):
+                f = r[c]
+                r = [(x - f * y) % p for x, y in zip(r, row)]
+            want.append(not any(r))
+        space = fl.RowSpace(FpMatrix(gens, p))
+        got = space.contains(FpMatrix(queries, p)).tolist()
+        assert got == want
+        assert 0 < got.count(False) and got.count(True) >= len(members) + 3
 
 
 def test_rowspace_low_part_matches_brute_force():
@@ -291,7 +311,7 @@ def test_rowspace_low_part_matches_brute_force():
         for _ in range(20):
             dim = rng.randint(1, 6)
             space = fl.RowSpace(FpMatrix(_random_rows(rng, p, rng.randint(1, 4), dim), p))
-            rows = space.rows.tolist()
+            rows = fp_reference.dense_rows(list(space.basis.values()), dim).tolist()
             if p ** len(rows) > 3000:
                 continue
             members = {
@@ -309,51 +329,6 @@ def _prime_near(n, step):
     while not fl.is_prime(n):
         n += step
     return n
-
-
-def _python_mulmod(a, b, p):
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
-
-
-def test_mulmod_exact_at_float_bound():
-    import numpy as np
-
-    rng = random.Random(22)
-    inner = 4
-    # Largest p with inner * (p-1)^2 < 2^53: float64 products, every exact
-    # sum just below 2^53.
-    lo = _prime_near(math.isqrt((2**53 - 1) // inner) + 1, -1)
-    assert inner * (lo - 1) ** 2 < 2**53
-    # Smallest prime above it: Python-int products, sums just above 2^53
-    # where float64 cannot hold every integer.
-    hi = _prime_near(lo + 1, 1)
-    assert inner * (hi - 1) ** 2 >= 2**53
-    for p in (lo, hi):
-        a = [[p - 1] * inner]
-        a += [[rng.randrange(p) for _ in range(inner)] for _ in range(4)]
-        b = [[p - 1] * 3]
-        b += [[rng.randrange(p) for _ in range(3)] for _ in range(inner - 1)]
-        got = fl._mulmod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
-        assert got.tolist() == _python_mulmod(a, b, p)
-    # The Python-int branch matters: an odd exact sum above 2^53 is not a
-    # float64 value.
-    a = np.array([[hi - 2] * (inner - 1) + [hi - 1]], dtype=np.int64)
-    b = np.full((inner, 1), hi - 2, dtype=np.int64)
-    exact = (inner - 1) * (hi - 2) ** 2 + (hi - 1) * (hi - 2)
-    assert exact > 2**53 and exact % 2 == 1
-    assert int((a.astype(float) @ b.astype(float))[0, 0]) != exact
-    assert fl._mulmod(a, b, hi).tolist() == [[exact % hi]]
-    # Above 2^63 an int64 product would wrap; the Python-int one is exact.
-    p = 2**31 - 1
-    a = [[p - 1] * 6] + [[rng.randrange(p) for _ in range(6)] for _ in range(3)]
-    b = [[rng.randrange(p) for _ in range(3)] for _ in range(5)] + [[p - 1] * 3]
-    exact = 6 * (p - 1) ** 2
-    assert exact >= 2**63
-    wide = np.full((1, 6), p - 1, dtype=np.int64)
-    assert int((wide @ wide.T)[0, 0]) != exact
-    assert fl._mulmod(wide, wide.T, p).tolist() == [[exact % p]]
-    got = fl._mulmod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
-    assert got.tolist() == _python_mulmod(a, b, p)
 
 
 # The sparse elimination against the dense reference loop and sympy.
@@ -378,12 +353,15 @@ def _sympy_rref(a, p):
 
 def _check_rref(a, p):
     """_rref on the entries of an array with entries in any range leaves the
-    array alone, and its basis equals the nonzero rows of the dense
-    reference and of sympy, both run on the array reduced into [0, p)."""
+    array alone, stores no value outside [1, p), and its basis equals the
+    nonzero rows of the dense reference and of sympy, both run on the array
+    reduced into [0, p)."""
     before = a.copy()
-    pivots, got = fl._rref(FpMatrix(a, p))
+    basis = fl._rref(FpMatrix(a, p))
     assert np.array_equal(a, before)
-    assert got.shape == (len(pivots), a.shape[1])
+    assert all(0 < v < p for row in basis.values() for v in row.values())
+    pivots = list(basis)
+    got = fp_reference.dense_rows(list(basis.values()), a.shape[1])
     want = a % p
     assert pivots == fp_reference.rref(want, p)
     assert np.array_equal(got, want[: len(pivots)])
@@ -391,7 +369,7 @@ def _check_rref(a, p):
         red, sym_pivots = _sympy_rref(a % p, p)
         assert pivots == sym_pivots
         assert np.array_equal(got, red[: len(pivots)])
-    return got, pivots
+    return basis
 
 
 def _sparse_structured(rng, p, nrows, ncols):
@@ -428,10 +406,10 @@ def test_sparse_rref_matches_dense_reference_and_sympy(p):
         _check_rref(np.zeros((nrows, ncols), dtype=np.int64), p)
         for _ in range(12 if ncols else 1):
             raw = _sparse_structured(rng, p, nrows, ncols)
-            got, pivots = _check_rref(raw, p)
+            basis = _check_rref(raw, p)
             space = fl.RowSpace(FpMatrix(raw, p))
-            assert space.pivots == pivots
-            assert np.array_equal(space.rows, got)
+            assert space.pivots == list(basis)
+            assert space.basis == basis
 
 
 def test_sparse_rref_on_verify_skew_blocks(monkeypatch):
@@ -468,12 +446,12 @@ def test_large_prime_kernel_and_membership_exact():
         want, pivots = _rref_reference(data, p)
         space = fl.RowSpace(FpMatrix(data, p))
         assert space.pivots == pivots
-        assert space.rows.tolist() == want[: len(pivots)]
-        basis = fl.kernel_basis(FpMatrix(data, p)).tolist()
+        got = fp_reference.dense_rows(list(space.basis.values()), 6)
+        assert got.tolist() == want[: len(pivots)]
+        basis = fp_reference.dense_rows(fl.kernel_basis(FpMatrix(data, p)), 6).tolist()
         assert len(basis) == 6 - len(pivots)
-        assert _python_mulmod(data, [list(c) for c in zip(*basis)], p) == [
-            [0] * len(basis) for _ in data
-        ]
+        for v in basis:
+            assert not any(_python_rows_times(data, v, p))
         coeffs = [rng.randrange(p) for _ in data]
         member = [sum(c * r[j] for c, r in zip(coeffs, data)) % p for j in range(6)]
         other = [rng.randrange(p) for _ in range(6)]
@@ -530,7 +508,7 @@ def test_entries_constructor_matches_dense(p):
                 assert fl.rank(m) == len(want_pivots)
                 red, pivots = fl.rref(m)
                 assert pivots == want_pivots and np.array_equal(red, want)
-                basis = fl.kernel_basis(m)
+                basis = fp_reference.dense_rows(fl.kernel_basis(m), ncols)
                 assert len(basis) == ncols - len(pivots)
                 for v in basis.tolist():
                     assert not any(_python_rows_times(raw, v, p))
@@ -541,10 +519,9 @@ def test_entries_constructor_matches_dense(p):
                     if ncols in piv:
                         assert got is None
                     else:
-                        want_x = np.zeros(ncols, dtype=np.int64)
-                        want_x[piv] = red[: len(piv), ncols]
-                        assert np.array_equal(got, want_x)
-            assert np.array_equal(fl.kernel_basis(dense), fl.kernel_basis(ents))
+                        want_x = zip(piv, red[: len(piv), ncols].tolist())
+                        assert got == {c: v for c, v in want_x if v}
+            assert fl.kernel_basis(dense) == fl.kernel_basis(ents)
 
 
 def test_entries_constructor_refuses_bad_indices():
@@ -557,6 +534,17 @@ def test_entries_constructor_refuses_bad_indices():
         FpMatrix.entries([1, 0, 1], [0, 1, 0], [1, 1, 2], (2, 2), 3)
     with pytest.raises(ValueError, match="not prime"):
         FpMatrix.entries([], [], [], (2, 2), 4)
+    # Values are int64: a prime above 2^63 is refused by both constructors,
+    # and the largest prime below it is exact.
+    big, top = 2**63 + 29, 2**63 - 25
+    assert fl.is_prime(big) and fl.is_prime(top)
+    with pytest.raises(ValueError, match=r"2\^63"):
+        fl.rank(FpMatrix([[1, 2], [3, 4]], big))
+    with pytest.raises(ValueError, match=r"2\^63"):
+        FpMatrix.entries([], [], [], (2, 2), big)
+    assert fl.rank(FpMatrix([[1, 2], [3, 4]], top)) == 2
+    assert fl.kernel_basis(FpMatrix([[1, 2]], top)) == [{1: 1, 0: top - 2}]
+    assert fl.solve(FpMatrix([[top - 1, 2]], top), [top - 3]) == {0: 3}
 
 
 def test_assemble_emits_each_entry_once(monkeypatch):
@@ -597,20 +585,23 @@ def test_substitution_checks_fire(monkeypatch, p):
     assert ((p - 1) ** 2 >= 2**63) == (p > 3)
     rng = random.Random(p)
     data = [[rng.randrange(p) for _ in range(6)] for _ in range(4)]
-    for v in fl.kernel_basis(FpMatrix(data, p)).tolist():
+    for v in fp_reference.dense_rows(fl.kernel_basis(FpMatrix(data, p)), 6).tolist():
         assert not any(_python_rows_times(data, v, p))
     b = _python_rows_times(data, [rng.randrange(p) for _ in range(6)], p)
-    assert _python_rows_times(data, fl.solve(FpMatrix(data, p), b).tolist(), p) == b
+    x = fp_reference.dense_rows([fl.solve(FpMatrix(data, p), b)], 6)[0].tolist()
+    assert _python_rows_times(data, x, p) == b
     m = FpMatrix([[1, 1, 0], [0, 1, 1]], p)
     rhs = [2, 2]
-    assert fl.solve(m, rhs).tolist() == [0, 2, 0]
-    assert fl.kernel_basis(m).tolist() == [[1, p - 1, 1]]
+    assert fl.solve(m, rhs) == {1: 2}
+    assert fl.kernel_basis(m) == [{0: 1, 1: p - 1, 2: 1}]
     real = fl._rref
 
     def tampered(a):
-        pivots, rows = real(a)
-        rows[0, -1] = (rows[0, -1] + 1) % a.p
-        return pivots, rows
+        # The last column is not a pivot of m, nor of m with rhs appended.
+        basis = real(a)
+        first = basis[0]
+        first[a.cols - 1] = (first.get(a.cols - 1, 0) + 1) % a.p
+        return basis
 
     monkeypatch.setattr(fl, "_rref", tampered)
     with pytest.raises(AssertionError, match="kernel vector failed"):

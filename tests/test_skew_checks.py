@@ -332,8 +332,8 @@ def test_module_span_matches_ring_products(p):
                         vecs.append(flat.to_vec(prod))
         ref = fp_linalg.RowSpace(fp_linalg.FpMatrix(vecs, p))
         got = sc.module_span(flat, [flat.to_vec(g) for g in gens], maxdeg)
-        assert np.array_equal(got.rows, ref.rows)
-        assert len(ref.rows) > 10
+        assert got.basis == ref.basis
+        assert len(ref.basis) > 10
 
 
 def _dense_pair_span(multiples, deg, window, monos, p):
@@ -402,27 +402,35 @@ def test_span_s_assembly_matches_dense_reference(p, trunc, window, m_max):
         )
         mat = fp_reference.dense(m)
         keys = _code_keys(coords, multiples)
-        rows = fp_linalg.RowSpace(fp_linalg.FpMatrix(mat.T, p)).rows
+        basis = fp_linalg.RowSpace(fp_linalg.FpMatrix(mat.T, p)).basis
+        rows = fp_reference.dense_rows(list(basis.values()), len(codes))
         spread = np.zeros((len(rows), len(index)), dtype=np.int64)
         spread[:, [index[keys[c]] for c in codes.tolist()]] = rows
-        assert np.array_equal(fp_linalg.RowSpace(fp_linalg.FpMatrix(spread, p)).rows, ref.rows)
-        ranks.append(len(ref.rows))
+        assert fp_linalg.RowSpace(fp_linalg.FpMatrix(spread, p)).basis == ref.basis
+        ranks.append(len(ref.basis))
     assert min(ranks[1:]) > 0
 
 
 def test_relation_check_peak_memory():
-    # The precision-1 relation check at (2,6,3,3) holds no dense elimination
-    # input: its traced allocation peak is about 4.6 MiB, and was 11.6 MiB
-    # when each block was assembled as a dense matrix. The peak repeats to
-    # the byte once a first run has loaded what it imports lazily.
+    # Traced allocation peaks of two precision-1 relation checks. At
+    # (2,6,3,3) no elimination input is dense: about 0.8 MiB, 11.6 MiB when
+    # each block was assembled as a dense matrix. The corrupted (3,10,3,6)
+    # check holds no dense reduced basis: about 4.9 MiB, 151.9 MiB when its
+    # span(S) bases were dense arrays. A peak repeats to the byte once a
+    # first run has loaded what it imports lazily.
     import tracemalloc
 
-    sc.verify_relations(2, 1, 1, 3, 6, 3, precision=1)
-    tracemalloc.start()
-    try:
-        report = sc.verify_relations(2, 1, 1, 3, 6, 3, precision=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.ok
-    assert peak < 8 * 2**20
+    cases = [
+        ((2, 1, 1, 3, 6, 3), {}, True, 8),
+        ((3, 1, 1, 3, 10, 6), {"corrupt_s1": True}, False, 40),
+    ]
+    for args, kwargs, ok, mib in cases:
+        sc.verify_relations(*args, precision=1, **kwargs)
+        tracemalloc.start()
+        try:
+            report = sc.verify_relations(*args, precision=1, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok == ok
+        assert peak < mib * 2**20, args

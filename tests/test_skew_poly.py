@@ -267,7 +267,8 @@ def _dense_kernel(ctx, gens, bounds):
             mu = SkewPoly(ctx, {x: TruncSeries(ctx.base, {mono: 1})})
             cols.append(image.to_vec(mu * g))
     mat = fp_linalg.FpMatrix(np.array(cols, dtype=np.int64).T, ctx.base.p)
-    return domain, fp_linalg.kernel_basis(mat).tolist()
+    kernel = fp_linalg.kernel_basis(mat)
+    return domain, fp_reference.dense_rows(kernel, mat.cols).tolist()
 
 
 def test_syzygy_blockwise_matches_dense_kernel():
