@@ -1,4 +1,5 @@
-"""Exact linear algebra over the prime field F_p.
+"""Exact linear algebra over the prime field F_p, and the sparse echelon
+loop that it shares with the rational Lie layer.
 
 A matrix is an `FpMatrix`: its shape, p, and its nonzero entries as
 parallel row, column and value arrays, row-major, with values in [1, p).
@@ -8,25 +9,28 @@ them, so a sparse system is never held as a dense array. Values are int64,
 so p must lie below 2^63; every product and sum of them runs on Python
 ints, so all arithmetic is exact.
 
-Elimination is sparse: `_rref` reads each row's entries into a
-{column: value} dict, reduces it against the basis so far, and makes its
-smallest remaining column a new pivot, which is then cleared from the
-earlier basis rows. The basis is fully reduced after every row, so at the
-end it is the reduced row echelon form, which `_rref` returns as those
-dicts, by ascending pivot. That form is unique for a row space, so every
-computed basis and every solution is deterministic and independent of the
-row order. `_rref` is the only elimination loop; `RowSpace` wraps it and
-answers every span question (membership, equality, filtration pieces), and
-rank, kernel and solve are built on it. Kernel vectors and solutions are
-{column: value} dicts too, by ascending column, and both are re-verified by
-substitution on the entries. `rref` remains as a dense view for the
-benchmark's tracer, which wraps it and reads `rows` and `cols` of the
-`rank` and `kernel_basis` argument.
+Elimination is sparse and runs in one loop, `_echelon`, over a field
+given by two operations on its values: bring a value to canonical form,
+and invert it. It reads each row as a {column: value} dict, reduces it
+against the basis so far (`_reduce`), and makes its smallest remaining
+column a new pivot, which is then cleared from the earlier basis rows. The
+basis is fully reduced after every row, so at the end it is the reduced row
+echelon form, returned as those dicts by ascending pivot. That form is
+unique for a row space, so every computed basis and every solution is
+deterministic and independent of the row order. One loop serves F_p and Q:
+`_rref` runs it mod p on an `FpMatrix`, and `root_datum` runs it on
+`Fraction` values for the lower central series and the witness closure
+check. `RowSpace` wraps `_rref` and answers every span question
+(membership, equality, filtration pieces), and rank, kernel and solve are
+built on it. Kernel vectors and solutions are {column: value} dicts too, by
+ascending column, and both are re-verified by substitution on the entries.
+`rref` remains as a dense view for the benchmark's tracer, which wraps it
+and reads `rows` and `cols` of the `rank` and `kernel_basis` argument.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -133,8 +137,9 @@ def _dict_rows(m: FpMatrix) -> Iterator[Row]:
         start = end
 
 
-def _reduce(w: Row, basis: Dict[int, Row], p: int) -> Row:
-    """w - sum of w[c] * basis[c] over the pivots c in w, in place.
+def _reduce(w: dict, basis: Dict[int, dict], norm: Callable) -> dict:
+    """w - sum of w[c] * basis[c] over the pivots c in w, in place, each
+    entry brought to canonical form by norm.
 
     Each basis row holds 1 at its pivot and 0 at every other pivot, so no
     subtraction changes w at another pivot: the result is zero at every
@@ -143,7 +148,7 @@ def _reduce(w: Row, basis: Dict[int, Row], p: int) -> Row:
     for c in [c for c in w if c in basis]:
         f = w[c]
         for k, v in basis[c].items():
-            x = (w.get(k, 0) - f * v) % p
+            x = norm(w.get(k, 0) - f * v)
             if x:
                 w[k] = x
             else:
@@ -151,29 +156,30 @@ def _reduce(w: Row, basis: Dict[int, Row], p: int) -> Row:
     return w
 
 
-def _rref(m: FpMatrix) -> Dict[int, Row]:
-    """The reduced echelon basis of the rows of m over F_p: pivot column ->
-    row, by ascending pivot, each row with its 1 at the pivot.
+def _echelon(rows: Iterable[dict], norm: Callable, invert: Callable) -> Dict[int, dict]:
+    """The reduced echelon basis of the rows over the field whose values
+    norm brings to canonical form and invert inverts: pivot column -> row,
+    by ascending pivot, each row with its 1 at the pivot.
 
-    The sparse elimination of the module docstring: a column -> pivots
-    index finds the basis rows that hold a new pivot's column without
-    scanning every row.
+    The rows are dicts without zero values and are reduced in place. A
+    column -> pivots index finds the basis rows that hold a new pivot's
+    column without scanning every row.
     """
-    p = m.p
-    basis: Dict[int, Row] = {}
+    basis: Dict[int, dict] = {}
     holders: Dict[int, Set[int]] = {}  # free column -> pivots holding it
-    for row in _dict_rows(m):
-        _reduce(row, basis, p)
+    for row in rows:
+        _reduce(row, basis, norm)
         if not row:
             continue
         piv = min(row)
-        inv = pow(row.pop(piv), p - 2, p)
-        new = {k: v * inv % p for k, v in row.items()}
+        inv = invert(row[piv])
+        new = {k: norm(v * inv) for k, v in row.items()}
+        one = new.pop(piv)  # the field's own 1, e.g. Fraction(1) over Q
         for q in holders.pop(piv, ()):
             b = basis[q]
             f = b.pop(piv)
             for k, v in new.items():
-                x = (b.get(k, 0) - f * v) % p
+                x = norm(b.get(k, 0) - f * v)
                 if x:
                     if k not in b:
                         holders.setdefault(k, set()).add(q)
@@ -183,9 +189,15 @@ def _rref(m: FpMatrix) -> Dict[int, Row]:
                     holders[k].discard(q)
         for k in new:
             holders.setdefault(k, set()).add(piv)
-        new[piv] = 1
+        new[piv] = one
         basis[piv] = new
     return dict(sorted(basis.items()))
+
+
+def _rref(m: FpMatrix) -> Dict[int, Row]:
+    """The reduced echelon basis of the rows of m over F_p."""
+    p = m.p
+    return _echelon(_dict_rows(m), lambda x: x % p, lambda x: pow(x, -1, p))
 
 
 def _dense(rows: Sequence[Row], shape: Tuple[int, int]) -> np.ndarray:
@@ -242,8 +254,9 @@ class RowSpace:
         row is reduced against the basis once."""
         if q.cols != self.cols:
             raise DimensionMismatch(f"query width {q.cols} != dimension {self.cols}")
+        p = self.p
         return np.fromiter(
-            (not _reduce(w, self.basis, self.p) for w in _dict_rows(q)),
+            (not _reduce(w, self.basis, lambda x: x % p) for w in _dict_rows(q)),
             dtype=bool,
             count=q.rows,
         )

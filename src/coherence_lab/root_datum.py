@@ -19,8 +19,9 @@ lower central series (de Graaf, Lie Algebras: Theory and Algorithms,
 North-Holland 2000, sec. 1.15 and ch. 5). These kernels touch only nonzero
 structure constants: the Jacobi sum of a triple accumulates in a dict keyed
 by target index, each series term is spanned by the [e_i, y] formed from
-bracket_basis, and the rational elimination skips zero entries. The results
-equal those of a dense scan, since RREF over Q is unique.
+bracket_basis, and both the series and the witness closure check eliminate
+sparse rows in fp_linalg's echelon loop, run over Q. The results equal
+those of a dense scan, since RREF over Q is unique.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fp_linalg import is_prime
+from .fp_linalg import _echelon, _reduce, is_prime
 from .int_lattice import IntLattice, IntVector
 
 QVector = Tuple[Fraction, ...]
@@ -87,47 +88,18 @@ def _q(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _rref_frac(rows: Sequence[Sequence[Fraction]]) -> List[QVector]:
-    """Reduced row echelon form over Q; zero rows dropped. Canonical.
-
-    Scaling and elimination touch only the pivot row's nonzero entries.
-    """
-    work = [list(map(_q, r)) for r in rows]
-    if not work:
-        return []
-    ncols = len(work[0])
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        row = work[r]
-        support = [k for k in range(c, ncols) if row[k]]
-        inv = 1 / row[c]
-        for k in support:
-            row[k] *= inv
-        for i, other in enumerate(work):
-            f = other[c]
-            if f and i != r:
-                for k in support:
-                    other[k] -= f * row[k]
-        r += 1
-        if r == len(work):
-            break
-    return [tuple(row) for row in work if any(row)]
+# Q as a field for the shared echelon loop: Fraction values are canonical
+# as they are, and 1 / x inverts them.
+def _same(x: Fraction) -> Fraction:
+    return x
 
 
-def _in_span(rref_rows: Sequence[QVector], v: Sequence[Fraction]) -> bool:
-    w = list(map(_q, v))
-    for row in rref_rows:
-        support = [k for k, a in enumerate(row) if a]
-        f = w[support[0]]
-        if f:
-            f /= row[support[0]]
-            for k in support:
-                w[k] -= f * row[k]
-    return not any(w)
+def _recip(x: Fraction) -> Fraction:
+    return 1 / x
+
+
+def _sparse(v: Sequence[Fraction]) -> Dict[int, Fraction]:
+    return {k: a for k, a in enumerate(v) if a}
 
 
 class GradedLieAlgebraQ:
@@ -339,44 +311,39 @@ def validate(datum: SolvableGroupDatum) -> List[str]:
 
 def _bracket_closed(lie: GradedLieAlgebraQ, basis: Sequence[QVector]) -> bool:
     """True iff the bracket of any two basis vectors lies in their span."""
-    span = _rref_frac([list(v) for v in basis])
-    for x in basis:
-        for y in basis:
-            b = lie.bracket(x, y)
-            if any(c != 0 for c in b) and not _in_span(span, b):
-                return False
-    return True
+    span = _echelon(map(_sparse, basis), _same, _recip)
+    return not any(
+        _reduce(_sparse(lie.bracket(x, y)), span, _same) for x in basis for y in basis
+    )
 
 
 def lower_central_series(lie: GradedLieAlgebraQ) -> List[List[QVector]]:
     """Descending chain g = g^1 >= g^2 = [g, g^1] >= ... down to zero.
 
     Each g^(k+1) is the span of the [e_i, y], y a basis row of g^k, formed
-    from the nonzero structure constants only. Every term is returned as its
-    canonical RREF basis. Raises NotNilpotent if the chain stabilizes at a
-    nonzero term.
+    from the nonzero structure constants only as sparse rows, and reduced by
+    the shared echelon loop over Q. Every term is returned as its canonical
+    RREF basis of dense vectors. Raises NotNilpotent if the chain stabilizes
+    at a nonzero term.
     """
     dim = lie.dim
+    zero = Fraction(0)
+    term = {i: {i: Fraction(1)} for i in range(dim)}
     chain = [[lie.basis_vector(i) for i in range(dim)]]
-    while chain[-1]:
-        prev = chain[-1]
+    while term:
         rows = []
-        for y in prev:
-            ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        for y in term.values():
             for i in range(dim):
                 acc: Dict[int, Fraction] = {}
-                for j, yj in ys:
+                for j, yj in y.items():
                     for k, c in lie.bracket_basis(i, j).items():
                         acc[k] = acc.get(k, 0) + yj * c
-                if any(acc.values()):
-                    row = [Fraction(0)] * dim
-                    for k, c in acc.items():
-                        row[k] = c
-                    rows.append(row)
-        nxt = _rref_frac(rows)
-        if len(nxt) >= len(prev):
+                rows.append({k: c for k, c in acc.items() if c})
+        nxt = _echelon(rows, _same, _recip)
+        if len(nxt) >= len(term):
             raise NotNilpotent("lower central series fails to descend to zero")
-        chain.append(nxt)
+        chain.append([tuple(row.get(k, zero) for k in range(dim)) for row in nxt.values()])
+        term = nxt
     return chain
 
 

@@ -1,8 +1,11 @@
 """Dense reference implementations of the Lie-algebra layer, kept as test
-oracles for the sparse kernels in coherence_lab.root_datum.
+oracles for the sparse kernels in coherence_lab.root_datum and for the
+echelon loop over Q that it shares with fp_linalg.
 
 Every function here scans all coordinates and builds dense Fraction lists:
-`rref` and `in_span` eliminate over whole rows, `bracket` tests all dim^2
+`rref` and `in_span` eliminate over whole rows (the program has no dense
+rational elimination; the acceptance suite re-checks witness closure with
+these two), `bracket` tests all dim^2
 coordinate pairs, `lower_central_series` brackets dense basis vectors, and
 `validate` accumulates each Jacobi triple in a dense list. The results must
 equal the program's, chain for chain and violation string for violation

@@ -31,6 +31,7 @@ from coherence_lab.int_lattice import ConeViolation, IntLattice
 from coherence_lab.root_datum import PadicFieldParams, valuation_of_character
 from coherence_lab.skew_poly import SkewPoly
 
+import lie_reference as lie_ref
 from datagen import random_datum, random_off_ray_pair, random_on_ray_pair
 
 SEED = 20240811
@@ -167,14 +168,13 @@ def test_criterion_4_certificate_soundness():
             ):
                 ok = False
                 break
-            # Bracket closure of the embedded subalgebra.
-            from coherence_lab.root_datum import _in_span, _rref_frac
-
-            basis = _rref_frac([list(v) for v in w.subalgebra_basis])
+            # Bracket closure of the embedded subalgebra, by the dense
+            # oracle rather than the program's elimination.
+            basis = lie_ref.rref(w.subalgebra_basis)
             for x in w.subalgebra_basis:
                 for y in w.subalgebra_basis:
                     b = datum.lie.bracket(x, y)
-                    if any(c != 0 for c in b) and not _in_span(basis, b):
+                    if any(c != 0 for c in b) and not lie_ref.in_span(basis, b):
                         ok = False
     report(
         4,

@@ -9,6 +9,7 @@ from coherence_lab import root_datum as rd
 from coherence_lab.catalog import CATALOG
 from coherence_lab.coherence import borel_datum_type_A
 from coherence_lab.descriptors import parse_descriptor
+from coherence_lab.fp_linalg import _echelon, _reduce
 from coherence_lab.root_datum import (
     GradedLieAlgebraQ,
     PadicFieldParams,
@@ -368,19 +369,23 @@ def _random_rows(rng, rational):
 
 
 @pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
-def test_rref_frac_matches_sympy(rational):
+def test_echelon_over_q_matches_sympy(rational):
+    """The shared echelon loop run over Q, as root_datum runs it, gives
+    sympy's RREF with Fraction entries, and `_reduce` against it decides
+    membership as sympy's rank does."""
     rng = random.Random(12 + rational)
     seen = {"zero row": 0, "rank deficient": 0, "in span": 0, "not in span": 0}
     for _ in range(200):
         rows = _random_rows(rng, rational)
         m = sympy.Matrix(rows)
         reduced, pivots = m.rref()
-        expected = [
-            tuple(Q(int(a.p), int(a.q)) for a in reduced.row(i)) for i in range(len(pivots))
-        ]
-        got = rd._rref_frac(rows)
-        assert got == expected
-        assert all(type(a) is Q for row in got for a in row)
+        expected = {
+            c: {k: Q(int(a.p), int(a.q)) for k, a in enumerate(reduced.row(i)) if a}
+            for i, c in enumerate(pivots)
+        }
+        got = _echelon(map(rd._sparse, rows), rd._same, rd._recip)
+        assert got == expected and list(got) == list(pivots)
+        assert all(type(a) is Q for row in got.values() for a in row.values())
         seen["zero row"] += any(not any(r) for r in rows)
         seen["rank deficient"] += len(pivots) < len(rows)
         # Membership against the rank test, for a combination of the rows
@@ -390,7 +395,7 @@ def test_rref_frac_matches_sympy(rational):
         other = [_random_entry(rng, rational) for _ in range(m.cols)]
         for v in (combo, other):
             member = m.col_join(sympy.Matrix([v])).rank() == m.rank()
-            assert rd._in_span(got, v) is member
+            assert (not _reduce(rd._sparse(v), got, rd._same)) is member
             seen["in span" if member else "not in span"] += 1
     assert min(seen.values()) > 10, seen
 
@@ -465,7 +470,11 @@ def test_sparse_kernels_match_dense_reference():
             with pytest.raises(rd.NotNilpotent):
                 rd.lower_central_series(lie)
         else:
-            assert rd.lower_central_series(lie) == expected
+            chain = rd.lower_central_series(lie)
+            assert chain == expected
+            # 1 == Fraction(1), so the comparison alone cannot see an int
+            # pivot left by the echelon loop.
+            assert all(type(a) is Q for term in chain for v in term for a in v)
             nilpotent += 1
         for _ in range(3):
             x, y = _random_vector(rng, lie.dim), _random_vector(rng, lie.dim)
