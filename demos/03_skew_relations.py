@@ -6,6 +6,7 @@ them against the bounded syzygy kernel, and run the monomial obstruction
 that forces infinite generation of the quotient module.
 """
 
+from coherence_lab import obstruction as obs
 from coherence_lab import skew_checks as sc
 from coherence_lab.skew_poly import SkewPoly, ideal_membership_bounded
 
@@ -40,10 +41,10 @@ print()
 
 print("the obstruction that keeps the quotient module infinitely generated:")
 print("  s*t in some twisted product ideal (n_u=n_v=1)?",
-      sc.monomial_obstruction(p, 1, 1, 1, 1, window=8))
+      obs.monomial_obstruction(p, 1, 1, 1, 1, window=8))
 print("  control with n_u=0:",
-      sc.monomial_obstruction(p, 1, 1, 0, 1, window=8))
-demo = sc.not_fg_demonstration(p, 1, 1, n_max=6, window=8)
+      obs.monomial_obstruction(p, 1, 1, 0, 1, window=8))
+demo = obs.not_fg_demonstration(p, 1, 1, n_max=6, window=8)
 print(f"  generator chain strict at all {len(demo.steps)} stages: {demo.all_strict}")
 print()
 

@@ -15,9 +15,6 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from . import __version__
-from . import finite_groups as fg
-from . import fp_linalg
-from . import skew_checks as sc
 from .catalog import CATALOG, catalog_check
 from .coherence import InvalidDatum, decide
 from .descriptors import (
@@ -29,8 +26,9 @@ from .descriptors import (
     to_descriptor,
     verdict_to_json,
 )
+from .echelon import is_prime
+from .obstruction import not_fg_demonstration
 from .root_datum import MalformedDatum
-from .skew_poly import SkewPoly
 
 # name -> generators of a subgroup of U3(Z/p^a); None generates the whole
 # group from e12, e23 and e13.
@@ -46,10 +44,11 @@ SUBGROUP_SELECTORS = {
 }
 
 # Largest truncation `verify-skew --precision 1` takes on, per p. The refined
-# grid multiplies the series slab by p; the worst admitted case over
-# window <= 3 and mmax <= 6 runs in about 21 s, the next truncation up takes
-# 29 s (p = 2), 53 s (p = 3) and 39 s (p = 5), and the cost keeps growing
-# about threefold per step.
+# grid multiplies the series slab by p. The caps were set against a budget of
+# about 20 s for the worst admitted case over window <= 3 and mmax <= 6, on
+# code that has since become far faster: that case now takes under a second
+# (README "Scale limits"). Re-deriving them from a stated time and memory
+# budget is ROADMAP direction 2.
 PRECISION1_MAX_TRUNC = {2: 11, 3: 9, 5: 6}
 
 
@@ -76,7 +75,12 @@ def _base_report(command: str, inputs: Dict[str, Any]) -> Dict[str, Any]:
 def cmd_decide(args) -> int:
     target = args.target
     path = Path(target)
-    if target not in CATALOG and not path.exists():
+    try:
+        found = target in CATALOG or path.exists()
+    except OSError as e:  # e.g. a name longer than the file system allows
+        print(f"error: decide target: {e.strerror}", file=sys.stderr)
+        return 2
+    if not found:
         print(f"error: {target!r} is neither a catalog name nor a file", file=sys.stderr)
         return 2
     try:
@@ -113,6 +117,9 @@ def cmd_decide(args) -> int:
 
 
 def cmd_verify_skew(args) -> int:
+    from . import skew_checks as sc
+    from .skew_poly import SkewPoly
+
     if not 1 <= args.trunc <= 16:
         PARSER.error("--trunc must be in [1, 16]")
     if not 1 <= args.window <= 6:
@@ -201,7 +208,7 @@ def cmd_verify_skew(args) -> int:
 
 def cmd_obstruction(args) -> int:
     try:
-        prime = fp_linalg.is_prime(args.p)
+        prime = is_prime(args.p)
     except ValueError as e:
         PARSER.error(str(e))
     if not prime:
@@ -211,7 +218,7 @@ def cmd_obstruction(args) -> int:
     lo = 0 if args.control else 1
     if not (lo <= args.nu <= 16 and lo <= args.nv <= 16):
         PARSER.error(f"--nu and --nv must be in [{lo}, 16] (--control admits 0)")
-    demo = sc.not_fg_demonstration(
+    demo = not_fg_demonstration(
         p=args.p, n_u=args.nu, n_v=args.nv, n_max=args.nmax, window=args.window
     )
     report = _base_report(
@@ -246,6 +253,8 @@ def cmd_obstruction(args) -> int:
 
 
 def _resolve_subgroup(G, name: str):
+    from . import finite_groups as fg
+
     gens = SUBGROUP_SELECTORS[name]
     if gens is None:
         return G.full()
@@ -254,6 +263,8 @@ def _resolve_subgroup(G, name: str):
 
 
 def cmd_mackey(args) -> int:
+    from . import finite_groups as fg
+
     try:
         G = fg.FiniteGroup(args.p, args.a)
     except (ValueError, fg.BudgetExceeded) as e:

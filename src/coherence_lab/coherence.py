@@ -101,7 +101,8 @@ def decide_solvable(datum: SolvableGroupDatum) -> Verdict:
 def _check_embedded(
     datum: SolvableGroupDatum, combo: IntVector, w: WitnessDescriptor
 ) -> None:
-    """Re-verify the embedded witness: sign pattern and bracket closure."""
+    """Re-verify the embedded witness: sign pattern, bracket closure and the
+    rank of its basis."""
     t_val = root_datum._torus_element(datum, combo)
     if valuation_of_character(datum.weights[w.alpha], t_val) != w.n_alpha:
         raise AssertionError("witness n_alpha mismatch")
@@ -112,8 +113,11 @@ def _check_embedded(
     expected_dim = 2 if w.kind == "G3" else 3
     if len(w.subalgebra_basis) != expected_dim:
         raise AssertionError(f"{w.kind} witness must have dimension {expected_dim}")
-    if not root_datum._bracket_closed(datum.lie, w.subalgebra_basis):
+    rank = root_datum._bracket_closed(datum.lie, w.subalgebra_basis)
+    if rank is None:
         raise AssertionError("witness subalgebra is not bracket-closed")
+    if rank != expected_dim:
+        raise AssertionError(f"{w.kind} witness basis has rank {rank}, not {expected_dim}")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import fp_linalg
+from .echelon import is_prime
 
 MAX_GROUP_ORDER = 4096
 
@@ -46,7 +47,7 @@ class FiniteGroup:
     """
 
     def __init__(self, p: int, a: int = 1):
-        if not fp_linalg.is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"p={p} is not prime")
         if a < 0:
             raise ValueError(f"a={a} is negative")

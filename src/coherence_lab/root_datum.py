@@ -20,8 +20,8 @@ North-Holland 2000, sec. 1.15 and ch. 5). These kernels touch only nonzero
 structure constants: the Jacobi sum of a triple accumulates in a dict keyed
 by target index, each series term is spanned by the [e_i, y] formed from
 bracket_basis, and both the series and the witness closure check eliminate
-sparse rows in fp_linalg's echelon loop, run over Q. The results equal
-those of a dense scan, since RREF over Q is unique.
+sparse rows in the shared echelon loop of `echelon`, run over Q. The results
+equal those of a dense scan, since RREF over Q is unique.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fp_linalg import _echelon, _reduce, is_prime
+from .echelon import _echelon, _reduce, is_prime
 from .int_lattice import IntLattice, IntVector
 
 QVector = Tuple[Fraction, ...]
@@ -309,12 +309,14 @@ def validate(datum: SolvableGroupDatum) -> List[str]:
     return out
 
 
-def _bracket_closed(lie: GradedLieAlgebraQ, basis: Sequence[QVector]) -> bool:
-    """True iff the bracket of any two basis vectors lies in their span."""
+def _bracket_closed(lie: GradedLieAlgebraQ, basis: Sequence[QVector]) -> Optional[int]:
+    """The dimension of the span of the basis vectors if the bracket of any
+    two of them lies in it, else None. The dimension is the length of the
+    echelon basis that the membership test reduces against."""
     span = _echelon(map(_sparse, basis), _same, _recip)
-    return not any(
-        _reduce(_sparse(lie.bracket(x, y)), span, _same) for x in basis for y in basis
-    )
+    if any(_reduce(_sparse(lie.bracket(x, y)), span, _same) for x in basis for y in basis):
+        return None
+    return len(span)
 
 
 def lower_central_series(lie: GradedLieAlgebraQ) -> List[List[QVector]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
-from .fp_linalg import is_prime
+from .echelon import is_prime
 
 Monomial = Tuple[int, ...]  # scaled exponents, one per variable
 

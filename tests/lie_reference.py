@@ -1,6 +1,6 @@
 """Dense reference implementations of the Lie-algebra layer, kept as test
 oracles for the sparse kernels in coherence_lab.root_datum and for the
-echelon loop over Q that it shares with fp_linalg.
+echelon loop over Q that it shares with fp_linalg (coherence_lab.echelon).
 
 Every function here scans all coordinates and builds dense Fraction lists:
 `rref` and `in_span` eliminate over whole rows (the program has no dense

@@ -16,6 +16,7 @@ import pytest
 
 from coherence_lab import finite_groups as fg
 from coherence_lab import int_lattice as il
+from coherence_lab import obstruction as obs
 from coherence_lab import skew_checks as sc
 from coherence_lab.catalog import catalog_check
 from coherence_lab.cli import main as cli_main
@@ -214,11 +215,11 @@ def test_criterion_6_obstruction_suite():
     ok = True
     for n_u in (1, 2, 3):
         for n_v in (1, 2, 3):
-            if sc.monomial_obstruction(2, 1, 1, n_u, n_v, window=8):
+            if obs.monomial_obstruction(2, 1, 1, n_u, n_v, window=8):
                 ok = False
-    if not sc.monomial_obstruction(2, 1, 1, 0, 1, window=8):
+    if not obs.monomial_obstruction(2, 1, 1, 0, 1, window=8):
         ok = False
-    demo = sc.not_fg_demonstration(2, 1, 1, n_max=6, window=8)
+    demo = obs.not_fg_demonstration(2, 1, 1, n_max=6, window=8)
     ok = ok and demo.all_strict and len(demo.steps) == 6
     report(
         6,

@@ -10,7 +10,7 @@ import pytest
 
 from coherence_lab import cli
 from coherence_lab import finite_groups as fg
-from coherence_lab import fp_linalg
+from coherence_lab import echelon
 from coherence_lab.catalog import CATALOG
 from coherence_lab.cli import main
 
@@ -45,6 +45,15 @@ def test_decide_unknown_target(capsys):
     code, _, err = run(["decide", "no-such-group"], capsys)
     assert code == 2
     assert "neither" in err
+
+
+def test_decide_overlong_target(capsys):
+    # Path.exists() raises for a name longer than the file system allows;
+    # that is an input error (exit 2), not a failed verification arm.
+    code, out, err = run(["decide", "x" * 5000], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "File name too long" in err
+    assert "Traceback" not in out + err
 
 
 def test_decide_descriptor_file(tmp_path, capsys):
@@ -444,8 +453,8 @@ def test_obstruction_refused_before_work(capsys, argv):
 def test_obstruction_worst_admitted_corner_is_fast(capsys):
     # The largest prime is_prime settles exactly, at the largest admitted
     # window, stage count and n_u, n_v.
-    p = fp_linalg.MR_EXACT_BOUND - 1
-    while not fp_linalg.is_prime(p):
+    p = echelon.MR_EXACT_BOUND - 1
+    while not echelon.is_prime(p):
         p -= 1
     t0 = time.perf_counter()
     code, out, _ = run(
@@ -641,3 +650,61 @@ def test_decide_name_and_descriptor_file_agree(tmp_path, capsys):
         assert by_name["inputs"]["descriptor"] == by_file["inputs"]["descriptor"]
         assert by_name["inputs"]["descriptor"] == entry["descriptor"]
         assert by_name["result"] == by_file["result"]
+
+
+# Runs the command line as `python -m coherence_lab.cli` does, then reports
+# on stderr, after the command has exited, whether numpy was ever imported.
+NUMPY_PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr))
+runpy.run_module("coherence_lab.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _fresh(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", *args], capture_output=True, text=True, env=env, check=False
+    )
+
+
+def test_import_leaves_numpy_unloaded():
+    proc = _fresh("import sys, coherence_lab, coherence_lab.cli; print('numpy' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "Qp"],
+        ["decide", "FILE"],
+        ["catalog"],
+        ["catalog", "--check"],
+        ["obstruction"],
+        ["--help"],
+    ],
+    ids=["decide-name", "decide-file", "catalog", "catalog-check", "obstruction", "help"],
+)
+def test_decide_layer_commands_leave_numpy_unloaded(tmp_path, argv):
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps(CATALOG["H3"]["descriptor"]))
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    proc = _fresh(NUMPY_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.endswith("numpy loaded: False\n"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-skew", "--p", "2", "--trunc", "8", "--window", "4", "--mmax", "3"],
+        ["mackey", "--p", "3", "--a", "1"],
+    ],
+    ids=["verify-skew", "mackey-27"],
+)
+def test_skew_and_group_commands_in_a_fresh_process(argv):
+    # Their layers are imported inside the handlers, so only a fresh
+    # process shows that each handler imports what it uses.
+    proc = _fresh(NUMPY_PROBE, "--json", "-", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True

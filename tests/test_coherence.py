@@ -75,11 +75,17 @@ def test_check_embedded_rejects_forged_witnesses():
     out = decide_solvable(datum)
     w = out.embedded
     ch._check_embedded(datum, out.torus_combination, w)
-    e1, e2, _ = w.subalgebra_basis
+    e1, e2, e3 = w.subalgebra_basis
     forgeries = {
         "not bracket-closed": dataclasses.replace(w, kind="G3", subalgebra_basis=(e1, e2)),
         "n_alpha mismatch": dataclasses.replace(w, n_alpha=w.n_alpha + 1),
         "n_beta mismatch": dataclasses.replace(w, n_beta=w.n_beta - 1),
+        # Right length and bracket-closed, but linearly dependent.
+        "G3 witness basis has rank 1": dataclasses.replace(
+            w, kind="G3", subalgebra_basis=(e1, e1)
+        ),
+        "H3 witness basis has rank 1": dataclasses.replace(w, subalgebra_basis=(e1, e1, e1)),
+        "H3 witness basis has rank 2": dataclasses.replace(w, subalgebra_basis=(e1, e3, e3)),
     }
     for message, forged in forgeries.items():
         with pytest.raises(AssertionError, match=message):

@@ -9,6 +9,7 @@ from sympy.polys.matrices import DomainMatrix
 import fp_reference
 from coherence_lab import fp_linalg as fl
 from coherence_lab import skew_checks
+from coherence_lab.echelon import MR_EXACT_BOUND, is_prime
 from coherence_lab.fp_linalg import FpMatrix
 
 
@@ -51,20 +52,20 @@ def test_solve_rhs_length():
 def test_prime_check():
     with pytest.raises(ValueError):
         FpMatrix([[0]], 4)
-    assert fl.is_prime(2) and fl.is_prime(13)
-    assert not any(fl.is_prime(n) for n in (0, 1, 4, 9))
+    assert is_prime(2) and is_prime(13)
+    assert not any(is_prime(n) for n in (0, 1, 4, 9))
     # Miller-Rabin range: sympy's isprime as the oracle, plus pseudoprimes.
     from sympy import isprime
 
     rng = random.Random(3)
     for n in list(range(2000)) + [rng.randrange(2, 10**24) for _ in range(300)]:
-        assert fl.is_prime(n) == isprime(n), n
-    assert fl.is_prime(1000000000000000009)
-    assert not fl.is_prime(561)  # Carmichael number
-    assert not fl.is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
-    assert not fl.is_prime(1000000016000000063)  # (10^9 + 7)(10^9 + 9)
+        assert is_prime(n) == isprime(n), n
+    assert is_prime(1000000000000000009)
+    assert not is_prime(561)  # Carmichael number
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    assert not is_prime(1000000016000000063)  # (10^9 + 7)(10^9 + 9)
     with pytest.raises(ValueError):
-        fl.is_prime(fl.MR_EXACT_BOUND)
+        is_prime(MR_EXACT_BOUND)
 
 
 def test_solve_inverts_random_invertible():
@@ -326,7 +327,7 @@ def test_rowspace_low_part_matches_brute_force():
 
 
 def _prime_near(n, step):
-    while not fl.is_prime(n):
+    while not is_prime(n):
         n += step
     return n
 
@@ -537,7 +538,7 @@ def test_entries_constructor_refuses_bad_indices():
     # Values are int64: a prime above 2^63 is refused by both constructors,
     # and the largest prime below it is exact.
     big, top = 2**63 + 29, 2**63 - 25
-    assert fl.is_prime(big) and fl.is_prime(top)
+    assert is_prime(big) and is_prime(top)
     with pytest.raises(ValueError, match=r"2\^63"):
         fl.rank(FpMatrix([[1, 2], [3, 4]], big))
     with pytest.raises(ValueError, match=r"2\^63"):

@@ -9,7 +9,7 @@ from coherence_lab import root_datum as rd
 from coherence_lab.catalog import CATALOG
 from coherence_lab.coherence import borel_datum_type_A
 from coherence_lab.descriptors import parse_descriptor
-from coherence_lab.fp_linalg import _echelon, _reduce
+from coherence_lab.echelon import _echelon, _reduce
 from coherence_lab.root_datum import (
     GradedLieAlgebraQ,
     PadicFieldParams,

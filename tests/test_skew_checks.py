@@ -6,6 +6,7 @@ import pytest
 
 import fp_reference
 from coherence_lab import fp_linalg
+from coherence_lab import obstruction as obs
 from coherence_lab import skew_checks as sc
 from coherence_lab.skew_poly import SkewPoly, _assemble, _Coords, _series_monomials
 from coherence_lab.skew_series import PrecisionUnderflow, TruncSeries
@@ -92,53 +93,53 @@ def test_verify_relations_corrupted_control():
 
 def test_monomial_obstruction_examples():
     # s*t never falls into a twisted product ideal while n_u, n_v > 0.
-    assert sc.monomial_obstruction(2, 1, 1, 1, 1, window=8) is False
+    assert obs.monomial_obstruction(2, 1, 1, 1, 1, window=8) is False
     # s^p t^p does at (a, b) = (1, 1).
-    assert sc.monomial_obstruction(2, 2, 2, 1, 1, window=4) is True
+    assert obs.monomial_obstruction(2, 2, 2, 1, 1, window=4) is True
     # Degenerate control n_u = 0 collapses immediately.
-    assert sc.monomial_obstruction(2, 1, 1, 0, 1, window=4) is True
+    assert obs.monomial_obstruction(2, 1, 1, 0, 1, window=4) is True
 
 
 def test_monomial_obstruction_grid():
     for n_u in (1, 2, 3):
         for n_v in (1, 2, 3):
-            assert sc.monomial_obstruction(3, 1, 1, n_u, n_v, window=8) is False
+            assert obs.monomial_obstruction(3, 1, 1, n_u, n_v, window=8) is False
 
 
 def test_monomial_obstruction_precision_underflow():
     with pytest.raises(PrecisionUnderflow):
-        sc.monomial_obstruction(2, 1, 1, 1, 1, window=4, precision=0)
+        obs.monomial_obstruction(2, 1, 1, 1, 1, window=4, precision=0)
 
 
 def test_monomial_obstruction_fractional_exponents():
     # s^(1/p) t is divisible by the (a, b) = (-1, 2)-type ideals only when
     # the exponents clear the grid; this exercises scaled arithmetic.
-    assert sc.monomial_obstruction(2, 0.5, 1, 1, 1, window=2) is False
-    assert sc.monomial_obstruction(2, 2, 4, 1, 2, window=2) is True
+    assert obs.monomial_obstruction(2, 0.5, 1, 1, 1, window=2) is False
+    assert obs.monomial_obstruction(2, 2, 4, 1, 2, window=2) is True
 
 
 def test_not_fg_demonstration():
-    rep = sc.not_fg_demonstration(2, 1, 1, n_max=6, window=8)
+    rep = obs.not_fg_demonstration(2, 1, 1, n_max=6, window=8)
     assert rep.all_strict and len(rep.steps) == 6
-    rep = sc.not_fg_demonstration(3, 2, 1, n_max=4, window=8)
+    rep = obs.not_fg_demonstration(3, 2, 1, n_max=4, window=8)
     assert rep.all_strict
-    rep = sc.not_fg_demonstration(2, 0, 1, n_max=3, window=4)
+    rep = obs.not_fg_demonstration(2, 0, 1, n_max=3, window=4)
     assert not rep.all_strict
     assert all(s.collapse_pair is not None for s in rep.steps)
 
 
 def test_not_fg_demonstration_computes_the_witness_once(monkeypatch):
     calls = []
-    witness = sc._obstruction_witness
+    witness = obs._obstruction_witness
 
     def counted(*args):
         calls.append(args)
         return witness(*args)
 
-    monkeypatch.setattr(sc, "_obstruction_witness", counted)
-    rep = sc.not_fg_demonstration(2, 1, 1, n_max=6, window=8)
+    monkeypatch.setattr(obs, "_obstruction_witness", counted)
+    rep = obs.not_fg_demonstration(2, 1, 1, n_max=6, window=8)
     assert len(calls) == 1 and len(rep.steps) == 6 and rep.all_strict
-    rep = sc.not_fg_demonstration(2, 0, 1, n_max=3, window=4)
+    rep = obs.not_fg_demonstration(2, 0, 1, n_max=3, window=4)
     assert len(calls) == 2 and [s.stage for s in rep.steps] == [1, 2, 3]
     assert len({s.collapse_pair for s in rep.steps}) == 1
 
@@ -182,7 +183,7 @@ def test_witness_exponent_comparison_matches_powers():
                         for t_exp in exps:
                             for precision in (None, 0, 1, 4):
                                 args = (p, s_exp, t_exp, n_u, n_v, window, precision)
-                                got = _outcome(sc._obstruction_witness, *args)
+                                got = _outcome(obs._obstruction_witness, *args)
                                 assert got == _outcome(_witness_by_powers, *args), args
                                 kinds.add(got[0])
     assert kinds == {"underflow", "none", "pair"}
