@@ -3,6 +3,13 @@
 The on-disk schema is versioned ("coherence-lab/1"). Rational structure
 constants ride as "num/den" strings so no float ever touches a descriptor,
 and serialization is insertion-ordered so reports are byte-deterministic.
+A descriptor that gives a bracket pair twice in the same orientation, or a
+target twice within one entry's terms, is refused rather than read
+last-one-wins.
+
+Reports are written by `dumps_report` directly, in the text of
+`json.dumps(report, indent=2)`: with an indent the standard library always
+takes its pure-Python encoder, a generator chain per container.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, Union
 
 from .coherence import (
@@ -163,10 +171,15 @@ def parse_descriptor(obj: Dict[str, Any]) -> Union[SolvableGroupDatum, RootSyste
         basis_weights = [_int(x) for x in obj["basis_weights"]]
         brackets: Dict = {}
         for entry in obj.get("brackets", []):
-            terms = {
-                _int(t["k"]): _frac_from_str(str(t["c"])) for t in entry["terms"]
-            }
-            brackets[(_int(entry["i"]), _int(entry["j"]))] = terms
+            pair = (_int(entry["i"]), _int(entry["j"]))
+            if pair in brackets:
+                raise DescriptorError(f"bracket entry {pair} is given twice")
+            terms = brackets[pair] = {}
+            for t in entry["terms"]:
+                k = _int(t["k"])
+                if k in terms:
+                    raise DescriptorError(f"bracket entry {pair} gives target {k} twice")
+                terms[k] = _frac_from_str(str(t["c"]))
         _check_bracket_constants(brackets)
         lie = GradedLieAlgebraQ(
             dim=len(basis_weights), weight_of=basis_weights, brackets=brackets
@@ -227,9 +240,78 @@ def verdict_to_json(verdict: Union[Verdict, SemisimpleVerdict]) -> Dict[str, Any
     raise TypeError(f"not a verdict: {verdict!r}")
 
 
+# JSON text of the scalar types, by exact type; subclasses take the
+# isinstance branches of _write.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _write(x: Any, newline: str, out: list) -> None:
+    """Append the JSON text of x to out; newline is the line break and
+    indent of the enclosing container. Scalar members are written inline,
+    containers recursively."""
+    scalar = _SCALARS.get(type(x))
+    if scalar is not None:
+        out.append(scalar(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in x.items():
+            if not isinstance(k, str):
+                raise TypeError(f"report keys must be str, not {type(k).__name__}")
+            key = encode_basestring_ascii(k)
+            scalar = _SCALARS.get(type(v))
+            if scalar is not None:
+                out.append(f"{sep}{key}: {scalar(v)}")
+            else:
+                out.append(f"{sep}{key}: ")
+                _write(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        texts = []
+        for v in x:
+            scalar = _SCALARS.get(type(v))
+            if scalar is None:
+                break
+            texts.append(scalar(v))
+        else:  # scalars only: one join
+            out.append(f"[{inner}{(',' + inner).join(texts)}{newline}]")
+            return
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(x, str):
+        out.append(encode_basestring_ascii(x))
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def dumps_report(report: Dict[str, Any]) -> str:
-    """Deterministic JSON text (insertion order, two-space indent)."""
-    return json.dumps(report, indent=2) + "\n"
+    """Deterministic JSON text (insertion order, two-space indent), equal
+    to json.dumps(report, indent=2) + "\n" byte for byte. Only dicts with
+    str keys, lists, tuples, str, int, bool and None are written; anything
+    else raises TypeError."""
+    out: list = []
+    _write(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def loads_descriptor(text: str) -> Union[SolvableGroupDatum, RootSystemLabel]:

@@ -14,12 +14,16 @@ product, and everything downstream (the f-matrix, its image lattice, the
 embedded-subgroup search) is exact integer or rational arithmetic.
 
 validate() checks the datum exhaustively up to MAX_EXHAUSTIVE_DIM: grading
-on every bracket, Jacobi on every basis triple, and nilpotency through the
-lower central series (de Graaf, Lie Algebras: Theory and Algorithms,
-North-Holland 2000, sec. 1.15 and ch. 5). These kernels touch only nonzero
-structure constants: the Jacobi sum of a triple accumulates in a dict keyed
-by target index, each series term is spanned by the [e_i, y] formed from
-bracket_basis, and both the series and the witness closure check eliminate
+on every bracket, Jacobi on every basis triple that can fail it, and
+nilpotency through the lower central series (de Graaf, Lie Algebras: Theory
+and Algorithms, North-Holland 2000, sec. 1.15 and ch. 5). These kernels
+touch only nonzero structure constants. A Jacobi sum can be nonzero only on
+a triple that holds a pair with a nonzero bracket, so only those triples are
+summed, each in a dict keyed by target index. Each series term is spanned by
+the [e_i, y] formed from a right-index j -> [(i, [e_i, e_j])] of the nonzero
+table entries, and validate() only runs the series to its end, never
+densifying it. Brackets of vectors run on sparse {index: Fraction} rows
+(`_bracket`), and both the series and the witness closure check eliminate
 sparse rows in the shared echelon loop of `echelon`, run over Q. The results
 equal those of a dense scan, since RREF over Q is unique.
 """
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .echelon import _echelon, _reduce, is_prime
 from .int_lattice import IntLattice, IntVector
@@ -102,6 +106,11 @@ def _sparse(v: Sequence[Fraction]) -> Dict[int, Fraction]:
     return {k: a for k, a in enumerate(v) if a}
 
 
+def _dense(v: Dict[int, Fraction], dim: int) -> QVector:
+    zero = Fraction(0)
+    return tuple(v.get(k, zero) for k in range(dim))
+
+
 class GradedLieAlgebraQ:
     """Nilpotent Lie algebra over Q with weight-graded basis.
 
@@ -151,24 +160,20 @@ class GradedLieAlgebraQ:
         return self._table.get((i, j), {})
 
     def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> QVector:
-        out = [Fraction(0)] * self.dim
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in ys:
-                    for k, c in self.bracket_basis(i, j).items():
-                        out[k] += xi * yj * c
-        return tuple(out)
+        """[x, y] of dense vectors, through the sparse loop `_bracket`."""
+        return _dense(_bracket(self, _sparse(x), _sparse(y)), self.dim)
 
     def basis_vector(self, i: int) -> QVector:
         return tuple(Fraction(1) if k == i else Fraction(0) for k in range(self.dim))
 
     def antisymmetry_violations(self) -> List[str]:
+        """One line per nonzero diagonal entry and per pair given in both
+        orientations with brackets that are not negatives of each other."""
         out = []
         for (i, j), terms in self._raw.items():
             if i == j and terms:
                 out.append(f"[e{i + 1}, e{i + 1}] must vanish")
-            if i != j and (j, i) in self._raw:
+            if i < j and (j, i) in self._raw:
                 mirror = {k: -c for k, c in self._raw[(j, i)].items()}
                 if mirror != terms:
                     out.append(f"brackets ({i}, {j}) and ({j}, {i}) are not antisymmetric")
@@ -235,6 +240,22 @@ def f_image(datum: SolvableGroupDatum) -> IntLattice:
     return IntLattice(len(datum.weights), torus_images(datum))
 
 
+def _bracket(
+    lie: GradedLieAlgebraQ, x: Dict[int, Fraction], y: Dict[int, Fraction]
+) -> Dict[int, Fraction]:
+    """[x, y] of sparse rows {index: value}, as a new row without zeros."""
+    table = lie._table
+    out: Dict[int, Fraction] = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            terms = table.get((i, j))
+            if terms:
+                f = xi * yj
+                for k, c in terms.items():
+                    out[k] = out.get(k, 0) + f * c
+    return {k: c for k, c in out.items() if c}
+
+
 def validate(datum: SolvableGroupDatum) -> List[str]:
     """All structural violations of the datum, empty when valid.
 
@@ -274,35 +295,40 @@ def validate(datum: SolvableGroupDatum) -> List[str]:
         # The checks below look up the weight of every basis vector.
         return out
 
-    # Grading: a nonzero bracket lands in the weight space of the sum.
-    for i in range(lie.dim):
-        for j in range(i + 1, lie.dim):
-            terms = lie.bracket_basis(i, j)
-            if not terms:
-                continue
-            wi = datum.weights[lie.weight_of[i]].exponents
-            wj = datum.weights[lie.weight_of[j]].exponents
-            target = tuple(a + b for a, b in zip(wi, wj))
-            for k in terms:
-                if datum.weights[lie.weight_of[k]].exponents != target:
-                    out.append(
-                        f"bracket [e{i + 1}, e{j + 1}] hits e{k + 1} outside weight {target}"
-                    )
+    # Grading: a nonzero bracket lands in the weight space of the sum. The
+    # table holds the nonzero brackets only; sorted, they come in pair order.
+    table = lie._table
+    pairs = sorted(ij for ij in table if ij[0] < ij[1])
+    for i, j in pairs:
+        terms = table[(i, j)]
+        wi = datum.weights[lie.weight_of[i]].exponents
+        wj = datum.weights[lie.weight_of[j]].exponents
+        target = tuple(a + b for a, b in zip(wi, wj))
+        for k in terms:
+            if datum.weights[lie.weight_of[k]].exponents != target:
+                out.append(
+                    f"bracket [e{i + 1}, e{j + 1}] hits e{k + 1} outside weight {target}"
+                )
 
-    # Jacobi, exhaustively over basis triples.
-    for i in range(lie.dim):
-        for j in range(i + 1, lie.dim):
-            for k in range(j + 1, lie.dim):
-                acc: Dict[int, Fraction] = {}
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    for m, cm in lie.bracket_basis(b, c).items():
-                        for n, cn in lie.bracket_basis(a, m).items():
-                            acc[n] = acc.get(n, 0) + cm * cn
-                if any(acc.values()):
-                    out.append(f"Jacobi identity fails on (e{i + 1}, e{j + 1}, e{k + 1})")
+    # Jacobi on every triple that can fail it. Each cyclic term [a, [b, c]]
+    # vanishes when [b, c] = 0, so a triple none of whose pairs has a
+    # nonzero bracket sums to zero. The others are visited in sorted order,
+    # which is the order of a scan over all triples.
+    triples = sorted(
+        {tuple(sorted((a, b, c))) for b, c in pairs for a in range(lie.dim) if a != b and a != c}
+    )
+    for i, j, k in triples:
+        acc: Dict[int, Fraction] = {}
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, cm in table.get((b, c), {}).items():
+                for n, cn in table.get((a, m), {}).items():
+                    acc[n] = acc.get(n, 0) + cm * cn
+        if any(acc.values()):
+            out.append(f"Jacobi identity fails on (e{i + 1}, e{j + 1}, e{k + 1})")
 
     try:
-        lower_central_series(lie)
+        for _ in _lcs_terms(lie):
+            pass
     except NotNilpotent:
         out.append("lower central series does not reach zero")
 
@@ -312,40 +338,65 @@ def validate(datum: SolvableGroupDatum) -> List[str]:
 def _bracket_closed(lie: GradedLieAlgebraQ, basis: Sequence[QVector]) -> Optional[int]:
     """The dimension of the span of the basis vectors if the bracket of any
     two of them lies in it, else None. The dimension is the length of the
-    echelon basis that the membership test reduces against."""
-    span = _echelon(map(_sparse, basis), _same, _recip)
-    if any(_reduce(_sparse(lie.bracket(x, y)), span, _same) for x in basis for y in basis):
+    echelon basis that the membership test reduces against.
+
+    The table is antisymmetric, so [x, x] = 0 and [y, x] = -[x, y]: the
+    pairs a < b of the basis decide closure."""
+    rows = [_sparse(v) for v in basis]
+    # _echelon reduces its rows in place: it gets copies of the rows that
+    # are bracketed below.
+    span = _echelon([dict(r) for r in rows], _same, _recip)
+    if any(
+        _reduce(_bracket(lie, rows[a], rows[b]), span, _same)
+        for a in range(len(rows))
+        for b in range(a + 1, len(rows))
+    ):
         return None
     return len(span)
+
+
+def _lcs_terms(lie: GradedLieAlgebraQ) -> Iterator[Dict[int, Dict[int, Fraction]]]:
+    """The sparse RREF bases of g^2, g^3, ... of the lower central series,
+    the last of them empty. Raises NotNilpotent at the first term that
+    does not descend strictly.
+
+    g^2 is spanned by the table entries, and g^(k+1) by the [e_i, y], y a
+    basis row of g^k. These come from the right index
+    j -> [(i, [e_i, e_j])] of the nonzero table entries, so only the i with
+    a nonzero [e_i, e_j] for some j in the support of y give a row.
+    """
+    by_right: Dict[int, List[Tuple[int, Dict[int, Fraction]]]] = {}
+    for (i, j), terms in lie._table.items():
+        by_right.setdefault(j, []).append((i, terms))
+    # _echelon reduces its rows in place, so it gets copies of the entries.
+    rows = [dict(terms) for (i, j), terms in lie._table.items() if i < j]
+    size = lie.dim
+    while size:
+        term = _echelon(rows, _same, _recip)
+        if len(term) >= size:
+            raise NotNilpotent("lower central series fails to descend to zero")
+        yield term
+        size = len(term)
+        rows = []
+        for y in term.values():
+            acc: Dict[int, Dict[int, Fraction]] = {}  # i -> [e_i, y]
+            for j, yj in y.items():
+                for i, terms in by_right.get(j, ()):
+                    row = acc.setdefault(i, {})
+                    for k, c in terms.items():
+                        row[k] = row.get(k, 0) + yj * c
+            rows += ({k: c for k, c in row.items() if c} for row in acc.values())
 
 
 def lower_central_series(lie: GradedLieAlgebraQ) -> List[List[QVector]]:
     """Descending chain g = g^1 >= g^2 = [g, g^1] >= ... down to zero.
 
-    Each g^(k+1) is the span of the [e_i, y], y a basis row of g^k, formed
-    from the nonzero structure constants only as sparse rows, and reduced by
-    the shared echelon loop over Q. Every term is returned as its canonical
-    RREF basis of dense vectors. Raises NotNilpotent if the chain stabilizes
-    at a nonzero term.
+    The terms after g^1 are those of `_lcs_terms`, each returned as its
+    canonical RREF basis of dense vectors. Raises NotNilpotent if the chain
+    stabilizes at a nonzero term.
     """
-    dim = lie.dim
-    zero = Fraction(0)
-    term = {i: {i: Fraction(1)} for i in range(dim)}
-    chain = [[lie.basis_vector(i) for i in range(dim)]]
-    while term:
-        rows = []
-        for y in term.values():
-            for i in range(dim):
-                acc: Dict[int, Fraction] = {}
-                for j, yj in y.items():
-                    for k, c in lie.bracket_basis(i, j).items():
-                        acc[k] = acc.get(k, 0) + yj * c
-                rows.append({k: c for k, c in acc.items() if c})
-        nxt = _echelon(rows, _same, _recip)
-        if len(nxt) >= len(term):
-            raise NotNilpotent("lower central series fails to descend to zero")
-        chain.append([tuple(row.get(k, zero) for k in range(dim)) for row in nxt.values()])
-        term = nxt
+    chain = [[lie.basis_vector(i) for i in range(lie.dim)]]
+    chain += ([_dense(row, lie.dim) for row in term.values()] for term in _lcs_terms(lie))
     return chain
 
 
@@ -370,14 +421,6 @@ class WitnessDescriptor:
     n_prime: int
     torus_combination: IntVector
     subalgebra_basis: Tuple[QVector, ...]
-
-
-def _is_homogeneous(lie: GradedLieAlgebraQ, v: Sequence[Fraction]) -> Optional[int]:
-    """Weight index of a homogeneous vector, None for zero or mixed."""
-    ws = {lie.weight_of[i] for i, c in enumerate(v) if c != 0}
-    if len(ws) != 1:
-        return None
-    return ws.pop()
 
 
 def witness_subgroup(
@@ -426,20 +469,25 @@ def witness_subgroup(
     # Deterministic choice: the first representative pair with a nonzero
     # bracket, else the first pair.
     i, j = next((ij for ij in pairs if lie.bracket_basis(*ij)), pairs[0])
-    vpos, vneg = lie.basis_vector(i), lie.basis_vector(j)
+    # The generators are sparse rows, nonzero throughout: z, zpos and zneg
+    # replace one only when they are nonzero.
+    vpos, vneg = {i: Fraction(1)}, {j: Fraction(1)}
 
     wpos, wneg = alpha, beta
+    weight_of = lie.weight_of
     for _ in range(lie.dim):
-        if _is_homogeneous(lie, vpos) is None or _is_homogeneous(lie, vneg) is None:
+        # Each generator lies in the weight space tracked for it, as a valid
+        # grading guarantees.
+        if any(weight_of[k] != wpos for k in vpos) or any(weight_of[k] != wneg for k in vneg):
             raise MalformedDatum("non-homogeneous generator in the witness search")
-        z = lie.bracket(vpos, vneg)
-        if not any(z):
+        z = _bracket(lie, vpos, vneg)
+        if not z:
             basis = (vpos, vneg)
             break
         wz = _weight_sum_index(datum, wpos, wneg)
-        zpos = lie.bracket(vpos, z)
-        zneg = None if any(zpos) else lie.bracket(vneg, z)
-        if zneg is not None and not any(zneg):
+        zpos = _bracket(lie, vpos, z)
+        zneg = None if zpos else _bracket(lie, vneg, z)
+        if zneg is not None and not zneg:
             basis = (vpos, vneg, z)
             break
         nz = npos + nneg
@@ -464,7 +512,7 @@ def witness_subgroup(
         n_v=-nneg,
         n_prime=datum.field_params.ramification,
         torus_combination=combo,
-        subalgebra_basis=basis,
+        subalgebra_basis=tuple(_dense(v, lie.dim) for v in basis),
     )
 
 

@@ -66,6 +66,7 @@ class SkewContext:
         if window < 0:
             raise ValueError("window must be >= 0")
         self.window = window
+        self._endos: Dict[XExp, FrobeniusEndo] = {}
 
     def __eq__(self, other) -> bool:
         return (
@@ -80,12 +81,16 @@ class SkewContext:
         return hash((self.base, self.twist_vars, self.window))
 
     def twist_endo(self, xexp: XExp) -> FrobeniusEndo:
-        """The endomorphism applied when X^xexp moves past a coefficient."""
-        logs = {v: 0 for v in self.base.variables}
-        for x, a in zip(self.twist_vars, xexp):
-            for v, m in self.endo_logs[x].items():
-                logs[v] += m * a
-        return FrobeniusEndo(self.base, logs)
+        """The endomorphism applied when X^xexp moves past a coefficient,
+        built once per exponent."""
+        endo = self._endos.get(xexp)
+        if endo is None:
+            logs = {v: 0 for v in self.base.variables}
+            for x, a in zip(self.twist_vars, xexp):
+                for v, m in self.endo_logs[x].items():
+                    logs[v] += m * a
+            endo = self._endos[xexp] = FrobeniusEndo(self.base, logs)
+        return endo
 
     def zero(self) -> "SkewPoly":
         return SkewPoly(self, {})
@@ -118,7 +123,7 @@ class SkewPoly:
         return cls(ctx, {zero_exp: c})
 
     def _check(self, other: "SkewPoly") -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatch("mixed skew contexts")
 
     def is_zero(self) -> bool:

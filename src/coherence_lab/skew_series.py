@@ -108,7 +108,9 @@ class TruncSeries:
         self.terms = terms
 
     def _check(self, other: "TruncSeries") -> None:
-        if self.ring != other.ring:
+        # Series of one computation share their ring object, so identity
+        # settles the common case before the field comparison.
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ContextMismatch(f"{self.ring} vs {other.ring}")
 
     def is_zero(self) -> bool:
@@ -201,28 +203,30 @@ class FrobeniusEndo:
     def __init__(self, ring: SeriesRing, logs: Mapping[str, int]):
         self.ring = ring
         self.logs = {v: int(logs.get(v, 0)) for v in ring.variables}
+        # Per variable, in ring order: the log m and p^|m|, the factor that
+        # multiplies (m >= 0) or divides (m < 0) its exponent.
+        self._factors = tuple((m, ring.p ** abs(m)) for m in self.logs.values())
 
     def apply(self, x: TruncSeries) -> TruncSeries:
-        if x.ring != self.ring:
+        if x.ring is not self.ring and x.ring != self.ring:
             raise ContextMismatch("endomorphism applied outside its ring")
         p = self.ring.p
+        bound = self.ring.max_scaled
         # Exponent scaling is injective, so no two terms share an image.
         terms = {}
         for mono, c in x.terms.items():
             new = []
-            for name, e in zip(self.ring.variables, mono):
-                m = self.logs[name]
+            for e, (m, q) in zip(mono, self._factors):
                 if m >= 0:
-                    new.append(e * p**m)
+                    new.append(e * q)
                 else:
-                    q = p ** (-m)
                     if e % q:
                         raise PrecisionUnderflow(
                             f"exponent {e}/p^{self.ring.precision} not divisible by p^{-m}"
                         )
                     new.append(e // q)
             c %= p
-            if c and sum(new) < self.ring.max_scaled:
+            if c and sum(new) < bound:
                 terms[tuple(new)] = c
         return TruncSeries(self.ring, terms)
 

@@ -5,15 +5,17 @@ echelon loop over Q that it shares with fp_linalg (coherence_lab.echelon).
 Every function here scans all coordinates and builds dense Fraction lists:
 `rref` and `in_span` eliminate over whole rows (the program has no dense
 rational elimination; the acceptance suite re-checks witness closure with
-these two), `bracket` tests all dim^2
-coordinate pairs, `lower_central_series` brackets dense basis vectors, and
-`validate` accumulates each Jacobi triple in a dense list. The results must
-equal the program's, chain for chain and violation string for violation
-string. `bracket_table` is the dim^2 pair scan that once normalized the
-given structure constants; the program now builds the same table from the
-given entries only. `subalgebra_generated` (the closure of a set of vectors
-under the bracket) has no caller in the program and lives here only as an
-oracle.
+these two), `bracket` tests all dim^2 coordinate pairs, and
+`lower_central_series` brackets dense basis vectors. `validate` sums the
+Jacobi identity on every basis triple, in a dense list per triple, while
+the program sums only the triples that hold a pair with a nonzero bracket
+(the others vanish term by term) and runs its series without densifying
+it. The results must equal the program's, chain for chain and violation
+string for violation string. `bracket_table` is the dim^2 pair scan that
+once normalized the given structure constants; the program now builds the
+same table from the given entries only. `subalgebra_generated` (the
+closure of a set of vectors under the bracket) has no caller in the
+program and lives here only as an oracle.
 """
 
 from __future__ import annotations

@@ -708,3 +708,52 @@ def test_skew_and_group_commands_in_a_fresh_process(argv):
     proc = _fresh(NUMPY_PROBE, "--json", "-", *argv)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_reports_written_as_json_dumps(tmp_path, capsys, monkeypatch):
+    # Every report kind, captured on its way to the writer, renders as
+    # json.dumps(indent=2) does, byte for byte.
+    from coherence_lab import descriptors
+
+    seen = []
+
+    def checked(report):
+        text = descriptors.dumps_report(report)
+        assert text == json.dumps(report, indent=2) + "\n"
+        seen.append(report["command"])
+        return text
+
+    monkeypatch.setattr(cli, "dumps_report", checked)
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps(CATALOG["H3"]["descriptor"]))
+    skew = ["verify-skew", "--p", "2", "--trunc", "8", "--window", "4", "--mmax", "3"]
+    argvs = [["decide", str(path)], ["catalog"], ["catalog", "--check"], ["obstruction"]]
+    argvs += [["decide", name] for name in CATALOG]
+    argvs += [skew, skew + ["--corrupt-s1"], ["mackey", "--p", "3", "--a", "1"]]
+    for argv in argvs:
+        code, _, _ = run(["--json", "-", *argv], capsys)
+        assert code == (1 if "--corrupt-s1" in argv else 0)
+    assert set(seen) == {"decide", "catalog", "obstruction", "verify-skew", "mackey"}
+    assert len(seen) == len(argvs)
+
+
+@pytest.mark.parametrize(
+    "brackets, message",
+    [
+        (
+            [{"i": 0, "j": 1, "terms": [{"k": 0, "c": "1/1"}]}] * 2,
+            "bracket entry (0, 1) is given twice",
+        ),
+        (
+            [{"i": 0, "j": 1, "terms": [{"k": 1, "c": "5/1"}, {"k": 1, "c": "1/1"}]}],
+            "bracket entry (0, 1) gives target 1 twice",
+        ),
+    ],
+    ids=["repeated-pair", "repeated-target"],
+)
+def test_decide_refuses_ambiguous_brackets(tmp_path, capsys, brackets, message):
+    path = _g3_descriptor_file(tmp_path, lambda d: d.update(brackets=brackets))
+    code, out, err = run(["decide", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in out + err

@@ -95,6 +95,29 @@ def test_check_embedded_rejects_forged_witnesses():
         ch._check_embedded(datum, (2,), w)
 
 
+def test_check_embedded_on_non_reduced_bases():
+    # The closure check reduces copies: a closed witness given in a basis
+    # that is not in echelon form passes, and a non-closed one fails.
+    import dataclasses
+
+    def plus(x, y):
+        return tuple(a + b for a, b in zip(x, y))
+
+    g3 = decide_solvable(g3_datum())
+    g1, g2 = g3.embedded.subalgebra_basis
+    closed = dataclasses.replace(g3.embedded, subalgebra_basis=(plus(g1, g2), g2))
+    ch._check_embedded(g3_datum(), g3.torus_combination, closed)
+    datum = h3_datum()
+    out = decide_solvable(datum)
+    e1, e2, e3 = out.embedded.subalgebra_basis
+    for basis in [(plus(e1, e2), e2, e3), (plus(e1, e2), e1, e3), (e3, plus(e2, e3), e1)]:
+        forged = dataclasses.replace(out.embedded, subalgebra_basis=basis)
+        ch._check_embedded(datum, out.torus_combination, forged)
+    open_g3 = dataclasses.replace(out.embedded, kind="G3", subalgebra_basis=(plus(e1, e2), e2))
+    with pytest.raises(AssertionError, match="not bracket-closed"):
+        ch._check_embedded(datum, out.torus_combination, open_g3)
+
+
 def test_decide_p_semidirect_qp():
     datum = SolvableGroupDatum(
         PadicFieldParams(p=2),

@@ -9,7 +9,7 @@ from coherence_lab.coherence import (
     decide_semisimple,
     decide_solvable,
 )
-from coherence_lab.root_datum import SolvableGroupDatum
+from coherence_lab.root_datum import SolvableGroupDatum, validate
 
 
 def test_catalog_round_trip():
@@ -73,6 +73,82 @@ def test_dumps_report_deterministic():
     report = {"schema": ds.SCHEMA, "b": 1, "a": 2}
     assert ds.dumps_report(report) == ds.dumps_report(dict(report))
     assert ds.dumps_report(report).endswith("\n")
+
+
+# Values the report writer must render as json.dumps(indent=2) does:
+# empty and nested-empty containers, escapes and non-ASCII text in values
+# and keys, long and negative integers, the three constants, and tuples.
+WRITER_CORPUS = [
+    {},
+    [],
+    (),
+    "",
+    0,
+    -7,
+    10**3999,
+    -(10**3999),
+    True,
+    False,
+    None,
+    {"a": {}, "b": [], "c": [[]], "d": [{}], "e": {"f": {"g": []}}},
+    [[[], {}], [[[]]], ({},)],
+    ["é", "日本", "\U0001f600", 'quo"te', "back\\slash", "\x00\x1f\t\n\r\x7f"],
+    {"ключ": 1, 'k"ey': 2, "k\\ey": 3, "\n\x01": 4, "": 5},
+    {"mixed": [1, "two", None, True, [3, {"x": (4, 5)}], {}, -0]},
+    (1, (2, (3,)), [True, False, None]),
+    [10**3999, -(10**3999), 2**63, -(2**63) - 1],
+]
+
+
+@pytest.mark.parametrize("value", WRITER_CORPUS, ids=range(len(WRITER_CORPUS)))
+def test_dumps_report_matches_json_dumps(value):
+    assert ds.dumps_report(value) == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, {1, 2}, b"bytes", {"a": [0.0]}, [frozenset()], {1: "int key"}, {None: 1}, {(1,): 2}],
+    ids=["float", "set", "bytes", "nested-float", "frozenset", "int-key", "none-key", "tuple-key"],
+)
+def test_dumps_report_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        ds.dumps_report(value)
+
+
+def _h3_with_brackets(brackets):
+    desc = json.loads(json.dumps(CATALOG["H3"]["descriptor"]))
+    desc["brackets"] = brackets
+    return desc
+
+
+def _entry(i, j, *terms):
+    return {"i": i, "j": j, "terms": [{"k": k, "c": c} for k, c in terms]}
+
+
+def test_parse_refuses_repeated_bracket_entries():
+    # A repeated pair or a repeated target would otherwise be read
+    # last-one-wins; the error names the pair.
+    with pytest.raises(ds.DescriptorError, match=r"bracket entry \(0, 1\) is given twice"):
+        ds.parse_descriptor(_h3_with_brackets([_entry(0, 1, (2, "1/1")), _entry(0, 1, (2, "2/1"))]))
+    with pytest.raises(ds.DescriptorError, match=r"bracket entry \(0, 1\) is given twice"):
+        ds.parse_descriptor(_h3_with_brackets([_entry(0, 1, (2, "1/1")), _entry(0, 1, (2, "1/1"))]))
+    with pytest.raises(ds.DescriptorError, match=r"bracket entry \(1, 0\) gives target 2 twice"):
+        ds.parse_descriptor(_h3_with_brackets([_entry(1, 0, (2, "5/1"), (2, "1/1"))]))
+
+
+def test_mirrored_bracket_entries():
+    # Mirrored entries that agree are accepted; a conflicting pair is
+    # reported once.
+    agree = ds.parse_descriptor(
+        _h3_with_brackets([_entry(0, 1, (2, "1/1")), _entry(1, 0, (2, "-1/1"))])
+    )
+    assert validate(agree) == []
+    assert agree.lie.bracket_basis(0, 1) == {2: 1}
+    conflict = ds.parse_descriptor(
+        _h3_with_brackets([_entry(1, 0, (2, "1/1")), _entry(0, 1, (2, "1/1"))])
+    )
+    problems = [v for v in validate(conflict) if "antisymmetric" in v]
+    assert problems == ["brackets (0, 1) and (1, 0) are not antisymmetric"]
 
 
 @pytest.mark.parametrize("field", ["weight", "torus"])

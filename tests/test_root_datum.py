@@ -7,7 +7,7 @@ import sympy
 import lie_reference as ref
 from coherence_lab import root_datum as rd
 from coherence_lab.catalog import CATALOG
-from coherence_lab.coherence import borel_datum_type_A
+from coherence_lab.coherence import borel_datum_type_A, decide_solvable
 from coherence_lab.descriptors import parse_descriptor
 from coherence_lab.echelon import _echelon, _reduce
 from coherence_lab.root_datum import (
@@ -180,9 +180,18 @@ def jacobi_violation_datum():
     return SolvableGroupDatum(PadicFieldParams(p=2), 0, (), (Weight((), 3),), lie)
 
 
+def outer_jacobi_violation_datum():
+    # [e2, e3] = e4 and [e1, e4] = e1: on (e1, e2, e3) only the pair
+    # (e2, e3) has a nonzero bracket, and the cycle sums to [e1, e4] = e1.
+    lie = GradedLieAlgebraQ(4, [0] * 4, {(1, 2): {3: Q(1)}, (0, 3): {0: Q(1)}})
+    return SolvableGroupDatum(PadicFieldParams(p=2), 0, (), (Weight((), 4),), lie)
+
+
 def test_validate_jacobi_violation():
     problems = rd.validate(jacobi_violation_datum())
     assert any("Jacobi" in v for v in problems)
+    problems = rd.validate(outer_jacobi_violation_datum())
+    assert "Jacobi identity fails on (e1, e2, e3)" in problems
 
 
 def test_validate_refuses_large_dimension():
@@ -346,6 +355,63 @@ def test_witness_subgroup_refuses_non_nilpotent_algebra():
         rd.witness_subgroup(graded_sl2_datum(), (1,), 0, 1)
 
 
+def test_witness_subgroup_refuses_a_generator_off_its_weight():
+    # [e1, e2] = e4 should land in weight (1), the weight of e3, but e4 has
+    # weight (7). With [e2, e4] = e3 the pair is no H3 witness, so e4
+    # replaces e1, tracked at weight (1), and the search refuses it.
+    lie = GradedLieAlgebraQ(4, [0, 1, 2, 3], {(0, 1): {3: Q(1)}, (1, 3): {2: Q(1)}})
+    datum = SolvableGroupDatum(
+        PadicFieldParams(p=2),
+        1,
+        ((1,),),
+        (Weight((2,)), Weight((-1,)), Weight((1,)), Weight((7,))),
+        lie,
+    )
+    assert any("outside weight" in v for v in rd.validate(datum))
+    with pytest.raises(rd.MalformedDatum, match="non-homogeneous"):
+        rd.witness_subgroup(datum, (1,), 0, 1)
+
+
+def test_validate_decides_nilpotency_without_the_dense_series(monkeypatch):
+    def dense(lie):
+        raise AssertionError("validate built the dense lower central series")
+
+    monkeypatch.setattr(rd, "lower_central_series", dense)
+    assert rd.validate(graded_sl2_datum()) == ["lower central series does not reach zero"]
+    assert rd.validate(heisenberg_datum()) == []
+
+
+def test_witness_basis_is_dense_fractions():
+    rng = random.Random(21)
+    kinds = set()
+    for _ in range(150):
+        datum = random_datum(rng)
+        w = getattr(decide_solvable(datum), "embedded", None)
+        if w is None:
+            continue
+        kinds.add(w.kind)
+        assert all(len(v) == datum.lie.dim for v in w.subalgebra_basis)
+        assert all(type(a) is Q for v in w.subalgebra_basis for a in v)
+    assert kinds == {"G3", "H3"}
+
+
+def test_lie_kernels_leave_the_table_unchanged():
+    # The echelon loop reduces its rows in place; the shared table entries
+    # must never be among them.
+    import copy
+
+    for datum in _oracle_data():
+        table = copy.deepcopy(datum.lie._table)
+        rd.validate(datum)
+        try:
+            rd.lower_central_series(datum.lie)
+        except rd.NotNilpotent:
+            pass
+        basis = [datum.lie.basis_vector(i) for i in range(datum.lie.dim)]
+        rd._bracket_closed(datum.lie, basis)
+        assert datum.lie._table == table
+
+
 def _random_entry(rng, rational):
     if rng.random() < 0.5:
         return Q(0)
@@ -443,6 +509,7 @@ def _oracle_data():
         grading_violation_datum(),
         sl2_datum(),
         jacobi_violation_datum(),
+        outer_jacobi_violation_datum(),
         graded_sl2_datum(),
     ]
     return data
