@@ -9,25 +9,38 @@ multiplication table is stored. Every check here is still exhaustive
 rather than clever: subgroups are closed by orbit enumeration from their
 generators, and every coset partition (left, right or double) is one orbit
 enumeration whose representatives are the least elements of their orbits.
-Induced actions and the restriction-of-induction comparison map are block
-maps: each sends a coset block to one other block through one d x d matrix,
-so equivariance and invertibility are checked block by block, exactly. A
-Mackey check decomposes H\\G/G1 once, and the comparison map and the glued
-coset-representative check share that decomposition.
+A matrix is a tuple of rows, each a tuple of ints in [0, p), so the
+layer runs without numpy. Induced actions and the restriction-of-induction
+comparison map are block maps: each sends a coset block to one other block
+through one d x d matrix, so equivariance and invertibility are checked
+block by block, exactly. A Mackey check decomposes H\\G/G1 once, and the
+comparison map and the glued coset-representative check share that
+decomposition.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from . import fp_linalg
 from .echelon import is_prime
 
 MAX_GROUP_ORDER = 4096
+
+# A square matrix over F_p: a tuple of rows of ints in [0, p).
+Matrix = Tuple[Tuple[int, ...], ...]
+
+
+def _matmul(a: Matrix, b: Matrix, p: int) -> Matrix:
+    cols = list(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in cols) for row in a)
+
+
+def _eye(dim: int) -> Matrix:
+    return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
 
 
 class NotASubgroup(ValueError):
@@ -262,29 +275,31 @@ class FinModule:
             raise ValueError("one action matrix per subgroup generator required")
         self.subgroup = subgroup
         self.p = p
-        self.gen_actions = [np.array(m, dtype=np.int64) % p for m in gen_actions]
+        self.gen_actions = [
+            tuple(tuple(int(x) % p for x in row) for row in m) for m in gen_actions
+        ]
         if self.gen_actions:
-            self.dim = int(self.gen_actions[0].shape[0])
+            self.dim = len(self.gen_actions[0])
         elif dim is not None:
             self.dim = dim
         else:
             raise ValueError("dim required for a generator-free subgroup")
         for m in self.gen_actions:
-            if m.shape != (self.dim, self.dim):
+            if len(m) != self.dim or any(len(row) != self.dim for row in m):
                 raise ValueError("action matrices must be square of equal size")
-        self._eye = np.eye(self.dim, dtype=np.int64)
-        self._cache: Dict[int, np.ndarray] = {subgroup.parent.identity: self._eye}
+        self._eye = _eye(self.dim)
+        self._cache: Dict[int, Matrix] = {subgroup.parent.identity: self._eye}
         if check:
             self._validate()
 
     @classmethod
     def trivial(cls, subgroup: Subgroup, p: int, dim: int = 1) -> "FinModule":
-        eye = np.eye(dim, dtype=np.int64)
+        eye = _eye(dim)
         return cls(
             subgroup, p, [eye] * len(subgroup.generators), check=False, dim=dim
         )
 
-    def action_of(self, element_index: int) -> np.ndarray:
+    def action_of(self, element_index: int) -> Matrix:
         m = self._cache.get(element_index)
         if m is not None:
             return m
@@ -300,7 +315,7 @@ class FinModule:
         m = self._cache[e]
         for e, gi in reversed(path):
             a = self.gen_actions[gi]
-            m = a if m is self._eye else (m @ a) % self.p
+            m = a if m is self._eye else _matmul(m, a, self.p)
             self._cache[e] = m
         return m
 
@@ -312,13 +327,13 @@ class FinModule:
         for x in self.subgroup.elements:
             ax = self.action_of(x)
             for g, a in zip(self.subgroup.generators, self.gen_actions):
-                if not np.array_equal((ax @ a) % self.p, self.action_of(G.mul(x, g))):
+                if _matmul(ax, a, self.p) != self.action_of(G.mul(x, g)):
                     raise ValueError("generator actions violate the group law")
 
 
 # A block map (perm, blocks) sends column block i to row block perm[i]
 # through the matrix blocks[i]; every other block of that column is zero.
-BlockMap = Tuple[List[int], List[np.ndarray]]
+BlockMap = Tuple[List[int], List[Matrix]]
 
 
 def _block_map(
@@ -349,10 +364,11 @@ def induce(module: FinModule, big: Subgroup) -> Tuple[FinModule, List[int]]:
     dim = len(reps) * d
     actions = []
     for g in big.generators:
-        m = np.zeros((dim, dim), dtype=np.int64)
+        m = [[0] * dim for _ in range(dim)]
         perm, blocks = _block_map(module, reps, label, [G.mul(g, r) for r in reps])
         for i, (k, block) in enumerate(zip(perm, blocks)):
-            m[k * d : (k + 1) * d, i * d : (i + 1) * d] = block
+            for r, row in enumerate(block):
+                m[k * d + r][i * d : (i + 1) * d] = row
         actions.append(m)
     return FinModule(big, module.p, actions, check=False, dim=dim), reps
 
@@ -423,9 +439,9 @@ def _intertwines(left: BlockMap, psi: BlockMap, right: BlockMap, p: int) -> bool
     pperm, pblocks = psi
     rperm, rblocks = right
     for c, (k, j) in enumerate(zip(pperm, rperm)):
-        a = (lblocks[k] @ pblocks[c]) % p
-        b = (pblocks[j] @ rblocks[c]) % p
-        if not (lperm[k] == pperm[j] and np.array_equal(a, b)) and (a.any() or b.any()):
+        a = _matmul(lblocks[k], pblocks[c], p)
+        b = _matmul(pblocks[j], rblocks[c], p)
+        if not (lperm[k] == pperm[j] and a == b) and any(map(any, a + b)):
             return False
     return True
 
@@ -434,10 +450,10 @@ def _bijective(psi: BlockMap, rows: int, p: int) -> bool:
     """True iff the block map psi onto `rows` row blocks is invertible over
     F_p: it permutes the blocks and every block has full rank."""
     perm, blocks = psi
-    # The blocks are FinModule.action_of's cached arrays, which are never
-    # mutated, so one object is one matrix: rank each object once.
+    # The blocks are FinModule.action_of's cached matrices, so one object is
+    # one matrix: rank each object once.
     return sorted(perm) == list(range(rows)) and all(
-        fp_linalg.rank(fp_linalg.FpMatrix(b, p)) == b.shape[0]
+        fp_linalg.rank(fp_linalg.FpMatrix(b, p)) == len(b)
         for b in {id(b): b for b in blocks}.values()
     )
 
@@ -581,17 +597,14 @@ def augmentation_basis(G: FiniteGroup, H: Subgroup, p: int) -> List[List[int]]:
     Computed as the row space of all g(h - 1) = [gh] - [g]; nothing about
     the dimension is assumed.
     """
-    rows = []
-    for g in range(G.order):
-        for h in H.elements:
-            if h == G.identity:
-                continue
-            v = [0] * G.order
-            v[G.mul(g, h)] += 1
-            v[g] -= 1
-            rows.append(v)
-    a = np.array(rows, dtype=np.int64).reshape(-1, G.order)
-    basis = fp_linalg.RowSpace(fp_linalg.FpMatrix(a, p)).basis
+    # h != 1, so gh != g and each row holds two entries.
+    rows = [
+        {G.mul(g, h): 1, g: p - 1}
+        for g in range(G.order)
+        for h in H.elements
+        if h != G.identity
+    ]
+    basis = fp_linalg.RowSpace(fp_linalg.FpMatrix.of_rows(rows, G.order, p)).basis
     return [[row.get(c, 0) for c in range(G.order)] for row in basis.values()]
 
 
@@ -613,20 +626,16 @@ def random_unipotent_module(
     G = subgroup.parent
     c1, c2 = rng.randrange(p), rng.randrange(p)
     while True:
-        P = np.array(
-            [[rng.randrange(p) for _ in range(2)] for _ in range(2)], dtype=np.int64
-        )
-        det = (P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]) % p
+        P = tuple(tuple(rng.randrange(p) for _ in range(2)) for _ in range(2))
+        (a, b), (c, d) = P
+        det = (a * d - b * c) % p
         if det:
             break
-    det_inv = pow(int(det), p - 2, p)
-    Pinv = (
-        det_inv * np.array([[P[1, 1], -P[0, 1]], [-P[1, 0], P[0, 0]]], dtype=np.int64)
-    ) % p
+    det_inv = pow(det, p - 2, p)
+    Pinv = tuple(tuple(det_inv * x % p for x in row) for row in ((d, -b), (-c, a)))
     actions = []
     for g in subgroup.generators:
         x, y, _ = G.elements[g]
         lam = (c1 * x + c2 * y) % p
-        m = np.array([[1, lam], [0, 1]], dtype=np.int64)
-        actions.append((P @ m @ Pinv) % p)
+        actions.append(_matmul(_matmul(P, ((1, lam), (0, 1)), p), Pinv, p))
     return FinModule(subgroup, p, actions, dim=2)

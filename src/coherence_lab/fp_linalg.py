@@ -1,31 +1,30 @@
-"""Exact linear algebra over the prime field F_p.
+"""Exact linear algebra over the prime field F_p, in pure Python.
 
-A matrix is an `FpMatrix`: its shape, p, and its nonzero entries as
-parallel row, column and value arrays, row-major, with values in [1, p).
-It is built from a dense array (`FpMatrix(a, p)`, one `np.nonzero` scan) or
-from entries (`FpMatrix.entries`), as the skew layer's assembler makes
-them, so a sparse system is never held as a dense array. Values are int64,
-so p must lie below 2^63; every product and sum of them runs on Python
-ints, so all arithmetic is exact.
+A matrix is an `FpMatrix`: its shape, p, and one {column: value} dict per
+row, holding the row's nonzero entries as Python ints in [1, p), so every
+product and sum is exact for any prime p that `is_prime` decides. It is
+built from a dense array or nested sequence (`FpMatrix(a, p)`), from
+entries (`FpMatrix.entries`), or from rows already in that form
+(`FpMatrix.of_rows`), as the skew layer's assembler and the one-variable
+spans make them, so a sparse system is never held densely.
 
 Elimination is the sparse echelon loop of `echelon`, which this module
-shares with the rational Lie layer: `_rref` runs it mod p on the rows of an
-`FpMatrix`, and returns the reduced echelon basis as {column: value} dicts
-by ascending pivot. That form is unique for a row space, so every computed
-basis and every solution is deterministic and independent of the row
-order. `RowSpace` wraps `_rref` and answers every span question
-(membership, equality, filtration pieces), and rank, kernel and solve are
-built on it. Kernel vectors and solutions are {column: value} dicts too, by
-ascending column, and both are re-verified by substitution on the entries.
-`rref` remains as a dense view for the benchmark's tracer, which wraps it
-and reads `rows` and `cols` of the `rank` and `kernel_basis` argument.
+shares with the rational Lie layer: `_rref` runs it mod p on copies of the
+rows of an `FpMatrix`, and returns the reduced echelon basis as
+{column: value} dicts by ascending pivot. That form is unique for a row
+space, so every computed basis and every solution is deterministic and
+independent of the row order. `RowSpace` wraps `_rref` and answers every
+span question (membership, equality, filtration pieces), and rank, kernel
+and solve are built on it. Kernel vectors and solutions are {column: value}
+dicts too, by ascending column, and both are re-verified by substitution on
+the rows. No function here changes the rows of an `FpMatrix` it is given.
+`rref` remains as a nested-list view for the benchmark's tracer, which wraps
+it and reads `rows` and `cols` of the `rank` and `kernel_basis` argument.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .echelon import _echelon, _reduce, is_prime
 
@@ -34,104 +33,86 @@ class DimensionMismatch(ValueError):
     pass
 
 
-class FpMatrix:
-    """A rows x cols matrix over F_p, held as its nonzero entries: parallel
-    int64 arrays `row`, `col` and `val` in row-major order, with values in
-    [1, p) and no (row, col) pair twice. The prime p must lie below 2^63, so
-    that every value fits in int64.
+# A sparse row or vector: {column: value}, values in [1, p).
+Row = Dict[int, int]
 
-    `FpMatrix(a, p)` takes the nonzero entries mod p of a 2-D array with
-    entries in any range; `FpMatrix.entries` takes them as index lists.
+
+class FpMatrix:
+    """A rows x cols matrix over F_p, held as `data`: one Row per row.
+
+    `FpMatrix(a, p)` takes the entries mod p of a 2-D array or nested
+    sequence with entries in any range; `FpMatrix.entries` takes them as
+    index lists; `FpMatrix.of_rows` holds rows already reduced.
     """
 
     def __init__(self, a, p: int):
-        a = np.asarray(a, dtype=np.int64)
-        row, col = np.nonzero(a)
-        self._keep(a.shape, p, row, col, a[row, col])
+        rows = [{c: v for c, x in enumerate(r) if (v := int(x) % p)} for r in a]
+        shape = getattr(a, "shape", None) or (len(rows), len(a[0]) if rows else 0)
+        self._keep(rows, shape[1], p)
 
     @classmethod
     def entries(cls, row, col, val, shape: Tuple[int, int], p: int) -> "FpMatrix":
         """The matrix with entry val[i] at (row[i], col[i]), in any order
         and any range. Raises ValueError if an index lies outside the shape
         or a (row, col) pair repeats."""
-        row, col, val = (np.asarray(x, dtype=np.int64) for x in (row, col, val))
         rows, cols = shape
-        if len(row) and not (
-            0 <= row.min() and row.max() < rows and 0 <= col.min() and col.max() < cols
-        ):
-            raise ValueError(f"entry index outside the {rows} x {cols} shape")
-        order = np.lexsort((col, row))
-        row, col = row[order], col[order]
-        if ((row[1:] == row[:-1]) & (col[1:] == col[:-1])).any():
-            raise ValueError("repeated (row, col) entry")
+        data: List[Row] = [{} for _ in range(rows)]
+        for r, c, x in zip(row, col, val):
+            r, c = int(r), int(c)
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise ValueError(f"entry index outside the {rows} x {cols} shape")
+            if c in data[r]:
+                raise ValueError("repeated (row, col) entry")
+            data[r][c] = int(x) % p
+        return cls.of_rows([{c: v for c, v in d.items() if v} for d in data], cols, p)
+
+    @classmethod
+    def of_rows(cls, data: List[Row], cols: int, p: int) -> "FpMatrix":
+        """The matrix with the given rows, whose values must lie in [1, p)
+        and whose columns below cols. The rows are held, not copied."""
         m = cls.__new__(cls)
-        m._keep(shape, p, row, col, val[order])
+        m._keep(data, cols, p)
         return m
 
-    def _keep(self, shape, p: int, row, col, val) -> None:
-        """Store the row-major entries whose values do not vanish mod p."""
-        if p >= 2**63:
-            raise ValueError(f"modulus {p} is not below 2^63: values are int64")
+    def _keep(self, data: List[Row], cols: int, p: int) -> None:
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        self.rows, self.cols = shape
+        self.data = data
+        self.rows, self.cols = len(data), cols
         self.p = p
-        val = val % p
-        hit = val != 0
-        self.row, self.col, self.val = row[hit], col[hit], val[hit]
-
-
-# A sparse row or vector: {column: value}, values in [1, p).
-Row = Dict[int, int]
-
-
-def _dict_rows(m: FpMatrix) -> Iterator[Row]:
-    """The rows of m as dicts, zero rows included."""
-    cols, vals = m.col.tolist(), m.val.tolist()
-    start = 0
-    for end in np.cumsum(np.bincount(m.row, minlength=m.rows)).tolist():
-        yield dict(zip(cols[start:end], vals[start:end]))
-        start = end
 
 
 def _rref(m: FpMatrix) -> Dict[int, Row]:
     """The reduced echelon basis of the rows of m over F_p."""
     p = m.p
-    return _echelon(_dict_rows(m), lambda x: x % p, lambda x: pow(x, -1, p))
-
-
-def _dense(rows: Sequence[Row], shape: Tuple[int, int]) -> np.ndarray:
-    """The int64 array of the given shape with the rows at its top."""
-    out = np.zeros(shape, dtype=np.int64)
-    at_r = [i for i, row in enumerate(rows) for _ in row]
-    at_c = [c for row in rows for c in row]
-    out[at_r, at_c] = [v for row in rows for v in row.values()]
-    return out
+    return _echelon(map(dict, m.data), lambda x: x % p, lambda x: pow(x, -1, p))
 
 
 def _times(m: FpMatrix, vecs: Iterable[Row]) -> Iterator[Row]:
     """m . v mod p for each vector v, as {row: value} without zeros.
 
-    m's entries are indexed by column once, so the cost is linear in the
-    entries each vector touches; the products run on Python ints.
+    The rows of m are turned into columns once, so the cost is linear in
+    the entries each vector touches; the products run on Python ints.
     """
     p = m.p
-    by_col: Dict[int, List[Tuple[int, int]]] = {}
-    for r, c, v in zip(m.row.tolist(), m.col.tolist(), m.val.tolist()):
-        by_col.setdefault(c, []).append((r, v))
+    by_col: Dict[int, Row] = {}
+    for r, row in enumerate(m.data):
+        for c, v in row.items():
+            by_col.setdefault(c, {})[r] = v
     for vec in vecs:
         acc: Row = {}
         for c, x in vec.items():
-            for r, v in by_col.get(c, ()):
-                acc[r] = (acc.get(r, 0) + x * v) % p
-        yield {r: v for r, v in acc.items() if v}
+            for r, v in by_col.get(c, {}).items():
+                acc[r] = acc.get(r, 0) + x * v
+        yield {r: s % p for r, s in acc.items() if s % p}
 
 
-def rref(m: FpMatrix) -> Tuple[np.ndarray, List[int]]:
-    """Reduced row echelon form of m, an array of m's shape with zero rows
-    below, and its pivot column indices."""
+def rref(m: FpMatrix) -> Tuple[List[List[int]], List[int]]:
+    """Reduced row echelon form of m, as rows x cols nested lists with zero
+    rows below, and its pivot column indices."""
     basis = _rref(m)
-    return _dense(list(basis.values()), (m.rows, m.cols)), list(basis)
+    dense = [[row.get(c, 0) for c in range(m.cols)] for row in basis.values()]
+    return dense + [[0] * m.cols for _ in range(m.rows - len(basis))], list(basis)
 
 
 class RowSpace:
@@ -149,24 +130,19 @@ class RowSpace:
     def pivots(self) -> List[int]:
         return list(self.basis)
 
-    def contains(self, q: FpMatrix) -> np.ndarray:
-        """Whether each row of q lies in the space, as a bool array: each
-        row is reduced against the basis once."""
+    def contains(self, q: FpMatrix) -> List[bool]:
+        """Whether each row of q lies in the space: each row is reduced
+        against the basis once."""
         if q.cols != self.cols:
             raise DimensionMismatch(f"query width {q.cols} != dimension {self.cols}")
         p = self.p
-        return np.fromiter(
-            (not _reduce(w, self.basis, lambda x: x % p) for w in _dict_rows(q)),
-            dtype=bool,
-            count=q.rows,
-        )
+        return [not _reduce(dict(w), self.basis, lambda x: x % p) for w in q.data]
 
-    def low_part(self, cut: int) -> np.ndarray:
+    def low_part(self, cut: int) -> List[Row]:
         """The basis rows with no support before coordinate cut, which are
-        those with pivot >= cut, as a dense array: a basis of the
-        intersection of the space with the span of coordinates >= cut."""
-        rows = [row for c, row in self.basis.items() if c >= cut]
-        return _dense(rows, (len(rows), self.cols))
+        those with pivot >= cut: a basis of the intersection of the space
+        with the span of coordinates >= cut. The rows are the basis's own."""
+        return [row for c, row in self.basis.items() if c >= cut]
 
 
 def rank(m: FpMatrix) -> int:
@@ -203,21 +179,13 @@ def solve(m: FpMatrix, rhs: Sequence[int]) -> Optional[Row]:
     """
     if len(rhs) != m.rows:
         raise DimensionMismatch(f"rhs length {len(rhs)} != {m.rows} rows")
-    p = m.p
-    b = np.asarray(rhs, dtype=np.int64) % p
-    at = np.flatnonzero(b)
-    basis = _rref(
-        FpMatrix.entries(
-            np.concatenate([m.row, at]),
-            np.concatenate([m.col, np.full(len(at), m.cols)]),
-            np.concatenate([m.val, b[at]]),
-            (m.rows, m.cols + 1),
-            p,
-        )
-    )
-    if m.cols in basis:
+    p, n = m.p, m.cols
+    b = {r: v for r, x in enumerate(rhs) if (v := int(x) % p)}
+    aug = [{**row, n: b[r]} if r in b else row for r, row in enumerate(m.data)]
+    basis = _rref(FpMatrix.of_rows(aug, n + 1, p))
+    if n in basis:
         return None
-    x = {c: row[m.cols] for c, row in basis.items() if m.cols in row}
-    if next(_times(m, [x])) != dict(zip(at.tolist(), b[at].tolist())):
+    x = {c: row[n] for c, row in basis.items() if n in row}
+    if next(_times(m, [x])) != b:
         raise AssertionError("solve result failed substitution check")
     return x

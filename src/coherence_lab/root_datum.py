@@ -93,13 +93,14 @@ def _q(x) -> Fraction:
 
 
 # Q as a field for the shared echelon loop: Fraction values are canonical
-# as they are, and 1 / x inverts them.
+# as they are, and Fraction(1) / x inverts them, ints included, so every
+# row the loop scales holds Fractions and the elimination stays exact.
 def _same(x: Fraction) -> Fraction:
     return x
 
 
 def _recip(x: Fraction) -> Fraction:
-    return 1 / x
+    return Fraction(1) / x
 
 
 def _sparse(v: Sequence[Fraction]) -> Dict[int, Fraction]:

@@ -12,13 +12,14 @@ Ring elements enter F_p coordinates once per generator: the S-generators
 and the kernel pairs through `skew_poly._Coords`, one-variable module
 elements through `ModuleFlat.to_vec`. After that the spans stay in
 coordinates: a product X^xexp * mono * S_i is an index map on the
-coordinates of S_i (`_Coords.shifted`), and a loss-free product t^a F^j one
-on coordinate rows (`ModuleFlat.shift`).
+coordinates of S_i (`_Coords.shifted`, on numpy batches), and a loss-free
+product t^a F^j one on the keys of {index: value} rows (`ModuleFlat.shift`).
+span(S), its queries and every one-variable span are such rows from
+assembly to answer, with no dense array between two echelon bases.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -30,8 +31,8 @@ from .skew_poly import (
     NOT_IN_IDEAL_AT_BOUND,
     SkewContext,
     SkewPoly,
-    _assemble,
     _Batch,
+    _code_rows,
     _Coords,
     _series_monomials,
     _Terms,
@@ -192,24 +193,20 @@ def verify_relations(
     coords = _Coords(ctx)
     flats = [coords.terms(pair) for _, pair in labelled]
     monos = np.array(_series_monomials(ring), dtype=np.int64)
+    # Rows keyed by coordinate code: codes of pairs lie below 2 * wcomp.
+    ncodes = 2 * coords.wcomp
     for deg in sorted(by_degree):
         pairs = by_degree[deg]
-        m, _ = _assemble(
-            itertools.chain(
-                _s_multiples(coords, flats, deg, window, monos),
-                map(coords.column, pairs),
-            ),
-            p,
-        )
-        # The columns as rows, an index swap: the S multiples, then the pairs.
-        n = m.cols - len(pairs)
-        s = m.col < n
         span_s = fp_linalg.RowSpace(
-            fp_linalg.FpMatrix.entries(m.col[s], m.row[s], m.val[s], (n, m.rows), p)
+            fp_linalg.FpMatrix.of_rows(
+                list(_code_rows(_s_multiples(coords, flats, deg, window, monos))),
+                ncodes,
+                p,
+            )
         )
         inside = span_s.contains(
-            fp_linalg.FpMatrix.entries(
-                m.col[~s] - n, m.row[~s], m.val[~s], (len(pairs), m.rows), p
+            fp_linalg.FpMatrix.of_rows(
+                list(_code_rows(map(coords.column, pairs))), ncodes, p
             )
         )
         report.interior_checked += len(pairs)
@@ -295,7 +292,8 @@ class ModuleFlat:
     degree filtration pieces.
 
     Index ((fbound - j) * ncomp + comp) * max_scaled + e holds the
-    coefficient of t^e F^j in component comp.
+    coefficient of t^e F^j in component comp; a module element is the
+    {index: value} row of its nonzero coefficients.
     """
 
     def __init__(self, ctx: SkewContext, ncomp: int, fbound: int):
@@ -304,9 +302,10 @@ class ModuleFlat:
         self.fbound = fbound
         self.dim = (fbound + 1) * ncomp * ctx.base.max_scaled
 
-    def to_vec(self, elem: Sequence[SkewPoly]) -> List[int]:
+    def to_vec(self, elem: Sequence[SkewPoly]) -> fp_linalg.Row:
+        """The coordinate row {index: value} of an n-tuple."""
         width = self.ctx.base.max_scaled
-        v = [0] * self.dim
+        v: fp_linalg.Row = {}
         for comp, poly in enumerate(elem):
             for (j,), c in poly.coeffs.items():
                 if j > self.fbound:
@@ -315,75 +314,79 @@ class ModuleFlat:
                     v[((self.fbound - j) * self.ncomp + comp) * width + e] = coeff
         return v
 
+    def span(self, rows: List[fp_linalg.Row]) -> fp_linalg.RowSpace:
+        """The F_p span of coordinate rows, which it holds, not copies."""
+        return fp_linalg.RowSpace(
+            fp_linalg.FpMatrix.of_rows(rows, self.dim, self.ctx.base.p)
+        )
+
     def low_cut(self, k: int) -> int:
         """First basis index of the F-degree <= k zone."""
         cut = (self.fbound - k) * self.ncomp * self.ctx.base.max_scaled
         return min(max(cut, 0), self.dim)
 
-    def fdegrees(self, rows: np.ndarray) -> np.ndarray:
+    def fdegrees(self, rows: Sequence[fp_linalg.Row]) -> List[int]:
         """The F-degree of each row; -1 for a zero row."""
         width = self.ncomp * self.ctx.base.max_scaled
-        blocks = rows.reshape(len(rows), self.fbound + 1, width).any(axis=2)
-        return np.where(blocks.any(axis=1), self.fbound - blocks.argmax(axis=1), -1)
+        return [self.fbound - min(row) // width if row else -1 for row in rows]
 
-    def shift(self, rows: np.ndarray, a: int, j: int) -> np.ndarray:
+    def shift(
+        self, rows: Sequence[fp_linalg.Row], a: int, j: int
+    ) -> List[fp_linalg.Row]:
         """The loss-free products t^a F^j * row, as coordinate rows.
 
         t^a F^j * t^e F^j' = t^(a + e p^j) F^(j' + j), so the product maps
-        coordinate (comp, j', e) to (comp, j' + j, a + e p^j). A row that
-        would lose a nonzero coordinate to series truncation is dropped:
-        silent truncation would identify distinct elements of the
-        untruncated module. F-degree above fbound is an error.
+        coordinate (comp, j', e) to (comp, j' + j, a + e p^j): index k goes
+        to k - j * ncomp * max_scaled + a + e (p^j - 1). A row that would
+        lose a nonzero coordinate to series truncation is dropped: silent
+        truncation would identify distinct elements of the untruncated
+        module. F-degree above fbound in any row is an error.
         """
         width = self.ctx.base.max_scaled
-        step = self.ctx.base.p**j
-        blocks = np.asarray(rows, dtype=np.int64).reshape(
-            -1, self.fbound + 1, self.ncomp, width
-        )
-        if blocks[:, :j].any():
+        grow = self.ctx.base.p**j - 1
+        drop = j * self.ncomp * width
+        if any(min(row) < drop for row in rows if row):
             raise KeyError(f"F-degree above {self.fbound}")
         # Exponents e < n land on a, a + p^j, ... inside the slab.
-        n = len(range(a, width, step))
-        kept = blocks[~blocks[..., n:].any(axis=(1, 2, 3))]
-        out = np.zeros_like(kept)
-        out[:, : self.fbound + 1 - j, :, a:width:step] = kept[:, j:, :, :n]
-        return out.reshape(-1, self.dim)
+        n = len(range(a, width, grow + 1))
+        return [
+            {k - drop + a + k % width * grow: v for k, v in row.items()}
+            for row in rows
+            if all(k % width < n for k in row)
+        ]
 
 
-def _t_multiples(flat: ModuleFlat, rows: np.ndarray, j: int) -> np.ndarray:
+def _t_multiples(
+    flat: ModuleFlat, rows: Sequence[fp_linalg.Row], j: int
+) -> List[fp_linalg.Row]:
     """The loss-free products t^a F^j * row for a = 0, 1, ...; a row that
     loses a coordinate at some a loses one at every larger a."""
-    out = [np.zeros((0, flat.dim), dtype=np.int64)]
+    out: List[fp_linalg.Row] = []
     for a in range(flat.ctx.base.max_scaled):
         prod = flat.shift(rows, a, j)
-        if not len(prod):
+        if not prod:
             break
-        out.append(prod)
-    return np.concatenate(out)
+        out += prod
+    return out
 
 
 def module_span(
-    flat: ModuleFlat, rows: np.ndarray, maxdeg: Optional[int] = None
+    flat: ModuleFlat, rows: Sequence[fp_linalg.Row], maxdeg: Optional[int] = None
 ) -> fp_linalg.RowSpace:
     """The visible left-module span of the coordinate rows: all loss-free
     products t^a F^j * g with F-degree at most maxdeg."""
     top = flat.fbound if maxdeg is None else maxdeg
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1, flat.dim)
     degs = flat.fdegrees(rows)
-    vectors = [
-        _t_multiples(flat, rows[(degs >= 0) & (degs <= top - j)], j)
-        for j in range(top + 1)
-    ]
-    return fp_linalg.RowSpace(
-        fp_linalg.FpMatrix(np.concatenate(vectors), flat.ctx.base.p)
-    )
+    vectors: List[fp_linalg.Row] = []
+    for j in range(top + 1):
+        kept = [row for row, d in zip(rows, degs) if 0 <= d <= top - j]
+        vectors += _t_multiples(flat, kept, j)
+    return flat.span(vectors)
 
 
-def _f_multiples(flat: ModuleFlat, rows: np.ndarray) -> fp_linalg.RowSpace:
+def _f_multiples(flat: ModuleFlat, rows: Sequence[fp_linalg.Row]) -> fp_linalg.RowSpace:
     """The span of the loss-free products t^a F * m over the rows m."""
-    return fp_linalg.RowSpace(
-        fp_linalg.FpMatrix(_t_multiples(flat, rows, 1), flat.ctx.base.p)
-    )
+    return flat.span(_t_multiples(flat, rows, 1))
 
 
 def _generated_span(
@@ -459,6 +462,6 @@ def mjm_degree_detect(
     top = m_span.low_part(flat.low_cut(bound))
     for d in range(bound + 1):
         span = module_span(flat, m_span.low_part(flat.low_cut(d)))
-        if span.contains(fp_linalg.FpMatrix(top, span.p)).all():
+        if all(span.contains(fp_linalg.FpMatrix.of_rows(top, flat.dim, span.p))):
             return d
     return bound + 1

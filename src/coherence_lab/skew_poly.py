@@ -16,10 +16,12 @@ block at a time. The columns of these blocks, and the multiples of the
 span(S) check of `skew_checks`, never become ring elements: `_Coords`
 flattens each generator once into F_p coordinates, and left multiplication
 by a monomial is an index map on those coordinates (`_Coords.shifted`).
-One sparse assembler, `_assemble`, turns coordinate columns into the
-entries of an `fp_linalg.FpMatrix`; no block is ever held as a dense array.
-Only the re-verifications multiply ring elements. `FlatSpace`, the dense
-whole-slab indexer, serves as the reference in the tests.
+numpy serves that map and nothing after it: in one pass, `_assemble` turns
+coordinate columns into the {column: value} rows of an `fp_linalg.FpMatrix`,
+one row per coordinate code, and `_code_rows` turns each column into one
+row keyed by code; no block is ever held as a dense array. Only the
+re-verifications multiply ring elements. `FlatSpace`, the dense whole-slab
+indexer, serves as the reference in the tests.
 """
 
 from __future__ import annotations
@@ -328,8 +330,8 @@ class _Terms(NamedTuple):
     code: np.ndarray  # (T,) coordinate codes
 
 
-# Columns for `_assemble`: one column per row of codes (-1 marks no entry),
-# with values broadcast against the codes.
+# Columns for `_assemble` and `_code_rows`: one column per row of codes (-1
+# marks no entry), with one value per code position.
 _Batch = Tuple[np.ndarray, np.ndarray]
 
 
@@ -433,29 +435,36 @@ class _Coords:
 
 def _assemble(
     batches: Iterable[_Batch], p: int
-) -> Tuple[fp_linalg.FpMatrix, np.ndarray]:
-    """The F_p matrix with one column per row of each batch, as its entries,
-    and its row codes.
+) -> Tuple[fp_linalg.FpMatrix, List[int]]:
+    """The F_p matrix with one column per row of each batch, and its row
+    codes.
 
     Rows are the codes that some column reaches, ascending: no zero rows,
     and row order leaves the reduced echelon form, hence every solution,
-    kernel basis and row span, unchanged. A column's codes are distinct (the
-    index map of `_Coords.shifted` is injective), so no entry repeats.
+    kernel basis and row span, unchanged. One pass over the codes fills
+    the rows; a column's codes are distinct (the index map of
+    `_Coords.shifted` is injective), so no entry is written twice.
     """
-    empty = np.zeros(0, dtype=np.int64)
-    cols, codes, values = [empty], [empty], [empty]
-    ncols = 0
-    for c, v in batches:
-        hit = c >= 0
-        cols.append(np.nonzero(hit)[0] + ncols)
-        codes.append(c[hit])
-        values.append(np.broadcast_to(v, c.shape)[hit])
-        ncols += len(c)
-    keys, rows = np.unique(np.concatenate(codes), return_inverse=True)
-    m = fp_linalg.FpMatrix.entries(
-        rows, np.concatenate(cols), np.concatenate(values), (len(keys), ncols), p
-    )
-    return m, keys
+    rows: Dict[int, fp_linalg.Row] = {}
+    j = 0
+    for codes, values in batches:
+        values = values.tolist()
+        for column in codes.tolist():
+            for c, v in zip(column, values):
+                if c >= 0:
+                    rows.setdefault(c, {})[j] = v
+            j += 1
+    keys = sorted(rows)
+    return fp_linalg.FpMatrix.of_rows([rows[c] for c in keys], j, p), keys
+
+
+def _code_rows(batches: Iterable[_Batch]) -> Iterable[fp_linalg.Row]:
+    """Each column of the batches as one row {code: value}: the transpose
+    of `_assemble`, with the codes themselves as columns."""
+    for codes, values in batches:
+        values = values.tolist()
+        for column in codes.tolist():
+            yield {c: v for c, v in zip(column, values) if c >= 0}
 
 
 def _block_matrix(
@@ -539,13 +548,8 @@ def ideal_membership_bounded(
             return NOT_IN_IDEAL_AT_BOUND
         m = _block_matrix(coords, flats, block, SkewPoly(ctx, components[deg]))
         n = len(block)
-        lhs = m.col < n
-        rhs = np.zeros(m.rows, dtype=np.int64)
-        rhs[m.row[~lhs]] = m.val[~lhs]
-        a = fp_linalg.FpMatrix.entries(
-            m.row[lhs], m.col[lhs], m.val[lhs], (m.rows, n), p
-        )
-        sol = fp_linalg.solve(a, rhs)
+        rhs = [row.pop(n, 0) for row in m.data]
+        sol = fp_linalg.solve(fp_linalg.FpMatrix.of_rows(m.data, n, p), rhs)
         if sol is None:
             return NOT_IN_IDEAL_AT_BOUND
         pairs += [(block[c], v) for c, v in sol.items()]

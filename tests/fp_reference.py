@@ -1,6 +1,6 @@
 """Dense reference elimination over F_p, kept as a test oracle for the
-sparse `coherence_lab.fp_linalg._rref`, and dense arrays of an `FpMatrix`'s
-entries and of {column: value} rows.
+sparse `coherence_lab.fp_linalg._rref`, and dense arrays of {column: value}
+rows, such as those an `FpMatrix` holds.
 
 `rref` is the column-by-column numpy loop the program used before its
 elimination became sparse: for each column it takes the topmost usable row
@@ -42,10 +42,8 @@ def rref(a: np.ndarray, p: int) -> List[int]:
 
 
 def dense(m) -> np.ndarray:
-    """The rows x cols int64 array holding the entries of the FpMatrix m."""
-    out = np.zeros((m.rows, m.cols), dtype=np.int64)
-    out[m.row, m.col] = m.val
-    return out
+    """The rows x cols int64 array holding the rows of the FpMatrix m."""
+    return dense_rows(m.data, m.cols)
 
 
 def dense_rows(rows, cols: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -708,6 +709,32 @@ def test_skew_and_group_commands_in_a_fresh_process(argv):
     proc = _fresh(NUMPY_PROBE, "--json", "-", *argv)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_mackey_leaves_numpy_unloaded():
+    # The finite-group layer holds its matrices as tuples of ints.
+    argv = ["mackey", "--p", "3", "--a", "1", "--dim", "2"]
+    proc = _fresh(NUMPY_PROBE, "--json", "-", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True
+    assert proc.stderr.endswith("numpy loaded: False\n"), proc.stderr
+
+
+def test_only_the_skew_layers_import_numpy():
+    # numpy serves the skew coordinate map (`skew_poly._Coords`) and the
+    # batches that feed it (`skew_checks`); every other module is pure Python.
+    importers = set()
+    for path in sorted((SRC / "coherence_lab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.stem)
+    assert importers == {"skew_poly", "skew_checks"}
 
 
 def test_reports_written_as_json_dumps(tmp_path, capsys, monkeypatch):

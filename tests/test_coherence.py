@@ -118,6 +118,45 @@ def test_check_embedded_on_non_reduced_bases():
         ch._check_embedded(datum, out.torus_combination, open_g3)
 
 
+def test_check_embedded_is_exact_on_int_bases():
+    # Q's inverse keeps int input exact: the echelon loop over Q returns
+    # only Fractions, so a witness basis of ints, as library code may build
+    # one, is re-checked exactly as its Fraction form is.
+    import dataclasses
+
+    from coherence_lab.catalog import CATALOG, decide, parse_descriptor
+    from coherence_lab.echelon import _echelon
+
+    basis = _echelon([{0: 3, 1: 1}, {1: 7, 2: 2}], rd._same, rd._recip)
+    assert basis == {0: {0: 1, 2: Q(-2, 21)}, 1: {1: 1, 2: Q(2, 7)}}
+    assert all(type(v) is Q for row in basis.values() for v in row.values())
+    for name in ("G3", "H3"):
+        datum = parse_descriptor(CATALOG[name]["descriptor"])
+        out = decide(datum)
+        w = out.embedded
+        units = [tuple(int(x) for x in v) for v in w.subalgebra_basis]
+        # A non-reduced int basis of the same span: 3 u_0 + u_1, 7 u_1, ...
+        mixed = [tuple(3 * a + b for a, b in zip(units[0], units[1]))]
+        mixed += [tuple(7 * x for x in u) for u in units[1:]]
+        for ints in (units, mixed):
+            fracs = [tuple(Q(x) for x in v) for v in ints]
+            assert rd._bracket_closed(datum.lie, ints) == len(ints)
+            assert rd._bracket_closed(datum.lie, fracs) == len(ints)
+            for b in (ints, fracs):
+                forged = dataclasses.replace(w, subalgebra_basis=tuple(b))
+                ch._check_embedded(datum, out.torus_combination, forged)
+    # Forged int bases of the H3 witness are still refused.
+    combo = out.torus_combination
+    forgeries = {
+        "not bracket-closed": ("G3", ((3, 1, 0), (1, 0, 0))),
+        "H3 witness basis has rank 2": ("H3", ((3, 0, 0), (6, 0, 0), (0, 0, 5))),
+    }
+    for message, (kind, ints) in forgeries.items():
+        forged = dataclasses.replace(w, kind=kind, subalgebra_basis=ints)
+        with pytest.raises(AssertionError, match=message):
+            ch._check_embedded(datum, combo, forged)
+
+
 def test_decide_p_semidirect_qp():
     datum = SolvableGroupDatum(
         PadicFieldParams(p=2),

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import numpy as np
@@ -119,7 +120,7 @@ def test_rref_matches_independent_reference():
             data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
             got, got_piv = fl.rref(FpMatrix(data, p))
             want, want_piv = _rref_reference(data, p)
-            assert got.tolist() == want
+            assert got == want
             assert got_piv == want_piv
 
 
@@ -175,7 +176,7 @@ def test_rank_rref_kernel_match_sympy():
             assert fl.rank(m) == oracle.rank()
             red, pivots = fl.rref(m)
             want, want_pivots = oracle.rref()
-            assert red.tolist() == _ints(want, p)
+            assert red == _ints(want, p)
             assert tuple(pivots) == tuple(want_pivots)
             basis = fp_reference.dense_rows(fl.kernel_basis(m), ncols).tolist()
             nullity = oracle.nullspace().shape[0]
@@ -214,11 +215,11 @@ def test_rowspace_rows_independent_of_spanning_set():
 
 def test_rowspace_leaves_the_input_alone(monkeypatch):
     # Entries outside [0, p), with and without rows that vanish mod p: no
-    # caller's array and no matrix's entries are written, zero rows do not
-    # change the space, the dense rref shares no memory with an input, and
-    # RowSpace eliminates the caller's matrix itself, a transposed one
-    # included, rather than a copy of it; its entries, densified here, are
-    # the array reduced mod p.
+    # caller's array and no row dict of a matrix is written, zero rows do
+    # not change the space, no result shares a dict or list with an input,
+    # and RowSpace eliminates the caller's matrix itself, a transposed one
+    # included, rather than a copy of it; its rows, densified here, are the
+    # array reduced mod p.
     p = 5
     full = np.array([[7, -3, 0, 12], [1, 2, 3, 4], [-1, 8, 2, 0]], dtype=np.int64)
     padded = np.array([[5, -10, 0, 15], *full, [0, 0, 0, 0]], dtype=np.int64)
@@ -230,24 +231,30 @@ def test_rowspace_leaves_the_input_alone(monkeypatch):
         rhs = 3 * a[:, 0] - a[:, 2]  # m x = rhs for x = (3, 0, -1, 0)
         before, rhs_before = a.copy(), rhs.copy()
         m = FpMatrix(a, p)
-        entries = [e.copy() for e in (m.row, m.col, m.val)]
+        rows, copies = list(m.data), [dict(row) for row in m.data]
         assert np.array_equal(fp_reference.dense(m), a % p)
         space = fl.RowSpace(m)
         assert seen[-1] is m
-        t = FpMatrix.entries(m.col, m.row, m.val, (m.cols, m.rows), p)
-        fl.RowSpace(t)
+        at_r, at_c = np.nonzero(a)
+        t = FpMatrix.entries(at_c, at_r, a[at_r, at_c], (a.shape[1], len(a)), p)
+        t_rows, t_copies = list(t.data), [dict(row) for row in t.data]
+        t_space = fl.RowSpace(t)
         assert seen[-1] is t and np.array_equal(fp_reference.dense(t), a.T % p)
         red, pivots = fl.rref(m)
         basis = fl.kernel_basis(m)
         x = fl.solve(m, rhs)
+        inside = space.contains(m)
         assert np.array_equal(a, before) and np.array_equal(rhs, rhs_before)
-        assert all(map(np.array_equal, (m.row, m.col, m.val), entries))
-        assert space.basis == want
+        for held, kept, now in ((rows, copies, m.data), (t_rows, t_copies, t.data)):
+            assert len(now) == len(held) and all(map(operator.is_, now, held))
+            assert now == kept
+        assert space.basis == want and inside == [True] * len(a)
         want_rows = fp_reference.dense_rows(list(want.values()), 4)
-        assert want_rows.tolist() == red[: len(pivots)].tolist()
+        assert want_rows.tolist() == red[: len(pivots)]
         assert not ((a @ fp_reference.dense_rows(basis, 4).T) % p).any()
         assert not ((a @ fp_reference.dense_rows([x], 4)[0] - rhs) % p).any()
-        assert not any(np.shares_memory(red, b) for b in (a, rhs, m.row, m.col, m.val))
+        results = [*space.basis.values(), *t_space.basis.values(), *basis, x, *red]
+        assert not {id(r) for r in rows + t_rows} & {id(r) for r in results}
 
 
 def test_rowspace_contains_stack_matches_rank():
@@ -263,7 +270,7 @@ def test_rowspace_contains_stack_matches_rank():
             stack.append([0] * dim)
             base = fl.rank(FpMatrix(a, p))
             want = [fl.rank(FpMatrix(a + [v], p)) == base for v in stack]
-            assert space.contains(FpMatrix(stack, p)).tolist() == want
+            assert space.contains(FpMatrix(stack, p)) == want
             assert [bool(space.contains(FpMatrix([v], p))[0]) for v in stack] == want
             assert want[-2] and want[-1]
 
@@ -301,7 +308,7 @@ def test_rowspace_contains_matches_brute_force():
                 r = [(x - f * y) % p for x, y in zip(r, row)]
             want.append(not any(r))
         space = fl.RowSpace(FpMatrix(gens, p))
-        got = space.contains(FpMatrix(queries, p)).tolist()
+        got = space.contains(FpMatrix(queries, p))
         assert got == want
         assert 0 < got.count(False) and got.count(True) >= len(members) + 3
 
@@ -320,7 +327,7 @@ def test_rowspace_low_part_matches_brute_force():
                 for coeffs in itertools.product(range(p), repeat=len(rows))
             }
             for cut in range(dim + 1):
-                low = space.low_part(cut).tolist()
+                low = fp_reference.dense_rows(space.low_part(cut), dim).tolist()
                 assert low == [r for r in rows if not any(r[:cut])]
                 # Its span is exactly the members vanishing before cut.
                 assert len([v for v in members if not any(v[:cut])]) == p ** len(low)
@@ -415,8 +422,10 @@ def test_sparse_rref_matches_dense_reference_and_sympy(p):
 
 def test_sparse_rref_on_verify_skew_blocks(monkeypatch):
     # Every elimination input of the relation check at (2,8,4,3): the
-    # per-degree syzygy blocks and the span(S) blocks, as `_assemble` builds
-    # them, and the membership solves, densified here. The S multiples that
+    # per-degree syzygy blocks as `_assemble` builds them, the membership
+    # solves, and the span(S) blocks, whose columns are coordinate codes;
+    # each is densified here over the columns some row reaches, in
+    # ascending order, which keeps its echelon form. The S multiples that
     # truncate to nothing are dropped before assembly, so no block has a
     # zero row: the largest span(S) block is 627 x 356 (792 x 356 with 165
     # zero rows when they were kept).
@@ -424,7 +433,9 @@ def test_sparse_rref_on_verify_skew_blocks(monkeypatch):
     real = fl._rref
 
     def record(m):
-        seen.append((fp_reference.dense(m), m.p))
+        at = {c: i for i, c in enumerate(sorted({c for row in m.data for c in row}))}
+        rows = [{at[c]: v for c, v in row.items()} for row in m.data]
+        seen.append((fp_reference.dense_rows(rows, len(at)), m.p))
         return real(m)
 
     monkeypatch.setattr(fl, "_rref", record)
@@ -457,7 +468,7 @@ def test_large_prime_kernel_and_membership_exact():
         member = [sum(c * r[j] for c, r in zip(coeffs, data)) % p for j in range(6)]
         other = [rng.randrange(p) for _ in range(6)]
         outside = len(_rref_reference(data + [other], p)[1]) > len(pivots)
-        assert space.contains(FpMatrix([member, other], p)).tolist() == [True, not outside]
+        assert space.contains(FpMatrix([member, other], p)) == [True, not outside]
 
 
 # The entries constructor against the dense one.
@@ -496,8 +507,7 @@ def test_entries_constructor_matches_dense(p):
             raw = _sparse_structured(rng, p, nrows, ncols)
             dense = FpMatrix(raw, p)
             ents = FpMatrix.entries(*_shuffled_entries(rng, raw, p), raw.shape, p)
-            for a, b in zip((dense.row, dense.col, dense.val), (ents.row, ents.col, ents.val)):
-                assert np.array_equal(a, b)
+            assert (dense.rows, dense.cols, dense.data) == (ents.rows, ents.cols, ents.data)
             reduced = raw % p
             assert np.array_equal(fp_reference.dense(ents), reduced)
             want_pivots = fp_reference.rref(reduced.copy(), p)
@@ -508,7 +518,7 @@ def test_entries_constructor_matches_dense(p):
             for m in (dense, ents):
                 assert fl.rank(m) == len(want_pivots)
                 red, pivots = fl.rref(m)
-                assert pivots == want_pivots and np.array_equal(red, want)
+                assert pivots == want_pivots and red == want.tolist()
                 basis = fp_reference.dense_rows(fl.kernel_basis(m), ncols)
                 assert len(basis) == ncols - len(pivots)
                 for v in basis.tolist():
@@ -535,39 +545,56 @@ def test_entries_constructor_refuses_bad_indices():
         FpMatrix.entries([1, 0, 1], [0, 1, 0], [1, 1, 2], (2, 2), 3)
     with pytest.raises(ValueError, match="not prime"):
         FpMatrix.entries([], [], [], (2, 2), 4)
-    # Values are int64: a prime above 2^63 is refused by both constructors,
-    # and the largest prime below it is exact.
-    big, top = 2**63 + 29, 2**63 - 25
-    assert is_prime(big) and is_prime(top)
-    with pytest.raises(ValueError, match=r"2\^63"):
-        fl.rank(FpMatrix([[1, 2], [3, 4]], big))
-    with pytest.raises(ValueError, match=r"2\^63"):
-        FpMatrix.entries([], [], [], (2, 2), big)
-    assert fl.rank(FpMatrix([[1, 2], [3, 4]], top)) == 2
-    assert fl.kernel_basis(FpMatrix([[1, 2]], top)) == [{1: 1, 0: top - 2}]
-    assert fl.solve(FpMatrix([[top - 1, 2]], top), [top - 3]) == {0: 3}
+    # Values are Python ints, so a prime above 2^63 is admitted: rank,
+    # kernel and solve at 2^64 - 59 are exact and match sympy.
+    from sympy import isprime
+
+    big = 2**64 - 59
+    assert isprime(big) and is_prime(big)
+    rng = random.Random(64)
+    data = [[rng.randrange(big) for _ in range(5)] for _ in range(3)]
+    data.append([(u + 2 * v) % big for u, v in zip(data[0], data[1])])
+    for m in (FpMatrix(data, big), FpMatrix(np.array(data, dtype=object), big)):
+        oracle = _sympy_matrix(data, big, 5)
+        assert fl.rank(m) == oracle.rank() == 3
+        basis = fl.kernel_basis(m)
+        assert len(basis) == oracle.nullspace().shape[0] == 2
+        for v in basis:
+            assert not any(_python_rows_times(data, [v.get(j, 0) for j in range(5)], big))
+        rhs = _python_rows_times(data, [rng.randrange(big) for _ in range(5)], big)
+        aug = [row + [b] for row, b in zip(data, rhs)]
+        red, piv = _sympy_matrix(aug, big, 6).rref()
+        red = _ints(red, big)
+        assert fl.solve(m, rhs) == {c: red[i][5] for i, c in enumerate(piv) if red[i][5]}
+        assert fl.solve(m, [(b + 1) % big for b in rhs]) is None
+    assert fl.rank(FpMatrix([[1, 2], [3, 4]], big)) == 2
+    assert fl.kernel_basis(FpMatrix([[1, 2]], big)) == [{1: 1, 0: big - 2}]
+    assert fl.solve(FpMatrix([[big - 1, 2]], big), [big - 3]) == {0: 3}
 
 
 def test_assemble_emits_each_entry_once(monkeypatch):
     # The index map is injective: on every block of the relation check at
-    # (2,8,4,3), no column of `_assemble`'s batches reaches a code twice, so
-    # the entries type holds each (row, column) pair once.
+    # (2,8,4,3), no column of the batches that `_assemble` (syzygy and
+    # membership blocks) or `_code_rows` (span(S) and its queries) turns
+    # into rows reaches a code twice, so no entry of a row is written twice.
     from coherence_lab import skew_poly
 
     blocks = []
-    real = skew_poly._assemble
 
-    def record(batches, p):
-        batches = list(batches)
-        blocks.append([codes for codes, _ in batches])
-        return real(batches, p)
+    def recorder(real):
+        def record(batches, *rest):
+            batches = list(batches)
+            blocks.append([codes for codes, _ in batches])
+            return real(batches, *rest)
 
-    monkeypatch.setattr(skew_poly, "_assemble", record)
-    monkeypatch.setattr(skew_checks, "_assemble", record)
+        return record
+
+    monkeypatch.setattr(skew_poly, "_assemble", recorder(skew_poly._assemble))
+    monkeypatch.setattr(skew_checks, "_code_rows", recorder(skew_checks._code_rows))
     report = skew_checks.verify_relations(2, 1, 1, 4, 8, 3)
     monkeypatch.undo()
     assert report.ok
-    assert len(blocks) == 18
+    assert len(blocks) == 23
     columns = 0
     for block in blocks:
         for codes in block:

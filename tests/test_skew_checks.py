@@ -8,7 +8,7 @@ import fp_reference
 from coherence_lab import fp_linalg
 from coherence_lab import obstruction as obs
 from coherence_lab import skew_checks as sc
-from coherence_lab.skew_poly import SkewPoly, _assemble, _Coords, _series_monomials
+from coherence_lab.skew_poly import SkewPoly, _code_rows, _Coords, _series_monomials
 from coherence_lab.skew_series import PrecisionUnderflow, TruncSeries
 
 
@@ -285,10 +285,10 @@ def test_module_flat_shift_matches_ring_product(p):
         a, j = rng.randrange(12 // emax * 3), rng.randint(0, 2)
         mu = SkewPoly(ctx, {(j,): TruncSeries(ctx.base, {(a,): 1})})
         prod = tuple(mu * poly for poly in elem)
-        got = flat.shift(np.array([flat.to_vec(elem)]), a, j)
+        got = flat.shift([flat.to_vec(elem)], a, j)
         lossfree = _term_count(prod) == _term_count(elem)
         seen[lossfree] += 1
-        assert got.tolist() == ([flat.to_vec(prod)] if lossfree else [])
+        assert got == ([flat.to_vec(prod)] if lossfree else [])
     assert min(seen.values()) > 20
 
 
@@ -297,17 +297,23 @@ def test_module_flat_shift_stack_and_bounds():
     flat = sc.ModuleFlat(ctx, ncomp=1, fbound=3)
     rng = random.Random(7)
     elems = [(_random_one_var(rng, ctx, 1),) for _ in range(40)]
-    rows = np.array([flat.to_vec(e) for e in elems])
+    rows = [flat.to_vec(e) for e in elems]
     stacked = flat.shift(rows, 2, 1)
-    one_by_one = [r for row in rows for r in flat.shift(row, 2, 1).tolist()]
-    assert stacked.tolist() == one_by_one
-    top = (SkewPoly(ctx, {(3,): ctx.base.one()}),)
-    with pytest.raises(KeyError):
-        flat.shift(np.array([flat.to_vec(top)]), 0, 1)
+    one_by_one = [r for row in rows for r in flat.shift([row], 2, 1)]
+    assert stacked == one_by_one
+    assert 0 < len(stacked) < len(rows)
+    # F-degree above fbound raises, also next to a row that the same shift
+    # drops as lossy, in either order.
+    top = flat.to_vec((SkewPoly(ctx, {(3,): ctx.base.one()}),))
+    lossy = flat.to_vec((SkewPoly.from_series(ctx, ctx.base.var("t", 8)),))
+    assert flat.shift([lossy], 1, 1) == []
+    for batch in ([top], [lossy, top], [top, lossy]):
+        with pytest.raises(KeyError):
+            flat.shift(batch, 1, 1)
     # low_cut(k) is the index of the first F-degree <= k coordinate.
     for k in range(4):
         unit = (SkewPoly(ctx, {(k,): ctx.base.one()}),)
-        assert flat.to_vec(unit).index(1) == flat.low_cut(k)
+        assert flat.to_vec(unit) == {flat.low_cut(k): 1}
     assert flat.low_cut(-1) == flat.dim and flat.low_cut(5) == 0
 
 
@@ -331,7 +337,7 @@ def test_module_span_matches_ring_products(p):
                     prod = tuple(mu * poly for poly in g)
                     if _term_count(prod) == _term_count(g):
                         vecs.append(flat.to_vec(prod))
-        ref = fp_linalg.RowSpace(fp_linalg.FpMatrix(vecs, p))
+        ref = fp_linalg.RowSpace(fp_linalg.FpMatrix.of_rows(vecs, flat.dim, p))
         got = sc.module_span(flat, [flat.to_vec(g) for g in gens], maxdeg)
         assert got.basis == ref.basis
         assert len(ref.basis) > 10
@@ -398,16 +404,15 @@ def test_span_s_assembly_matches_dense_reference(p, trunc, window, m_max):
     for deg in range(2 * window - 1):  # kernel degrees at margin 1
         multiples = list(_explicit_s_multiples(labelled, deg, window, monos))
         ref, index = _dense_pair_span(multiples, deg, window, monos, p)
-        m, codes = _assemble(
-            sc._s_multiples(coords, flats, deg, window, np.array(monos)), p
+        rows = list(
+            _code_rows(sc._s_multiples(coords, flats, deg, window, np.array(monos)))
         )
-        mat = fp_reference.dense(m)
         keys = _code_keys(coords, multiples)
-        basis = fp_linalg.RowSpace(fp_linalg.FpMatrix(mat.T, p)).basis
-        rows = fp_reference.dense_rows(list(basis.values()), len(codes))
-        spread = np.zeros((len(rows), len(index)), dtype=np.int64)
-        spread[:, [index[keys[c]] for c in codes.tolist()]] = rows
-        assert fp_linalg.RowSpace(fp_linalg.FpMatrix(spread, p)).basis == ref.basis
+        ncodes = 2 * coords.wcomp
+        basis = fp_linalg.RowSpace(fp_linalg.FpMatrix.of_rows(rows, ncodes, p)).basis
+        spread = [{index[keys[c]]: v for c, v in row.items()} for row in basis.values()]
+        dense = fp_reference.dense_rows(spread, len(index))
+        assert fp_linalg.RowSpace(fp_linalg.FpMatrix(dense, p)).basis == ref.basis
         ranks.append(len(ref.basis))
     assert min(ranks[1:]) > 0
 

@@ -410,7 +410,7 @@ def _check_index_map(ctx, g, shifts):
             for block, vals in batches
             for codes in block
         ]
-        return mat.tolist(), rows.tolist(), list(top), cols
+        return mat.tolist(), rows, list(top), cols
 
     def mapped():
         codes, top = coords.shifted(t, xs, ms)
