@@ -48,7 +48,7 @@ SUBGROUP_SELECTORS = {
 # about 20 s for the worst admitted case over window <= 3 and mmax <= 6, on
 # code that has since become far faster: that case now takes under a second
 # (README "Scale limits"). Re-deriving them from a stated time and memory
-# budget is ROADMAP direction 2.
+# budget is ROADMAP direction 1.
 PRECISION1_MAX_TRUNC = {2: 11, 3: 9, 5: 6}
 
 
@@ -120,8 +120,10 @@ def cmd_verify_skew(args) -> int:
     from . import skew_checks as sc
     from .skew_poly import SkewPoly
 
-    if not 1 <= args.trunc <= 16:
-        PARSER.error("--trunc must be in [1, 16]")
+    # Below truncation 2, s and t vanish in F_p[[s,t]]/(deg >= 1), so the
+    # relation check has no generators to work with.
+    if not 2 <= args.trunc <= 16:
+        PARSER.error("--trunc must be in [2, 16]")
     if not 1 <= args.window <= 6:
         PARSER.error("--window must be in [1, 6]")
     if args.precision == 1 and args.window > 3:

@@ -10,12 +10,13 @@ rather than clever: subgroups are closed by orbit enumeration from their
 generators, and every coset partition (left, right or double) is one orbit
 enumeration whose representatives are the least elements of their orbits.
 A matrix is a tuple of rows, each a tuple of ints in [0, p), so the
-layer runs without numpy. Induced actions and the restriction-of-induction
-comparison map are block maps: each sends a coset block to one other block
-through one d x d matrix, so equivariance and invertibility are checked
-block by block, exactly. A Mackey check decomposes H\\G/G1 once, and the
-comparison map and the glued coset-representative check share that
-decomposition.
+layer runs without numpy; it becomes {column: value} rows only to be
+ranked. A group-algebra element is held by its nonzero terms. Induced
+actions and the restriction-of-induction comparison map are block maps:
+each sends a coset block to one other block through one d x d matrix, so
+equivariance and invertibility are checked block by block, exactly. A
+Mackey check decomposes H\\G/G1 once, and the comparison map and the glued
+coset-representative check share that decomposition.
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ def _matmul(a: Matrix, b: Matrix, p: int) -> Matrix:
 
 def _eye(dim: int) -> Matrix:
     return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+
+
+def _rank(m: Matrix, p: int) -> int:
+    """The rank over F_p of a square matrix, through its nonzero entries."""
+    rows = [{c: v for c, v in enumerate(row) if v} for row in m]
+    return fp_linalg.rank(fp_linalg.FpMatrix(rows, len(m), p))
 
 
 class NotASubgroup(ValueError):
@@ -195,45 +202,46 @@ def double_cosets(G: FiniteGroup, H: Subgroup, G1: Subgroup) -> List[int]:
 
 
 class AlgebraElement:
-    """An element of F_p[G]: a coefficient for every group element."""
+    """An element of F_p[G], held as `coeffs`: {element index: coefficient}
+    for its nonzero terms, each coefficient in [1, p)."""
 
     __slots__ = ("group", "p", "coeffs")
 
-    def __init__(self, group: FiniteGroup, p: int, coeffs: Sequence[int]):
-        if len(coeffs) != group.order:
-            raise ValueError("coefficient vector length must equal |G|")
+    def __init__(self, group: FiniteGroup, p: int, coeffs: Dict[int, int]):
+        if not all(0 <= g < group.order for g in coeffs):
+            raise ValueError("element index outside the group")
         self.group = group
         self.p = p
-        self.coeffs = [c % p for c in coeffs]
+        self.coeffs = {g: v for g, c in coeffs.items() if (v := c % p)}
 
     @classmethod
     def of(cls, group: FiniteGroup, p: int, element_index: int, c: int = 1):
-        v = [0] * group.order
-        v[element_index] = c % p
-        return cls(group, p, v)
+        return cls(group, p, {element_index: c})
 
     @classmethod
     def one(cls, group: FiniteGroup, p: int) -> "AlgebraElement":
         return cls.of(group, p, group.identity)
 
+    def _plus(self, other: "AlgebraElement", sign: int) -> "AlgebraElement":
+        out = dict(self.coeffs)
+        for g, c in other.coeffs.items():
+            out[g] = out.get(g, 0) + sign * c
+        return AlgebraElement(self.group, self.p, out)
+
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(
-            self.group, self.p, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self._plus(other, 1)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(
-            self.group, self.p, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        return self._plus(other, -1)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = [0] * self.group.order
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        k = self.group.mul(i, j)
-                        out[k] = (out[k] + a * b) % self.p
+        """The convolution, over the nonzero pairs of terms only."""
+        mul = self.group.mul
+        out: Dict[int, int] = {}
+        for i, a in self.coeffs.items():
+            for j, b in other.coeffs.items():
+                k = mul(i, j)
+                out[k] = out.get(k, 0) + a * b
         return AlgebraElement(self.group, self.p, out)
 
     def __eq__(self, other) -> bool:
@@ -246,9 +254,7 @@ class AlgebraElement:
 
     def __repr__(self) -> str:
         parts = [
-            f"{c}*[{self.group.elements[i]}]"
-            for i, c in enumerate(self.coeffs)
-            if c
+            f"{c}*[{self.group.elements[i]}]" for i, c in sorted(self.coeffs.items())
         ]
         return " + ".join(parts) if parts else "0"
 
@@ -321,7 +327,7 @@ class FinModule:
 
     def _validate(self) -> None:
         for m in self.gen_actions:
-            if fp_linalg.rank(fp_linalg.FpMatrix(m, self.p)) != self.dim:
+            if _rank(m, self.p) != self.dim:
                 raise ValueError("action matrix is singular")
         G = self.subgroup.parent
         for x in self.subgroup.elements:
@@ -453,7 +459,7 @@ def _bijective(psi: BlockMap, rows: int, p: int) -> bool:
     # The blocks are FinModule.action_of's cached matrices, so one object is
     # one matrix: rank each object once.
     return sorted(perm) == list(range(rows)) and all(
-        fp_linalg.rank(fp_linalg.FpMatrix(b, p)) == len(b)
+        _rank(b, p) == len(b)
         for b in {id(b): b for b in blocks}.values()
     )
 
@@ -591,27 +597,31 @@ def commutator_identity_report(p: int, a: int) -> CommutatorReport:
     )
 
 
-def augmentation_basis(G: FiniteGroup, H: Subgroup, p: int) -> List[List[int]]:
-    """F_p-basis of the left ideal of F_p[G] generated by {h - 1, h in H}.
+def augmentation_basis(G: FiniteGroup, H: Subgroup, p: int) -> List[fp_linalg.Row]:
+    """F_p-basis of the left ideal of F_p[G] generated by {h - 1, h in H}, as
+    its reduced echelon rows {element index: coefficient} by ascending pivot.
 
-    Computed as the row space of all g(h - 1) = [gh] - [g]; nothing about
-    the dimension is assumed.
+    The ideal is spanned by the g(s - 1) = [gs] - [g] over g in G and the
+    generators s of H, since g(h1 h2 - 1) = g h1 (h2 - 1) + g(h1 - 1) and in
+    a finite group every h is a product of generators. Nothing about the
+    dimension is assumed.
     """
-    # h != 1, so gh != g and each row holds two entries.
+    # s != 1, so gs != g and each row holds two entries.
     rows = [
-        {G.mul(g, h): 1, g: p - 1}
+        {G.mul(g, s): 1, g: p - 1}
         for g in range(G.order)
-        for h in H.elements
-        if h != G.identity
+        for s in H.generators
+        if s != G.identity
     ]
-    basis = fp_linalg.RowSpace(fp_linalg.FpMatrix.of_rows(rows, G.order, p)).basis
-    return [[row.get(c, 0) for c in range(G.order)] for row in basis.values()]
+    space = fp_linalg.RowSpace(fp_linalg.FpMatrix(rows, G.order, p))
+    return list(space.basis.values())
 
 
 def random_unipotent_module(
     subgroup: Subgroup, p: int, dim: int = 2, seed: int = 0
 ) -> FinModule:
-    """A seeded 2-dimensional module for a subgroup of a unitriangular group.
+    """A seeded module of dimension 1 (the trivial one) or 2 for a subgroup
+    of a unitriangular group.
 
     The (1,2) and (2,3) coordinates are additive characters of U_3(Z/p^a),
     so any mod-p linear combination lambda of them is a homomorphism to

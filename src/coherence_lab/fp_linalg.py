@@ -2,11 +2,10 @@
 
 A matrix is an `FpMatrix`: its shape, p, and one {column: value} dict per
 row, holding the row's nonzero entries as Python ints in [1, p), so every
-product and sum is exact for any prime p that `is_prime` decides. It is
-built from a dense array or nested sequence (`FpMatrix(a, p)`), from
-entries (`FpMatrix.entries`), or from rows already in that form
-(`FpMatrix.of_rows`), as the skew layer's assembler and the one-variable
-spans make them, so a sparse system is never held densely.
+product and sum is exact for any prime p that `is_prime` decides. Its one
+constructor, `FpMatrix(rows, cols, p)`, holds rows already in that form,
+as the skew layer's assembler, the one-variable spans and the group layer
+make them, so a sparse system is never held densely.
 
 Elimination is the sparse echelon loop of `echelon`, which this module
 shares with the rational Lie layer: `_rref` runs it mod p on copies of the
@@ -40,41 +39,11 @@ Row = Dict[int, int]
 class FpMatrix:
     """A rows x cols matrix over F_p, held as `data`: one Row per row.
 
-    `FpMatrix(a, p)` takes the entries mod p of a 2-D array or nested
-    sequence with entries in any range; `FpMatrix.entries` takes them as
-    index lists; `FpMatrix.of_rows` holds rows already reduced.
+    The rows' values must lie in [1, p) and their columns below cols. The
+    rows are held, not copied.
     """
 
-    def __init__(self, a, p: int):
-        rows = [{c: v for c, x in enumerate(r) if (v := int(x) % p)} for r in a]
-        shape = getattr(a, "shape", None) or (len(rows), len(a[0]) if rows else 0)
-        self._keep(rows, shape[1], p)
-
-    @classmethod
-    def entries(cls, row, col, val, shape: Tuple[int, int], p: int) -> "FpMatrix":
-        """The matrix with entry val[i] at (row[i], col[i]), in any order
-        and any range. Raises ValueError if an index lies outside the shape
-        or a (row, col) pair repeats."""
-        rows, cols = shape
-        data: List[Row] = [{} for _ in range(rows)]
-        for r, c, x in zip(row, col, val):
-            r, c = int(r), int(c)
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry index outside the {rows} x {cols} shape")
-            if c in data[r]:
-                raise ValueError("repeated (row, col) entry")
-            data[r][c] = int(x) % p
-        return cls.of_rows([{c: v for c, v in d.items() if v} for d in data], cols, p)
-
-    @classmethod
-    def of_rows(cls, data: List[Row], cols: int, p: int) -> "FpMatrix":
-        """The matrix with the given rows, whose values must lie in [1, p)
-        and whose columns below cols. The rows are held, not copied."""
-        m = cls.__new__(cls)
-        m._keep(data, cols, p)
-        return m
-
-    def _keep(self, data: List[Row], cols: int, p: int) -> None:
+    def __init__(self, data: List[Row], cols: int, p: int):
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.data = data
@@ -125,10 +94,6 @@ class RowSpace:
     def __init__(self, m: FpMatrix):
         self.p, self.cols = m.p, m.cols
         self.basis = _rref(m)
-
-    @property
-    def pivots(self) -> List[int]:
-        return list(self.basis)
 
     def contains(self, q: FpMatrix) -> List[bool]:
         """Whether each row of q lies in the space: each row is reduced
@@ -182,7 +147,7 @@ def solve(m: FpMatrix, rhs: Sequence[int]) -> Optional[Row]:
     p, n = m.p, m.cols
     b = {r: v for r, x in enumerate(rhs) if (v := int(x) % p)}
     aug = [{**row, n: b[r]} if r in b else row for r, row in enumerate(m.data)]
-    basis = _rref(FpMatrix.of_rows(aug, n + 1, p))
+    basis = _rref(FpMatrix(aug, n + 1, p))
     if n in basis:
         return None
     x = {c: row[n] for c, row in basis.items() if n in row}

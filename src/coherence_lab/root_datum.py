@@ -160,13 +160,6 @@ class GradedLieAlgebraQ:
         """[e_i, e_j] as {k: c}. The dict is shared: callers must not mutate it."""
         return self._table.get((i, j), {})
 
-    def bracket(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> QVector:
-        """[x, y] of dense vectors, through the sparse loop `_bracket`."""
-        return _dense(_bracket(self, _sparse(x), _sparse(y)), self.dim)
-
-    def basis_vector(self, i: int) -> QVector:
-        return tuple(Fraction(1) if k == i else Fraction(0) for k in range(self.dim))
-
     def antisymmetry_violations(self) -> List[str]:
         """One line per nonzero diagonal entry and per pair given in both
         orientations with brackets that are not negatives of each other."""
@@ -396,7 +389,7 @@ def lower_central_series(lie: GradedLieAlgebraQ) -> List[List[QVector]]:
     canonical RREF basis of dense vectors. Raises NotNilpotent if the chain
     stabilizes at a nonzero term.
     """
-    chain = [[lie.basis_vector(i) for i in range(lie.dim)]]
+    chain = [[_dense({i: Fraction(1)}, lie.dim) for i in range(lie.dim)]]
     chain += ([_dense(row, lie.dim) for row in term.values()] for term in _lcs_terms(lie))
     return chain
 

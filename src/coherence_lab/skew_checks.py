@@ -198,16 +198,14 @@ def verify_relations(
     for deg in sorted(by_degree):
         pairs = by_degree[deg]
         span_s = fp_linalg.RowSpace(
-            fp_linalg.FpMatrix.of_rows(
+            fp_linalg.FpMatrix(
                 list(_code_rows(_s_multiples(coords, flats, deg, window, monos))),
                 ncodes,
                 p,
             )
         )
         inside = span_s.contains(
-            fp_linalg.FpMatrix.of_rows(
-                list(_code_rows(map(coords.column, pairs))), ncodes, p
-            )
+            fp_linalg.FpMatrix(list(_code_rows(map(coords.column, pairs))), ncodes, p)
         )
         report.interior_checked += len(pairs)
         for (lx, ly), ok in zip(pairs, inside):
@@ -316,9 +314,7 @@ class ModuleFlat:
 
     def span(self, rows: List[fp_linalg.Row]) -> fp_linalg.RowSpace:
         """The F_p span of coordinate rows, which it holds, not copies."""
-        return fp_linalg.RowSpace(
-            fp_linalg.FpMatrix.of_rows(rows, self.dim, self.ctx.base.p)
-        )
+        return fp_linalg.RowSpace(fp_linalg.FpMatrix(rows, self.dim, self.ctx.base.p))
 
     def low_cut(self, k: int) -> int:
         """First basis index of the F-degree <= k zone."""
@@ -462,6 +458,6 @@ def mjm_degree_detect(
     top = m_span.low_part(flat.low_cut(bound))
     for d in range(bound + 1):
         span = module_span(flat, m_span.low_part(flat.low_cut(d)))
-        if all(span.contains(fp_linalg.FpMatrix.of_rows(top, flat.dim, span.p))):
+        if all(span.contains(fp_linalg.FpMatrix(top, flat.dim, span.p))):
             return d
     return bound + 1

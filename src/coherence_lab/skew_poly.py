@@ -455,7 +455,7 @@ def _assemble(
                     rows.setdefault(c, {})[j] = v
             j += 1
     keys = sorted(rows)
-    return fp_linalg.FpMatrix.of_rows([rows[c] for c in keys], j, p), keys
+    return fp_linalg.FpMatrix([rows[c] for c in keys], j, p), keys
 
 
 def _code_rows(batches: Iterable[_Batch]) -> Iterable[fp_linalg.Row]:
@@ -549,7 +549,7 @@ def ideal_membership_bounded(
         m = _block_matrix(coords, flats, block, SkewPoly(ctx, components[deg]))
         n = len(block)
         rhs = [row.pop(n, 0) for row in m.data]
-        sol = fp_linalg.solve(fp_linalg.FpMatrix.of_rows(m.data, n, p), rhs)
+        sol = fp_linalg.solve(fp_linalg.FpMatrix(m.data, n, p), rhs)
         if sol is None:
             return NOT_IN_IDEAL_AT_BOUND
         pairs += [(block[c], v) for c, v in sol.items()]

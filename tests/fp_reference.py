@@ -1,6 +1,6 @@
 """Dense reference elimination over F_p, kept as a test oracle for the
-sparse `coherence_lab.fp_linalg._rref`, and dense arrays of {column: value}
-rows, such as those an `FpMatrix` holds.
+sparse `coherence_lab.fp_linalg._rref`, and conversions between dense
+arrays and the {column: value} rows an `FpMatrix` holds.
 
 `rref` is the column-by-column numpy loop the program used before its
 elimination became sparse: for each column it takes the topmost usable row
@@ -15,6 +15,8 @@ from __future__ import annotations
 from typing import List
 
 import numpy as np
+
+from coherence_lab.fp_linalg import FpMatrix
 
 
 def rref(a: np.ndarray, p: int) -> List[int]:
@@ -39,6 +41,15 @@ def rref(a: np.ndarray, p: int) -> List[int]:
         pivots.append(c)
         r += 1
     return pivots
+
+
+def matrix(a, p: int) -> FpMatrix:
+    """The FpMatrix of a 2-D array or nested sequence with entries in any
+    range, taken mod p. An array with no rows gets its width from its
+    shape."""
+    rows = [{c: v for c, x in enumerate(r) if (v := int(x) % p)} for r in a]
+    shape = getattr(a, "shape", None) or (len(rows), len(a[0]) if rows else 0)
+    return FpMatrix(rows, shape[1], p)
 
 
 def dense(m) -> np.ndarray:

@@ -11,7 +11,9 @@ Jacobi identity on every basis triple, in a dense list per triple, while
 the program sums only the triples that hold a pair with a nonzero bracket
 (the others vanish term by term) and runs its series without densifying
 it. The results must equal the program's, chain for chain and violation
-string for violation string. `bracket_table` is the dim^2 pair scan that
+string for violation string. The program brackets only sparse rows, so
+tests bracket dense vectors, and build the basis vectors (`basis_vector`),
+here. `bracket_table` is the dim^2 pair scan that
 once normalized the given structure constants; the program now builds the
 same table from the given entries only. `subalgebra_generated` (the
 closure of a set of vectors under the bracket) has no caller in the
@@ -85,6 +87,10 @@ def bracket_table(
     return table
 
 
+def basis_vector(dim: int, i: int) -> QVector:
+    return tuple(Fraction(int(k == i)) for k in range(dim))
+
+
 def bracket(lie: GradedLieAlgebraQ, x: Sequence[Fraction], y: Sequence[Fraction]) -> QVector:
     out = [Fraction(0)] * lie.dim
     for i, xi in enumerate(x):
@@ -117,7 +123,7 @@ def subalgebra_generated(
 
 
 def lower_central_series(lie: GradedLieAlgebraQ) -> List[List[QVector]]:
-    full = [lie.basis_vector(i) for i in range(lie.dim)]
+    full = [basis_vector(lie.dim, i) for i in range(lie.dim)]
     chain = [rref(full)]
     while chain[-1]:
         prev = chain[-1]

@@ -174,7 +174,7 @@ def test_criterion_4_certificate_soundness():
             basis = lie_ref.rref(w.subalgebra_basis)
             for x in w.subalgebra_basis:
                 for y in w.subalgebra_basis:
-                    b = datum.lie.bracket(x, y)
+                    b = lie_ref.bracket(datum.lie, x, y)
                     if any(c != 0 for c in b) and not lie_ref.in_span(basis, b):
                         ok = False
     report(

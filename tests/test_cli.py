@@ -329,6 +329,8 @@ def test_verify_skew_flag_ranges(capsys):
         ["--p", "3", "--trunc", "10", "--window", "1", "--precision", "1"],
         ["--p", "5", "--trunc", "7", "--window", "2", "--precision", "1"],
         ["--precision", "2"],
+        ["--trunc", "1"],
+        ["--trunc", "1", "--precision", "1"],
     ],
     ids=[
         "mmax-7",
@@ -342,6 +344,8 @@ def test_verify_skew_flag_ranges(capsys):
         "precision1-p3-trunc10",
         "precision1-p5-trunc7",
         "precision-2",
+        "trunc-1",
+        "precision1-trunc-1",
     ],
 )
 def test_verify_skew_refused_before_work(capsys, argv):

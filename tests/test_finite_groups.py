@@ -1,9 +1,12 @@
 import dataclasses
+import random
 
 import numpy as np
 import pytest
 
+import fp_reference
 from coherence_lab import finite_groups as fg
+from coherence_lab import fp_linalg
 from coherence_lab.finite_groups import FiniteGroup, FinModule, Subgroup
 
 
@@ -279,9 +282,8 @@ def test_induction_transitive(u3f3):
             gamma = G.mul(G.inv(reps_direct[k]), prod)
             phi[k * d : (k + 1) * d, col : col + d] = M.action_of(gamma)
             col += d
-    from coherence_lab import fp_linalg
 
-    assert fp_linalg.rank(fp_linalg.FpMatrix(phi, p)) == direct.dim
+    assert fp_linalg.rank(fp_reference.matrix(phi, p)) == direct.dim
     for g in full.generators:
         lhs = (direct.action_of(g) @ phi) % p
         rhs = (phi @ outer.action_of(g)) % p
@@ -289,11 +291,49 @@ def test_induction_transitive(u3f3):
 
 
 def test_commutator_identity_cases():
-    for p, a in ((2, 1), (3, 1), (2, 2), (5, 1)):
+    for p, a in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (5, 1), (13, 1)):
         rep = fg.commutator_identity_report(p, a)
-        assert rep.group_identity
-        assert rep.algebra_identity
+        assert dataclasses.astuple(rep) == (p, a, True, True, (p, a) == (2, 1))
         assert rep.ok
+
+
+def _dense_product(G, p, x, y):
+    """The convolution of two |G|-long coefficient lists, over every pair
+    of nonzero coefficients: the reference for the sparse product."""
+    out = [0] * G.order
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                if b:
+                    k = G.mul(i, j)
+                    out[k] = (out[k] + a * b) % p
+    return out
+
+
+@pytest.mark.parametrize("p,a", [(2, 2), (3, 2)])
+def test_algebra_element_matches_dense_convolution(p, a):
+    # Random elements of F_p[U3(Z/4)] and F_p[U3(Z/9)], with unreduced and
+    # vanishing coefficients: sums, differences and products hold exactly
+    # the nonzero terms of the dense lists, each in [1, p).
+    G = FiniteGroup(p, a)
+    rng = random.Random(G.order)
+    for _ in range(40):
+        x, y = ([0] * G.order for _ in range(2))
+        for v in (x, y):
+            for g in rng.sample(range(G.order), rng.randint(0, 12)):
+                v[g] = rng.randrange(-p, 2 * p)
+        ex, ey = (fg.AlgebraElement(G, p, dict(enumerate(v))) for v in (x, y))
+        want = {
+            "+": [(u + v) % p for u, v in zip(x, y)],
+            "-": [(u - v) % p for u, v in zip(x, y)],
+            "*": _dense_product(G, p, x, y),
+        }
+        for op, got in (("+", ex + ey), ("-", ex - ey), ("*", ex * ey)):
+            assert got.coeffs == {g: c for g, c in enumerate(want[op]) if c}
+            assert all(0 < c < p for c in got.coeffs.values())
+        assert ex * ey == fg.AlgebraElement(G, p, dict(enumerate(want["*"])))
+    with pytest.raises(ValueError, match="outside the group"):
+        fg.AlgebraElement(G, p, {G.order: 1})
 
 
 def test_commutator_unit_factor_order_matters():
@@ -325,6 +365,25 @@ def test_augmentation_basis(u3f2):
     assert fg.augmentation_basis(G, trivial, 2) == []
     assert len(fg.augmentation_basis(G, full, 2)) == G.order - 1
     assert len(fg.augmentation_basis(G, center, 2)) == G.order - G.order // 2
+
+
+@pytest.mark.parametrize("p,a", [(3, 1), (2, 2)])
+def test_augmentation_basis_matches_all_elements_span(p, a):
+    # The products g(s - 1) over the generators s of H span the same ideal
+    # as the g(h - 1) over every h in H: the reduced echelon rows agree,
+    # for an identity among the generators too.
+    G = FiniteGroup(p, a)
+    subgroups = [Subgroup(G, []), named(G, (0, 0, 1)), G.full()]
+    subgroups += [named(G, (1, 0, 0), (0, 0, 1)), Subgroup(G, [0, G.index[(0, 1, 0)]])]
+    for H in subgroups:
+        rows = [
+            {G.mul(g, h): 1, g: p - 1}
+            for g in range(G.order)
+            for h in H.elements
+            if h != G.identity
+        ]
+        want = fp_linalg.RowSpace(fp_linalg.FpMatrix(rows, G.order, p)).basis
+        assert fg.augmentation_basis(G, H, p) == list(want.values())
 
 
 def test_augmentation_normal_quotient_dimension(u3f3):
@@ -483,7 +542,6 @@ def _dense_mackey(G, H, G1, module):
     products and bijectivity as the rank of psi; the glued representatives
     a g (a over (gG1g^-1 cap H)\\gG1g^-1) against the right H-cosets, all by
     products."""
-    from coherence_lab import fp_linalg
 
     p, d = module.p, module.dim
     one = [G.identity]
@@ -544,7 +602,9 @@ def _dense_mackey(G, H, G1, module):
         if not np.array_equal((lhs @ psi) % p, (psi @ rhs) % p):
             equivariant = False
             break
-    bijective = lhs_dim == rhs_dim and fp_linalg.rank(fp_linalg.FpMatrix(psi, p)) == lhs_dim
+    bijective = (
+        lhs_dim == rhs_dim and fp_linalg.rank(fp_reference.matrix(psi, p)) == lhs_dim
+    )
     return fg.MackeyReport(
         lhs_dim=lhs_dim,
         rhs_dim=rhs_dim,
@@ -582,7 +642,6 @@ def test_mackey_block_path_matches_dense_reference(p, a):
 
 
 def _random_block(rng, p, d, kind):
-    from coherence_lab import fp_linalg
 
     if kind == "zero":
         return np.zeros((d, d), dtype=np.int64)
@@ -591,7 +650,7 @@ def _random_block(rng, p, d, kind):
         return (u @ rng.integers(0, p, size=(1, d))) % p
     while True:
         b = rng.integers(0, p, size=(d, d))
-        if fp_linalg.rank(fp_linalg.FpMatrix(b, p)) == d:
+        if fp_linalg.rank(fp_reference.matrix(b, p)) == d:
             return b
 
 
@@ -603,7 +662,6 @@ def _inverse_mod(b, p):
 
 @pytest.mark.parametrize("p, d", [(2, 1), (2, 2), (3, 2), (5, 2)])
 def test_block_predicates_match_dense_products_and_rank(p, d):
-    from coherence_lab import fp_linalg
 
     rng = np.random.default_rng(100 * p + d)
     outcomes = {"intertwines": set(), "bijective": set(), "zero_moved": 0}
@@ -656,11 +714,12 @@ def test_block_predicates_match_dense_products_and_rank(p, d):
         dense_eq = np.array_equal((L @ P) % p, (P @ R) % p)
         assert fg._intertwines(left, psi, right, p) == dense_eq
         outcomes["intertwines"].add(dense_eq)
-        dense_bij = fp_linalg.rank(fp_linalg.FpMatrix(P, p)) == n * d
-        assert fg._bijective(psi, n, p) == dense_bij
+        dense_bij = fp_linalg.rank(fp_reference.matrix(P, p)) == n * d
+        perm, blocks = psi[0], [tuple(map(tuple, b.tolist())) for b in psi[1]]
+        assert fg._bijective((perm, blocks), n, p) == dense_bij
         outcomes["bijective"].add(dense_bij)
         # More column blocks than row blocks is never bijective.
-        assert not fg._bijective((psi[0] + [0], psi[1] + [psi[1][0]]), n, p)
+        assert not fg._bijective((perm + [0], blocks + [blocks[0]]), n, p)
     assert outcomes["intertwines"] == outcomes["bijective"] == {True, False}
     assert outcomes["zero_moved"] > 0
 
@@ -699,8 +758,8 @@ def test_module_action_along_steps(u3f3):
 
 
 def test_bijective_ranks_shared_blocks_once_and_still_sees_singular():
-    sing = np.array([[1, 1], [0, 0]], dtype=np.int64)
-    eye = np.eye(2, dtype=np.int64)
+    sing = ((1, 1), (0, 0))
+    eye = ((1, 0), (0, 1))
     assert not fg._bijective(([0, 1, 2], [sing, sing, sing]), 3, 2)
     assert not fg._bijective(([2, 0, 1], [eye, sing, eye]), 3, 2)
     assert fg._bijective(([2, 0, 1], [eye, eye, eye]), 3, 2)

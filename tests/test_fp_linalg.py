@@ -12,47 +12,48 @@ from coherence_lab import fp_linalg as fl
 from coherence_lab import skew_checks
 from coherence_lab.echelon import MR_EXACT_BOUND, is_prime
 from coherence_lab.fp_linalg import FpMatrix
+from fp_reference import matrix
 
 
 def test_kernel_zero_matrix():
-    basis = fl.kernel_basis(FpMatrix(np.zeros((2, 3), dtype=np.int64), 2))
+    basis = fl.kernel_basis(matrix(np.zeros((2, 3), dtype=np.int64), 2))
     assert basis == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_kernel_identity():
-    assert fl.kernel_basis(FpMatrix(np.eye(4, dtype=np.int64), 3)) == []
+    assert fl.kernel_basis(matrix(np.eye(4, dtype=np.int64), 3)) == []
 
 
 def test_kernel_f3_example():
     # All 9 vectors over F_3 were enumerated by hand: the null space of
     # [1 2] is spanned by (1, 1) since 1 + 2 = 0 mod 3.
-    basis = fl.kernel_basis(FpMatrix([[1, 2]], 3))
+    basis = fl.kernel_basis(matrix([[1, 2]], 3))
     assert len(basis) == 1
     v = basis[0]
     assert v in ({0: 1, 1: 1}, {0: 2, 1: 2})
 
 
 def test_solve_identity():
-    m = FpMatrix(np.eye(2, dtype=np.int64), 3)
+    m = matrix(np.eye(2, dtype=np.int64), 3)
     assert fl.solve(m, [1, 0]) == {0: 1}
 
 
 def test_solve_tie_break_lexicographic():
-    assert fl.solve(FpMatrix([[1, 1]], 2), [1]) == {0: 1}
+    assert fl.solve(matrix([[1, 1]], 2), [1]) == {0: 1}
 
 
 def test_solve_no_solution():
-    assert fl.solve(FpMatrix([[0, 0]], 2), [1]) is None
+    assert fl.solve(matrix([[0, 0]], 2), [1]) is None
 
 
 def test_solve_rhs_length():
     with pytest.raises(fl.DimensionMismatch):
-        fl.solve(FpMatrix(np.eye(2, dtype=np.int64), 2), [1, 0, 0])
+        fl.solve(matrix(np.eye(2, dtype=np.int64), 2), [1, 0, 0])
 
 
 def test_prime_check():
-    with pytest.raises(ValueError):
-        FpMatrix([[0]], 4)
+    with pytest.raises(ValueError, match="not prime"):
+        FpMatrix([{0: 1}], 1, 4)
     assert is_prime(2) and is_prime(13)
     assert not any(is_prime(n) for n in (0, 1, 4, 9))
     # Miller-Rabin range: sympy's isprime as the oracle, plus pseudoprimes.
@@ -76,7 +77,7 @@ def test_solve_inverts_random_invertible():
             n = rng.randint(1, 6)
             while True:
                 data = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-                m = FpMatrix(data, p)
+                m = matrix(data, p)
                 if fl.rank(m) == n:
                     break
             x = [rng.randrange(p) for _ in range(n)]
@@ -118,7 +119,7 @@ def test_rref_matches_independent_reference():
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
             data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-            got, got_piv = fl.rref(FpMatrix(data, p))
+            got, got_piv = fl.rref(matrix(data, p))
             want, want_piv = _rref_reference(data, p)
             assert got == want
             assert got_piv == want_piv
@@ -131,7 +132,7 @@ def test_rank_nullity_and_kernel_substitution():
             rows = rng.randint(1, 7)
             cols = rng.randint(1, 7)
             data = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
-            m = FpMatrix(data, p)
+            m = matrix(data, p)
             basis = fp_reference.dense_rows(fl.kernel_basis(m), cols).tolist()
             assert fl.rank(m) + len(basis) == cols
             for v in basis:
@@ -171,7 +172,7 @@ def test_rank_rref_kernel_match_sympy():
         for _ in range(40):
             nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
             data = _random_rows(rng, p, nrows, ncols)
-            m = FpMatrix(data, p)
+            m = matrix(data, p)
             oracle = _sympy_matrix(data, p, ncols)
             assert fl.rank(m) == oracle.rank()
             red, pivots = fl.rref(m)
@@ -207,8 +208,8 @@ def test_rowspace_rows_independent_of_spanning_set():
             b.append([0] * dim)
             b.append([(x + y) % p for x, y in zip(b[0], b[-2])])
             rng.shuffle(b)
-            basis_a = fl.RowSpace(FpMatrix(a, p)).basis
-            assert fl.RowSpace(FpMatrix(b, p)).basis == basis_a
+            basis_a = fl.RowSpace(matrix(a, p)).basis
+            assert fl.RowSpace(matrix(b, p)).basis == basis_a
             want = [r for r in _ints(_sympy_matrix(a, p, dim).rref()[0], p) if any(r)]
             assert fp_reference.dense_rows(list(basis_a.values()), dim).tolist() == want
 
@@ -223,20 +224,19 @@ def test_rowspace_leaves_the_input_alone(monkeypatch):
     p = 5
     full = np.array([[7, -3, 0, 12], [1, 2, 3, 4], [-1, 8, 2, 0]], dtype=np.int64)
     padded = np.array([[5, -10, 0, 15], *full, [0, 0, 0, 0]], dtype=np.int64)
-    want = fl.RowSpace(FpMatrix(full.tolist(), p)).basis
+    want = fl.RowSpace(matrix(full.tolist(), p)).basis
     seen = []
     real = fl._rref
     monkeypatch.setattr(fl, "_rref", lambda m: seen.append(m) or real(m))
     for a in (full, padded):
         rhs = 3 * a[:, 0] - a[:, 2]  # m x = rhs for x = (3, 0, -1, 0)
         before, rhs_before = a.copy(), rhs.copy()
-        m = FpMatrix(a, p)
+        m = matrix(a, p)
         rows, copies = list(m.data), [dict(row) for row in m.data]
         assert np.array_equal(fp_reference.dense(m), a % p)
         space = fl.RowSpace(m)
         assert seen[-1] is m
-        at_r, at_c = np.nonzero(a)
-        t = FpMatrix.entries(at_c, at_r, a[at_r, at_c], (a.shape[1], len(a)), p)
+        t = matrix(a.T, p)
         t_rows, t_copies = list(t.data), [dict(row) for row in t.data]
         t_space = fl.RowSpace(t)
         assert seen[-1] is t and np.array_equal(fp_reference.dense(t), a.T % p)
@@ -263,15 +263,15 @@ def test_rowspace_contains_stack_matches_rank():
         for _ in range(30):
             dim = rng.randint(1, 7)
             a = _random_rows(rng, p, rng.randint(1, 5), dim)
-            space = fl.RowSpace(FpMatrix(a, p))
+            space = fl.RowSpace(matrix(a, p))
             stack = [[rng.randrange(p) for _ in range(dim)] for _ in range(4)]
             coeffs = [rng.randrange(p) for _ in a]
             stack.append([sum(c * r[j] for c, r in zip(coeffs, a)) % p for j in range(dim)])
             stack.append([0] * dim)
-            base = fl.rank(FpMatrix(a, p))
-            want = [fl.rank(FpMatrix(a + [v], p)) == base for v in stack]
-            assert space.contains(FpMatrix(stack, p)) == want
-            assert [bool(space.contains(FpMatrix([v], p))[0]) for v in stack] == want
+            base = fl.rank(matrix(a, p))
+            want = [fl.rank(matrix(a + [v], p)) == base for v in stack]
+            assert space.contains(matrix(stack, p)) == want
+            assert [bool(space.contains(matrix([v], p))[0]) for v in stack] == want
             assert want[-2] and want[-1]
 
 
@@ -307,8 +307,8 @@ def test_rowspace_contains_matches_brute_force():
                 f = r[c]
                 r = [(x - f * y) % p for x, y in zip(r, row)]
             want.append(not any(r))
-        space = fl.RowSpace(FpMatrix(gens, p))
-        got = space.contains(FpMatrix(queries, p))
+        space = fl.RowSpace(matrix(gens, p))
+        got = space.contains(matrix(queries, p))
         assert got == want
         assert 0 < got.count(False) and got.count(True) >= len(members) + 3
 
@@ -318,7 +318,7 @@ def test_rowspace_low_part_matches_brute_force():
     for p in ORACLE_PRIMES:
         for _ in range(20):
             dim = rng.randint(1, 6)
-            space = fl.RowSpace(FpMatrix(_random_rows(rng, p, rng.randint(1, 4), dim), p))
+            space = fl.RowSpace(matrix(_random_rows(rng, p, rng.randint(1, 4), dim), p))
             rows = fp_reference.dense_rows(list(space.basis.values()), dim).tolist()
             if p ** len(rows) > 3000:
                 continue
@@ -365,7 +365,7 @@ def _check_rref(a, p):
     nonzero rows of the dense reference and of sympy, both run on the array
     reduced into [0, p)."""
     before = a.copy()
-    basis = fl._rref(FpMatrix(a, p))
+    basis = fl._rref(matrix(a, p))
     assert np.array_equal(a, before)
     assert all(0 < v < p for row in basis.values() for v in row.values())
     pivots = list(basis)
@@ -415,8 +415,8 @@ def test_sparse_rref_matches_dense_reference_and_sympy(p):
         for _ in range(12 if ncols else 1):
             raw = _sparse_structured(rng, p, nrows, ncols)
             basis = _check_rref(raw, p)
-            space = fl.RowSpace(FpMatrix(raw, p))
-            assert space.pivots == list(basis)
+            space = fl.RowSpace(matrix(raw, p))
+            assert list(space.basis) == list(basis)
             assert space.basis == basis
 
 
@@ -456,11 +456,11 @@ def test_large_prime_kernel_and_membership_exact():
     for _ in range(50):
         data = [[rng.randrange(p) for _ in range(6)] for _ in range(4)]
         want, pivots = _rref_reference(data, p)
-        space = fl.RowSpace(FpMatrix(data, p))
-        assert space.pivots == pivots
+        space = fl.RowSpace(matrix(data, p))
+        assert list(space.basis) == pivots
         got = fp_reference.dense_rows(list(space.basis.values()), 6)
         assert got.tolist() == want[: len(pivots)]
-        basis = fp_reference.dense_rows(fl.kernel_basis(FpMatrix(data, p)), 6).tolist()
+        basis = fp_reference.dense_rows(fl.kernel_basis(matrix(data, p)), 6).tolist()
         assert len(basis) == 6 - len(pivots)
         for v in basis:
             assert not any(_python_rows_times(data, v, p))
@@ -468,10 +468,10 @@ def test_large_prime_kernel_and_membership_exact():
         member = [sum(c * r[j] for c, r in zip(coeffs, data)) % p for j in range(6)]
         other = [rng.randrange(p) for _ in range(6)]
         outside = len(_rref_reference(data + [other], p)[1]) > len(pivots)
-        assert space.contains(FpMatrix([member, other], p)) == [True, not outside]
+        assert space.contains(matrix([member, other], p)) == [True, not outside]
 
 
-# The entries constructor against the dense one.
+# The constructor on rows built entry by entry against the dense helper.
 
 
 def _python_rows_times(a, x, p):
@@ -479,34 +479,38 @@ def _python_rows_times(a, x, p):
     return [sum(int(u) * int(v) for u, v in zip(row, x)) % p for row in a]
 
 
-def _shuffled_entries(rng, raw, p):
-    """The nonzeros of raw, plus entries of multiples of p (zero among them)
-    at some zero positions, in a random order."""
+def _rows_of_entries(rng, raw, p):
+    """The rows of raw as the constructor takes them, filled entry by entry
+    in a random order, so that a row's columns come unsorted: its nonzeros,
+    and entries of multiples of p (zero among them) at some zero positions,
+    each reduced mod p and dropped when it vanishes."""
     row, col = np.nonzero(raw)
-    val = raw[row, col]
+    entries = [(int(r), int(c), int(raw[r, c])) for r, c in zip(row, col)]
     zr, zc = np.nonzero(raw == 0)
-    extra = rng.sample(range(len(zr)), min(len(zr), 3))
-    row = np.concatenate([row, zr[extra]])
-    col = np.concatenate([col, zc[extra]])
-    val = np.concatenate([val, [p * rng.choice((-1, 0, 2)) for _ in extra]])
-    order = list(range(len(row)))
-    rng.shuffle(order)
-    return row[order], col[order], val[order]
+    for e in rng.sample(range(len(zr)), min(len(zr), 3)):
+        entries.append((int(zr[e]), int(zc[e]), p * rng.choice((-1, 0, 2))))
+    rng.shuffle(entries)
+    rows = [{} for _ in range(len(raw))]
+    for r, c, x in entries:
+        if x % p:
+            rows[r][c] = x % p
+    return rows
 
 
 @pytest.mark.parametrize("p", SPARSE_PRIMES)
 def test_entries_constructor_matches_dense(p):
     # Unreduced values, values that vanish mod p, zero rows and columns, and
-    # 0 x n and n x 0 shapes: both constructors hold the same entries and
-    # give the same rank, rref, kernel and solve, which match sympy and the
-    # dense reference on the reduced array.
+    # 0 x n and n x 0 shapes: the constructor on rows filled entry by entry
+    # and the dense helper hold the same entries and give the same rank,
+    # rref, kernel and solve, which match sympy and the dense reference on
+    # the reduced array.
     rng = random.Random(500 + p)
     shapes = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 3), (2, 15), (15, 2), (24, 9), (9, 24)]
     for nrows, ncols in shapes:
         for _ in range(8 if nrows and ncols else 1):
             raw = _sparse_structured(rng, p, nrows, ncols)
-            dense = FpMatrix(raw, p)
-            ents = FpMatrix.entries(*_shuffled_entries(rng, raw, p), raw.shape, p)
+            dense = matrix(raw, p)
+            ents = FpMatrix(_rows_of_entries(rng, raw, p), ncols, p)
             assert (dense.rows, dense.cols, dense.data) == (ents.rows, ents.cols, ents.data)
             reduced = raw % p
             assert np.array_equal(fp_reference.dense(ents), reduced)
@@ -535,16 +539,7 @@ def test_entries_constructor_matches_dense(p):
             assert fl.kernel_basis(dense) == fl.kernel_basis(ents)
 
 
-def test_entries_constructor_refuses_bad_indices():
-    with pytest.raises(ValueError, match="outside"):
-        FpMatrix.entries([0, 2], [0, 0], [1, 1], (2, 2), 3)
-    with pytest.raises(ValueError, match="outside"):
-        FpMatrix.entries([0], [-1], [1], (2, 2), 3)
-    # A repeated pair is refused even when the values would cancel.
-    with pytest.raises(ValueError, match="repeated"):
-        FpMatrix.entries([1, 0, 1], [0, 1, 0], [1, 1, 2], (2, 2), 3)
-    with pytest.raises(ValueError, match="not prime"):
-        FpMatrix.entries([], [], [], (2, 2), 4)
+def test_prime_above_int64_exact():
     # Values are Python ints, so a prime above 2^63 is admitted: rank,
     # kernel and solve at 2^64 - 59 are exact and match sympy.
     from sympy import isprime
@@ -554,7 +549,7 @@ def test_entries_constructor_refuses_bad_indices():
     rng = random.Random(64)
     data = [[rng.randrange(big) for _ in range(5)] for _ in range(3)]
     data.append([(u + 2 * v) % big for u, v in zip(data[0], data[1])])
-    for m in (FpMatrix(data, big), FpMatrix(np.array(data, dtype=object), big)):
+    for m in (matrix(data, big), matrix(np.array(data, dtype=object), big)):
         oracle = _sympy_matrix(data, big, 5)
         assert fl.rank(m) == oracle.rank() == 3
         basis = fl.kernel_basis(m)
@@ -567,9 +562,9 @@ def test_entries_constructor_refuses_bad_indices():
         red = _ints(red, big)
         assert fl.solve(m, rhs) == {c: red[i][5] for i, c in enumerate(piv) if red[i][5]}
         assert fl.solve(m, [(b + 1) % big for b in rhs]) is None
-    assert fl.rank(FpMatrix([[1, 2], [3, 4]], big)) == 2
-    assert fl.kernel_basis(FpMatrix([[1, 2]], big)) == [{1: 1, 0: big - 2}]
-    assert fl.solve(FpMatrix([[big - 1, 2]], big), [big - 3]) == {0: 3}
+    assert fl.rank(matrix([[1, 2], [3, 4]], big)) == 2
+    assert fl.kernel_basis(matrix([[1, 2]], big)) == [{1: 1, 0: big - 2}]
+    assert fl.solve(matrix([[big - 1, 2]], big), [big - 3]) == {0: 3}
 
 
 def test_assemble_emits_each_entry_once(monkeypatch):
@@ -613,12 +608,12 @@ def test_substitution_checks_fire(monkeypatch, p):
     assert ((p - 1) ** 2 >= 2**63) == (p > 3)
     rng = random.Random(p)
     data = [[rng.randrange(p) for _ in range(6)] for _ in range(4)]
-    for v in fp_reference.dense_rows(fl.kernel_basis(FpMatrix(data, p)), 6).tolist():
+    for v in fp_reference.dense_rows(fl.kernel_basis(matrix(data, p)), 6).tolist():
         assert not any(_python_rows_times(data, v, p))
     b = _python_rows_times(data, [rng.randrange(p) for _ in range(6)], p)
-    x = fp_reference.dense_rows([fl.solve(FpMatrix(data, p), b)], 6)[0].tolist()
+    x = fp_reference.dense_rows([fl.solve(matrix(data, p), b)], 6)[0].tolist()
     assert _python_rows_times(data, x, p) == b
-    m = FpMatrix([[1, 1, 0], [0, 1, 1]], p)
+    m = matrix([[1, 1, 0], [0, 1, 1]], p)
     rhs = [2, 2]
     assert fl.solve(m, rhs) == {1: 2}
     assert fl.kernel_basis(m) == [{0: 1, 1: p - 1, 2: 1}]

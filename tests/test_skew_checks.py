@@ -337,7 +337,7 @@ def test_module_span_matches_ring_products(p):
                     prod = tuple(mu * poly for poly in g)
                     if _term_count(prod) == _term_count(g):
                         vecs.append(flat.to_vec(prod))
-        ref = fp_linalg.RowSpace(fp_linalg.FpMatrix.of_rows(vecs, flat.dim, p))
+        ref = fp_linalg.RowSpace(fp_linalg.FpMatrix(vecs, flat.dim, p))
         got = sc.module_span(flat, [flat.to_vec(g) for g in gens], maxdeg)
         assert got.basis == ref.basis
         assert len(ref.basis) > 10
@@ -362,7 +362,7 @@ def _dense_pair_span(multiples, deg, window, monos, p):
                     v[index[(comp, xexp, mono)]] = coeff
         vecs.append(v)
     vecs = np.array(vecs, dtype=np.int64).reshape(-1, len(basis))
-    return fp_linalg.RowSpace(fp_linalg.FpMatrix(vecs, p)), index
+    return fp_linalg.RowSpace(fp_reference.matrix(vecs, p)), index
 
 
 def _explicit_s_multiples(labelled, deg, window, monos):
@@ -409,10 +409,10 @@ def test_span_s_assembly_matches_dense_reference(p, trunc, window, m_max):
         )
         keys = _code_keys(coords, multiples)
         ncodes = 2 * coords.wcomp
-        basis = fp_linalg.RowSpace(fp_linalg.FpMatrix.of_rows(rows, ncodes, p)).basis
+        basis = fp_linalg.RowSpace(fp_linalg.FpMatrix(rows, ncodes, p)).basis
         spread = [{index[keys[c]]: v for c, v in row.items()} for row in basis.values()]
         dense = fp_reference.dense_rows(spread, len(index))
-        assert fp_linalg.RowSpace(fp_linalg.FpMatrix(dense, p)).basis == ref.basis
+        assert fp_linalg.RowSpace(fp_reference.matrix(dense, p)).basis == ref.basis
         ranks.append(len(ref.basis))
     assert min(ranks[1:]) > 0
 

@@ -247,8 +247,8 @@ def test_syzygy_commutative_pair():
     rows = [flat.to_vec(k[0]) + flat.to_vec(k[1]) for k in kernel]
     tvec = flat.to_vec(target[0]) + flat.to_vec(target[1])
     p = ctx.base.p
-    base = fp_linalg.rank(fp_linalg.FpMatrix(rows, p))
-    extended = fp_linalg.rank(fp_linalg.FpMatrix(rows + [tvec], p))
+    base = fp_linalg.rank(fp_reference.matrix(rows, p))
+    extended = fp_linalg.rank(fp_reference.matrix(rows + [tvec], p))
     assert base == extended
 
 
@@ -266,7 +266,7 @@ def _dense_kernel(ctx, gens, bounds):
         for (x, mono) in domain.basis:
             mu = SkewPoly(ctx, {x: TruncSeries(ctx.base, {mono: 1})})
             cols.append(image.to_vec(mu * g))
-    mat = fp_linalg.FpMatrix(np.array(cols, dtype=np.int64).T, ctx.base.p)
+    mat = fp_reference.matrix(np.array(cols, dtype=np.int64).T, ctx.base.p)
     kernel = fp_linalg.kernel_basis(mat)
     return domain, fp_reference.dense_rows(kernel, mat.cols).tolist()
 
@@ -290,8 +290,8 @@ def test_syzygy_blockwise_matches_dense_kernel():
     # The matrix is block diagonal, so each dense basis vector (one per free
     # column) lives in one block and is that block's vector for the column.
     assert sorted(flat_kernel) == sorted(dense)
-    rank_blocked = fp_linalg.rank(fp_linalg.FpMatrix(flat_kernel, 2))
-    rank_joint = fp_linalg.rank(fp_linalg.FpMatrix(flat_kernel + dense, 2))
+    rank_blocked = fp_linalg.rank(fp_reference.matrix(flat_kernel, 2))
+    rank_joint = fp_linalg.rank(fp_reference.matrix(flat_kernel + dense, 2))
     assert rank_blocked == len(flat_kernel) == rank_joint
 
 
@@ -318,12 +318,12 @@ def test_syzygy_support_is_dense_kernel_on_coordinate_subspace(p):
             lambda gi, x, mono: gi * domain.dim + domain.index[(x, mono)] in chosen,
         )
         flat = [sum((domain.to_vec(lam) for lam in k), []) for k in kernel]
-        off_rank = fp_linalg.rank(fp_linalg.FpMatrix(dense_arr[:, off], p))
+        off_rank = fp_linalg.rank(fp_reference.matrix(dense_arr[:, off], p))
         assert len(flat) == len(dense) - off_rank
         assert all(v[i] == 0 for v in flat for i in off)
         if flat:
-            assert fp_linalg.rank(fp_linalg.FpMatrix(flat, p)) == len(flat)
-            joint = fp_linalg.rank(fp_linalg.FpMatrix(flat + dense, p))
+            assert fp_linalg.rank(fp_reference.matrix(flat, p)) == len(flat)
+            joint = fp_linalg.rank(fp_reference.matrix(flat + dense, p))
             assert joint == len(dense)
         sizes.append(len(flat))
     assert 0 < max(sizes) < len(dense)
