@@ -12,10 +12,10 @@ the program sums only the triples that hold a pair with a nonzero bracket
 (the others vanish term by term) and runs its series without densifying
 it. The results must equal the program's, chain for chain and violation
 string for violation string. The program brackets only sparse rows, so
-tests bracket dense vectors, and build the basis vectors (`basis_vector`),
-here. `bracket_table` is the dim^2 pair scan that
-once normalized the given structure constants; the program now builds the
-same table from the given entries only. `subalgebra_generated` (the
+tests bracket dense vectors with `bracket`, and build basis vectors with
+`basis_vector`, from here. `bracket_table` is the dim^2 pair scan that once
+normalized the given structure constants; the program now builds the same
+table from the given entries only. `subalgebra_generated` (the
 closure of a set of vectors under the bracket) has no caller in the
 program and lives here only as an oracle.
 """
