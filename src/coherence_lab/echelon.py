@@ -1,6 +1,5 @@
 """The sparse echelon loop shared by every field in the package, and exact
-primality. Pure Python: importing it loads no numpy, so the decide layer
-(`root_datum`, `coherence`, `descriptors`, `catalog`) starts without it.
+primality, in pure Python like the rest of the package.
 
 Elimination runs in one loop, `_echelon`, over a field given by two
 operations on its values: bring a value to canonical form, and invert it.

@@ -9,9 +9,8 @@ multiplication table is stored. Every check here is still exhaustive
 rather than clever: subgroups are closed by orbit enumeration from their
 generators, and every coset partition (left, right or double) is one orbit
 enumeration whose representatives are the least elements of their orbits.
-A matrix is a tuple of rows, each a tuple of ints in [0, p), so the
-layer runs without numpy; it becomes {column: value} rows only to be
-ranked. A group-algebra element is held by its nonzero terms. Induced
+A matrix is a tuple of rows, each a tuple of ints in [0, p); it becomes
+{column: value} rows only to be ranked. A group-algebra element is held by its nonzero terms. Induced
 actions and the restriction-of-induction comparison map are block maps:
 each sends a coset block to one other block through one d x d matrix, so
 equivariance and invertibility are checked block by block, exactly. A

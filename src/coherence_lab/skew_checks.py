@@ -12,10 +12,10 @@ Ring elements enter F_p coordinates once per generator: the S-generators
 and the kernel pairs through `skew_poly._Coords`, one-variable module
 elements through `ModuleFlat.to_vec`. After that the spans stay in
 coordinates: a product X^xexp * mono * S_i is an index map on the
-coordinates of S_i (`_Coords.shifted`, on numpy batches), and a loss-free
-product t^a F^j one on the keys of {index: value} rows (`ModuleFlat.shift`).
-span(S), its queries and every one-variable span are such rows from
-assembly to answer, with no dense array between two echelon bases.
+terms of S_i (`_Coords.shifted`), and a loss-free product t^a F^j one on
+the keys of {index: value} rows (`ModuleFlat.shift`). span(S), its queries
+and every one-variable span are such rows from assembly to answer, with no
+dense array between two echelon bases.
 """
 
 from __future__ import annotations
@@ -23,19 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import fp_linalg
 from .skew_series import FrobeniusEndo, SeriesRing
 from .skew_poly import (
     NOT_IN_IDEAL_AT_BOUND,
+    Mono,
     SkewContext,
     SkewPoly,
-    _Batch,
-    _code_rows,
     _Coords,
     _series_monomials,
-    _Terms,
+    _Term,
     ideal_membership_bounded,
     syzygy_bounded,
 )
@@ -192,20 +189,18 @@ def verify_relations(
 
     coords = _Coords(ctx)
     flats = [coords.terms(pair) for _, pair in labelled]
-    monos = np.array(_series_monomials(ring), dtype=np.int64)
+    monos = _series_monomials(ring)
     # Rows keyed by coordinate code: codes of pairs lie below 2 * wcomp.
     ncodes = 2 * coords.wcomp
     for deg in sorted(by_degree):
         pairs = by_degree[deg]
         span_s = fp_linalg.RowSpace(
             fp_linalg.FpMatrix(
-                list(_code_rows(_s_multiples(coords, flats, deg, window, monos))),
-                ncodes,
-                p,
+                list(_s_multiples(coords, flats, deg, window, monos)), ncodes, p
             )
         )
         inside = span_s.contains(
-            fp_linalg.FpMatrix(list(_code_rows(map(coords.column, pairs))), ncodes, p)
+            fp_linalg.FpMatrix([coords.column(pair) for pair in pairs], ncodes, p)
         )
         report.interior_checked += len(pairs)
         for (lx, ly), ok in zip(pairs, inside):
@@ -218,27 +213,29 @@ def verify_relations(
 
 def _s_multiples(
     coords: _Coords,
-    flats: Sequence[_Terms],
+    flats: Sequence[Sequence[_Term]],
     deg: int,
     window: int,
-    monos: np.ndarray,
-) -> Iterator[_Batch]:
+    monos: Sequence[Mono],
+) -> Iterator[fp_linalg.Row]:
     """The nonzero products X^xexp * mono * S_i of total twist degree deg
-    whose twist exponents all stay within the window, one batch of columns
-    per flattened S_i.
+    whose twist exponents all stay within the window, as {code: value}
+    rows, by flattened S_i.
 
     The window is checked on the computed product, since a term can vanish
     by truncation; a product that truncates to nothing spans nothing.
     """
     for t in flats:
-        d_i = int(t.x.sum(axis=1).max(initial=-1))
+        d_i = max((sum(x) for _, x, _, _ in t), default=-1)
         if d_i < 0 or d_i > deg:
             continue
         k = deg - d_i
-        a = np.arange(max(0, k - window), min(window, k) + 1)
-        xs = np.repeat(np.column_stack([a, k - a]), len(monos), axis=0)
-        codes, top = coords.shifted(t, xs, np.tile(monos, (len(a), 1)))
-        yield codes[(top <= window) & (codes >= 0).any(axis=1)], t.coeff
+        shifts = range(max(0, k - window), min(window, k) + 1)
+        xs = [(a, k - a) for a in shifts for _ in monos]
+        ms = [m for _ in shifts for m in monos]
+        for row, top in coords.shifted(t, xs, ms):
+            if row and top <= window:
+                yield row
 
 
 @dataclass

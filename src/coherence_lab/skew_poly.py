@@ -14,23 +14,23 @@ twist-homogeneous generators, so their flattened matrices are block diagonal
 with respect to total twist degree and are assembled and solved one degree
 block at a time. The columns of these blocks, and the multiples of the
 span(S) check of `skew_checks`, never become ring elements: `_Coords`
-flattens each generator once into F_p coordinates, and left multiplication
-by a monomial is an index map on those coordinates (`_Coords.shifted`).
-numpy serves that map and nothing after it: in one pass, `_assemble` turns
-coordinate columns into the {column: value} rows of an `fp_linalg.FpMatrix`,
-one row per coordinate code, and `_code_rows` turns each column into one
-row keyed by code; no block is ever held as a dense array. Only the
-re-verifications multiply ring elements. `FlatSpace`, the dense whole-slab
-indexer, serves as the reference in the tests.
+flattens each generator once into its terms, and left multiplication by a
+monomial is an index map on their coordinates (`_Coords.shifted`) that
+visits only the terms the truncation keeps and emits each product as the
+{code: value} row of its coordinates. `_assemble` transposes such columns
+into the rows of an `fp_linalg.FpMatrix`, one row per coordinate code, so
+no block is ever held as a dense array. Only the re-verifications multiply
+ring elements. `FlatSpace`, the dense whole-slab indexer, serves as the
+reference in the tests.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from . import fp_linalg
 from .skew_series import (
@@ -319,20 +319,11 @@ def _block_keys(
     return keys
 
 
-class _Terms(NamedTuple):
-    """The terms of a tuple of ring elements as parallel arrays, in the
-    order a product visits them: by component, twist exponent, monomial."""
-
-    comp: np.ndarray  # (T,)
-    x: np.ndarray  # (T, number of twist variables)
-    mono: np.ndarray  # (T, number of series variables)
-    coeff: np.ndarray  # (T,)
-    code: np.ndarray  # (T,) coordinate codes
-
-
-# Columns for `_assemble` and `_code_rows`: one column per row of codes (-1
-# marks no entry), with one value per code position.
-_Batch = Tuple[np.ndarray, np.ndarray]
+# A term of a tuple of ring elements: (component, twist exponent, series
+# monomial, coefficient).
+_Term = Tuple[int, XExp, Mono, int]
+# X^x * terms for one x (`_Coords._image`).
+_Image = Tuple[List[int], List[Tuple[int, int]], List[int]]
 
 
 class _Coords:
@@ -346,140 +337,144 @@ class _Coords:
     def __init__(self, ctx: SkewContext):
         ring = ctx.base
         self.ctx = ctx
-        self.nx, self.nv = len(ctx.twist_vars), len(ring.variables)
-        radix = [ctx.window + 1] * self.nx + [ring.max_scaled] * self.nv
-        weights = np.cumprod([1] + radix[::-1])[::-1]
-        self.wcomp = int(weights[0])
-        self.wx = weights[1 : self.nx + 1]
-        self.wm = weights[self.nx + 1 :]
-        # logs[i, v]: the exponent-multiplier log of twist variable i on v.
-        self.logs = np.array(
-            [[ctx.endo_logs[x][v] for v in ring.variables] for x in ctx.twist_vars],
-            dtype=np.int64,
-        ).reshape(self.nx, self.nv)
+        m, w = ring.max_scaled, ctx.window + 1
+        nx, nv = len(ctx.twist_vars), len(ring.variables)
+        self.wm = [m ** (nv - 1 - v) for v in range(nv)]
+        self.wx = [m**nv * w ** (nx - 1 - i) for i in range(nx)]
+        self.wcomp = m**nv * w**nx
+        # logs[v][i]: the exponent-multiplier log of twist variable i on v.
+        self.logs = [
+            [ctx.endo_logs[x][v] for x in ctx.twist_vars] for v in ring.variables
+        ]
 
-    def terms(self, polys: Sequence[SkewPoly]) -> _Terms:
-        """The terms of the tuple polys, with their codes."""
+    def _code(self, comp: int, x: XExp, mono: Mono) -> int:
+        return (
+            comp * self.wcomp
+            + sum(map(operator.mul, x, self.wx))
+            + sum(map(operator.mul, mono, self.wm))
+        )
+
+    def terms(self, polys: Sequence[SkewPoly]) -> List[_Term]:
+        """The terms of the tuple polys, in the order a product visits
+        them: by component, twist exponent, monomial."""
         found = [
             (comp, x, mono, c)
             for comp, poly in enumerate(polys)
             for x, series in poly.coeffs.items()
             for mono, c in series.terms.items()
         ]
-        comp = np.array([t[0] for t in found], dtype=np.int64)
-        x = np.array([t[1] for t in found], dtype=np.int64).reshape(-1, self.nx)
-        mono = np.array([t[2] for t in found], dtype=np.int64).reshape(-1, self.nv)
-        if (x > self.ctx.window).any():
+        if any(e > self.ctx.window for _, x, _, _ in found for e in x):
             raise WindowExceeded(f"term outside window {self.ctx.window}")
-        return _Terms(
-            comp,
-            x,
-            mono,
-            np.array([t[3] for t in found], dtype=np.int64),
-            comp * self.wcomp + x @ self.wx + mono @ self.wm,
-        )
+        return found
 
-    def column(self, polys: Sequence[SkewPoly]) -> _Batch:
-        t = self.terms(polys)
-        return t.code[None], t.coeff
+    def column(self, polys: Sequence[SkewPoly]) -> fp_linalg.Row:
+        """The coordinate row {code: value} of the tuple polys."""
+        return {self._code(comp, x, m): c for comp, x, m, c in self.terms(polys)}
 
-    def shifted(
-        self, t: _Terms, xs: np.ndarray, ms: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The products (ms[i] X^xs[i]) * t by an index map on coordinates.
+    def _image(self, terms: Sequence[_Term], x: XExp) -> _Image:
+        """X^x * terms by an index map on coordinates, sorted by series
+        degree: the degrees, the (code, value) entries, and the largest
+        twist exponent among the first k entries for each k.
 
-        m X^x * c' X^y = m sigma^x(c') X^(x+y), and sigma^x scales each
-        series exponent by p^(net log), so a term (comp, y, m') goes to
-        (comp, x + y, m + sigma^x(m')) with its coefficient unchanged, and
-        is dropped once its degree reaches the truncation. As in
-        `SkewPoly.__mul__`, the first term in product order with x + y
-        outside the context window raises WindowExceeded, or, if its image
-        exponent leaves the grid, PrecisionUnderflow. Returns the codes,
-        one row per product with -1 for a truncated term, and each
-        product's largest twist exponent (0 for a zero product).
+        X^x * c' X^y = sigma^x(c') X^(x+y), and sigma^x scales each series
+        exponent by p^(net log), so a term (comp, y, m') goes to
+        (comp, x + y, sigma^x(m')) with its coefficient unchanged, and is
+        dropped once its degree reaches the truncation. As in
+        `SkewPoly.__mul__`, the first term with x + y outside the context
+        window raises WindowExceeded, or, if its image exponent leaves the
+        grid, PrecisionUnderflow.
         """
         ring = self.ctx.base
-        bound = ring.max_scaled
-        logs = xs @ self.logs
-        # p^|log| as a Python int, clamped to the truncation: a larger
+        window, bound = self.ctx.window, ring.max_scaled
+        # p^|log| per series variable, clamped to the truncation: a larger
         # factor truncates every nonzero exponent it scales, and a larger
         # divisor exceeds every exponent it divides, just the same.
-        uniq, inv = np.unique(logs, return_inverse=True)
-        power = np.array(
-            [min(ring.p ** abs(g), bound) for g in uniq.tolist()], dtype=np.int64
-        )[inv].reshape(logs.shape)
-        mult = np.where(logs > 0, power, 1)[:, None]
-        div = np.where(logs < 0, power, 1)[:, None]
-        under = (t.mono % div).any(axis=2)
-        mono = ms[:, None] + t.mono * mult // div
-        x = xs[:, None] + t.x
-        over = (x > self.ctx.window).any(axis=2)
-        bad = over | under
-        if bad.any():
-            i, j = np.unravel_index(int(bad.argmax()), bad.shape)
-            if over[i, j]:
-                raise WindowExceeded(
-                    f"product exponent {tuple(x[i, j].tolist())} "
-                    f"exceeds window {self.ctx.window}"
-                )
-            v = int((t.mono[j] % div[i, 0] != 0).argmax())
-            raise PrecisionUnderflow(
-                f"exponent {t.mono[j, v]}/p^{ring.precision} "
-                f"not divisible by p^{-logs[i, v]}"
-            )
-        kept = mono.sum(axis=2) < bound
-        codes = np.where(kept, t.comp * self.wcomp + x @ self.wx + mono @ self.wm, -1)
-        top = np.where(kept[..., None], x, 0).max(axis=(1, 2), initial=0)
-        return codes, top
+        logs = [sum(map(operator.mul, x, row)) for row in self.logs]
+        factors = [(g, min(ring.p ** abs(g), bound)) for g in logs]
+        image = []
+        for comp, y, mono, c in terms:
+            xy = tuple(map(operator.add, x, y))
+            top = max(xy, default=0)
+            if top > window:
+                raise WindowExceeded(f"product exponent {xy} exceeds window {window}")
+            new = []
+            for e, (g, q) in zip(mono, factors):
+                if g >= 0:
+                    new.append(e * q)
+                elif e % q:
+                    raise PrecisionUnderflow(
+                        f"exponent {e}/p^{ring.precision} not divisible by p^{-g}"
+                    )
+                else:
+                    new.append(e // q)
+            deg = sum(new)
+            if deg < bound:
+                image.append((deg, self._code(comp, xy, new), c, top))
+        image.sort(key=operator.itemgetter(0))
+        tops = [0]
+        for entry in image:
+            tops.append(max(tops[-1], entry[3]))
+        return [e[0] for e in image], [(e[1], e[2]) for e in image], tops
+
+    def shifted(
+        self, terms: Sequence[_Term], xs: Sequence[XExp], ms: Sequence[Mono]
+    ) -> List[Tuple[fp_linalg.Row, int]]:
+        """The products (ms[i] X^xs[i]) * terms by an index map on
+        coordinates, as (row {code: value}, largest twist exponent) per
+        product (0 for a zero product).
+
+        m X^x * c' X^y = m sigma^x(c') X^(x+y): the image X^x * terms is
+        built once per distinct x, at the first product that uses it, so
+        its window and grid errors are those of the first failing term in
+        product order. The monomial m keeps the terms whose degree stays
+        below the truncation after adding |m|, a prefix of the image, and
+        moves each by the code of m.
+        """
+        bound = self.ctx.base.max_scaled
+        images: Dict[XExp, _Image] = {}
+        moves: Dict[Mono, Tuple[int, int]] = {}  # m -> (degree limit, code)
+        out = []
+        for x, m in zip(xs, ms):
+            if x not in images:
+                images[x] = self._image(terms, x)
+            if m not in moves:
+                moves[m] = (bound - sum(m), sum(map(operator.mul, m, self.wm)))
+            degs, entries, tops = images[x]
+            limit, shift = moves[m]
+            k = bisect.bisect_left(degs, limit)
+            out.append(({c + shift: v for c, v in entries[:k]}, tops[k]))
+        return out
 
 
-def _assemble(
-    batches: Iterable[_Batch], p: int
-) -> Tuple[fp_linalg.FpMatrix, List[int]]:
-    """The F_p matrix with one column per row of each batch, and its row
-    codes.
+def _assemble(columns: Iterable[fp_linalg.Row], p: int) -> fp_linalg.FpMatrix:
+    """The F_p matrix with one column per {code: value} row of columns.
 
     Rows are the codes that some column reaches, ascending: no zero rows,
     and row order leaves the reduced echelon form, hence every solution,
-    kernel basis and row span, unchanged. One pass over the codes fills
-    the rows; a column's codes are distinct (the index map of
-    `_Coords.shifted` is injective), so no entry is written twice.
+    kernel basis and row span, unchanged.
     """
     rows: Dict[int, fp_linalg.Row] = {}
-    j = 0
-    for codes, values in batches:
-        values = values.tolist()
-        for column in codes.tolist():
-            for c, v in zip(column, values):
-                if c >= 0:
-                    rows.setdefault(c, {})[j] = v
-            j += 1
-    keys = sorted(rows)
-    return fp_linalg.FpMatrix([rows[c] for c in keys], j, p), keys
-
-
-def _code_rows(batches: Iterable[_Batch]) -> Iterable[fp_linalg.Row]:
-    """Each column of the batches as one row {code: value}: the transpose
-    of `_assemble`, with the codes themselves as columns."""
-    for codes, values in batches:
-        values = values.tolist()
-        for column in codes.tolist():
-            yield {c: v for c, v in zip(column, values) if c >= 0}
+    j = -1
+    for j, column in enumerate(columns):
+        for c, v in column.items():
+            rows.setdefault(c, {})[j] = v
+    return fp_linalg.FpMatrix([rows[c] for c in sorted(rows)], j + 1, p)
 
 
 def _block_matrix(
-    coords: _Coords, flats: Sequence[_Terms], keys: Sequence[_Key], *extra: SkewPoly
+    coords: _Coords,
+    flats: Sequence[Sequence[_Term]],
+    keys: Sequence[_Key],
+    *extra: SkewPoly,
 ) -> fp_linalg.FpMatrix:
     """One column flatten(X^xexp * mono * g_i) per key, shifted from the
     flattened generator flats[i], then one per extra polynomial."""
-    batches = []
+    columns = []
     for gi, group in itertools.groupby(keys, key=lambda key: key[0]):
         _, xs, ms = zip(*group)
-        xs = np.array(xs, dtype=np.int64).reshape(-1, coords.nx)
-        ms = np.array(ms, dtype=np.int64).reshape(-1, coords.nv)
-        batches.append((coords.shifted(flats[gi], xs, ms)[0], flats[gi].coeff))
-    batches += [coords.column((poly,)) for poly in extra]
-    return _assemble(batches, coords.ctx.base.p)[0]
+        columns += [row for row, _ in coords.shifted(flats[gi], xs, ms)]
+    columns += [coords.column((poly,)) for poly in extra]
+    return _assemble(columns, coords.ctx.base.p)
 
 
 def _coefficients(

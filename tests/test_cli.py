@@ -678,56 +678,58 @@ def test_import_leaves_numpy_unloaded():
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
+_SKEW = ["--json", "-", "verify-skew", "--p", "2"]
+
+
+# Every subcommand, each in its own fresh process: the skew and group
+# layers are imported inside their handlers, so only a fresh process shows
+# that each handler imports what it uses. verify-skew runs the three
+# operations of the benchmark's skew-relations workload, the last one the
+# corrupted control.
 @pytest.mark.parametrize(
-    "argv",
+    "argv,code",
     [
-        ["decide", "Qp"],
-        ["decide", "FILE"],
-        ["catalog"],
-        ["catalog", "--check"],
-        ["obstruction"],
-        ["--help"],
+        (["decide", "Qp"], 0),
+        (["decide", "FILE"], 0),
+        (["catalog"], 0),
+        (["catalog", "--check"], 0),
+        (["obstruction"], 0),
+        (["--help"], 0),
+        (["--json", "-", "mackey", "--p", "3", "--a", "1"], 0),
+        (["--json", "-", "mackey", "--p", "3", "--a", "1", "--dim", "2"], 0),
+        (_SKEW + ["--trunc", "8", "--window", "4", "--mmax", "3"], 0),
+        (_SKEW + ["--trunc", "6", "--window", "3", "--mmax", "3", "--precision", "1"], 0),
+        (_SKEW + ["--trunc", "8", "--window", "4", "--mmax", "3", "--corrupt-s1"], 1),
     ],
-    ids=["decide-name", "decide-file", "catalog", "catalog-check", "obstruction", "help"],
+    ids=[
+        "decide-name",
+        "decide-file",
+        "catalog",
+        "catalog-check",
+        "obstruction",
+        "help",
+        "mackey-27",
+        "mackey-27-dim-2",
+        "verify-skew",
+        "verify-skew-precision-1",
+        "verify-skew-corrupt",
+    ],
 )
-def test_decide_layer_commands_leave_numpy_unloaded(tmp_path, argv):
+def test_commands_in_a_fresh_process_leave_numpy_unloaded(tmp_path, argv, code):
     path = tmp_path / "h3.json"
     path.write_text(json.dumps(CATALOG["H3"]["descriptor"]))
     argv = [str(path) if a == "FILE" else a for a in argv]
     proc = _fresh(NUMPY_PROBE, *argv)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
+    if argv[0] == "--json":
+        assert json.loads(proc.stdout)["ok"] is (code == 0)
     assert proc.stderr.endswith("numpy loaded: False\n"), proc.stderr
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify-skew", "--p", "2", "--trunc", "8", "--window", "4", "--mmax", "3"],
-        ["mackey", "--p", "3", "--a", "1"],
-    ],
-    ids=["verify-skew", "mackey-27"],
-)
-def test_skew_and_group_commands_in_a_fresh_process(argv):
-    # Their layers are imported inside the handlers, so only a fresh
-    # process shows that each handler imports what it uses.
-    proc = _fresh(NUMPY_PROBE, "--json", "-", *argv)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["ok"] is True
-
-
-def test_mackey_leaves_numpy_unloaded():
-    # The finite-group layer holds its matrices as tuples of ints.
-    argv = ["mackey", "--p", "3", "--a", "1", "--dim", "2"]
-    proc = _fresh(NUMPY_PROBE, "--json", "-", *argv)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["ok"] is True
-    assert proc.stderr.endswith("numpy loaded: False\n"), proc.stderr
-
-
-def test_only_the_skew_layers_import_numpy():
-    # numpy serves the skew coordinate map (`skew_poly._Coords`) and the
-    # batches that feed it (`skew_checks`); every other module is pure Python.
-    importers = set()
+def test_package_imports_only_the_standard_library():
+    # The package has no runtime dependency: every absolute import in it
+    # names a standard-library module.
+    outside = set()
     for path in sorted((SRC / "coherence_lab").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -736,9 +738,12 @@ def test_only_the_skew_layers_import_numpy():
                 names = [node.module]
             else:
                 continue
-            if any(name.split(".")[0] == "numpy" for name in names):
-                importers.add(path.stem)
-    assert importers == {"skew_poly", "skew_checks"}
+            outside.update(
+                (path.stem, name)
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            )
+    assert not outside
 
 
 def test_reports_written_as_json_dumps(tmp_path, capsys, monkeypatch):

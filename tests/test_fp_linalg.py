@@ -568,36 +568,53 @@ def test_prime_above_int64_exact():
 
 
 def test_assemble_emits_each_entry_once(monkeypatch):
-    # The index map is injective: on every block of the relation check at
-    # (2,8,4,3), no column of the batches that `_assemble` (syzygy and
-    # membership blocks) or `_code_rows` (span(S) and its queries) turns
-    # into rows reaches a code twice, so no entry of a row is written twice.
+    # A column is a {code: value} dict, so two terms of one product sent to
+    # one code would leave a single entry. On every block of the relation
+    # check at (2,8,4,3), each column that the index map (syzygy and
+    # membership blocks, span(S)) or the flattening (membership targets,
+    # span(S) queries) makes holds exactly as many entries as its product
+    # has terms after truncation, counted by ring multiplication.
     from coherence_lab import skew_poly
+    from coherence_lab.skew_series import TruncSeries
 
-    blocks = []
+    SkewPoly = skew_poly.SkewPoly
+    real_shifted, real_column = skew_poly._Coords.shifted, skew_poly._Coords.column
+    calls, columns = [0, 0], []
 
-    def recorder(real):
-        def record(batches, *rest):
-            batches = list(batches)
-            blocks.append([codes for codes, _ in batches])
-            return real(batches, *rest)
+    def tuple_of(ctx, terms):
+        comps = {}
+        for comp, x, mono, c in terms:
+            comps.setdefault(comp, {}).setdefault(x, {})[mono] = c
+        return [
+            SkewPoly(ctx, {x: TruncSeries(ctx.base, t) for x, t in comps[k].items()})
+            for k in sorted(comps)
+        ]
 
-        return record
+    def shifted(coords, terms, xs, ms):
+        out = real_shifted(coords, terms, xs, ms)
+        calls[0] += 1
+        ctx = coords.ctx
+        polys = tuple_of(ctx, terms)
+        for x, m, (row, _) in zip(xs, ms, out):
+            mu = SkewPoly(ctx, {x: TruncSeries(ctx.base, {m: 1})})
+            columns.append((row, [mu * poly for poly in polys]))
+        return out
 
-    monkeypatch.setattr(skew_poly, "_assemble", recorder(skew_poly._assemble))
-    monkeypatch.setattr(skew_checks, "_code_rows", recorder(skew_checks._code_rows))
+    def column(coords, polys):
+        calls[1] += 1
+        row = real_column(coords, polys)
+        columns.append((row, polys))
+        return row
+
+    monkeypatch.setattr(skew_poly._Coords, "shifted", shifted)
+    monkeypatch.setattr(skew_poly._Coords, "column", column)
     report = skew_checks.verify_relations(2, 1, 1, 4, 8, 3)
     monkeypatch.undo()
     assert report.ok
-    assert len(blocks) == 23
-    columns = 0
-    for block in blocks:
-        for codes in block:
-            for column in codes.tolist():
-                hit = [c for c in column if c >= 0]
-                assert len(set(hit)) == len(hit)
-                columns += 1
-    assert columns > 1000
+    assert calls == [46, 227]
+    for row, polys in columns:
+        assert len(row) == sum(len(c.terms) for poly in polys for c in poly.coeffs.values())
+    assert len(columns) > 1000
 
 
 @pytest.mark.parametrize("p", [3, _prime_near(2**32, 1)])

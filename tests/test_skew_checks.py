@@ -8,7 +8,7 @@ import fp_reference
 from coherence_lab import fp_linalg
 from coherence_lab import obstruction as obs
 from coherence_lab import skew_checks as sc
-from coherence_lab.skew_poly import SkewPoly, _code_rows, _Coords, _series_monomials
+from coherence_lab.skew_poly import SkewPoly, _Coords, _series_monomials
 from coherence_lab.skew_series import PrecisionUnderflow, TruncSeries
 
 
@@ -387,9 +387,8 @@ def _code_keys(coords, pairs):
     terms of the pairs."""
     out = {}
     for pair in pairs:
-        t = coords.terms(pair)
-        for code, comp, x, mono in zip(t.code, t.comp, t.x, t.mono):
-            out[int(code)] = (int(comp), tuple(x.tolist()), tuple(mono.tolist()))
+        for code, (comp, x, mono, _) in zip(coords.column(pair), coords.terms(pair)):
+            out[code] = (comp, x, mono)
     return out
 
 
@@ -404,9 +403,7 @@ def test_span_s_assembly_matches_dense_reference(p, trunc, window, m_max):
     for deg in range(2 * window - 1):  # kernel degrees at margin 1
         multiples = list(_explicit_s_multiples(labelled, deg, window, monos))
         ref, index = _dense_pair_span(multiples, deg, window, monos, p)
-        rows = list(
-            _code_rows(sc._s_multiples(coords, flats, deg, window, np.array(monos)))
-        )
+        rows = list(sc._s_multiples(coords, flats, deg, window, monos))
         keys = _code_keys(coords, multiples)
         ncodes = 2 * coords.wcomp
         basis = fp_linalg.RowSpace(fp_linalg.FpMatrix(rows, ncodes, p)).basis

@@ -390,31 +390,25 @@ def _outcome(call):
 
 
 def _check_index_map(ctx, g, shifts):
-    """Every column of the index map of the shifts on g, and the matrix
-    `_assemble` makes of them (densified here), equal those of the explicit
-    products mu * g,
-    and so does each product's largest twist exponent; an exception is the
-    first one the explicit products raise, with the same message."""
+    """The {code: value} row of every product the index map of the shifts
+    makes of g, the matrix `_assemble` makes of those rows (densified here)
+    and each product's largest twist exponent equal those of the explicit
+    products mu * g; an exception is the first one the explicit products
+    raise, with the same message. Returns (matrix, tops, rows)."""
     from coherence_lab.skew_poly import _assemble, _Coords
 
     coords = _Coords(ctx)
-    xs = np.array([x for x, _ in shifts], dtype=np.int64).reshape(-1, 2)
-    ms = np.array([m for _, m in shifts], dtype=np.int64).reshape(-1, 2)
+    xs = [x for x, _ in shifts]
+    ms = [m for _, m in shifts]
     t = coords.terms(g)
 
-    def result(batches, top):
-        m, rows = _assemble(batches, ctx.base.p)
-        mat = fp_reference.dense(m)
-        cols = [
-            {c: v for c, v in zip(codes.tolist(), vals.tolist()) if c != -1}
-            for block, vals in batches
-            for codes in block
-        ]
-        return mat.tolist(), rows, list(top), cols
+    def result(cols, top):
+        mat = fp_reference.dense(_assemble(cols, ctx.base.p))
+        return mat.tolist(), top, cols
 
     def mapped():
-        codes, top = coords.shifted(t, xs, ms)
-        return result([(codes, t.coeff)], top.tolist())
+        rows, top = zip(*coords.shifted(t, xs, ms))
+        return result(list(rows), list(top))
 
     def explicit():
         prods = [tuple(_monomial(ctx, x, m) * poly for poly in g) for x, m in shifts]
@@ -445,7 +439,7 @@ def test_index_map_matches_ring_product(p, precision):
                 for x in itertools.product(range(window - top + 1), repeat=2)
                 for m in monos
             ]
-            mat, rows, _, _ = _check_index_map(ctx, g, shifts)
+            mat, _, _ = _check_index_map(ctx, g, shifts)
             assert len(mat[0]) == len(shifts) and any(map(any, mat))
             # The truncation drops terms: some column has fewer entries
             # than g has terms.
@@ -461,7 +455,7 @@ def test_index_map_scale_beyond_truncation(p):
     s = ctx.base.var("s")
     g = (SkewPoly.from_series(ctx, s + ctx.base.var("t", 2) + ctx.base.one()),)
     shifts = [((a, b), (1, 0)) for a in range(7) for b in range(7)]
-    mat, rows, top, _ = _check_index_map(ctx, g, shifts)
+    mat, top, _ = _check_index_map(ctx, g, shifts)
     col = [r[shifts.index(((6, 0), (1, 0)))] for r in mat]
     assert sum(map(bool, col)) == 2  # s^1 * sigma(1), s^1 * sigma(t^2) with b = 0
     assert top[-1] == 6
@@ -499,3 +493,101 @@ def test_index_map_window_and_precision_errors():
         out = _check_index_map(neg, g, shifts)
         kinds.add(out[0] if isinstance(out[0], type) else list)
     assert kinds == {WindowExceeded, PrecisionUnderflow, list}
+
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+def _index_map_context(params):
+    """("pair", p, n_u, n_v, trunc, window, precision) is a pair context;
+    ("negative-log", p) is the context of
+    test_index_map_window_and_precision_errors at p, where D divides
+    s-exponents and E divides t-exponents by p on the 1/p grid."""
+    from coherence_lab.skew_poly import SkewContext
+    from coherence_lab.skew_series import SeriesRing
+
+    kind, p, *rest = params
+    if kind == "pair":
+        return pair_context(p, *rest)
+    ring = SeriesRing(p, ("s", "t"), 2, 1)
+    return SkewContext(ring, ("D", "E"), {"D": {"s": -1}, "E": {"t": -1}}, 3)
+
+
+def _check_index_case(params, g, shifts):
+    """_check_index_map on a context and a tuple given as plain data: one
+    {twist exponent: {monomial: coefficient}} per component."""
+    from coherence_lab.skew_series import TruncSeries
+
+    ctx = _index_map_context(params)
+    polys = tuple(
+        SkewPoly(ctx, {x: TruncSeries(ctx.base, terms) for x, terms in poly.items()})
+        for poly in g
+    )
+    return _check_index_map(ctx, polys, shifts)
+
+
+@st.composite
+def _index_map_cases(draw):
+    """A context, a tuple with terms inside the window, and shifts (twist
+    exponent, monomial) whose products may leave the window."""
+    from coherence_lab.skew_poly import _series_monomials
+
+    p = draw(st.sampled_from([2, 3, 5]))
+    if draw(st.booleans()):
+        params = ("negative-log", p)
+    else:
+        precision = draw(st.sampled_from([0, 1]))
+        logs, trunc = st.integers(0, 2), st.integers(1, 3 if precision else 6)
+        params = ("pair", p, draw(logs), draw(logs), draw(trunc), draw(st.integers(1, 4)), precision)
+    ctx = _index_map_context(params)
+    monos = _series_monomials(ctx.base)
+    w = ctx.window
+    xexp = st.tuples(st.integers(0, w), st.integers(0, w))
+    series = st.dictionaries(st.sampled_from(monos), st.integers(1, p - 1), min_size=1, max_size=3)
+    g = draw(st.lists(st.dictionaries(xexp, series, max_size=3), min_size=1, max_size=2))
+    shift = st.tuples(st.tuples(st.integers(0, w + 1), st.integers(0, w + 1)), st.sampled_from(monos))
+    return params, g, draw(st.lists(shift, min_size=1, max_size=6))
+
+
+# The inputs test_index_map_property shrinks to against broken variants of
+# the map, one per id: keeping a term whose degree reaches the truncation,
+# checking the grid before the window, taking the top over dropped terms,
+# leaving an image unsorted by degree, a monomial code that collides, and
+# building every image before the first product.
+@pytest.mark.parametrize(
+    "params,g,shifts",
+    [
+        (("pair", 2, 0, 0, 2, 1, 0), [{(0, 0): {(0, 0): 1, (0, 1): 1}}], [((0, 0), (0, 1))]),
+        (("negative-log", 2), [{(0, 3): {(0, 1): 1}}], [((0, 1), (0, 0))]),
+        (
+            ("pair", 2, 0, 0, 3, 1, 1),
+            [{(0, 0): {(0, 0): 1}, (0, 1): {(0, 5): 1}}],
+            [((0, 0), (0, 1))],
+        ),
+        (("pair", 2, 0, 0, 2, 1, 0), [{(0, 0): {(0, 1): 1, (0, 0): 1}}], [((0, 0), (0, 1))]),
+        (("pair", 2, 0, 0, 2, 1, 0), [{(0, 0): {(0, 0): 1}}], [((0, 0), (1, 0))]),
+        (
+            ("pair", 2, 0, 0, 2, 1, 0),
+            [{(0, 1): {(0, 0): 1}}],
+            [((0, 2), (0, 0)), ((0, 1), (0, 0))],
+        ),
+    ],
+    ids=[
+        "degree-at-truncation",
+        "window-before-grid",
+        "top-of-kept-terms",
+        "image-by-degree",
+        "monomial-code",
+        "first-product-first",
+    ],
+)
+def test_index_map_shrunk_cases(params, g, shifts):
+    _check_index_case(params, g, shifts)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_index_map_cases())
+def test_index_map_property(case):
+    # Rows, tops and the first exception, type and message, against the
+    # explicit ring products (asserted inside _check_index_map).
+    _check_index_case(*case)
