@@ -8,32 +8,28 @@ relation, a certificate reproduces its target) are exact. Completeness
 statements are bound-relative and asserted only inside a safety margin,
 because truncation creates spurious kernel vectors near the boundary.
 
-Ring elements enter F_p coordinates once per generator: the S-generators
-and the kernel pairs through `skew_poly._Coords`, one-variable module
-elements through `ModuleFlat.to_vec`. After that the spans stay in
-coordinates: a product X^xexp * mono * S_i is an index map on the
-terms of S_i (`_Coords.shifted`), and a loss-free product t^a F^j one on
-the keys of {index: value} rows (`ModuleFlat.shift`). span(S), its queries
-and every one-variable span are such rows from assembly to answer, with no
+The relation check hands its S-generators and kernel pairs to
+`skew_poly.span_contains`, which owns their coordinates and decides span(S)
+membership there. One-variable module elements enter F_p coordinates once,
+through `ModuleFlat.to_vec`; a loss-free product t^a F^j is then an index
+map on the keys of their {index: value} rows (`ModuleFlat.shift`), and
+every one-variable span stays in such rows from assembly to answer, with no
 dense array between two echelon bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fp_linalg
 from .skew_series import FrobeniusEndo, SeriesRing
 from .skew_poly import (
     NOT_IN_IDEAL_AT_BOUND,
-    Mono,
     SkewContext,
     SkewPoly,
-    _Coords,
-    _series_monomials,
-    _Term,
     ideal_membership_bounded,
+    span_contains,
     syzygy_bounded,
 )
 
@@ -187,21 +183,10 @@ def verify_relations(
         deg = max(lx.xdegree(), ly.xdegree(), lz.xdegree() + 1)
         by_degree.setdefault(deg, []).append((lx, ly))
 
-    coords = _Coords(ctx)
-    flats = [coords.terms(pair) for _, pair in labelled]
-    monos = _series_monomials(ring)
-    # Rows keyed by coordinate code: codes of pairs lie below 2 * wcomp.
-    ncodes = 2 * coords.wcomp
+    s_pairs = [pair for _, pair in labelled]
     for deg in sorted(by_degree):
         pairs = by_degree[deg]
-        span_s = fp_linalg.RowSpace(
-            fp_linalg.FpMatrix(
-                list(_s_multiples(coords, flats, deg, window, monos)), ncodes, p
-            )
-        )
-        inside = span_s.contains(
-            fp_linalg.FpMatrix([coords.column(pair) for pair in pairs], ncodes, p)
-        )
+        inside = span_contains(s_pairs, deg, window, pairs)
         report.interior_checked += len(pairs)
         for (lx, ly), ok in zip(pairs, inside):
             if not ok:
@@ -209,33 +194,6 @@ def verify_relations(
                     f"degree {deg}: kernel vector ({lx!r}, {ly!r}) outside span(S)"
                 )
     return report
-
-
-def _s_multiples(
-    coords: _Coords,
-    flats: Sequence[Sequence[_Term]],
-    deg: int,
-    window: int,
-    monos: Sequence[Mono],
-) -> Iterator[fp_linalg.Row]:
-    """The nonzero products X^xexp * mono * S_i of total twist degree deg
-    whose twist exponents all stay within the window, as {code: value}
-    rows, by flattened S_i.
-
-    The window is checked on the computed product, since a term can vanish
-    by truncation; a product that truncates to nothing spans nothing.
-    """
-    for t in flats:
-        d_i = max((sum(x) for _, x, _, _ in t), default=-1)
-        if d_i < 0 or d_i > deg:
-            continue
-        k = deg - d_i
-        shifts = range(max(0, k - window), min(window, k) + 1)
-        xs = [(a, k - a) for a in shifts for _ in monos]
-        ms = [m for _ in shifts for m in monos]
-        for row, top in coords.shifted(t, xs, ms):
-            if row and top <= window:
-                yield row
 
 
 @dataclass

@@ -9,19 +9,21 @@ coefficient applies the a-fold endomorphism, so
     (c X^a) (c' X^b) = c * sigma^a(c') X^(a+b).
 
 The module also provides bounded ideal membership with verified
-certificates and bounded syzygy kernels on a coordinate subspace. Both take
-twist-homogeneous generators, so their flattened matrices are block diagonal
-with respect to total twist degree and are assembled and solved one degree
-block at a time. The columns of these blocks, and the multiples of the
-span(S) check of `skew_checks`, never become ring elements: `_Coords`
-flattens each generator once into its terms, and left multiplication by a
-monomial is an index map on their coordinates (`_Coords.shifted`) that
-visits only the terms the truncation keeps and emits each product as the
-{code: value} row of its coordinates. `_assemble` transposes such columns
-into the rows of an `fp_linalg.FpMatrix`, one row per coordinate code, so
-no block is ever held as a dense array. Only the re-verifications multiply
-ring elements. `FlatSpace`, the dense whole-slab indexer, serves as the
-reference in the tests.
+certificates, bounded syzygy kernels on a coordinate subspace, and
+membership in the span of the bounded multiples of generator tuples
+(`span_contains`, the span(S) check of `skew_checks`). Their generators are
+twist-homogeneous, so each flattened matrix is block diagonal with respect
+to total twist degree and is assembled and solved one degree block at a
+time. The multiples X^xexp * mono * g_i of a block (`_block_keys`) never
+become ring elements: `_Coords` flattens each generator once into its
+terms, and left multiplication by a monomial is an index map on their
+coordinates (`_Coords.shifted`) that moves each term by the context's
+`twist_endo`, visits only the terms the truncation keeps, and emits each
+product as the {code: value} row of its coordinates. `_assemble` transposes
+such columns into the rows of an `fp_linalg.FpMatrix`, one row per
+coordinate code, so no block is ever held as a dense array. Only the
+re-verifications multiply ring elements. `FlatSpace`, the dense whole-slab
+indexer, serves as the reference in the tests.
 """
 
 from __future__ import annotations
@@ -30,13 +32,12 @@ import bisect
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import fp_linalg
 from .skew_series import (
     ContextMismatch,
     FrobeniusEndo,
-    PrecisionUnderflow,
     SeriesRing,
     TruncSeries,
 )
@@ -302,21 +303,21 @@ def _require_homogeneous(generators: Sequence[SkewPoly]) -> None:
 
 
 def _block_keys(
-    generators: Sequence[SkewPoly],
+    degrees: Sequence[int],
     xbounds: XExp,
     deg: int,
     monos: Sequence[Mono],
-    support: Callable[[int, XExp, Mono], bool] = lambda *_: True,
+    support: Optional[Callable[[int, XExp, Mono], bool]] = None,
 ) -> List[_Key]:
     """The supported domain coordinates whose image has total twist degree
-    deg, by generator and then in FlatSpace basis order."""
+    deg, for generators of total twist degrees degrees, by generator and
+    then in FlatSpace basis order."""
     keys: List[_Key] = []
-    for gi, g in enumerate(generators):
-        xdeg = deg - g.xdegree()
+    for gi, d in enumerate(degrees):
         for x in itertools.product(*[range(b + 1) for b in xbounds]):
-            if sum(x) == xdeg:
-                keys += [(gi, x, m) for m in monos if support(gi, x, m)]
-    return keys
+            if sum(x) == deg - d:
+                keys += [(gi, x, m) for m in monos]
+    return keys if support is None else [key for key in keys if support(*key)]
 
 
 # A term of a tuple of ring elements: (component, twist exponent, series
@@ -342,10 +343,6 @@ class _Coords:
         self.wm = [m ** (nv - 1 - v) for v in range(nv)]
         self.wx = [m**nv * w ** (nx - 1 - i) for i in range(nx)]
         self.wcomp = m**nv * w**nx
-        # logs[v][i]: the exponent-multiplier log of twist variable i on v.
-        self.logs = [
-            [ctx.endo_logs[x][v] for x in ctx.twist_vars] for v in ring.variables
-        ]
 
     def _code(self, comp: int, x: XExp, mono: Mono) -> int:
         return (
@@ -376,37 +373,23 @@ class _Coords:
         degree: the degrees, the (code, value) entries, and the largest
         twist exponent among the first k entries for each k.
 
-        X^x * c' X^y = sigma^x(c') X^(x+y), and sigma^x scales each series
-        exponent by p^(net log), so a term (comp, y, m') goes to
+        X^x * c' X^y = sigma^x(c') X^(x+y), and sigma^x is the context's
+        `twist_endo(x)`, so a term (comp, y, m') goes to
         (comp, x + y, sigma^x(m')) with its coefficient unchanged, and is
         dropped once its degree reaches the truncation. As in
         `SkewPoly.__mul__`, the first term with x + y outside the context
         window raises WindowExceeded, or, if its image exponent leaves the
         grid, PrecisionUnderflow.
         """
-        ring = self.ctx.base
-        window, bound = self.ctx.window, ring.max_scaled
-        # p^|log| per series variable, clamped to the truncation: a larger
-        # factor truncates every nonzero exponent it scales, and a larger
-        # divisor exceeds every exponent it divides, just the same.
-        logs = [sum(map(operator.mul, x, row)) for row in self.logs]
-        factors = [(g, min(ring.p ** abs(g), bound)) for g in logs]
+        window, bound = self.ctx.window, self.ctx.base.max_scaled
+        endo = self.ctx.twist_endo(x)
         image = []
         for comp, y, mono, c in terms:
             xy = tuple(map(operator.add, x, y))
             top = max(xy, default=0)
             if top > window:
                 raise WindowExceeded(f"product exponent {xy} exceeds window {window}")
-            new = []
-            for e, (g, q) in zip(mono, factors):
-                if g >= 0:
-                    new.append(e * q)
-                elif e % q:
-                    raise PrecisionUnderflow(
-                        f"exponent {e}/p^{ring.precision} not divisible by p^{-g}"
-                    )
-                else:
-                    new.append(e // q)
+            new = endo.scale(mono)
             deg = sum(new)
             if deg < bound:
                 image.append((deg, self._code(comp, xy, new), c, top))
@@ -461,20 +444,57 @@ def _assemble(columns: Iterable[fp_linalg.Row], p: int) -> fp_linalg.FpMatrix:
     return fp_linalg.FpMatrix([rows[c] for c in sorted(rows)], j + 1, p)
 
 
+def _products(
+    coords: _Coords, flats: Sequence[Sequence[_Term]], keys: Sequence[_Key]
+) -> Iterable[Tuple[fp_linalg.Row, int]]:
+    """(row, largest twist exponent) of X^xexp * mono * g_i per key, as
+    `_Coords.shifted` makes it from the flattened generator flats[i]."""
+    for gi, group in itertools.groupby(keys, key=operator.itemgetter(0)):
+        _, xs, ms = zip(*group)
+        yield from coords.shifted(flats[gi], xs, ms)
+
+
 def _block_matrix(
     coords: _Coords,
     flats: Sequence[Sequence[_Term]],
     keys: Sequence[_Key],
     *extra: SkewPoly,
 ) -> fp_linalg.FpMatrix:
-    """One column flatten(X^xexp * mono * g_i) per key, shifted from the
-    flattened generator flats[i], then one per extra polynomial."""
-    columns = []
-    for gi, group in itertools.groupby(keys, key=lambda key: key[0]):
-        _, xs, ms = zip(*group)
-        columns += [row for row, _ in coords.shifted(flats[gi], xs, ms)]
+    """One column flatten(X^xexp * mono * g_i) per key, then one per extra
+    polynomial."""
+    columns = [row for row, _ in _products(coords, flats, keys)]
     columns += [coords.column((poly,)) for poly in extra]
     return _assemble(columns, coords.ctx.base.p)
+
+
+def span_contains(
+    generators: Sequence[Sequence[SkewPoly]],
+    deg: int,
+    window: int,
+    queries: Sequence[Sequence[SkewPoly]],
+) -> List[bool]:
+    """Whether each query tuple lies in the F_p span of the nonzero
+    products X^xexp * mono * generators[i] of total twist degree deg whose
+    twist exponents all stay within the window.
+
+    The window is checked on the computed product, since a term can vanish
+    by truncation; a product that truncates to nothing spans nothing. The
+    products are rows of the index map, as in the syzygy blocks, and the
+    span is their reduced echelon basis.
+    """
+    ctx = generators[0][0].ctx
+    coords = _Coords(ctx)
+    flats = [coords.terms(g) for g in generators]
+    degrees = [max(poly.xdegree() for poly in g) for g in generators]
+    xbounds = (window,) * len(ctx.twist_vars)
+    keys = _block_keys(degrees, xbounds, deg, _series_monomials(ctx.base))
+    products = _products(coords, flats, keys)
+    rows = [row for row, top in products if row and top <= window]
+    # Codes of n-tuples lie below n * wcomp.
+    cols, p = len(generators[0]) * coords.wcomp, ctx.base.p
+    span = fp_linalg.RowSpace(fp_linalg.FpMatrix(rows, cols, p))
+    columns = [coords.column(q) for q in queries]
+    return span.contains(fp_linalg.FpMatrix(columns, cols, p))
 
 
 def _coefficients(
@@ -536,9 +556,10 @@ def ideal_membership_bounded(
     monos = _series_monomials(ctx.base)
     coords = _Coords(ctx)
     flats = [coords.terms((g,)) for g in generators]
+    degrees = [g.xdegree() for g in generators]
     pairs: List[Tuple[_Key, int]] = []
     for deg in sorted(components):
-        block = _block_keys(generators, xbounds, deg, monos)
+        block = _block_keys(degrees, xbounds, deg, monos)
         if not block:
             return NOT_IN_IDEAL_AT_BOUND
         m = _block_matrix(coords, flats, block, SkewPoly(ctx, components[deg]))
@@ -576,10 +597,11 @@ def syzygy_bounded(
     monos = _series_monomials(ctx.base)
     coords = _Coords(ctx)
     flats = [coords.terms((g,)) for g in generators]
-    top = sum(xbounds) + max(g.xdegree() for g in generators)
+    degrees = [g.xdegree() for g in generators]
+    top = sum(xbounds) + max(degrees)
     out: List[Tuple[SkewPoly, ...]] = []
     for deg in range(top + 1):
-        keys = _block_keys(generators, xbounds, deg, monos, support)
+        keys = _block_keys(degrees, xbounds, deg, monos, support)
         if not keys:
             continue
         mat = _block_matrix(coords, flats, keys)

@@ -5,6 +5,9 @@ stored as integers in scaled units (ordinary exponent times p^r). Monomials
 whose total degree reaches the truncation bound N (in ordinary units) are
 dropped, so every series is a finite association of monomials to nonzero
 coefficients and all arithmetic is exact.
+
+`FrobeniusEndo` holds the package's one twist rule, `scale`: `apply` runs
+it over a series, and the coordinate map of `skew_poly` over each term.
 """
 
 from __future__ import annotations
@@ -207,6 +210,22 @@ class FrobeniusEndo:
         # multiplies (m >= 0) or divides (m < 0) its exponent.
         self._factors = tuple((m, ring.p ** abs(m)) for m in self.logs.values())
 
+    def scale(self, mono: Monomial) -> Monomial:
+        """The image of the monomial mono: each exponent multiplied by p^m
+        for a log m >= 0, divided by p^-m for m < 0. An exponent that the
+        division leaves off the grid raises PrecisionUnderflow."""
+        new = []
+        for e, (m, q) in zip(mono, self._factors):
+            if m >= 0:
+                new.append(e * q)
+            elif e % q:
+                raise PrecisionUnderflow(
+                    f"exponent {e}/p^{self.ring.precision} not divisible by p^{-m}"
+                )
+            else:
+                new.append(e // q)
+        return tuple(new)
+
     def apply(self, x: TruncSeries) -> TruncSeries:
         if x.ring is not self.ring and x.ring != self.ring:
             raise ContextMismatch("endomorphism applied outside its ring")
@@ -215,19 +234,10 @@ class FrobeniusEndo:
         # Exponent scaling is injective, so no two terms share an image.
         terms = {}
         for mono, c in x.terms.items():
-            new = []
-            for e, (m, q) in zip(mono, self._factors):
-                if m >= 0:
-                    new.append(e * q)
-                else:
-                    if e % q:
-                        raise PrecisionUnderflow(
-                            f"exponent {e}/p^{self.ring.precision} not divisible by p^{-m}"
-                        )
-                    new.append(e // q)
+            new = self.scale(mono)
             c %= p
             if c and sum(new) < bound:
-                terms[tuple(new)] = c
+                terms[new] = c
         return TruncSeries(self.ring, terms)
 
     def __repr__(self) -> str:

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coherence_lab import descriptors as ds
 from coherence_lab.catalog import CATALOG
@@ -111,6 +112,48 @@ def test_dumps_report_matches_json_dumps(value):
     ids=["float", "set", "bytes", "nested-float", "frozenset", "int-key", "none-key", "tuple-key"],
 )
 def test_dumps_report_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        ds.dumps_report(value)
+
+
+# Random report trees: every type the writer takes, nested, with keys and
+# strings over every code point (control characters, quotes, non-ASCII,
+# astral and lone surrogates among them) and ints far beyond 64 bits. The
+# code points are drawn as integers: st.text() alone would spend seconds
+# building its table of Unicode categories.
+_CHARS = (st.integers(0, 0x7F) | st.integers(0x80, 0x10FFFF)).map(chr)
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**400), 10**400)
+    | st.text(_CHARS)
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(_CHARS), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_JSON_TREES)
+def test_dumps_report_property(value):
+    assert ds.dumps_report(value) == json.dumps(value, indent=2) + "\n"
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    st.floats() | st.dictionaries(st.integers(), _JSON_LEAVES, min_size=1, max_size=2),
+    st.lists(st.text(_CHARS, max_size=3) | st.none(), max_size=6),
+)
+def test_dumps_report_property_refuses_float_and_non_str_key(value, path):
+    # json.dumps would write both; the report writer refuses them at any
+    # depth, in a dict (a str step of the path) or a list (None).
+    for step in path:
+        value = [1, value] if step is None else {step: value}
     with pytest.raises(TypeError):
         ds.dumps_report(value)
 

@@ -551,3 +551,52 @@ def test_sparse_kernels_match_dense_reference():
     # Jacobi, grading (equal weights and an off-weight bracket) and
     # nilpotency failures all occur.
     assert {"Jacobi", "weights", "bracket", "lower"} <= problems, problems
+
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+# Weight exponents for torus rank 1 and 2, so chosen that many sums of two
+# weights are weights again.
+_EXPONENTS = {1: [(e,) for e in range(-1, 4)], 2: [(a, b) for a in range(3) for b in range(2)]}
+
+
+@st.composite
+def _bracket_tables(draw):
+    """A datum of dimension 3 to 12 with a random bracket table. A graded
+    table sends each bracket [e_i, e_j] into the weight space of w_i + w_j;
+    an ungraded one sends it anywhere and may hold diagonal entries. Either
+    may give a pair in both orientations."""
+    graded = draw(st.booleans())
+    d = draw(st.sampled_from([1, 2]))
+    picks = draw(st.lists(st.sampled_from(_EXPONENTS[d]), min_size=3, max_size=12))
+    exponents = sorted(set(picks))
+    weight_of = [exponents.index(e) for e in picks]
+    dim = len(picks)
+
+    def targets(i, j):
+        if not graded:
+            return range(dim)
+        target = tuple(a + b for a, b in zip(picks[i], picks[j]))
+        return [k for k in range(dim) if i != j and picks[k] == target]
+
+    # One drawn generator fills the table: a draw per pair would cost more
+    # than both validations.
+    rng = draw(st.randoms(use_true_random=False))
+    brackets = {}
+    for i in range(dim):
+        for j in range(dim):
+            if targets(i, j) and rng.random() < 0.25:
+                brackets[(i, j)] = {
+                    rng.choice(targets(i, j)): Q(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+                    for _ in range(rng.randint(1, 2))
+                }
+    weights = tuple(Weight(e, weight_of.count(w)) for w, e in enumerate(exponents))
+    lie = GradedLieAlgebraQ(dim, weight_of, brackets)
+    return SolvableGroupDatum(PadicFieldParams(p=2), d, ((1,) * d,), weights, lie)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(_bracket_tables())
+def test_validate_property(datum):
+    assert rd.validate(datum) == ref.validate(datum)

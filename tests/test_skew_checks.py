@@ -8,7 +8,7 @@ import fp_reference
 from coherence_lab import fp_linalg
 from coherence_lab import obstruction as obs
 from coherence_lab import skew_checks as sc
-from coherence_lab.skew_poly import SkewPoly, _Coords, _series_monomials
+from coherence_lab.skew_poly import SkewPoly, _series_monomials, span_contains
 from coherence_lab.skew_series import PrecisionUnderflow, TruncSeries
 
 
@@ -345,7 +345,9 @@ def test_module_span_matches_ring_products(p):
 
 def _dense_pair_span(multiples, deg, window, monos, p):
     """Reference: span(S) at one degree on the dense basis of all (component,
-    twist exponent of degree deg inside the window, monomial) coordinates."""
+    twist exponent of degree deg inside the window, monomial) coordinates,
+    and the dense row of a pair there (None for a pair with a term outside
+    that basis)."""
     basis = [
         (comp, (a, deg - a), mono)
         for comp in (0, 1)
@@ -353,22 +355,26 @@ def _dense_pair_span(multiples, deg, window, monos, p):
         for mono in monos
     ]
     index = {b: i for i, b in enumerate(basis)}
-    vecs = []
-    for pair in multiples:
+
+    def dense(pair):
         v = [0] * len(basis)
         for comp, poly in enumerate(pair):
             for xexp, c in poly.coeffs.items():
                 for mono, coeff in c.terms.items():
+                    if (comp, xexp, mono) not in index:
+                        return None
                     v[index[(comp, xexp, mono)]] = coeff
-        vecs.append(v)
-    vecs = np.array(vecs, dtype=np.int64).reshape(-1, len(basis))
-    return fp_linalg.RowSpace(fp_reference.matrix(vecs, p)), index
+        return v
+
+    vecs = np.array([dense(pair) for pair in multiples], dtype=np.int64)
+    vecs = vecs.reshape(-1, len(basis))
+    return fp_linalg.RowSpace(fp_reference.matrix(vecs, p)), dense
 
 
 def _explicit_s_multiples(labelled, deg, window, monos):
     """Reference: the products X^xexp * mono * S_i of total twist degree deg
-    by ring multiplication, kept when every twist exponent of the computed
-    product stays within the window."""
+    with X^xexp inside the window, by ring multiplication, and whether every
+    twist exponent of the computed product stays within the window."""
     for _, (sx, sy) in labelled:
         d_i = max(sx.xdegree(), sy.xdegree())
         if d_i < 0 or d_i > deg:
@@ -378,40 +384,56 @@ def _explicit_s_multiples(labelled, deg, window, monos):
             for mono in monos:
                 mu = SkewPoly(sx.ctx, {(a, k - a): TruncSeries(sx.ctx.base, {mono: 1})})
                 px, py = mu * sx, mu * sy
-                if max(px.max_xexp() + py.max_xexp()) <= window:
-                    yield px, py
+                yield (px, py), max(px.max_xexp() + py.max_xexp()) <= window
 
 
-def _code_keys(coords, pairs):
-    """Coordinate code -> (component, twist exponent, monomial) over the
-    terms of the pairs."""
-    out = {}
-    for pair in pairs:
-        for code, (comp, x, mono, _) in zip(coords.column(pair), coords.terms(pair)):
-            out[code] = (comp, x, mono)
-    return out
+def _random_queries(rng, ctx, inside, deg, window, monos, n=10):
+    """n random combinations of the pairs inside, and n of those pairs with
+    one random term of twist degree deg inside the window added."""
+    p = ctx.base.p
+    xs = [(a, deg - a) for a in range(max(0, deg - window), min(window, deg) + 1)]
+    combos, bumped = [], []
+    for _ in range(n):
+        acc = [ctx.zero(), ctx.zero()]
+        for q in rng.sample(inside, min(3, len(inside))):
+            c = ctx.base.monomial((0, 0), rng.randrange(1, p))
+            acc = [a + SkewPoly.from_series(ctx, c) * b for a, b in zip(acc, q)]
+        combos.append(tuple(acc))
+        mono = TruncSeries(ctx.base, {rng.choice(monos): 1})
+        bump = [SkewPoly(ctx, {rng.choice(xs): mono}), ctx.zero()]
+        rng.shuffle(bump)
+        bumped.append(tuple(a + b for a, b in zip(rng.choice(inside), bump)))
+    return combos, bumped
 
 
 @pytest.mark.parametrize("p,trunc,window,m_max", [(2, 8, 4, 3), (3, 6, 3, 2)])
 def test_span_s_assembly_matches_dense_reference(p, trunc, window, m_max):
+    # span_contains against membership in the dense span of the explicit
+    # products inside the window. The queries are those products (all in
+    # span(S)), random combinations of them (in), the products that leave
+    # the window (out), and in-window products plus one random term
+    # (either way, as the dense span decides).
     ctx = sc.pair_context(p, 1, 1, trunc, max(window, m_max) + 2)
     labelled = sc.build_S_generators(ctx, 1, 1, m_max)
     monos = _series_monomials(ctx.base)
-    coords = _Coords(ctx)
-    flats = [coords.terms(pair) for _, pair in labelled]
-    ranks = []
+    rng = random.Random(p)
+    ranks, answers = [], []
     for deg in range(2 * window - 1):  # kernel degrees at margin 1
-        multiples = list(_explicit_s_multiples(labelled, deg, window, monos))
-        ref, index = _dense_pair_span(multiples, deg, window, monos, p)
-        rows = list(sc._s_multiples(coords, flats, deg, window, monos))
-        keys = _code_keys(coords, multiples)
-        ncodes = 2 * coords.wcomp
-        basis = fp_linalg.RowSpace(fp_linalg.FpMatrix(rows, ncodes, p)).basis
-        spread = [{index[keys[c]]: v for c, v in row.items()} for row in basis.values()]
-        dense = fp_reference.dense_rows(spread, len(index))
-        assert fp_linalg.RowSpace(fp_reference.matrix(dense, p)).basis == ref.basis
+        products = list(_explicit_s_multiples(labelled, deg, window, monos))
+        inside = [pair for pair, ok in products if ok]
+        ref, dense = _dense_pair_span(inside, deg, window, monos, p)
+        # A product with a term beyond the window is nonzero.
+        outside = [pair for pair, ok in products if not ok]
+        combos, bumped = _random_queries(rng, ctx, inside, deg, window, monos)
+        want = [True] * len(inside + combos) + [False] * len(outside)
+        want += ref.contains(fp_reference.matrix([dense(q) for q in bumped], p))
+        queries = inside + combos + outside + bumped
+        got = span_contains([pair for _, pair in labelled], deg, window, queries)
+        assert got == want
         ranks.append(len(ref.basis))
+        answers += want
     assert min(ranks[1:]) > 0
+    assert True in answers and False in answers
 
 
 def test_relation_check_peak_memory():
