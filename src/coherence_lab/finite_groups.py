@@ -1,21 +1,27 @@
 """Finite p-groups, their group algebras over F_p, and restriction of
 induced modules across double cosets.
 
-The groups are U_3(Z/p^a), capped at order 4096. An element is the
-unitriangular matrix with x at (1,2), y at (2,3) and z at (1,3), encoded
+The groups are U_3(Z/p^a), capped at order `MAX_GROUP_ORDER`. An element is
+the unitriangular matrix with x at (1,2), y at (2,3) and z at (1,3), encoded
 (x, y, z) and indexed x*p^2a + y*p^a + z, the sorted order of the
-encodings; products and inverses are closed-form index arithmetic, so no
-multiplication table is stored. Every check here is still exhaustive
-rather than clever: subgroups are closed by orbit enumeration from their
-generators, and every coset partition (left, right or double) is one orbit
-enumeration whose representatives are the least elements of their orbits.
+encodings; `FiniteGroup.elements` holds every decoded triple, so no
+multiplication table is stored. Products, inverses and conjugates read the
+triples there and apply the closed-form law straight to an index. The
+traversals, subgroup closure and orbit enumeration, decode each generator
+once per call and each visited element once, and compute every translate
+h*u or u*k inline from the triples, with no method call per product.
+Every check here is still exhaustive rather than clever: subgroups are
+closed by orbit enumeration from their generators, and every coset
+partition (left, right or double) is one orbit enumeration whose
+representatives are the least elements of their orbits.
 A matrix is a tuple of rows, each a tuple of ints in [0, p); it becomes
-{column: value} rows only to be ranked. A group-algebra element is held by its nonzero terms. Induced
-actions and the restriction-of-induction comparison map are block maps:
-each sends a coset block to one other block through one d x d matrix, so
-equivariance and invertibility are checked block by block, exactly. A
-Mackey check decomposes H\\G/G1 once, and the comparison map and the glued
-coset-representative check share that decomposition.
+{column: value} rows only to be ranked. A group-algebra element is held by
+its nonzero terms. Induced actions and the restriction-of-induction
+comparison map are block maps: each sends a coset block to one other block
+through one d x d matrix, so equivariance and invertibility are checked
+block by block, exactly. A Mackey check decomposes H\\G/G1 once, and the
+comparison map and the glued coset-representative check share that
+decomposition.
 """
 
 from __future__ import annotations
@@ -70,14 +76,14 @@ class FiniteGroup:
             raise ValueError(f"p={p} is not prime")
         if a < 0:
             raise ValueError(f"a={a} is negative")
-        # p >= 2, so a >= 5 is over the cap; testing a first never raises a
+        # p >= 2, so the order is over the cap whenever 2^(3a) is, that is
+        # whenever 3a >= cap.bit_length(); testing that first never raises a
         # huge p to a huge power.
-        if a >= 5 or p ** (3 * a) > MAX_GROUP_ORDER:
+        if 3 * a >= MAX_GROUP_ORDER.bit_length() or p ** (3 * a) > MAX_GROUP_ORDER:
             raise BudgetExceeded(f"order {p}^{3 * a} exceeds {MAX_GROUP_ORDER}")
         pa = p**a
         self.p = p
         self.pa = pa
-        self._pa2 = pa * pa
         self.name = f"U3(Z/{pa})"
         self.order = pa**3
         self.elements = [
@@ -90,20 +96,20 @@ class FiniteGroup:
 
     def mul(self, i: int, j: int) -> int:
         pa = self.pa
-        x1, r = divmod(i, self._pa2)
-        y1, z1 = divmod(r, pa)
-        x2, r = divmod(j, self._pa2)
-        y2, z2 = divmod(r, pa)
+        x1, y1, z1 = self.elements[i]
+        x2, y2, z2 = self.elements[j]
         return ((x1 + x2) % pa * pa + (y1 + y2) % pa) * pa + (z1 + z2 + x1 * y2) % pa
 
     def inv(self, i: int) -> int:
         pa = self.pa
-        x, r = divmod(i, self._pa2)
-        y, z = divmod(r, pa)
+        x, y, z = self.elements[i]
         return (-x % pa * pa + -y % pa) * pa + (x * y - z) % pa
 
     def conjugate(self, g: int, x: int) -> int:
-        return self.mul(self.mul(g, x), self.inv(g))
+        """g*x*g^-1: with g = (a, b, c) and x = (u, v, w), (u, v, w + av - bu)."""
+        a, b, _ = self.elements[g]
+        u, v, w = self.elements[x]
+        return x - w + (w + a * v - b * u) % self.pa
 
     def full(self) -> "Subgroup":
         """The whole group, generated by e12, e23 and e13."""
@@ -117,19 +123,24 @@ class Subgroup:
     """A membership-closed subset reached from the identity by generators.
 
     `steps` maps every element but the identity to (predecessor, generator
-    position): the element is the predecessor times that generator.
+    position): the element is the predecessor times that generator. The
+    closure is breadth first, and e*k = (x+a, y+b, z+c+xb) for e = (x, y, z)
+    and a generator k = (a, b, c) is computed inline.
     """
 
     def __init__(self, parent: FiniteGroup, generators: Sequence[int]):
         self.parent = parent
         self.generators = tuple(dict.fromkeys(int(g) for g in generators))
+        els, pa = parent.elements, parent.pa
+        gens = [(gi, *els[g]) for gi, g in enumerate(self.generators)]
         steps: Dict[int, Optional[Tuple[int, int]]] = {parent.identity: None}
         frontier = [parent.identity]
         while frontier:
             nxt = []
             for e in frontier:
-                for gi, g in enumerate(self.generators):
-                    f = parent.mul(e, g)
+                x, y, z = els[e]
+                for gi, a, b, c in gens:
+                    f = ((x + a) % pa * pa + (y + b) % pa) * pa + (z + c + x * b) % pa
                     if f not in steps:
                         steps[f] = (e, gi)
                         nxt.append(f)
@@ -176,7 +187,14 @@ def _orbits(
     giving every element its orbit's position in that list. `domain` must be
     ascending and a union of orbits. Generators suffice: in a finite group
     every element is a product of them, with no inverses needed.
+
+    For u = (x, y, z), h*u = (a+x, b+y, c+z+ay) with h = (a, b, c) and
+    u*k = (x+a, y+b, z+c+xb) with k = (a, b, c), computed inline; each
+    popped element tries the left translates, then the right ones.
     """
+    els, pa = G.elements, G.pa
+    lgens = [els[h] for h in left]
+    rgens = [els[k] for k in right]
     reps: List[int] = []
     label: Dict[int, int] = {}
     for g in domain:
@@ -187,11 +205,17 @@ def _orbits(
         label[g] = n
         stack = [g]
         while stack:
-            x = stack.pop()
-            for y in [G.mul(h, x) for h in left] + [G.mul(x, k) for k in right]:
-                if y not in label:
-                    label[y] = n
-                    stack.append(y)
+            x, y, z = els[stack.pop()]
+            for a, b, c in lgens:
+                v = ((x + a) % pa * pa + (y + b) % pa) * pa + (z + c + a * y) % pa
+                if v not in label:
+                    label[v] = n
+                    stack.append(v)
+            for a, b, c in rgens:
+                v = ((x + a) % pa * pa + (y + b) % pa) * pa + (z + c + x * b) % pa
+                if v not in label:
+                    label[v] = n
+                    stack.append(v)
     return reps, label
 
 
@@ -438,14 +462,18 @@ def _intertwines(left: BlockMap, psi: BlockMap, right: BlockMap, p: int) -> bool
     block c, in row block left_perm[k]; that of psi.right is psi's block
     j = right_perm[c] times right's block c, in row block psi_perm[j]. The
     columns are equal exactly when both land in the same row block with equal
-    matrices, or both matrices are zero.
+    matrices, or both matrices are zero. Every block is reduced mod p, so a
+    product with an identity block is the other block, taken as it is.
     """
     lperm, lblocks = left
     pperm, pblocks = psi
     rperm, rblocks = right
+    eye = _eye(len(pblocks[0])) if pblocks else ()
     for c, (k, j) in enumerate(zip(pperm, rperm)):
-        a = _matmul(lblocks[k], pblocks[c], p)
-        b = _matmul(pblocks[j], rblocks[c], p)
+        u, v = lblocks[k], pblocks[c]
+        a = v if u == eye else u if v == eye else _matmul(u, v, p)
+        u, v = pblocks[j], rblocks[c]
+        b = v if u == eye else u if v == eye else _matmul(u, v, p)
         if not (lperm[k] == pperm[j] and a == b) and any(map(any, a + b)):
             return False
     return True

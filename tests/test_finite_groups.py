@@ -36,6 +36,27 @@ def test_group_table(u3f2):
 def test_budget():
     with pytest.raises(fg.BudgetExceeded):
         FiniteGroup(2, 5)
+    with pytest.raises(fg.BudgetExceeded):
+        FiniteGroup(17, 1)
+
+
+def test_budget_follows_the_order_cap(monkeypatch):
+    # The guard on a is derived from the cap, not fixed at today's value.
+    monkeypatch.setattr(fg, "MAX_GROUP_ORDER", 2**15)
+    G = FiniteGroup(2, 5)
+    assert G.order == 2**15 and G.elements[-1] == (31, 31, 31)
+    with pytest.raises(fg.BudgetExceeded, match="exceeds 32768"):
+        FiniteGroup(2, 6)
+    with pytest.raises(fg.BudgetExceeded, match="exceeds 32768"):
+        FiniteGroup(37, 1)
+
+
+def test_budget_refuses_a_huge_exponent_at_once():
+    # Refused before any power of p is taken: 2^(3 * 10^18) is never built.
+    with pytest.raises(fg.BudgetExceeded):
+        FiniteGroup(2, 10**18)
+    with pytest.raises(fg.BudgetExceeded):
+        FiniteGroup(3317044064679887385961813, 10**18)
 
 
 def test_double_cosets_trivial_cases(u3f2):
@@ -413,6 +434,10 @@ def _tuple_inv(g, pa):
     return (-g[0] % pa, -g[1] % pa, (g[0] * g[1] - g[2]) % pa)
 
 
+def _tuple_conj(g, h, pa):
+    return _tuple_mul(_tuple_mul(g, h, pa), _tuple_inv(g, pa), pa)
+
+
 @pytest.mark.parametrize("p, a", [(2, 1), (3, 1), (2, 2)])
 def test_closed_form_law_matches_tuple_law_on_every_pair(p, a):
     G = FiniteGroup(p, a)
@@ -426,6 +451,7 @@ def test_closed_form_law_matches_tuple_law_on_every_pair(p, a):
         assert G.mul(i, G.inv(i)) == 0 == G.mul(G.inv(i), i)
         for j, h in enumerate(G.elements):
             assert G.mul(i, j) == G.index[_tuple_mul(g, h, pa)]
+            assert G.conjugate(i, j) == G.index[_tuple_conj(g, h, pa)]
 
 
 @pytest.mark.parametrize("p, a", [(3, 2), (2, 4)])
@@ -437,6 +463,7 @@ def test_closed_form_law_random_pairs_and_triples(p, a):
         g, h = G.elements[i], G.elements[j]
         assert G.mul(i, j) == G.index[_tuple_mul(g, h, pa)]
         assert G.inv(i) == G.index[_tuple_inv(g, pa)]
+        assert G.conjugate(i, j) == G.index[_tuple_conj(g, h, pa)]
         assert G.mul(G.mul(i, j), k) == G.mul(i, G.mul(j, k))
 
 
@@ -479,13 +506,22 @@ def test_selector_orders_closed_form(p, a):
 
 def _partition_by_products(G, domain, left, right):
     """Least element of each class h*g*k (h in `left`, k in `right`, both
-    lists of all elements) and every element's class position, by brute
-    force over all the products."""
+    lists of all the elements of a subgroup) and every element's class
+    position, by brute force over the products of the tuple law.
+
+    The class of g is the union of the left classes h*(g*k) over k; one
+    already labelled is the same left class again, so it is skipped.
+    """
+    els, pa = G.elements, G.pa
     reps, label = [], {}
     for g in domain:
         if g not in label:
-            for x in {G.mul(G.mul(h, g), k) for h in left for k in right}:
-                label[x] = len(reps)
+            n = len(reps)
+            for k in right:
+                gk = _tuple_mul(els[g], els[k], pa)
+                if G.index[gk] not in label:
+                    for h in left:
+                        label[G.index[_tuple_mul(els[h], gk, pa)]] = n
             reps.append(g)
     return reps, label
 
@@ -645,6 +681,8 @@ def _random_block(rng, p, d, kind):
 
     if kind == "zero":
         return np.zeros((d, d), dtype=np.int64)
+    if kind == "identity":
+        return np.eye(d, dtype=np.int64)
     if kind == "singular":
         u = rng.integers(0, p, size=(d, 1))
         return (u @ rng.integers(0, p, size=(1, d))) % p
@@ -667,9 +705,10 @@ def test_block_predicates_match_dense_products_and_rank(p, d):
     outcomes = {"intertwines": set(), "bijective": set(), "zero_moved": 0}
     for trial in range(300):
         n = int(rng.integers(1, 6))
-        kinds = ["invertible", "invertible", "singular", "zero"]
+        # Identity blocks take the shortcut in _intertwines.
+        kinds = ["invertible", "identity", "singular", "zero"]
         lperm = rng.permutation(n).tolist()
-        left = (lperm, [_random_block(rng, p, d, "invertible") for _ in range(n)])
+        left = (lperm, [_random_block(rng, p, d, kinds[rng.integers(2)]) for _ in range(n)])
         if trial % 3 == 0:
             # Not a bijection on blocks, arbitrary blocks, arbitrary right side.
             psi = (
@@ -686,7 +725,7 @@ def test_block_predicates_match_dense_products_and_rank(p, d):
             # so both products vanish in different row blocks.
             perm = rng.permutation(n).tolist()
             blocks = [
-                _random_block(rng, p, d, "zero" if rng.random() < 0.2 else "invertible")
+                _random_block(rng, p, d, "zero" if rng.random() < 0.2 else kinds[rng.integers(2)])
                 for _ in range(n)
             ]
             psi = (perm, blocks)
@@ -712,10 +751,15 @@ def test_block_predicates_match_dense_products_and_rank(p, d):
             right = (rperm, rblocks)
         L, P, R = _dense(left, n, d), _dense(psi, n, d), _dense(right, n, d)
         dense_eq = np.array_equal((L @ P) % p, (P @ R) % p)
+        # The predicates take the program's form: tuple matrices of ints.
+        left, psi, right = (
+            (perm, [tuple(map(tuple, b.tolist())) for b in blocks])
+            for perm, blocks in (left, psi, right)
+        )
         assert fg._intertwines(left, psi, right, p) == dense_eq
         outcomes["intertwines"].add(dense_eq)
         dense_bij = fp_linalg.rank(fp_reference.matrix(P, p)) == n * d
-        perm, blocks = psi[0], [tuple(map(tuple, b.tolist())) for b in psi[1]]
+        perm, blocks = psi
         assert fg._bijective((perm, blocks), n, p) == dense_bij
         outcomes["bijective"].add(dense_bij)
         # More column blocks than row blocks is never bijective.
@@ -775,3 +819,157 @@ def test_mackey_unchecked_singular_module_is_not_bijective(u3f2):
     rep = fg.mackey_check(G, H, G1, M)
     assert rep.psi_equivariant and rep.dims_match
     assert not rep.psi_bijective and not rep.ok
+
+
+def _check_closure(S):
+    """S is the subgroup its generators generate, by the tuple law alone:
+    every element replays its `steps` path from the identity to itself,
+    and the elements hold the identity and are closed under a right factor
+    from the generators, so they are exactly the products of generators."""
+    G = S.parent
+    els, pa = G.elements, G.pa
+    assert S.elements == tuple(sorted(S.steps)) and S.elements[0] == G.identity
+    assert S.steps[G.identity] is None
+    for e in S.elements:
+        path, f = [], e
+        while S.steps[f] is not None and len(path) < S.order:
+            f, gi = S.steps[f]
+            path.append(gi)
+        assert f == G.identity
+        x = els[G.identity]
+        for gi in reversed(path):
+            x = _tuple_mul(x, els[S.generators[gi]], pa)
+        assert x == els[e]
+        for g in S.generators:
+            assert S.contains(G.index[_tuple_mul(els[e], els[g], pa)])
+
+
+@pytest.mark.parametrize("p, a", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4)])
+def test_subgroup_steps_replay_through_the_tuple_law(p, a):
+    G = FiniteGroup(p, a)
+    for S in _selector_subgroups(G).values():
+        _check_closure(S)
+    rng = random.Random(G.order)
+    for _ in range(5):
+        _check_closure(Subgroup(G, rng.sample(range(G.order), rng.randint(1, 3))))
+
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+# (p, a) with p^(3a) <= 729, and the orders up to 64 the dense Mackey
+# reference runs at.
+ORBIT_GROUPS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+MACKEY_GROUPS = [(2, 1), (3, 1), (2, 2)]
+
+
+def _group_and_subgroups(p, a, *gen_lists):
+    """The group and one subgroup per list of generator triples."""
+    G = FiniteGroup(p, a)
+    return G, [Subgroup(G, [G.index[g] for g in gens]) for gens in gen_lists]
+
+
+def _check_orbits(p, a, hgens, kgens):
+    # Right cosets, left cosets and double cosets of random subgroups, over
+    # the whole group and over the subgroup both generate: representatives
+    # and every label against the tuple-law partition.
+    G, (H, K) = _group_and_subgroups(p, a, hgens, kgens)
+    _check_closure(H)
+    _check_closure(K)
+    one = [G.identity]
+    for domain in (range(G.order), Subgroup(G, H.generators + K.generators).elements):
+        assert fg._orbits(G, domain, left=H.generators) == _partition_by_products(
+            G, domain, H.elements, one
+        )
+        assert fg._orbits(G, domain, right=K.generators) == _partition_by_products(
+            G, domain, one, K.elements
+        )
+        assert fg._orbits(G, domain, H.generators, K.generators) == _partition_by_products(
+            G, domain, H.elements, K.elements
+        )
+
+
+def _check_mackey(p, a, hgens, g1gens, dim, seed, central):
+    # The block path against the dense comparison, on a seeded unipotent
+    # module or, where it is an action of G1, the central Jordan module.
+    G, (H, G1) = _group_and_subgroups(p, a, hgens, g1gens)
+    M = central and _central_module(G1, p)
+    M = M or fg.random_unipotent_module(G1, p, dim=dim, seed=seed)
+    assert fg.mackey_check(G, H, G1, M) == _dense_mackey(G, H, G1, M)
+
+
+# The inputs the two property tests below shrank to against broken variants
+# of finite_groups, one per id: the left translate with the right law's
+# cross term, the right translate with the left law's, the closure
+# multiplying on the left, the left translate's z left unreduced, the
+# identity shortcut keeping the identity block, only the first right
+# generator used without left ones, and the closure with two generators.
+@pytest.mark.parametrize(
+    "p, a, hgens, kgens",
+    [
+        (2, 1, [(0, 1, 0)], []),
+        (2, 1, [], [(0, 1, 0)]),
+        (2, 1, [], [(0, 1, 0), (1, 0, 0)]),
+        (2, 1, [(0, 0, 1)], []),
+        (2, 1, [], [(0, 0, 0), (0, 0, 1)]),
+        (2, 1, [], [(0, 0, 0), (0, 0, 1), (0, 1, 0)]),
+    ],
+    ids=[
+        "left-translate",
+        "right-translate",
+        "closure-side",
+        "left-z-reduced",
+        "every-right-generator",
+        "every-closure-generator",
+    ],
+)
+def test_orbits_shrunk_cases(p, a, hgens, kgens):
+    _check_orbits(p, a, hgens, kgens)
+
+
+@pytest.mark.parametrize(
+    "p, a, hgens, g1gens, dim",
+    [
+        (2, 1, [(0, 1, 0)], [(0, 1, 0)], 1),
+        (2, 1, [(0, 1, 0)], [(1, 0, 0)], 1),
+        (2, 1, [(0, 0, 1)], [], 1),
+        (2, 1, [(0, 0, 0), (1, 0, 0)], [(1, 0, 0)], 2),
+        (2, 1, [], [(0, 0, 0), (0, 0, 1)], 1),
+        (2, 2, [], [(0, 0, 0), (0, 0, 2), (0, 0, 1)], 2),
+    ],
+    ids=[
+        "left-translate",
+        "right-translate",
+        "left-z-reduced",
+        "identity-block",
+        "every-right-generator",
+        "every-closure-generator",
+    ],
+)
+def test_mackey_shrunk_cases(p, a, hgens, g1gens, dim):
+    _check_mackey(p, a, hgens, g1gens, dim, 0, False)
+
+
+@st.composite
+def _generator_sets(draw, groups, count):
+    p, a = draw(st.sampled_from(groups))
+    # Zero coordinates are drawn often, so that proper subgroups are too.
+    coord = st.just(0) | st.integers(0, p**a - 1)
+    gens = st.lists(st.tuples(coord, coord, coord), max_size=3)
+    return (p, a) + tuple(draw(gens) for _ in range(count))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_generator_sets(ORBIT_GROUPS, 2))
+def test_orbits_property(case):
+    _check_orbits(*case)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    _generator_sets(MACKEY_GROUPS, 2),
+    st.sampled_from([1, 2]),
+    st.integers(0, 2**16),
+    st.booleans(),
+)
+def test_mackey_property(case, dim, seed, central):
+    _check_mackey(*case, dim, seed, central)
