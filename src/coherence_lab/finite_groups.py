@@ -19,9 +19,10 @@ A matrix is a tuple of rows, each a tuple of ints in [0, p); it becomes
 its nonzero terms. Induced actions and the restriction-of-induction
 comparison map are block maps: each sends a coset block to one other block
 through one d x d matrix, so equivariance and invertibility are checked
-block by block, exactly. A Mackey check decomposes H\\G/G1 once, and the
-comparison map and the glued coset-representative check share that
-decomposition.
+block by block, exactly. A Mackey check decomposes H\\G/G1 once into
+pieces (g, gG1g^-1, K_g = gG1g^-1 cap H), which the comparison map and the
+glued coset-representative check share, and holds one module, the caller's:
+piece g reads its blocks from it, gamma in K_g acting as g^-1 gamma g does.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import fp_linalg
 from .echelon import is_prime
@@ -366,19 +367,23 @@ BlockMap = Tuple[List[int], List[Matrix]]
 
 
 def _block_map(
-    module: FinModule, reps: Sequence[int], label: Dict[int, int], xs: Sequence[int]
+    G: FiniteGroup,
+    action: Callable[[int], Matrix],
+    reps: Sequence[int],
+    label: Dict[int, int],
+    xs: Sequence[int],
 ) -> BlockMap:
     """The block map sending column block i to the left coset of xs[i]: with
     xs[i] = g_k gamma, g_k in `reps` (`label` gives every element its coset's
     position) and gamma in the small group, block i goes to block k through
-    the action of gamma.
+    `action(gamma)`.
 
-    On the module induced from `module`, with basis g_i (x) e_j over `reps`,
-    g acts by the block map of xs = [g g_i]: g.(g_i (x) m) = g_k (x) (gamma.m).
+    On the module induced from M, with basis g_i (x) e_j over `reps`, g acts
+    by the block map of xs = [g g_i] and M's action:
+    g.(g_i (x) m) = g_k (x) (gamma.m).
     """
-    G = module.subgroup.parent
     perm = [label[x] for x in xs]
-    return perm, [module.action_of(G.mul(G.inv(reps[k]), x)) for k, x in zip(perm, xs)]
+    return perm, [action(G.mul(G.inv(reps[k]), x)) for k, x in zip(perm, xs)]
 
 
 def induce(module: FinModule, big: Subgroup) -> Tuple[FinModule, List[int]]:
@@ -394,30 +399,14 @@ def induce(module: FinModule, big: Subgroup) -> Tuple[FinModule, List[int]]:
     actions = []
     for g in big.generators:
         m = [[0] * dim for _ in range(dim)]
-        perm, blocks = _block_map(module, reps, label, [G.mul(g, r) for r in reps])
+        perm, blocks = _block_map(
+            G, module.action_of, reps, label, [G.mul(g, r) for r in reps]
+        )
         for i, (k, block) in enumerate(zip(perm, blocks)):
             for r, row in enumerate(block):
                 m[k * d + r][i * d : (i + 1) * d] = row
         actions.append(m)
     return FinModule(big, module.p, actions, check=False, dim=dim), reps
-
-
-def restrict(module: FinModule, small: Subgroup) -> FinModule:
-    """The same space as a module over a smaller subgroup."""
-    _assert_subgroup_of(module.subgroup, small)
-    actions = [module.action_of(g) for g in small.generators]
-    return FinModule(small, module.p, actions, check=False, dim=module.dim)
-
-
-def conjugate_module(module: FinModule, g: int) -> FinModule:
-    """Module over g*H*g^-1 where ghg^-1 acts as h acted before."""
-    G = module.subgroup.parent
-    gens = [G.conjugate(g, x) for x in module.subgroup.generators]
-    conj = Subgroup(G, gens)
-    expected = {G.conjugate(g, x) for x in module.subgroup.elements}
-    if set(conj.elements) != expected:
-        raise AssertionError("conjugated subgroup closure mismatch")
-    return FinModule(conj, module.p, module.gen_actions, check=False, dim=module.dim)
 
 
 @dataclass
@@ -437,21 +426,31 @@ class MackeyReport:
         )
 
 
-Piece = Tuple[int, FinModule, Subgroup]
+Piece = Tuple[int, Subgroup, Subgroup]
 
 
-def _decompose(G: FiniteGroup, H: Subgroup, module: FinModule) -> List[Piece]:
-    """Per representative g of H\\G/G1 (G1 the module's subgroup), ascending:
-    (g, the module conjugated by g, K_g = gG1g^-1 cap H), each closed once."""
+def _decompose(G: FiniteGroup, H: Subgroup, G1: Subgroup) -> List[Piece]:
+    """Per representative g of H\\G/G1, ascending: (g, gG1g^-1, K_g =
+    gG1g^-1 cap H), each closed once and checked against its elements."""
     pieces = []
-    for g in double_cosets(G, H, module.subgroup):
-        conj = conjugate_module(module, g)
-        inter_elems = [e for e in conj.subgroup.elements if H.contains(e)]
+    for g in double_cosets(G, H, G1):
+        conj = Subgroup(G, [G.conjugate(g, x) for x in G1.generators])
+        if set(conj.elements) != {G.conjugate(g, x) for x in G1.elements}:
+            raise AssertionError("conjugated subgroup closure mismatch")
+        inter_elems = [e for e in conj.elements if H.contains(e)]
         K = subgroup_from_elements(G, inter_elems)
         if set(K.elements) != set(inter_elems):
             raise NotASubgroup("intersection is not closed")
         pieces.append((g, conj, K))
     return pieces
+
+
+def _conjugated(G: FiniteGroup, module: FinModule, g: int) -> Callable[[int], Matrix]:
+    """The action of M^g, read from M: gamma acts as g^-1 gamma g acts on M."""
+    if g == G.identity:
+        return module.action_of
+    g_inv, conjugate, action_of = G.inv(g), G.conjugate, module.action_of
+    return lambda gamma: action_of(conjugate(g_inv, gamma))
 
 
 def _intertwines(left: BlockMap, psi: BlockMap, right: BlockMap, p: int) -> bool:
@@ -497,37 +496,35 @@ def mackey_check(
     """Compare restriction-of-induction with the double-coset decomposition.
 
     Builds Res_H Ind_G1^G M and the direct sum over double-coset
-    representatives g of Ind_{gG1g^-1 cap H}^H (M conjugated by g), together
-    with the comparison map that sends r (x) (g (x) m) to (r g) (x) m, all as
+    representatives g of Ind_{K_g}^H M^g, K_g = gG1g^-1 cap H, together with
+    the comparison map that sends r (x) (g (x) m) to (r g) (x) m, all as
     block maps, and checks exactly that this map intertwines the action of
-    every generator of H and is bijective over F_p.
+    every generator of H and is bijective over F_p. M^g is M itself, with
+    gamma in K_g acting as g^-1 gamma g does (Serre, Linear Representations
+    of Finite Groups, 7.3), so every block is read from the one module.
     """
     if module.subgroup.element_set != G1.element_set:
         raise ValueError("module must live over G1")
-    p = module.p
+    p, act = module.p, module.action_of
     lhs_reps, lhs_label = _orbits(G, range(G.order), right=G1.generators)
 
-    pieces = _decompose(G, H, module)
-    # (H/K_g reps, their labels, conjugated module restricted to K_g, g)
-    rhs_pieces = []
-    for g, conj, K in pieces:
-        hreps, hlabel = _orbits(G, H.elements, right=K.generators)
-        rhs_pieces.append((hreps, hlabel, restrict(conj, K), g))
+    pieces = _decompose(G, H, G1)
+    # (H/K_g reps, their labels, the action of M^g, g)
+    rhs_pieces = [
+        (*_orbits(G, H.elements, right=K.generators), _conjugated(G, module, g), g)
+        for g, _, K in pieces
+    ]
 
     # Column block (h_i, g) of psi goes to the lhs coset of h_i g.
-    psi = _block_map(
-        module,
-        lhs_reps,
-        lhs_label,
-        [G.mul(hi, g) for hreps, _, _, g in rhs_pieces for hi in hreps],
-    )
+    cols = [G.mul(hi, g) for hreps, _, _, g in rhs_pieces for hi in hreps]
+    psi = _block_map(G, act, lhs_reps, lhs_label, cols)
 
     def rhs_block_map(h: int) -> BlockMap:
         # The block direct sum of the inductions, one piece after another.
         perm, blocks, offset = [], [], 0
-        for hreps, hlabel, piece, _ in rhs_pieces:
+        for hreps, hlabel, action, _ in rhs_pieces:
             piece_perm, piece_blocks = _block_map(
-                piece, hreps, hlabel, [G.mul(h, r) for r in hreps]
+                G, action, hreps, hlabel, [G.mul(h, r) for r in hreps]
             )
             perm += [offset + k for k in piece_perm]
             blocks += piece_blocks
@@ -538,7 +535,7 @@ def mackey_check(
     rhs_dim = len(psi[0]) * module.dim
     equivariant = all(
         _intertwines(
-            _block_map(module, lhs_reps, lhs_label, [G.mul(h, r) for r in lhs_reps]),
+            _block_map(G, act, lhs_reps, lhs_label, [G.mul(h, r) for r in lhs_reps]),
             psi,
             rhs_block_map(h),
             p,
@@ -559,7 +556,8 @@ def mackey_check(
 def coset_rep_check(G: FiniteGroup, H: Subgroup, pieces: Sequence[Piece]) -> bool:
     """Verify the glued representative set Z = {a g} hits every right
     H-coset exactly once, where (g, conj, K) runs over the pieces of
-    `_decompose` and a over representatives of K\\gG1g^-1.
+    `_decompose`, conj the subgroup gG1g^-1 and K = conj cap H, and a over
+    representatives of K\\conj.
 
     The representatives are the least elements of the cosets Ka, which are
     also those of the left cosets aK: indices are lex on (x, y, z), so a
@@ -570,7 +568,7 @@ def coset_rep_check(G: FiniteGroup, H: Subgroup, pieces: Sequence[Piece]) -> boo
     """
     zs = []
     for g, conj, K in pieces:
-        zs += [G.mul(a, g) for a in _orbits(G, conj.subgroup.elements, left=K.generators)[0]]
+        zs += [G.mul(a, g) for a in _orbits(G, conj.elements, left=K.generators)[0]]
     reps, label = _orbits(G, range(G.order), left=H.generators)
     return len(zs) == len(reps) and len({label[z] for z in zs}) == len(zs)
 

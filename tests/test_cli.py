@@ -532,9 +532,10 @@ def test_file_errors_exit_two(tmp_path, capsys, monkeypatch, case):
     ids=["defaults", "p3-center-row", "p2a2-diagonal-free-trivial"],
 )
 def test_mackey_decomposes_double_cosets_once(capsys, monkeypatch, argv):
-    # One H\G/G1 enumeration per run, one conjugate closure and one
-    # intersection closure per double coset.
-    calls = {"double_cosets": 0, "conjugate_module": 0, "subgroup_from_elements": 0}
+    # One H\G/G1 enumeration per run, one conjugated closure and one
+    # intersection closure per double coset, and one module, the one the
+    # command builds: every piece reads its blocks from it.
+    calls = {"double_cosets": 0, "subgroup_from_elements": 0}
     for name in calls:
         original = getattr(fg, name)
 
@@ -543,11 +544,31 @@ def test_mackey_decomposes_double_cosets_once(capsys, monkeypatch, argv):
             return _original(*args)
 
         monkeypatch.setattr(fg, name, counted)
+    calls.update(conjugated_closures=0, modules=0)
+    subgroup_init, module_init = fg.Subgroup.__init__, fg.FinModule.__init__
+
+    def counted_subgroup(self, *args):
+        # Only the closures _decompose makes itself: subgroup_from_elements
+        # closes its own.
+        calls["conjugated_closures"] += sys._getframe(1).f_code.co_name == "_decompose"
+        subgroup_init(self, *args)
+
+    def counted_module(self, *args, **kwargs):
+        calls["modules"] += 1
+        module_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fg.Subgroup, "__init__", counted_subgroup)
+    monkeypatch.setattr(fg.FinModule, "__init__", counted_module)
     code, out, _ = run(["--json", "-", "mackey"] + argv, capsys)
     report = json.loads(out)
     assert code == 0 and report["coset_representatives_ok"]
     n = report["mackey"]["double_cosets"]
-    assert calls == {"double_cosets": 1, "conjugate_module": n, "subgroup_from_elements": n}
+    assert calls == {
+        "double_cosets": 1,
+        "conjugated_closures": n,
+        "subgroup_from_elements": n,
+        "modules": 1,
+    }
 
 
 def test_mackey_defaults(capsys):

@@ -102,16 +102,40 @@ def test_induce_from_center(u3f2):
     assert ind.dim == 4
 
 
+def _restrict(module, small):
+    """The same space as a module over a smaller subgroup: a module of its
+    own, with the generator actions of `small` read from `module`. The
+    dense Mackey oracle builds one per double coset, so it shares no piece
+    code with the program, which reads every block from the caller's
+    module."""
+    assert small.element_set <= module.subgroup.element_set
+    actions = [module.action_of(g) for g in small.generators]
+    return FinModule(small, module.p, actions, check=False, dim=module.dim)
+
+
+def _conjugate_module(module, g):
+    """The oracle's module over g*G1*g^-1 on which g*x*g^-1 acts as x acts
+    on `module`, with its own closure, checked against its elements."""
+    G = module.subgroup.parent
+    conj = Subgroup(G, [G.conjugate(g, x) for x in module.subgroup.generators])
+    assert set(conj.elements) == {G.conjugate(g, x) for x in module.subgroup.elements}
+    return FinModule(conj, module.p, module.gen_actions, check=False, dim=module.dim)
+
+
 def test_restrict(u3f2):
+    # The oracle's restriction acts as the module it was read from.
     G = u3f2
     full = G.full()
     M = fg.random_unipotent_module(full, 2, dim=2, seed=5)
-    again = fg.restrict(M, full)
+    again = _restrict(M, full)
     for g in full.elements:
         assert np.array_equal(again.action_of(g), M.action_of(g))
     trivial = Subgroup(G, [])
-    res = fg.restrict(M, trivial)
+    res = _restrict(M, trivial)
     assert res.dim == M.dim and res.gen_actions == []
+    H = named(G, (1, 0, 0), (0, 0, 1))
+    res = _restrict(M, H)
+    assert all(res.action_of(h) == M.action_of(h) for h in H.elements)
 
 
 def test_restrict_regular_rep_dimension(u3f2):
@@ -119,31 +143,43 @@ def test_restrict_regular_rep_dimension(u3f2):
     full = G.full()
     H = named(G, (1, 0, 0))
     reg, _ = fg.induce(FinModule.trivial(Subgroup(G, []), 2, 1), full)
-    res = fg.restrict(reg, H)
     # The regular representation restricted to H is [G:H] copies of the
-    # regular representation of H: every orbit of H on G is free.
+    # regular representation of H: every orbit of H on G is free, so every
+    # h != 1 of H acts by a fixed-point-free permutation.
+    assert reg.dim == G.order and reg.dim // H.order == G.order // H.order
+    for h in H.elements[1:]:
+        assert np.trace(reg.action_of(h)) == 0
+    res = _restrict(reg, H)
     assert res.dim == G.order
-    h = H.generators[0]
-    perm = res.action_of(h)
-    fixed = np.trace(perm)
-    assert fixed == 0 and res.dim // H.order == G.order // H.order
+    assert all(res.action_of(h) == reg.action_of(h) for h in H.elements)
 
 
 def test_conjugate_module(u3f3):
+    # gamma in g*G1*g^-1 acts on M^g as g^-1*gamma*g acts on M: the oracle's
+    # conjugated module and the program's conjugated action agree.
     G = u3f3
     row = named(G, (1, 0, 0), (0, 0, 1))
     M = fg.random_unipotent_module(row, 3, dim=2, seed=9)
     e = G.identity
-    same = fg.conjugate_module(M, e)
+    same = _conjugate_module(M, e)
     assert same.subgroup.element_set == row.element_set
+    assert fg._conjugated(G, M, e) == M.action_of
     central = G.index[(0, 0, 1)]
-    cm = fg.conjugate_module(M, central)
+    cm = _conjugate_module(M, central)
     assert cm.subgroup.element_set == row.element_set
     g = G.index[(0, 1, 0)]
-    conj = fg.conjugate_module(M, g)
-    for x in row.elements:
-        gx = G.conjugate(g, x)
-        assert np.array_equal(conj.action_of(gx), M.action_of(x))
+    e12 = named(G, (1, 0, 0))
+    # row is normal; e12 is not: g moves it off itself.
+    for N in (M, fg.random_unipotent_module(e12, 3, dim=2, seed=9)):
+        conj, action = _conjugate_module(N, g), fg._conjugated(G, N, g)
+        for x in N.subgroup.elements:
+            gx = G.conjugate(g, x)
+            assert np.array_equal(conj.action_of(gx), N.action_of(x))
+            assert action(gx) == N.action_of(x)
+    assert conj.subgroup.element_set != e12.element_set
+    # M^g acts on g e12 g^-1 only, which does not hold e12's generator.
+    with pytest.raises(fg.NotASubgroup):
+        action(e12.generators[0])
 
 
 def test_mackey_trivial_everything(u3f2):
@@ -204,7 +240,7 @@ def test_mackey_dimension_identity(u3f3):
 
 
 def _coset_reps_ok(G, H, G1):
-    return fg.coset_rep_check(G, H, fg._decompose(G, H, FinModule.trivial(G1, G.p)))
+    return fg.coset_rep_check(G, H, fg._decompose(G, H, G1))
 
 
 def test_coset_rep_check(u3f2, u3f3):
@@ -223,17 +259,16 @@ def test_coset_rep_check_rejects_colliding_representatives(u3f3):
     # coset: as many glued representatives as right cosets, but two collide.
     G = u3f3
     H, G1 = named(G, (0, 0, 1)), named(G, (1, 0, 0), (0, 0, 1))
-    M = FinModule.trivial(G1, 3)
-    pieces = fg._decompose(G, H, M)
+    pieces = fg._decompose(G, H, G1)
     assert fg.coset_rep_check(G, H, pieces)
     g0 = pieces[0][0]
     twin = max({G.mul(G.mul(h, g0), k) for h in H.elements for k in G1.elements})
-    conj = fg.conjugate_module(M, twin)
-    K = fg.subgroup_from_elements(G, [e for e in conj.subgroup.elements if H.contains(e)])
+    conj = Subgroup(G, [G.conjugate(twin, x) for x in G1.generators])
+    K = fg.subgroup_from_elements(G, [e for e in conj.elements if H.contains(e)])
     assert len(pieces) > 1 and twin != g0
     assert not fg.coset_rep_check(G, H, pieces[:-1] + [(twin, conj, K)])
     # A failed glued-representative verdict fails the whole Mackey report.
-    rep = fg.mackey_check(G, H, G1, M)
+    rep = fg.mackey_check(G, H, G1, FinModule.trivial(G1, 3))
     assert rep.ok and not dataclasses.replace(rep, coset_reps_ok=False).ok
 
 
@@ -247,8 +282,8 @@ def test_coset_reps_left_and_right_transversals_agree():
         subs = _selector_subgroups(G).values()
         for H in subs:
             for G1 in subs:
-                for _, conj, K in fg._decompose(G, H, FinModule.trivial(G1, p)):
-                    L = conj.subgroup.elements
+                for _, conj, K in fg._decompose(G, H, G1):
+                    L = conj.elements
                     right = fg._orbits(G, L, left=K.generators)
                     left = fg._orbits(G, L, right=K.generators)
                     assert right[0] == left[0]
@@ -257,18 +292,18 @@ def test_coset_reps_left_and_right_transversals_agree():
 
 
 def test_decompose_pieces_match_products(u3f2, u3f3):
-    # Every piece is (g, M conjugated by g, gG1g^-1 cap H), g running over
-    # the double-coset representatives in ascending order.
+    # Every piece is (g, gG1g^-1, gG1g^-1 cap H), g running over the
+    # double-coset representatives in ascending order, the identity first.
     for G in (u3f2, u3f3):
         subs = _selector_subgroups(G).values()
         for H in subs:
             for G1 in subs:
-                M = fg.random_unipotent_module(G1, G.p, dim=2, seed=5)
-                pieces = fg._decompose(G, H, M)
+                pieces = fg._decompose(G, H, G1)
                 assert [g for g, _, _ in pieces] == _double_cosets_by_products(G, H, G1)
+                assert pieces[0][0] == G.identity
                 for g, conj, K in pieces:
                     conj_elems = {G.conjugate(g, x) for x in G1.elements}
-                    assert set(conj.subgroup.elements) == conj_elems
+                    assert set(conj.elements) == conj_elems
                     assert set(K.elements) == conj_elems & H.element_set
 
 
@@ -596,12 +631,12 @@ def _dense_mackey(G, H, G1, module):
     xreps = _double_cosets_by_products(G, H, G1)
     pieces = []
     for g in xreps:
-        conj = fg.conjugate_module(module, g)
+        conj = _conjugate_module(module, g)
         K = fg.subgroup_from_elements(
             G, [e for e in conj.subgroup.elements if H.contains(e)]
         )
         hreps, hlabel = _partition_by_products(G, H.elements, one, K.elements)
-        pieces.append((hreps, hlabel, fg.restrict(conj, K), g))
+        pieces.append((hreps, hlabel, _restrict(conj, K), g))
     lhs_dim = len(lhs_reps) * d
     rhs_dim = sum(len(hreps) for hreps, _, _, _ in pieces) * d
 
@@ -902,7 +937,10 @@ def _check_mackey(p, a, hgens, g1gens, dim, seed, central):
 # cross term, the right translate with the left law's, the closure
 # multiplying on the left, the left translate's z left unreduced, the
 # identity shortcut keeping the identity block, only the first right
-# generator used without left ones, and the closure with two generators.
+# generator used without left ones, the closure with two generators, a
+# piece acting by g*gamma*g^-1 instead of g^-1*gamma*g, and the identity
+# piece's direct action used for every piece. The last two have dim 2 and
+# a G1 that is not normal.
 @pytest.mark.parametrize(
     "p, a, hgens, kgens",
     [
@@ -935,6 +973,8 @@ def test_orbits_shrunk_cases(p, a, hgens, kgens):
         (2, 1, [(0, 0, 0), (1, 0, 0)], [(1, 0, 0)], 2),
         (2, 1, [], [(0, 0, 0), (0, 0, 1)], 1),
         (2, 2, [], [(0, 0, 0), (0, 0, 2), (0, 0, 1)], 2),
+        (3, 1, [(1, 0, 0)], [(1, 0, 1)], 2),
+        (2, 1, [(0, 1, 0)], [(0, 1, 1)], 2),
     ],
     ids=[
         "left-translate",
@@ -943,6 +983,8 @@ def test_orbits_shrunk_cases(p, a, hgens, kgens):
         "identity-block",
         "every-right-generator",
         "every-closure-generator",
+        "conjugation-side",
+        "identity-piece-action",
     ],
 )
 def test_mackey_shrunk_cases(p, a, hgens, g1gens, dim):

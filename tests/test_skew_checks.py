@@ -271,10 +271,19 @@ def _term_count(elem):
     return sum(len(c.terms) for poly in elem for c in poly.coeffs.values())
 
 
+def _shifted_by_ring_product(flat, elem, a, j):
+    """The reference for `ModuleFlat.shift`: the rows of t^a F^j * elem, by
+    the truncated ring product. t^a F^j maps distinct terms to distinct
+    terms, so the product is loss-free exactly when it keeps every term;
+    a lossy one gives no row."""
+    ctx = flat.ctx
+    mu = SkewPoly(ctx, {(j,): TruncSeries(ctx.base, {(a,): 1})})
+    prod = tuple(mu * poly for poly in elem)
+    return [flat.to_vec(prod)] if _term_count(prod) == _term_count(elem) else []
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_module_flat_shift_matches_ring_product(p):
-    # t^a F^j maps distinct terms to distinct terms, so the truncated ring
-    # product is loss-free exactly when it keeps every term.
     ctx = sc.one_var_context(p, trunc=12, window=4)
     flat = sc.ModuleFlat(ctx, ncomp=2, fbound=4)
     rng = random.Random(p)
@@ -283,12 +292,9 @@ def test_module_flat_shift_matches_ring_product(p):
         emax = rng.choice([3, 12])
         elem = tuple(_random_one_var(rng, ctx, 2, emax) for _ in range(2))
         a, j = rng.randrange(12 // emax * 3), rng.randint(0, 2)
-        mu = SkewPoly(ctx, {(j,): TruncSeries(ctx.base, {(a,): 1})})
-        prod = tuple(mu * poly for poly in elem)
-        got = flat.shift([flat.to_vec(elem)], a, j)
-        lossfree = _term_count(prod) == _term_count(elem)
-        seen[lossfree] += 1
-        assert got == ([flat.to_vec(prod)] if lossfree else [])
+        want = _shifted_by_ring_product(flat, elem, a, j)
+        seen[bool(want)] += 1
+        assert flat.shift([flat.to_vec(elem)], a, j) == want
     assert min(seen.values()) > 20
 
 
@@ -459,3 +465,53 @@ def test_relation_check_peak_memory():
             tracemalloc.stop()
         assert report.ok == ok
         assert peak < mib * 2**20, args
+
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+@st.composite
+def _shift_cases(draw):
+    """(p, trunc, fbound, elements, a, j): one to three n-tuples of random
+    polynomials with t-exponents below a drawn bound, so that small elements
+    survive large shifts. j runs one past fbound and the F-degrees up to
+    fbound - j or to fbound, a up to the truncation, so products are
+    loss-free, lossy, or above fbound (a KeyError)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    trunc, fbound = draw(st.integers(2, 12)), draw(st.integers(0, 3))
+    ncomp, j = draw(st.integers(1, 3)), draw(st.integers(0, fbound + 1))
+    dmax = draw(st.sampled_from([max(fbound - j, 0), fbound]))
+    emax = draw(st.integers(1, trunc))
+    terms = st.lists(
+        st.tuples(st.integers(0, dmax), st.integers(0, emax - 1), st.integers(1, p - 1)),
+        max_size=4,
+    )
+    elem = st.lists(terms, min_size=ncomp, max_size=ncomp)
+    elements = draw(st.lists(elem, min_size=1, max_size=3))
+    return p, trunc, fbound, elements, draw(st.integers(0, trunc - 1)), j
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_shift_cases())
+def test_module_flat_shift_property(case):
+    # A stack of rows shifts to the loss-free ring products, in order; an
+    # F-degree pushed above fbound raises, also next to a lossy row.
+    p, trunc, fbound, elements, a, j = case
+    ctx = sc.one_var_context(p, trunc, window=2 * fbound + 1)
+    flat = sc.ModuleFlat(ctx, ncomp=len(elements[0]), fbound=fbound)
+    elems = []
+    for elem in elements:
+        polys = []
+        for terms in elem:
+            coeffs = {}
+            for deg, e, c in terms:
+                coeffs.setdefault((deg,), {})[(e,)] = c
+            polys.append(SkewPoly(ctx, {x: TruncSeries(ctx.base, t) for x, t in coeffs.items()}))
+        elems.append(tuple(polys))
+    rows = [flat.to_vec(elem) for elem in elems]
+    if any(deg + j > fbound for elem in elems for poly in elem for (deg,) in poly.coeffs):
+        with pytest.raises(KeyError):
+            flat.shift(rows, a, j)
+        return
+    want = [row for elem in elems for row in _shifted_by_ring_product(flat, elem, a, j)]
+    assert flat.shift(rows, a, j) == want
