@@ -291,6 +291,7 @@ class FinModule:
     matrices are invertible and that x*g acts as x followed by g for every
     element x and generator g; by induction on path length that is the whole
     homomorphism property, so an inconsistent action is rejected up front.
+    The edges x -> x*g of `steps` hold by construction and are skipped.
     """
 
     def __init__(
@@ -354,9 +355,15 @@ class FinModule:
             if _rank(m, self.p) != self.dim:
                 raise ValueError("action matrix is singular")
         G = self.subgroup.parent
+        # action_of multiplies along the edges (x, position of g) recorded in
+        # steps, so only the other edges can fail (Schreier's lemma).
+        tree = set(filter(None, self.subgroup.steps.values()))
+        edges = list(enumerate(zip(self.subgroup.generators, self.gen_actions)))
         for x in self.subgroup.elements:
             ax = self.action_of(x)
-            for g, a in zip(self.subgroup.generators, self.gen_actions):
+            for gi, (g, a) in edges:
+                if (x, gi) in tree:
+                    continue
                 if _matmul(ax, a, self.p) != self.action_of(G.mul(x, g)):
                     raise ValueError("generator actions violate the group law")
 

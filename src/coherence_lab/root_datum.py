@@ -304,12 +304,22 @@ def validate(datum: SolvableGroupDatum) -> List[str]:
                     f"bracket [e{i + 1}, e{j + 1}] hits e{k + 1} outside weight {target}"
                 )
 
-    # Jacobi on every triple that can fail it. Each cyclic term [a, [b, c]]
-    # vanishes when [b, c] = 0, so a triple none of whose pairs has a
-    # nonzero bracket sums to zero. The others are visited in sorted order,
-    # which is the order of a scan over all triples.
+    # Jacobi on every triple that can fail it. A cyclic term [a, [b, c]] is
+    # nonzero only if [b, c] has a target m with [a, m] != 0, so the
+    # triples come from (b, c) -> m -> a through the brackets into each m;
+    # a triple with no such term sums to zero. They are visited in sorted
+    # order, which is the order of a scan over all triples.
+    into: Dict[int, List[int]] = {}
+    for a, m in table:
+        into.setdefault(m, []).append(a)
     triples = sorted(
-        {tuple(sorted((a, b, c))) for b, c in pairs for a in range(lie.dim) if a != b and a != c}
+        {
+            tuple(sorted((a, b, c)))
+            for b, c in pairs
+            for m in table[(b, c)]
+            for a in into.get(m, ())
+            if a != b and a != c
+        }
     )
     for i, j, k in triples:
         acc: Dict[int, Fraction] = {}

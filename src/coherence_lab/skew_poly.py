@@ -22,8 +22,12 @@ coordinates (`_Coords.shifted`) that moves each term by the context's
 product as the {code: value} row of its coordinates. `_assemble` transposes
 such columns into the rows of an `fp_linalg.FpMatrix`, one row per
 coordinate code, so no block is ever held as a dense array. Only the
-re-verifications multiply ring elements. `FlatSpace`, the dense whole-slab
-indexer, serves as the reference in the tests.
+re-verifications multiply ring elements: `_multiply_accumulate` sums the
+products of the pairs it is given into one accumulator of coefficients, and
+both `SkewPoly.__mul__` (one pair) and the re-checks of kernel vectors and
+membership certificates (`_combination`, one pair per generator) go through
+it. `FlatSpace`, the dense whole-slab indexer, serves as the reference in
+the tests.
 """
 
 from __future__ import annotations
@@ -151,27 +155,7 @@ class SkewPoly:
         return self + (-other)
 
     def __mul__(self, other: "SkewPoly") -> "SkewPoly":
-        self._check(other)
-        ctx = self.ctx
-        out: Dict[XExp, TruncSeries] = {}
-        for xa, ca in self.coeffs.items():
-            endo = ctx.twist_endo(xa)
-            for xb, cb in other.coeffs.items():
-                x = tuple(a + b for a, b in zip(xa, xb))
-                if any(e > ctx.window for e in x):
-                    raise WindowExceeded(
-                        f"product exponent {x} exceeds window {ctx.window}"
-                    )
-                c = ca * endo.apply(cb)
-                if c.is_zero():
-                    continue
-                s = out.get(x)
-                v = c if s is None else s + c
-                if v.is_zero():
-                    out.pop(x, None)
-                else:
-                    out[x] = v
-        return SkewPoly(ctx, out)
+        return _multiply_accumulate(self.ctx, ((self, other),))
 
     def xdegree(self) -> int:
         """Max total twist degree (-1 for zero)."""
@@ -511,12 +495,42 @@ def _coefficients(
     )
 
 
+def _multiply_accumulate(
+    ctx: SkewContext, pairs: Iterable[Tuple[SkewPoly, SkewPoly]]
+) -> SkewPoly:
+    """sum(a * b) over the pairs (a, b), in ctx, by the twisted rule
+    (c X^xa)(c' X^xb) = c * sigma^xa(c') X^(xa+xb).
+
+    Every term product goes, unreduced, into one {twist exponent:
+    {monomial: coefficient}} accumulator, and zeros are dropped once at the
+    end, so no partial product or partial sum becomes a ring element. The
+    errors are those of multiplying pair by pair and summing, in the same
+    order: per pair, a context mismatch of a and b before its products and
+    of a and ctx after them; per (xa, xb) in visiting order, WindowExceeded,
+    then PrecisionUnderflow from the twist.
+    """
+    acc: Dict[XExp, Dict[Mono, int]] = {}
+    for a, b in pairs:
+        a._check(b)
+        actx = a.ctx
+        for xa, ca in a.coeffs.items():
+            endo = actx.twist_endo(xa)
+            for xb, cb in b.coeffs.items():
+                x = tuple(map(operator.add, xa, xb))
+                if max(x, default=0) > actx.window:
+                    raise WindowExceeded(
+                        f"product exponent {x} exceeds window {actx.window}"
+                    )
+                ca.ring.mul_into(acc.setdefault(x, {}), ca, endo.apply(cb))
+        if actx is not ctx and actx != ctx:
+            raise ContextMismatch("mixed skew contexts")
+    base = ctx.base
+    return SkewPoly(ctx, {x: base.reduced(terms) for x, terms in acc.items()})
+
+
 def _combination(lams: Sequence[SkewPoly], generators: Sequence[SkewPoly]) -> SkewPoly:
     """sum(lambda_i * g_i), for the re-verification by substitution."""
-    acc = generators[0].ctx.zero()
-    for lam, g in zip(lams, generators):
-        acc = acc + lam * g
-    return acc
+    return _multiply_accumulate(generators[0].ctx, zip(lams, generators))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ it over a series, and the coordinate map of `skew_poly` over each term.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -100,6 +101,25 @@ class SeriesRing:
             out = out + self.monomial(mono, c)
         return out
 
+    def mul_into(
+        self, out: Dict[Monomial, int], a: "TruncSeries", b: "TruncSeries"
+    ) -> None:
+        """Add the truncated product a * b into out, {monomial: coefficient},
+        coefficients unreduced: the one series product rule."""
+        a._check(b)
+        bound = self.max_scaled
+        for m1, c1 in a.terms.items():
+            room = bound - sum(m1)
+            for m2, c2 in b.terms.items():
+                if sum(m2) < room:
+                    m = tuple(map(operator.add, m1, m2))
+                    out[m] = out.get(m, 0) + c1 * c2
+
+    def reduced(self, terms: Mapping[Monomial, int]) -> "TruncSeries":
+        """The series of terms with coefficients reduced mod p, zeros dropped."""
+        p = self.p
+        return TruncSeries(self, {m: v for m, c in terms.items() if (v := c % p)})
+
 
 class TruncSeries:
     """A finite sum of monomials with nonzero coefficients in F_p."""
@@ -139,21 +159,9 @@ class TruncSeries:
         return self + (-other)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        p = self.ring.p
-        bound = self.ring.max_scaled
         out: Dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                if sum(m) >= bound:
-                    continue
-                v = (out.get(m, 0) + c1 * c2) % p
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        return TruncSeries(self.ring, out)
+        self.ring.mul_into(out, self, other)
+        return self.ring.reduced(out)
 
     def __pow__(self, n: int) -> "TruncSeries":
         if n < 0:

@@ -826,6 +826,15 @@ def test_module_validation_rejects_wrong_order_at_729():
     assert m == ((1, 2), (0, 1)) and all(type(x) is int for r in m for x in r)
 
 
+def test_module_validation_checks_the_wrap_around_edge(u3f3):
+    # e23 is cyclic of order 3, so its one non-tree edge is g^2 * g = 1;
+    # diag(2, 1) has order 2 over F_3 and breaks only that edge.
+    e23 = named(u3f3, (0, 1, 0))
+    with pytest.raises(ValueError, match="^generator actions violate the group law$"):
+        FinModule(e23, 3, [((2, 0), (0, 1))])
+    FinModule(e23, 3, [((1, 1), (0, 1))])
+
+
 def test_module_action_along_steps(u3f3):
     G = u3f3
     full = G.full()

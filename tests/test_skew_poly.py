@@ -591,3 +591,238 @@ def test_index_map_property(case):
     # Rows, tops and the first exception, type and message, against the
     # explicit ring products (asserted inside _check_index_map).
     _check_index_case(*case)
+
+
+# The ring re-checks against a forged elimination: one coefficient of one
+# kernel vector or of one solution changed on a column the block matrix
+# reaches, so the vector no longer maps to what it claims.
+
+
+def _forge(rows, mat):
+    """Add 1 mod p to the first coefficient of rows on a nonzero column."""
+    used = {c for r in mat.data for c in r}
+    found = next(((row, c) for row in rows for c in row if c in used), None)
+    if found is None:
+        return
+    row, c = found
+    v = (row[c] + 1) % mat.p
+    if v:
+        row[c] = v
+    else:
+        del row[c]
+
+
+def test_syzygy_recheck_rejects_a_forged_kernel_vector(monkeypatch):
+    from coherence_lab import fp_linalg
+
+    real = fp_linalg.kernel_basis
+
+    def forged(mat):
+        basis = real(mat)
+        _forge(basis, mat)
+        return basis
+
+    monkeypatch.setattr(fp_linalg, "kernel_basis", forged)
+    ctx, s, t, D, E = _pair(trunc=6)
+    with pytest.raises(AssertionError, match="^syzygy basis vector failed substitution$"):
+        syzygy_bounded([s, t], (1, 1), FULL_SLAB)
+
+
+def test_membership_recheck_rejects_a_forged_certificate(monkeypatch):
+    from coherence_lab import fp_linalg
+
+    real = fp_linalg.solve
+
+    def forged(mat, rhs):
+        sol = real(mat, rhs)
+        if sol is not None:
+            _forge([sol], mat)
+        return sol
+
+    monkeypatch.setattr(fp_linalg, "solve", forged)
+    ctx, s, t, D, E = _pair(p=3, n_u=1)
+    elem = D * s - SkewPoly.from_series(ctx, ctx.base.var("s", 3)) * E
+    with pytest.raises(
+        AssertionError, match="^membership certificate failed re-multiplication$"
+    ):
+        ideal_membership_bounded(elem, [D - E], (1, 1))
+
+
+# The multiply-accumulate kernel (`SkewPoly.__mul__`, `_combination`)
+# against the pair-by-pair product it replaced: one TruncSeries per term
+# product, one SkewPoly per pair product and per partial sum.
+
+
+def _series_product(a, b):
+    from coherence_lab.skew_series import TruncSeries
+
+    a._check(b)
+    p, bound = a.ring.p, a.ring.max_scaled
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = tuple(u + v for u, v in zip(m1, m2))
+            if sum(m) >= bound:
+                continue
+            v = (out.get(m, 0) + c1 * c2) % p
+            if v:
+                out[m] = v
+            else:
+                out.pop(m, None)
+    return TruncSeries(a.ring, out)
+
+
+def _pairwise_mul(a, b):
+    a._check(b)
+    ctx = a.ctx
+    out = {}
+    for xa, ca in a.coeffs.items():
+        endo = ctx.twist_endo(xa)
+        for xb, cb in b.coeffs.items():
+            x = tuple(u + v for u, v in zip(xa, xb))
+            if any(e > ctx.window for e in x):
+                raise WindowExceeded(f"product exponent {x} exceeds window {ctx.window}")
+            c = _series_product(ca, endo.apply(cb))
+            if c.is_zero():
+                continue
+            s = out.get(x)
+            v = c if s is None else s + c
+            if v.is_zero():
+                out.pop(x, None)
+            else:
+                out[x] = v
+    return SkewPoly(ctx, out)
+
+
+def _pairwise_combination(lams, generators):
+    acc = generators[0].ctx.zero()
+    for lam, g in zip(lams, generators):
+        acc = acc + _pairwise_mul(lam, g)
+    return acc
+
+
+def _kernel_outcome(call):
+    from coherence_lab.skew_series import ContextMismatch, PrecisionUnderflow
+
+    try:
+        return call()
+    except (WindowExceeded, PrecisionUnderflow, ContextMismatch) as e:
+        return type(e), str(e)
+
+
+def _check_kernel_case(params, pairs, moved):
+    """a * b for the first pair and `_combination` over all pairs against
+    the pair-by-pair oracle, results or exception type and message. pairs
+    holds (a, b) as {twist exponent: {monomial: coefficient}}; moved is
+    None or (k, side), and side "a", "b" or "ab" of pair k is built in the
+    context with the window one larger."""
+    from coherence_lab.skew_poly import _combination
+    from coherence_lab.skew_series import TruncSeries
+
+    ctx = _index_map_context(params)
+    wide = _index_map_context(params)
+    wide.window += 1
+
+    def poly(data, c):
+        return SkewPoly(c, {x: TruncSeries(c.base, terms) for x, terms in data.items()})
+
+    lams, gens = [], []
+    for k, (a, b) in enumerate(pairs):
+        side = moved[1] if moved and moved[0] == k else ""
+        lams.append(poly(a, wide if "a" in side else ctx))
+        gens.append(poly(b, wide if "b" in side else ctx))
+    want = _kernel_outcome(lambda: _pairwise_mul(lams[0], gens[0]))
+    assert _kernel_outcome(lambda: lams[0] * gens[0]) == want
+    want = _kernel_outcome(lambda: _pairwise_combination(lams, gens))
+    assert _kernel_outcome(lambda: _combination(lams, gens)) == want
+    return want
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A context, one to three pairs of polynomials with twist exponents up
+    to a top drawn up to one past the window, and maybe one pair moved to
+    another context."""
+    from coherence_lab.skew_poly import _series_monomials
+
+    p = draw(st.sampled_from([2, 3, 5]))
+    if draw(st.sampled_from([False, False, True])):
+        params = ("negative-log", p)
+    else:
+        precision = draw(st.sampled_from([0, 1]))
+        logs, trunc = st.integers(0, 2), st.integers(1, 3 if precision else 8)
+        params = ("pair", p, draw(logs), draw(logs), draw(trunc), draw(st.integers(0, 4)), precision)
+    ctx = _index_map_context(params)
+    monos = _series_monomials(ctx.base)
+    top = draw(st.integers(0, ctx.window + 1))
+    xexp = st.tuples(st.integers(0, top), st.integers(0, top))
+    series = st.lists(st.tuples(st.sampled_from(monos), st.integers(1, p - 1)), min_size=1, max_size=3)
+    poly = st.lists(st.tuples(xexp, series.map(dict)), min_size=1, max_size=3).map(dict)
+    pairs = draw(st.lists(st.tuples(poly, poly), min_size=1, max_size=3))
+    moved = None
+    if draw(st.integers(0, 3)) == 0:
+        moved = (draw(st.integers(0, len(pairs) - 1)), draw(st.sampled_from(["ab", "a", "b"])))
+    return params, pairs, moved
+
+
+# The inputs test_kernel_property shrinks to against broken variants of the
+# kernel, one per id: twisting by the right factor's exponent, twisting
+# before the window check, keeping a term whose degree reaches the
+# truncation, dropping zeros without reducing mod p, overwriting instead of
+# adding a term product, refusing an exponent equal to the window. The
+# property never reached the last id's variant, the context check against
+# ctx before a pair's products, so that case is written by hand: the moved
+# pair fails its window before the mismatch is seen.
+@pytest.mark.parametrize(
+    "params,pairs,moved",
+    [
+        (
+            ("negative-log", 2),
+            [({(0, 0): {(0, 0): 1}}, {(0, 1): {(0, 1): 1}})],
+            (0, "ab"),
+        ),
+        (
+            ("negative-log", 2),
+            [
+                ({(0, 0): {(0, 0): 1}}, {(0, 0): {(0, 0): 1}}),
+                ({(2, 0): {(0, 0): 1}}, {(2, 0): {(1, 0): 1}}),
+            ],
+            None,
+        ),
+        (("pair", 2, 0, 0, 8, 0, 0), [({(0, 0): {(0, 1): 1}}, {(0, 0): {(0, 7): 1}})], (0, "ab")),
+        (("pair", 2, 0, 0, 1, 0, 0), [({(0, 0): {(0, 0): 1}}, {(0, 0): {(0, 0): 1}})] * 2, None),
+        (
+            ("negative-log", 2),
+            [({(0, 0): {(0, 0): 1, (0, 1): 1}}, {(0, 0): {(0, 0): 1, (0, 1): 1}})],
+            (0, "ab"),
+        ),
+        (("pair", 2, 0, 0, 2, 0, 0), [({(0, 0): {(0, 0): 1}}, {(0, 0): {(0, 0): 1}})], None),
+        (
+            ("pair", 2, 0, 0, 2, 1, 0),
+            [
+                ({(0, 0): {(0, 0): 1}}, {(0, 0): {(0, 0): 1}}),
+                ({(2, 0): {(0, 0): 1}}, {(1, 0): {(0, 0): 1}}),
+            ],
+            (1, "ab"),
+        ),
+    ],
+    ids=[
+        "twist-by-left-exponent",
+        "window-before-twist",
+        "truncation-bound",
+        "reduce-mod-p",
+        "add-term-products",
+        "window-inclusive",
+        "context-after-products",
+    ],
+)
+def test_kernel_shrunk_cases(params, pairs, moved):
+    _check_kernel_case(params, pairs, moved)
+
+
+@settings(derandomize=True, database=None, max_examples=250, deadline=None)
+@given(_kernel_cases())
+def test_kernel_property(case):
+    # Results, or the first exception with its message, against the
+    # pair-by-pair products and sums (asserted inside _check_kernel_case).
+    _check_kernel_case(*case)
