@@ -13,7 +13,6 @@ import contextlib
 import hashlib
 import io
 import json
-import sys
 from pathlib import Path
 
 from coherence_lab import __version__
@@ -65,4 +64,3 @@ def test_report_bytes_match_the_pinned_corpus():
 
 if __name__ == "__main__":
     CORPUS_FILE.write_text("".join(json.dumps(_replay(argv)) + "\n" for argv in CORPUS))
-    sys.exit(0)
