@@ -1,4 +1,5 @@
-"""Pinned report bytes: exit code and stdout sha256 of fixed CLI runs.
+"""Pinned report bytes: exit code and the sha256 of stdout and stderr of
+fixed CLI runs.
 
 `report_corpus.jsonl` holds one line per argv of CORPUS, written by
 
@@ -13,10 +14,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
 
 from coherence_lab import __version__
-from coherence_lab.cli import main
+from coherence_lab.catalog import CATALOG
+from coherence_lab.cli import SUBGROUP_SELECTORS, main
 
 CORPUS_FILE = Path(__file__).resolve().parent / "report_corpus.jsonl"
 
@@ -34,16 +37,56 @@ CORPUS = [
     _skew(2, 16, 6, 5),
     _skew(5, 16, 6, 5),
 ]
+# Each further run prints its human lines plain and its report with --json -.
+_RUNS = [
+    *(["decide", name] for name in CATALOG),
+    ["catalog"],
+    ["catalog", "--check"],
+    ["obstruction"],
+    ["obstruction", "--control", "--nu", "0", "--nv", "0"],
+    *(
+        ["mackey", "--p", p, "--a", a, "--H", h, "--G1", g1, "--dim", dim]
+        for p, a in (("3", "1"), ("2", "2"))  # orders 27 and 64
+        for h in SUBGROUP_SELECTORS
+        for g1 in SUBGROUP_SELECTORS
+        for dim in ("1", "2")
+    ),
+]
+CORPUS += [argv for run in _RUNS for argv in (run, ["--json", "-", *run])]
+# Refusals exit 2 with a message on stderr.
+CORPUS += [
+    ["verify-skew", "--trunc", "1"],
+    ["mackey", "--p", "4"],
+    ["decide", "no-such-name"],
+    ["obstruction", "--window", "0"],
+]
+
+
+def _sha256(stream):
+    return hashlib.sha256(stream.getvalue().encode()).hexdigest()
 
 
 def _replay(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(list(argv))
+    out, err = io.StringIO(), io.StringIO()
+    # argparse wraps its usage lines to the terminal width.
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     return {
         "argv": list(argv),
         "exit": code,
-        "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        "stdout_sha256": _sha256(out),
+        "stderr_sha256": _sha256(err),
         "version": __version__,
     }
 
