@@ -58,9 +58,11 @@ def _emit(report: Dict[str, Any], args, human_lines) -> None:
         sys.stdout.write(text)
         return
     if args.json_file:
+        # Closing here, not in main, leaves no unwritten text for a second
+        # close to fail on.
         try:
-            args.json_file.write(text)
-            args.json_file.flush()
+            with args.json_file:
+                args.json_file.write(text)
         except OSError as e:
             PARSER.exit(2, f"error: {args.json}: {e.strerror}\n")
     if not args.quiet:

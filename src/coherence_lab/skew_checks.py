@@ -20,10 +20,10 @@ dense array between two echelon bases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import fp_linalg
-from .skew_series import FrobeniusEndo, SeriesRing
+from .skew_series import SeriesRing
 from .skew_poly import (
     NOT_IN_IDEAL_AT_BOUND,
     SkewContext,
@@ -136,9 +136,9 @@ def verify_relations(
     D - E found by bounded ideal membership, is an exact relation among
     (s, t, D - E). Completeness (bound-relative): the relation kernel on the
     interior coordinates (twist exponents at most window - margin, series
-    degree at most trunc - trunc/4, no term of the s and t products lost to
-    truncation) lies in the bounded left span of S. Only that interior
-    kernel is computed; kernel_dim is its dimension.
+    degree at most trunc - trunc/4, products with (s, t, D - E) that lose no
+    term to truncation) lies in the bounded left span of S. Only that
+    interior kernel is computed; kernel_dim is its dimension.
     """
     cap = max(window, m_max) + 2
     ctx = pair_context(p, n_u, n_v, trunc, cap, precision)
@@ -159,34 +159,18 @@ def verify_relations(
         hit = ideal_membership_bounded(u, [dme], u.max_xexp())
         report.soundness.append((name, hit is not NOT_IN_IDEAL_AT_BOUND))
 
+    # A kernel vector whose product with (s, t, D-E) loses a term to series
+    # truncation is a boundary artifact, not a relation of the untruncated
+    # ring; syzygy_bounded computes only the loss-free ones.
     series_cap = (trunc - trunc // 4) * ring.scale
-    growth_logs = (n_u, n_v)
-
-    def interior(gi: int, xexp, mono) -> bool:
-        # A kernel vector whose product with (s, t, D-E) loses a term to
-        # series truncation is a boundary artifact, not a relation of the
-        # untruncated ring; the twisted growth of the s and t components is
-        # p^(a n_u) resp. p^(b n_v).
-        deg = sum(mono)
-        if deg > series_cap:
-            return False
-        return gi == 2 or (
-            deg + p ** (xexp[gi] * growth_logs[gi]) * ring.scale < ring.max_scaled
-        )
-
     bound = window - margin
-    kernel = syzygy_bounded(gens3, (bound, bound), interior)
-    report.kernel_dim = len(kernel)
-
-    by_degree: Dict[int, List[PolyPair]] = {}
-    for lx, ly, lz in kernel:
-        deg = max(lx.xdegree(), ly.xdegree(), lz.xdegree() + 1)
-        by_degree.setdefault(deg, []).append((lx, ly))
+    kernel = syzygy_bounded(gens3, (bound, bound), series_cap)
 
     s_pairs = [pair for _, pair in labelled]
-    for deg in sorted(by_degree):
-        pairs = by_degree[deg]
+    for deg, vectors in kernel.items():
+        pairs = [(lx, ly) for lx, ly, _ in vectors]
         inside = span_contains(s_pairs, deg, window, pairs)
+        report.kernel_dim += len(pairs)
         report.interior_checked += len(pairs)
         for (lx, ly), ok in zip(pairs, inside):
             if not ok:
@@ -216,8 +200,8 @@ def one_var_free_decomposition(p: int, trunc: int) -> FreeDecompositionReport:
     and every pair (remainder below p, quotient) below truncation arises:
     the decomposition is a bijection. Verified by ring arithmetic.
     """
-    ring = SeriesRing(p, ("t",), trunc, 0)
-    sigma = FrobeniusEndo(ring, {"t": 1})
+    ctx = one_var_context(p, trunc, 1)
+    ring, sigma = ctx.base, ctx.twist_endo((1,))
     seen = {}
     unique = True
     for e in range(trunc):
@@ -254,6 +238,11 @@ class ModuleFlat:
         self.ncomp = ncomp
         self.fbound = fbound
         self.dim = (fbound + 1) * ncomp * ctx.base.max_scaled
+        # F^j moves t^e to t^(e * strides[j]), by the context's twist. One
+        # past fbound, a shift is refused for F-degree, not for the stride.
+        self.strides = [
+            ctx.twist_endo((j,)).scale((1,))[0] for j in range(fbound + 2)
+        ]
 
     def to_vec(self, elem: Sequence[SkewPoly]) -> fp_linalg.Row:
         """The coordinate row {index: value} of an n-tuple."""
@@ -286,19 +275,20 @@ class ModuleFlat:
     ) -> List[fp_linalg.Row]:
         """The loss-free products t^a F^j * row, as coordinate rows.
 
-        t^a F^j * t^e F^j' = t^(a + e p^j) F^(j' + j), so the product maps
-        coordinate (comp, j', e) to (comp, j' + j, a + e p^j): index k goes
-        to k - j * ncomp * max_scaled + a + e (p^j - 1). A row that would
+        t^a F^j * t^e F^j' = t^(a + e r) F^(j' + j) for the stride
+        r = strides[j] (p^j), so the product maps coordinate (comp, j', e)
+        to (comp, j' + j, a + e r): index k goes to
+        k - j * ncomp * max_scaled + a + e (r - 1). A row that would
         lose a nonzero coordinate to series truncation is dropped: silent
         truncation would identify distinct elements of the untruncated
         module. F-degree above fbound in any row is an error.
         """
         width = self.ctx.base.max_scaled
-        grow = self.ctx.base.p**j - 1
         drop = j * self.ncomp * width
         if any(min(row) < drop for row in rows if row):
             raise KeyError(f"F-degree above {self.fbound}")
-        # Exponents e < n land on a, a + p^j, ... inside the slab.
+        grow = self.strides[j] - 1
+        # Exponents e < n land on a, a + r, ... inside the slab.
         n = len(range(a, width, grow + 1))
         return [
             {k - drop + a + k % width * grow: v for k, v in row.items()}

@@ -9,25 +9,27 @@ coefficient applies the a-fold endomorphism, so
     (c X^a) (c' X^b) = c * sigma^a(c') X^(a+b).
 
 The module also provides bounded ideal membership with verified
-certificates, bounded syzygy kernels on a coordinate subspace, and
-membership in the span of the bounded multiples of generator tuples
-(`span_contains`, the span(S) check of `skew_checks`). Their generators are
-twist-homogeneous, so each flattened matrix is block diagonal with respect
-to total twist degree and is assembled and solved one degree block at a
-time. The multiples X^xexp * mono * g_i of a block (`_block_keys`) never
-become ring elements: `_Coords` flattens each generator once into its
-terms, and left multiplication by a monomial is an index map on their
-coordinates (`_Coords.shifted`) that moves each term by the context's
-`twist_endo`, visits only the terms the truncation keeps, and emits each
-product as the {code: value} row of its coordinates. `_assemble` transposes
-such columns into the rows of an `fp_linalg.FpMatrix`, one row per
-coordinate code, so no block is ever held as a dense array. Only the
-re-verifications multiply ring elements: `_multiply_accumulate` sums the
-products of the pairs it is given into one accumulator of coefficients, and
-both `SkewPoly.__mul__` (one pair) and the re-checks of kernel vectors and
-membership certificates (`_combination`, one pair per generator) go through
-it. `FlatSpace`, the dense whole-slab indexer, serves as the reference in
-the tests.
+certificates, bounded syzygy kernels among the multiples whose products lose
+no term to truncation, and membership in the span of the bounded multiples
+of generator tuples (`span_contains`, the span(S) check of `skew_checks`).
+Their generators are twist-homogeneous, so each flattened matrix is block
+diagonal with respect to total twist degree and is assembled and solved one
+degree block at a time. The multiples X^xexp * mono * g_i of a block
+(`_block_keys`) never become ring elements: `_Coords` flattens each
+generator once into its terms, and left multiplication by a monomial is an
+index map on their coordinates (`_Coords.shifted`) that moves each term by
+the context's `twist_endo`, visits only the terms the truncation keeps, and
+emits each product as the {code: value} row of its coordinates. Exponent
+scaling is injective, so a product lost no term exactly when its row has as
+many entries as the generator has terms; that is how a syzygy block picks
+its loss-free columns. `_assemble` transposes such columns into the rows of
+an `fp_linalg.FpMatrix`, one row per coordinate code, so no block is ever
+held as a dense array. Only the re-verifications multiply ring elements:
+`_multiply_accumulate` sums the products of the pairs it is given into one
+accumulator of coefficients, and both `SkewPoly.__mul__` (one pair) and the
+re-checks of kernel vectors and membership certificates (`_combination`, one
+pair per generator) go through it. `FlatSpace`, the dense whole-slab
+indexer, serves as the reference in the tests.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import bisect
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from . import fp_linalg
 from .skew_series import (
@@ -291,17 +293,16 @@ def _block_keys(
     xbounds: XExp,
     deg: int,
     monos: Sequence[Mono],
-    support: Optional[Callable[[int, XExp, Mono], bool]] = None,
 ) -> List[_Key]:
-    """The supported domain coordinates whose image has total twist degree
-    deg, for generators of total twist degrees degrees, by generator and
-    then in FlatSpace basis order."""
+    """The domain coordinates whose image has total twist degree deg, for
+    generators of total twist degrees degrees, by generator and then in
+    FlatSpace basis order."""
     keys: List[_Key] = []
     for gi, d in enumerate(degrees):
         for x in itertools.product(*[range(b + 1) for b in xbounds]):
             if sum(x) == deg - d:
                 keys += [(gi, x, m) for m in monos]
-    return keys if support is None else [key for key in keys if support(*key)]
+    return keys
 
 
 # A term of a tuple of ring elements: (component, twist exponent, series
@@ -438,19 +439,6 @@ def _products(
         yield from coords.shifted(flats[gi], xs, ms)
 
 
-def _block_matrix(
-    coords: _Coords,
-    flats: Sequence[Sequence[_Term]],
-    keys: Sequence[_Key],
-    *extra: SkewPoly,
-) -> fp_linalg.FpMatrix:
-    """One column flatten(X^xexp * mono * g_i) per key, then one per extra
-    polynomial."""
-    columns = [row for row, _ in _products(coords, flats, keys)]
-    columns += [coords.column((poly,)) for poly in extra]
-    return _assemble(columns, coords.ctx.base.p)
-
-
 def span_contains(
     generators: Sequence[Sequence[SkewPoly]],
     deg: int,
@@ -576,7 +564,9 @@ def ideal_membership_bounded(
         block = _block_keys(degrees, xbounds, deg, monos)
         if not block:
             return NOT_IN_IDEAL_AT_BOUND
-        m = _block_matrix(coords, flats, block, SkewPoly(ctx, components[deg]))
+        columns = [row for row, _ in _products(coords, flats, block)]
+        columns.append(coords.column((SkewPoly(ctx, components[deg]),)))
+        m = _assemble(columns, p)
         n = len(block)
         rhs = [row.pop(n, 0) for row in m.data]
         sol = fp_linalg.solve(fp_linalg.FpMatrix(m.data, n, p), rhs)
@@ -590,39 +580,44 @@ def ideal_membership_bounded(
 
 
 def syzygy_bounded(
-    generators: Sequence[SkewPoly],
-    xbounds: XExp,
-    support: Callable[[int, XExp, Mono], bool],
-) -> List[Tuple[SkewPoly, ...]]:
-    """Basis of the bounded relation module of the generators on a
-    coordinate subspace.
+    generators: Sequence[SkewPoly], xbounds: XExp, max_degree: int
+) -> Dict[int, List[Tuple[SkewPoly, ...]]]:
+    """Basis of the bounded loss-free relation module of the generators, by
+    total twist degree.
 
-    Returns tuples (lambda_1, ..., lambda_m) with sum(lambda_i g_i) = 0 in
-    the truncated ring, spanning all such relations whose coordinates lie
-    on the slab {exponents <= xbounds} and satisfy support(i, xexp, mono)
-    (generator index, twist exponent, series monomial): the kernel of the
-    flattened matrix restricted to the supported columns. The generators
-    must be nonzero and homogeneous in total twist degree, so the matrix is
-    block diagonal by degree and the kernel is computed blockwise. Every
-    basis vector is re-verified by substitution.
+    The columns are the products X^xexp * mono * g_i with xexp <= xbounds
+    and series degree sum(mono) <= max_degree (in scaled exponents) that
+    lose no term of g_i to truncation: exponent scaling is injective, so
+    such a product has as many coordinates as g_i has terms. Returns
+    {degree: [(lambda_1, ..., lambda_m), ...]}, ascending by degree and
+    holding only degrees with a relation: a basis of the relations
+    sum(lambda_i g_i) = 0 in the truncated ring supported on those columns.
+    The generators must be nonzero and homogeneous in total twist degree,
+    so the matrix is block diagonal by degree and the kernel is computed
+    blockwise. Every basis vector is re-verified by substitution.
     """
     _require_homogeneous(generators)
     ctx = generators[0].ctx
-    monos = _series_monomials(ctx.base)
+    monos = [m for m in _series_monomials(ctx.base) if sum(m) <= max_degree]
     coords = _Coords(ctx)
     flats = [coords.terms((g,)) for g in generators]
     degrees = [g.xdegree() for g in generators]
     top = sum(xbounds) + max(degrees)
-    out: List[Tuple[SkewPoly, ...]] = []
+    out: Dict[int, List[Tuple[SkewPoly, ...]]] = {}
     for deg in range(top + 1):
-        keys = _block_keys(degrees, xbounds, deg, monos, support)
-        if not keys:
+        block = _block_keys(degrees, xbounds, deg, monos)
+        kept = [
+            (key, row)
+            for key, (row, _) in zip(block, _products(coords, flats, block))
+            if len(row) == len(flats[key[0]])
+        ]
+        if not kept:
             continue
-        mat = _block_matrix(coords, flats, keys)
-        for kvec in fp_linalg.kernel_basis(mat):
+        keys, columns = zip(*kept)
+        for kvec in fp_linalg.kernel_basis(_assemble(columns, ctx.base.p)):
             pairs = ((keys[c], v) for c, v in kvec.items())
             lams = _coefficients(ctx, len(generators), pairs)
             if not _combination(lams, generators).is_zero():
                 raise AssertionError("syzygy basis vector failed substitution")
-            out.append(lams)
+            out.setdefault(deg, []).append(lams)
     return out

@@ -637,6 +637,24 @@ def test_json_report_files_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["catalog"], ["decide", "G3"]], ids=["catalog", "decide"])
+def test_unwritable_json_path_exits_two_without_traceback(argv):
+    # Every write to /dev/full fails with ENOSPC. In a fresh process, so
+    # that a second failure while the file closes at exit would show.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coherence_lab.cli", "--json", "/dev/full", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: /dev/full: No space left on device\n"
+    assert proc.stdout == ""
+
+
 def test_json_stdout_only_json(capsys):
     code, out, _ = run(["--json", "-", "decide", "SL2"], capsys)
     assert code == 0

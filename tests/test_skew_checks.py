@@ -49,6 +49,81 @@ def test_verify_relations_mid_size_pinned():
     assert rep.ok
 
 
+def _old_interior(p, n_u, n_v, ring, series_cap):
+    """The closed-form loss test verify_relations applied before
+    syzygy_bounded decided loss from its own products: X^x * m times s (t)
+    keeps every term when |m| + p^(x n_u) (p^(x n_v)) * scale stays below
+    the truncation, and times D - E always does."""
+    growth_logs = (n_u, n_v)
+
+    def interior(gi, xexp, mono):
+        deg = sum(mono)
+        if deg > series_cap:
+            return False
+        return gi == 2 or (
+            deg + p ** (xexp[gi] * growth_logs[gi]) * ring.scale < ring.max_scaled
+        )
+
+    return interior
+
+
+# (p, trunc, window, m_max, precision, n_u, n_v)
+_INTERIOR_CASES = [
+    (2, 8, 4, 3, 0, 1, 1),
+    (2, 6, 3, 3, 1, 1, 1),
+    (2, 11, 3, 6, 1, 1, 1),
+    (3, 9, 3, 6, 1, 1, 1),
+    (3, 12, 5, 4, 0, 1, 1),
+    (3, 12, 5, 4, 0, 2, 3),
+    (2, 16, 6, 5, 0, 1, 1),
+    (5, 16, 6, 5, 0, 1, 1),
+    (5, 16, 6, 5, 0, 16, 16),
+]
+
+
+@pytest.mark.parametrize("case", _INTERIOR_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_syzygy_columns_are_the_old_interior_keys(monkeypatch, case):
+    # On every degree block of the relation check, the columns that
+    # syzygy_bounded assembles are the products of the keys the old
+    # closed-form predicate kept, in the same order. Distinct keys give
+    # distinct products of s, t and D - E, so equal columns are equal keys.
+    from coherence_lab import skew_poly
+
+    p, trunc, window, m_max, precision, n_u, n_v = case
+    ctx = sc.pair_context(p, n_u, n_v, trunc, max(window, m_max) + 2, precision)
+    ring = ctx.base
+    gens = [
+        SkewPoly.from_series(ctx, ring.var("s")),
+        SkewPoly.from_series(ctx, ring.var("t")),
+        ctx.gen("D") - ctx.gen("E"),
+    ]
+    series_cap = (trunc - trunc // 4) * ring.scale
+    xbounds = (window - 1, window - 1)
+    interior = _old_interior(p, n_u, n_v, ring, series_cap)
+
+    coords = skew_poly._Coords(ctx)
+    flats = [coords.terms((g,)) for g in gens]
+    degrees = [g.xdegree() for g in gens]
+    monos = _series_monomials(ring)
+    want, total, kept = [], 0, 0
+    for deg in range(sum(xbounds) + 2):
+        keys = skew_poly._block_keys(degrees, xbounds, deg, monos)
+        total += len(keys)
+        keys = [key for key in keys if interior(*key)]
+        kept += len(keys)
+        if keys:
+            want.append([row for row, _ in skew_poly._products(coords, flats, keys)])
+
+    # Only the assembled columns matter here, so no kernel is computed.
+    got = []
+    monkeypatch.setattr(skew_poly, "_assemble", lambda columns, p: got.append(list(columns)))
+    monkeypatch.setattr(skew_poly.fp_linalg, "kernel_basis", lambda mat: [])
+    assert skew_poly.syzygy_bounded(gens, xbounds, series_cap) == {}
+    assert got == want
+    if case[:5] == (2, 8, 4, 3, 0):
+        assert (kept, total) == (920, 1728)
+
+
 def test_verify_relations_margin_zero_completeness_fails():
     # Negative control for the completeness arm: without the safety margin
     # a boundary kernel vector at the window edge falls outside span(S).

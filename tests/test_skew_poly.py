@@ -230,7 +230,12 @@ def test_membership_zero_element_and_generator_checks():
             ideal_membership_bounded(D - E, gens, (1, 1))
 
 
-FULL_SLAB = lambda *_: True  # noqa: E731
+def _syzygies(gens, bounds):
+    """The relations syzygy_bounded finds on every series monomial of the
+    ring, in the order it returns them."""
+    kernel = syzygy_bounded(gens, bounds, gens[0].ctx.base.max_scaled)
+    assert list(kernel) == sorted(kernel) and all(kernel.values())
+    return [lams for vectors in kernel.values() for lams in vectors]
 
 
 def test_syzygy_commutative_pair():
@@ -238,7 +243,7 @@ def test_syzygy_commutative_pair():
     from coherence_lab.skew_poly import FlatSpace
 
     ctx, s, t, D, E = _pair(trunc=6)
-    kernel = syzygy_bounded([s, t], (1, 1), FULL_SLAB)
+    kernel = _syzygies([s, t], (1, 1))
     assert kernel
     target = (t, -s)
     assert (target[0] * s + target[1] * t).is_zero()
@@ -252,35 +257,72 @@ def test_syzygy_commutative_pair():
     assert base == extended
 
 
-def _dense_kernel(ctx, gens, bounds):
-    """The slab domain and a basis of the null space of the dense flattened
-    matrix (independent assembly of the map that syzygy_bounded blocks)."""
-    from coherence_lab import fp_linalg
-    from coherence_lab.skew_poly import FlatSpace, _image_bounds
+def _lift(wide, poly):
     from coherence_lab.skew_series import TruncSeries
 
+    return SkewPoly(
+        wide, {x: TruncSeries(wide.base, dict(c.terms)) for x, c in poly.coeffs.items()}
+    )
+
+
+def _dense_columns(ctx, gens, bounds):
+    """The slab domain, the dense flattened matrix (one column per
+    generator and domain basis element, independent of the assembly that
+    syzygy_bounded blocks) and the loss-free columns.
+
+    A column X^x * mono * g_i is loss-free when its product, taken in a
+    context whose truncation no product here reaches, has every term below
+    the truncation of ctx."""
+    from coherence_lab.skew_poly import FlatSpace, SkewContext, _image_bounds
+    from coherence_lab.skew_series import SeriesRing
+
+    ring = ctx.base
+    logs = [m for per_var in ctx.endo_logs.values() for m in per_var.values()]
+    wide_trunc = ring.trunc * (ring.p ** (ctx.window * max(logs)) + 1)
+    wide = SkewContext(
+        SeriesRing(ring.p, ring.variables, wide_trunc, ring.precision),
+        ctx.twist_vars,
+        ctx.endo_logs,
+        ctx.window,
+    )
     domain = FlatSpace(ctx, bounds)
     image = FlatSpace(ctx, _image_bounds(gens, bounds))
-    cols = []
+    cols, loss_free = [], []
     for g in gens:
-        for (x, mono) in domain.basis:
-            mu = SkewPoly(ctx, {x: TruncSeries(ctx.base, {mono: 1})})
-            cols.append(image.to_vec(mu * g))
-    mat = fp_reference.matrix(np.array(cols, dtype=np.int64).T, ctx.base.p)
-    kernel = fp_linalg.kernel_basis(mat)
-    return domain, fp_reference.dense_rows(kernel, mat.cols).tolist()
+        for x, mono in domain.basis:
+            cols.append(image.to_vec(_monomial(ctx, x, mono) * g))
+            prod = _monomial(wide, x, mono) * _lift(wide, g)
+            degrees = [sum(m) for c in prod.coeffs.values() for m in c.terms]
+            assert max(degrees) < wide.base.max_scaled
+            loss_free.append(max(degrees) < ring.max_scaled)
+    return domain, np.array(cols, dtype=np.int64).T, loss_free
+
+
+def _null_space(mat, p):
+    from coherence_lab import fp_linalg
+
+    m = fp_reference.matrix(mat, p)
+    return fp_reference.dense_rows(fp_linalg.kernel_basis(m), m.cols).tolist()
 
 
 def test_syzygy_blockwise_matches_dense_kernel():
     # The degree-blocked kernel must span exactly the null space of the
-    # dense flattened matrix.
+    # dense flattened matrix restricted to the loss-free columns.
     from coherence_lab import fp_linalg
 
     ctx, s, t, D, E = _pair(p=2, trunc=4, window=4)
     gens = [s, t, D - E]
     bounds = (2, 2)
-    kernel = syzygy_bounded(gens, bounds, FULL_SLAB)
-    domain, dense = _dense_kernel(ctx, gens, bounds)
+    kernel = _syzygies(gens, bounds)
+    domain, mat, loss_free = _dense_columns(ctx, gens, bounds)
+    kept = [c for c, ok in enumerate(loss_free) if ok]
+    assert 0 < len(kept) < len(loss_free)
+    dense = []
+    for v in _null_space(mat[:, kept], 2):
+        full = [0] * len(loss_free)
+        for c, value in zip(kept, v):
+            full[c] = value
+        dense.append(full)
 
     flat_kernel = [
         domain.to_vec(k[0]) + domain.to_vec(k[1]) + domain.to_vec(k[2])
@@ -296,28 +338,31 @@ def test_syzygy_blockwise_matches_dense_kernel():
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_syzygy_support_is_dense_kernel_on_coordinate_subspace(p):
-    # On a random coordinate set I the restricted kernel is K ∩ span(e_I),
-    # of dimension dim K - rank(K restricted to the coordinates outside I).
+def test_syzygy_cap_is_dense_kernel_on_loss_free_coordinates(p):
+    # With I the loss-free columns of series degree at most the cap, the
+    # kernel is K ∩ span(e_I) for K the null space of the whole dense
+    # matrix, of dimension dim K - rank(K restricted to the coordinates
+    # outside I).
     from coherence_lab import fp_linalg
 
     ctx, s, t, D, E = _pair(p=p, trunc=4, window=4)
     gens = [s, t, D - E]
     bounds = (2, 2)
-    domain, dense = _dense_kernel(ctx, gens, bounds)
+    domain, mat, loss_free = _dense_columns(ctx, gens, bounds)
+    dense = _null_space(mat, p)
     dense_arr = np.array(dense, dtype=np.int64)
-    n = len(gens) * domain.dim
-    rng = random.Random(11 + p)
+    degree = [sum(mono) for _ in gens for _, mono in domain.basis]
     sizes = []
-    for _ in range(6):
-        chosen = {i for i in range(n) if rng.random() < 0.85}
-        off = [i for i in range(n) if i not in chosen]
-        kernel = syzygy_bounded(
-            gens,
-            bounds,
-            lambda gi, x, mono: gi * domain.dim + domain.index[(x, mono)] in chosen,
-        )
-        flat = [sum((domain.to_vec(lam) for lam in k), []) for k in kernel]
+    for cap in range(-1, ctx.base.max_scaled + 1):
+        chosen = {c for c, ok in enumerate(loss_free) if ok and degree[c] <= cap}
+        off = [c for c in range(len(loss_free)) if c not in chosen]
+        kernel = syzygy_bounded(gens, bounds, cap)
+        assert list(kernel) == sorted(kernel) and all(kernel.values())
+        flat = [
+            sum((domain.to_vec(lam) for lam in k), [])
+            for vectors in kernel.values()
+            for k in vectors
+        ]
         off_rank = fp_linalg.rank(fp_reference.matrix(dense_arr[:, off], p))
         assert len(flat) == len(dense) - off_rank
         assert all(v[i] == 0 for v in flat for i in off)
@@ -326,24 +371,25 @@ def test_syzygy_support_is_dense_kernel_on_coordinate_subspace(p):
             joint = fp_linalg.rank(fp_reference.matrix(flat + dense, p))
             assert joint == len(dense)
         sizes.append(len(flat))
-    assert 0 < max(sizes) < len(dense)
+    assert sizes == sorted(sizes)
+    assert sizes[0] == 0 < sizes[-1] < len(dense)
 
 
 def test_syzygy_rejects_zero_or_inhomogeneous_generators():
     ctx, s, t, D, E = _pair(trunc=6)
     for gens in ([s, ctx.zero()], [s, D + s], []):
         with pytest.raises(ValueError):
-            syzygy_bounded(gens, (1, 1), FULL_SLAB)
+            syzygy_bounded(gens, (1, 1), 5)
 
 
 def test_syzygy_single_regular_element():
     ctx, s, t, D, E = _pair(trunc=6)
-    assert syzygy_bounded([D - E], (3, 3), FULL_SLAB) == []
+    assert syzygy_bounded([D - E], (3, 3), 5) == {}
 
 
 def test_syzygy_repeated_generator():
     ctx, s, t, D, E = _pair(trunc=6)
-    kernel = syzygy_bounded([s, s], (0, 0), FULL_SLAB)
+    kernel = _syzygies([s, s], (0, 0))
     assert any(
         (k[0] + k[1]).is_zero() and not k[0].is_zero() for k in kernel
     )
@@ -625,7 +671,7 @@ def test_syzygy_recheck_rejects_a_forged_kernel_vector(monkeypatch):
     monkeypatch.setattr(fp_linalg, "kernel_basis", forged)
     ctx, s, t, D, E = _pair(trunc=6)
     with pytest.raises(AssertionError, match="^syzygy basis vector failed substitution$"):
-        syzygy_bounded([s, t], (1, 1), FULL_SLAB)
+        syzygy_bounded([s, t], (1, 1), 5)
 
 
 def test_membership_recheck_rejects_a_forged_certificate(monkeypatch):
