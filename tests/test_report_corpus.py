@@ -16,6 +16,7 @@ import io
 import json
 import os
 from pathlib import Path
+from unittest import mock
 
 from coherence_lab import __version__
 from coherence_lab.catalog import CATALOG
@@ -69,19 +70,12 @@ def _sha256(stream):
 def _replay(argv):
     out, err = io.StringIO(), io.StringIO()
     # argparse wraps its usage lines to the terminal width.
-    columns = os.environ.get("COLUMNS")
-    os.environ["COLUMNS"] = "80"
-    try:
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(list(argv))
             except SystemExit as exc:
                 code = exc.code
-    finally:
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
     return {
         "argv": list(argv),
         "exit": code,

@@ -272,7 +272,9 @@ def _dense_columns(ctx, gens, bounds):
 
     A column X^x * mono * g_i is loss-free when its product, taken in a
     context whose truncation no product here reaches, has every term below
-    the truncation of ctx."""
+    the truncation of ctx. A product term has degree |mono| + p^(x * log) * d
+    with |mono|, d below the truncation and x <= window, so the wide context,
+    truncated at trunc * (p^(window * log) + 1), loses none."""
     from coherence_lab.skew_poly import FlatSpace, SkewContext, _image_bounds
     from coherence_lab.skew_series import SeriesRing
 
@@ -293,7 +295,6 @@ def _dense_columns(ctx, gens, bounds):
             cols.append(image.to_vec(_monomial(ctx, x, mono) * g))
             prod = _monomial(wide, x, mono) * _lift(wide, g)
             degrees = [sum(m) for c in prod.coeffs.values() for m in c.terms]
-            assert max(degrees) < wide.base.max_scaled
             loss_free.append(max(degrees) < ring.max_scaled)
     return domain, np.array(cols, dtype=np.int64).T, loss_free
 
