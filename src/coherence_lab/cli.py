@@ -5,6 +5,12 @@ are data, not exit status: a "not coherent" answer still exits 0. Exit 2
 means the input could not be parsed or validated; exit 1 means a
 verification arm failed. --json writes the byte-deterministic report to a
 path ('-' writes only the JSON to stdout).
+
+At module level this imports only what building the parser and writing a
+report need. Each handler imports the layers it runs, in one
+`from . import ...` statement when it runs, and calls through their module
+attributes. A handler refuses its flags through its own subparser, so the
+usage line it prints is that subcommand's.
 """
 
 from __future__ import annotations
@@ -15,20 +21,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from . import __version__
-from .catalog import CATALOG, catalog_check
-from .coherence import InvalidDatum, decide
-from .descriptors import (
-    SCHEMA,
-    DescriptorError,
-    dumps_report,
-    loads_descriptor,
-    parse_descriptor,
-    to_descriptor,
-    verdict_to_json,
-)
-from .echelon import is_prime
-from .obstruction import not_fg_demonstration
-from .root_datum import MalformedDatum
+from .report import SCHEMA, dumps_report
 
 # name -> generators of a subgroup of U3(Z/p^a); None generates the whole
 # group from e12, e23 and e13.
@@ -75,10 +68,12 @@ def _base_report(command: str, inputs: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def cmd_decide(args) -> int:
+    from . import catalog, coherence, descriptors, root_datum
+
     target = args.target
     path = Path(target)
     try:
-        found = target in CATALOG or path.exists()
+        found = target in catalog.CATALOG or path.exists()
     except OSError as e:  # e.g. a name longer than the file system allows
         print(f"error: decide target: {e.strerror}", file=sys.stderr)
         return 2
@@ -86,21 +81,21 @@ def cmd_decide(args) -> int:
         print(f"error: {target!r} is neither a catalog name nor a file", file=sys.stderr)
         return 2
     try:
-        if target in CATALOG:
-            parsed = parse_descriptor(CATALOG[target]["descriptor"])
+        if target in catalog.CATALOG:
+            parsed = descriptors.parse_descriptor(catalog.CATALOG[target]["descriptor"])
         else:
-            parsed = loads_descriptor(path.read_text())
-    except (DescriptorError, OSError, UnicodeDecodeError) as e:
+            parsed = descriptors.loads_descriptor(path.read_text())
+    except (descriptors.DescriptorError, OSError, UnicodeDecodeError) as e:
         print(f"error: {path}: {e}", file=sys.stderr)
         return 2
     try:
-        verdict = decide(parsed)
-    except (InvalidDatum, MalformedDatum) as e:
+        verdict = coherence.decide(parsed)
+    except (coherence.InvalidDatum, root_datum.MalformedDatum) as e:
         print(f"error: invalid group datum: {e}", file=sys.stderr)
         return 2
-    vjson = verdict_to_json(verdict)
+    vjson = descriptors.verdict_to_json(verdict)
     report = _base_report(
-        "decide", {"target": target, "descriptor": to_descriptor(parsed)}
+        "decide", {"target": target, "descriptor": descriptors.to_descriptor(parsed)}
     )
     report["result"] = vjson
     lines = [f"{target}: {vjson['verdict'].replace('_', ' ')}"]
@@ -119,26 +114,25 @@ def cmd_decide(args) -> int:
 
 
 def cmd_verify_skew(args) -> int:
-    from . import skew_checks as sc
-    from .skew_poly import SkewPoly
-
     # Below truncation 2, s and t vanish in F_p[[s,t]]/(deg >= 1), so the
     # relation check has no generators to work with.
     if not 2 <= args.trunc <= 16:
-        PARSER.error("--trunc must be in [2, 16]")
+        args.parser.error("--trunc must be in [2, 16]")
     if not 1 <= args.window <= 6:
-        PARSER.error("--window must be in [1, 6]")
+        args.parser.error("--window must be in [1, 6]")
     if args.precision == 1 and args.window > 3:
-        PARSER.error("--precision 1 needs --window <= 3 (grid size)")
+        args.parser.error("--precision 1 needs --window <= 3 (grid size)")
     if args.precision == 1 and args.trunc > PRECISION1_MAX_TRUNC[args.p]:
-        PARSER.error(
+        args.parser.error(
             f"--precision 1 needs --trunc <= {PRECISION1_MAX_TRUNC[args.p]} "
             f"at p = {args.p} (time budget)"
         )
     if not 0 <= args.mmax <= 6:
-        PARSER.error("--mmax must be in [0, 6]")
+        args.parser.error("--mmax must be in [0, 6]")
     if not (1 <= args.nu <= 16 and 1 <= args.nv <= 16):
-        PARSER.error("--nu and --nv must be in [1, 16]")
+        args.parser.error("--nu and --nv must be in [1, 16]")
+
+    from . import skew_checks as sc, skew_poly
 
     relations = sc.verify_relations(
         p=args.p,
@@ -154,7 +148,7 @@ def cmd_verify_skew(args) -> int:
 
     kmax = 4
     ctx1 = sc.one_var_context(args.p, args.trunc, window=kmax + 1 + 3)
-    t_poly = SkewPoly.from_series(ctx1, ctx1.base.var("t"))
+    t_poly = skew_poly.SkewPoly.from_series(ctx1, ctx1.base.var("t"))
     f_poly = ctx1.gen("F")
     filtration = sc.filtration_identity_check([(t_poly, f_poly)], kmax)
     mjm = {
@@ -211,18 +205,20 @@ def cmd_verify_skew(args) -> int:
 
 
 def cmd_obstruction(args) -> int:
+    from . import echelon, obstruction
+
     try:
-        prime = is_prime(args.p)
+        prime = echelon.is_prime(args.p)
     except ValueError as e:
-        PARSER.error(str(e))
+        args.parser.error(str(e))
     if not prime:
-        PARSER.error(f"p={args.p} is not prime")
+        args.parser.error(f"p={args.p} is not prime")
     if not (1 <= args.window <= 64 and 1 <= args.nmax <= 64):
-        PARSER.error("--window and --nmax must be in [1, 64]")
+        args.parser.error("--window and --nmax must be in [1, 64]")
     lo = 0 if args.control else 1
     if not (lo <= args.nu <= 16 and lo <= args.nv <= 16):
-        PARSER.error(f"--nu and --nv must be in [{lo}, 16] (--control admits 0)")
-    demo = not_fg_demonstration(
+        args.parser.error(f"--nu and --nv must be in [{lo}, 16] (--control admits 0)")
+    demo = obstruction.not_fg_demonstration(
         p=args.p, n_u=args.nu, n_v=args.nv, n_max=args.nmax, window=args.window
     )
     report = _base_report(
@@ -272,7 +268,7 @@ def cmd_mackey(args) -> int:
     try:
         G = fg.FiniteGroup(args.p, args.a)
     except (ValueError, fg.BudgetExceeded) as e:
-        PARSER.error(str(e))
+        args.parser.error(str(e))
     H = _resolve_subgroup(G, args.H)
     G1 = _resolve_subgroup(G, args.G1)
     module = fg.random_unipotent_module(G1, args.p, dim=args.dim, seed=args.seed)
@@ -323,11 +319,13 @@ def cmd_mackey(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog
+
     if args.name:
-        if args.name not in CATALOG:
+        if args.name not in catalog.CATALOG:
             print(f"error: unknown catalog name {args.name!r}", file=sys.stderr)
             return 2
-        entry = CATALOG[args.name]
+        entry = catalog.CATALOG[args.name]
         report = _base_report("catalog", {"name": args.name})
         report["entry"] = {
             "name": args.name,
@@ -343,7 +341,7 @@ def cmd_catalog(args) -> int:
         return 0
     report = _base_report("catalog", {"check": args.check})
     if args.check:
-        rows = catalog_check()
+        rows = catalog.catalog_check()
         report["results"] = rows
         report["ok"] = all(r["ok"] for r in rows)
         lines = [
@@ -357,12 +355,12 @@ def cmd_catalog(args) -> int:
         return 0 if report["ok"] else 1
     report["names"] = [
         {"name": n, "expected": e["expected"], "note": e["note"]}
-        for n, e in CATALOG.items()
+        for n, e in catalog.CATALOG.items()
     ]
     _emit(
         report,
         args,
-        [f"{n}: expected {e['expected']}" for n, e in CATALOG.items()],
+        [f"{n}: expected {e['expected']}" for n, e in catalog.CATALOG.items()],
     )
     return 0
 
@@ -386,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         "decide", help="coherence verdict for a catalog name or descriptor file"
     )
     p_decide.add_argument("target", help="catalog name or path to a descriptor JSON")
-    p_decide.set_defaults(run=cmd_decide)
+    p_decide.set_defaults(run=cmd_decide, parser=p_decide)
 
     p_skew = sub.add_parser(
         "verify-skew", help="relation-generator and one-variable filtration checks"
@@ -399,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_skew.add_argument("--window", type=int, default=4)
     p_skew.add_argument("--mmax", type=int, default=3)
     p_skew.add_argument("--corrupt-s1", action="store_true", help=argparse.SUPPRESS)
-    p_skew.set_defaults(run=cmd_verify_skew)
+    p_skew.set_defaults(run=cmd_verify_skew, parser=p_skew)
 
     p_obs = sub.add_parser(
         "obstruction", help="monomial obstruction to finite generation"
@@ -412,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs.add_argument(
         "--control", action="store_true", help="allow nu/nv = 0 control runs"
     )
-    p_obs.set_defaults(run=cmd_obstruction)
+    p_obs.set_defaults(run=cmd_obstruction, parser=p_obs)
 
     p_mack = sub.add_parser(
         "mackey", help="restriction-of-induction checks on finite unitriangular groups"
@@ -422,14 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_mack.add_argument("--H", default="e12", choices=SUBGROUP_SELECTORS)
     p_mack.add_argument("--G1", default="e23", choices=SUBGROUP_SELECTORS)
     p_mack.add_argument("--dim", type=int, default=1, choices=(1, 2))
-    p_mack.set_defaults(run=cmd_mackey)
+    p_mack.set_defaults(run=cmd_mackey, parser=p_mack)
 
     p_cat = sub.add_parser("catalog", help="named groups and expected verdicts")
     p_cat.add_argument("name", nargs="?", help="echo one entry's descriptor")
     p_cat.add_argument(
         "--check", action="store_true", help="re-decide every entry and compare"
     )
-    p_cat.set_defaults(run=cmd_catalog)
+    p_cat.set_defaults(run=cmd_catalog, parser=p_cat)
     return parser
 
 

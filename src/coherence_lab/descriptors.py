@@ -1,4 +1,4 @@
-"""JSON group descriptors and report serialization.
+"""JSON group descriptors and verdict serialization.
 
 The on-disk schema is versioned ("coherence-lab/1"). Rational structure
 constants ride as "num/den" strings so no float ever touches a descriptor,
@@ -7,9 +7,9 @@ A descriptor that gives a bracket pair twice in the same orientation, or a
 target twice within one entry's terms, is refused rather than read
 last-one-wins.
 
-Reports are written by `dumps_report` directly, in the text of
-`json.dumps(report, indent=2)`: with an indent the standard library always
-takes its pure-Python encoder, a generator chain per container.
+The report writer, `dumps_report`, and `SCHEMA` live in the standard-library
+module `report`, so that a command can emit a report without loading the
+Lie and lattice layers this module needs; both are re-exported here.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, Union
 
 from .coherence import (
@@ -34,8 +33,8 @@ from .root_datum import (
     Weight,
     WitnessDescriptor,
 )
-
-SCHEMA = "coherence-lab/1"
+# dumps_report is re-exported: this module stays its public home.
+from .report import SCHEMA, dumps_report
 
 # Bound on every bracket constant's numerator and on the least common
 # denominator of all of them. README "Scale limits" derives from it that
@@ -238,80 +237,6 @@ def verdict_to_json(verdict: Union[Verdict, SemisimpleVerdict]) -> Dict[str, Any
             "reason": verdict.reason,
         }
     raise TypeError(f"not a verdict: {verdict!r}")
-
-
-# JSON text of the scalar types, by exact type; subclasses take the
-# isinstance branches of _write.
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-def _write(x: Any, newline: str, out: list) -> None:
-    """Append the JSON text of x to out; newline is the line break and
-    indent of the enclosing container. Scalar members are written inline,
-    containers recursively."""
-    scalar = _SCALARS.get(type(x))
-    if scalar is not None:
-        out.append(scalar(x))
-    elif isinstance(x, dict):
-        if not x:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for k, v in x.items():
-            if not isinstance(k, str):
-                raise TypeError(f"report keys must be str, not {type(k).__name__}")
-            key = encode_basestring_ascii(k)
-            scalar = _SCALARS.get(type(v))
-            if scalar is not None:
-                out.append(f"{sep}{key}: {scalar(v)}")
-            else:
-                out.append(f"{sep}{key}: ")
-                _write(v, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(x, (list, tuple)):
-        if not x:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        texts = []
-        for v in x:
-            scalar = _SCALARS.get(type(v))
-            if scalar is None:
-                break
-            texts.append(scalar(v))
-        else:  # scalars only: one join
-            out.append(f"[{inner}{(',' + inner).join(texts)}{newline}]")
-            return
-        sep = "[" + inner
-        for v in x:
-            out.append(sep)
-            _write(v, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif isinstance(x, str):
-        out.append(encode_basestring_ascii(x))
-    elif isinstance(x, int):
-        out.append(int.__repr__(x))
-    else:
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-
-
-def dumps_report(report: Dict[str, Any]) -> str:
-    """Deterministic JSON text (insertion order, two-space indent), equal
-    to json.dumps(report, indent=2) + "\n" byte for byte. Only dicts with
-    str keys, lists, tuples, str, int, bool and None are written; anything
-    else raises TypeError."""
-    out: list = []
-    _write(report, "\n", out)
-    out.append("\n")
-    return "".join(out)
 
 
 def loads_descriptor(text: str) -> Union[SolvableGroupDatum, RootSystemLabel]:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from coherence_lab import cli
+from coherence_lab import cli, coherence
 from coherence_lab import finite_groups as fg
 from coherence_lab import echelon
 from coherence_lab.catalog import CATALOG
@@ -507,7 +507,8 @@ def test_file_errors_exit_two(tmp_path, capsys, monkeypatch, case):
         "json-refused-before-work": ["--json", str(missing), "decide", "H3"],
     }[case]
     if case == "json-refused-before-work":
-        monkeypatch.setattr(cli, "decide", lambda parsed: pytest.fail("decide ran"))
+        # The handler reads decide from its module when it runs.
+        monkeypatch.setattr(coherence, "decide", lambda parsed: pytest.fail("decide ran"))
     t0 = time.perf_counter()
     try:
         code = main(argv)
@@ -520,6 +521,26 @@ def test_file_errors_exit_two(tmp_path, capsys, monkeypatch, case):
     assert "Traceback" not in out.out + out.err
     if case.startswith("json-"):
         assert out.err.count(argv[1]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-skew", "--trunc", "1"],
+        ["verify-skew", "--precision", "1", "--window", "4"],
+        ["obstruction", "--window", "0"],
+        ["obstruction", "--p", "4"],
+        ["mackey", "--p", "4"],
+    ],
+    ids=["skew-trunc", "skew-precision", "obstruction-window", "obstruction-prime", "mackey"],
+)
+def test_refusals_print_the_subcommand_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: coherence-lab {argv[0]} [-h]"), err
+    assert err.splitlines()[-1].startswith(f"coherence-lab {argv[0]}: error: "), err
 
 
 @pytest.mark.parametrize(
@@ -696,11 +717,17 @@ def test_decide_name_and_descriptor_file_agree(tmp_path, capsys):
         assert by_name["result"] == by_file["result"]
 
 
+# Lists, as the last line of stderr, which of numpy and the package's
+# submodules are loaded.
+_LOADED = """print("loaded:", *sorted(
+    m for m in sys.modules if m == "numpy" or m.startswith("coherence_lab.")
+), file=sys.stderr)"""
+
 # Runs the command line as `python -m coherence_lab.cli` does, then reports
-# on stderr, after the command has exited, whether numpy was ever imported.
-NUMPY_PROBE = """
+# on stderr, after the command has exited, what it ever imported.
+PROBE = f"""
 import atexit, runpy, sys
-atexit.register(lambda: print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr))
+atexit.register(lambda: {_LOADED})
 runpy.run_module("coherence_lab.cli", run_name="__main__", alter_sys=True)
 """
 
@@ -712,33 +739,61 @@ def _fresh(*args):
     )
 
 
+def _loaded(proc):
+    """The modules a run reported loaded, package prefix removed."""
+    last = proc.stderr.splitlines()[-1] if proc.stderr else ""
+    assert last.startswith("loaded:"), proc.stderr
+    return {name.removeprefix("coherence_lab.") for name in last.split()[1:]}
+
+
+# What each command loads of the package, besides `cli`. The package root
+# resolves its names on first use, so importing it loads no layer.
+REPORT = {"report"}
+DECIDE_LAYERS = REPORT | {
+    "catalog", "coherence", "descriptors", "root_datum", "int_lattice", "echelon"
+}
+SKEW_LAYERS = REPORT | {"skew_checks", "skew_poly", "skew_series", "fp_linalg", "echelon"}
+GROUP_LAYERS = REPORT | {"finite_groups", "fp_linalg", "echelon"}
+OBSTRUCTION_LAYERS = REPORT | {"obstruction", "skew_series", "echelon"}
+
+
 def test_import_leaves_numpy_unloaded():
-    proc = _fresh("import sys, coherence_lab, coherence_lab.cli; print('numpy' in sys.modules)")
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    proc = _fresh(f"import sys, coherence_lab, coherence_lab.cli; {_LOADED}")
+    assert proc.returncode == 0, proc.stderr
+    assert _loaded(proc) == REPORT | {"cli"}
 
 
 _SKEW = ["--json", "-", "verify-skew", "--p", "2"]
 
 
-# Every subcommand, each in its own fresh process: the skew and group
-# layers are imported inside their handlers, so only a fresh process shows
-# that each handler imports what it uses. verify-skew runs the three
+# Every subcommand, each in its own fresh process: every layer is imported
+# inside the handlers, so only a fresh process shows that each handler
+# imports what it uses and nothing more. verify-skew runs the three
 # operations of the benchmark's skew-relations workload, the last one the
-# corrupted control.
+# corrupted control; its refusals come before any import.
 @pytest.mark.parametrize(
-    "argv,code",
+    "argv,code,layers",
     [
-        (["decide", "Qp"], 0),
-        (["decide", "FILE"], 0),
-        (["catalog"], 0),
-        (["catalog", "--check"], 0),
-        (["obstruction"], 0),
-        (["--help"], 0),
-        (["--json", "-", "mackey", "--p", "3", "--a", "1"], 0),
-        (["--json", "-", "mackey", "--p", "3", "--a", "1", "--dim", "2"], 0),
-        (_SKEW + ["--trunc", "8", "--window", "4", "--mmax", "3"], 0),
-        (_SKEW + ["--trunc", "6", "--window", "3", "--mmax", "3", "--precision", "1"], 0),
-        (_SKEW + ["--trunc", "8", "--window", "4", "--mmax", "3", "--corrupt-s1"], 1),
+        (["decide", "Qp"], 0, DECIDE_LAYERS),
+        (["decide", "FILE"], 0, DECIDE_LAYERS),
+        (["catalog"], 0, DECIDE_LAYERS),
+        (["catalog", "--check"], 0, DECIDE_LAYERS),
+        (["obstruction"], 0, OBSTRUCTION_LAYERS),
+        (["--help"], 0, REPORT),
+        (["--json", "-", "mackey", "--p", "3", "--a", "1"], 0, GROUP_LAYERS),
+        (["--json", "-", "mackey", "--p", "3", "--a", "1", "--dim", "2"], 0, GROUP_LAYERS),
+        (_SKEW + ["--trunc", "8", "--window", "4", "--mmax", "3"], 0, SKEW_LAYERS),
+        (
+            _SKEW + ["--trunc", "6", "--window", "3", "--mmax", "3", "--precision", "1"],
+            0,
+            SKEW_LAYERS,
+        ),
+        (
+            _SKEW + ["--trunc", "8", "--window", "4", "--mmax", "3", "--corrupt-s1"],
+            1,
+            SKEW_LAYERS,
+        ),
+        (["verify-skew", "--trunc", "1"], 2, REPORT),
     ],
     ids=[
         "decide-name",
@@ -752,17 +807,20 @@ _SKEW = ["--json", "-", "verify-skew", "--p", "2"]
         "verify-skew",
         "verify-skew-precision-1",
         "verify-skew-corrupt",
+        "verify-skew-refused",
     ],
 )
-def test_commands_in_a_fresh_process_leave_numpy_unloaded(tmp_path, argv, code):
+def test_commands_in_a_fresh_process_leave_numpy_unloaded(tmp_path, argv, code, layers):
     path = tmp_path / "h3.json"
     path.write_text(json.dumps(CATALOG["H3"]["descriptor"]))
     argv = [str(path) if a == "FILE" else a for a in argv]
-    proc = _fresh(NUMPY_PROBE, *argv)
+    proc = _fresh(PROBE, *argv)
     assert proc.returncode == code, proc.stderr
     if argv[0] == "--json":
         assert json.loads(proc.stdout)["ok"] is (code == 0)
-    assert proc.stderr.endswith("numpy loaded: False\n"), proc.stderr
+    loaded = _loaded(proc)
+    assert "numpy" not in loaded
+    assert loaded == layers
 
 
 def test_package_imports_only_the_standard_library():
