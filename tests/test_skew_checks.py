@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,13 @@ import fp_reference
 from coherence_lab import fp_linalg
 from coherence_lab import obstruction as obs
 from coherence_lab import skew_checks as sc
-from coherence_lab.skew_poly import SkewPoly, _series_monomials, span_contains
+from coherence_lab.skew_poly import (
+    SkewPoly,
+    WindowExceeded,
+    _Coords,
+    _series_monomials,
+    span_contains,
+)
 from coherence_lab.skew_series import PrecisionUnderflow, TruncSeries
 
 
@@ -35,8 +42,7 @@ def test_verify_relations_default_passes():
     rep = sc.verify_relations(p=2, n_u=1, n_v=1, window=4, trunc=8, m_max=3)
     assert rep.soundness_ok
     assert rep.completeness_ok
-    assert rep.interior_checked == 222
-    assert rep.kernel_dim == rep.interior_checked
+    assert rep.kernel_dim == 222
 
 
 def test_verify_relations_mid_size_pinned():
@@ -45,7 +51,7 @@ def test_verify_relations_mid_size_pinned():
         ["S1[0]", "S2[0]"] + [f"S3[{m}]" for m in range(5)]
     )
     assert all(ok for _, ok in rep.soundness)
-    assert rep.interior_checked == 458
+    assert rep.kernel_dim == 458
     assert rep.ok
 
 
@@ -101,7 +107,7 @@ def test_syzygy_columns_are_the_old_interior_keys(monkeypatch, case):
     xbounds = (window - 1, window - 1)
     interior = _old_interior(p, n_u, n_v, ring, series_cap)
 
-    coords = skew_poly._Coords(ctx)
+    coords = skew_poly._Coords(ctx, 1)
     flats = [coords.terms((g,)) for g in gens]
     degrees = [g.xdegree() for g in gens]
     monos = _series_monomials(ring)
@@ -131,7 +137,7 @@ def test_verify_relations_margin_zero_completeness_fails():
         p=2, n_u=1, n_v=1, window=2, trunc=8, m_max=1, margin=0
     )
     assert rep.soundness_ok
-    assert rep.interior_checked == 165
+    assert rep.kernel_dim == 165
     assert len(rep.completeness_exceptions) == 1
     assert not rep.ok
 
@@ -346,56 +352,80 @@ def _term_count(elem):
     return sum(len(c.terms) for poly in elem for c in poly.coeffs.values())
 
 
-def _shifted_by_ring_product(flat, elem, a, j):
-    """The reference for `ModuleFlat.shift`: the rows of t^a F^j * elem, by
-    the truncated ring product. t^a F^j maps distinct terms to distinct
-    terms, so the product is loss-free exactly when it keeps every term;
-    a lossy one gives no row."""
-    ctx = flat.ctx
+def _shifted_by_ring_product(coords, elem, a, j):
+    """The reference for the one-variable products: the rows of
+    t^a F^j * elem, by the truncated ring product. t^a F^j maps distinct
+    terms to distinct terms, so the product is loss-free exactly when it
+    keeps every term; a lossy one gives no row."""
+    ctx = coords.ctx
     mu = SkewPoly(ctx, {(j,): TruncSeries(ctx.base, {(a,): 1})})
     prod = tuple(mu * poly for poly in elem)
-    return [flat.to_vec(prod)] if _term_count(prod) == _term_count(elem) else []
+    return [coords.column(prod)] if _term_count(prod) == _term_count(elem) else []
+
+
+def _multiples_by_ring_product(coords, elem, j):
+    """The reference rows of t^a F^j * elem for a = 0, 1, ... up to the
+    first lossy product, after which every product is lossy."""
+    trunc = coords.ctx.base.max_scaled
+    by_ring = [_shifted_by_ring_product(coords, elem, a, j) for a in range(trunc)]
+    n = len(list(itertools.takewhile(bool, by_ring)))
+    assert not any(by_ring[n:])
+    return [row for rows in by_ring[:n] for row in rows]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_module_flat_shift_matches_ring_product(p):
+    # The index map of `_Coords.shifted`, with the row-length loss test of
+    # the one-variable spans, gives the loss-free ring products t^a F^j * g
+    # for a = 0, 1, ... (this replaced `ModuleFlat.shift`).
     ctx = sc.one_var_context(p, trunc=12, window=4)
-    flat = sc.ModuleFlat(ctx, ncomp=2, fbound=4)
+    coords = _Coords(ctx, 2)
     rng = random.Random(p)
     seen = {True: 0, False: 0}
     for _ in range(300):
         emax = rng.choice([3, 12])
         elem = tuple(_random_one_var(rng, ctx, 2, emax) for _ in range(2))
-        a, j = rng.randrange(12 // emax * 3), rng.randint(0, 2)
-        want = _shifted_by_ring_product(flat, elem, a, j)
-        seen[bool(want)] += 1
-        assert flat.shift([flat.to_vec(elem)], a, j) == want
+        j = rng.randint(0, 2)
+        want = _multiples_by_ring_product(coords, elem, j)
+        a = rng.randrange(12 // emax * 3)
+        seen[bool(_shifted_by_ring_product(coords, elem, a, j))] += 1
+        assert sc._multiples(coords, coords.terms(elem), [j]) == want
     assert min(seen.values()) > 20
 
 
 def test_module_flat_shift_stack_and_bounds():
     ctx = sc.one_var_context(3, trunc=9, window=3)
-    flat = sc.ModuleFlat(ctx, ncomp=1, fbound=3)
+    coords = _Coords(ctx, 1)
     rng = random.Random(7)
     elems = [(_random_one_var(rng, ctx, 1),) for _ in range(40)]
-    rows = [flat.to_vec(e) for e in elems]
-    stacked = flat.shift(rows, 2, 1)
-    one_by_one = [r for row in rows for r in flat.shift([row], 2, 1)]
-    assert stacked == one_by_one
-    assert 0 < len(stacked) < len(rows)
-    # F-degree above fbound raises, also next to a row that the same shift
-    # drops as lossy, in either order.
-    top = flat.to_vec((SkewPoly(ctx, {(3,): ctx.base.one()}),))
-    lossy = flat.to_vec((SkewPoly.from_series(ctx, ctx.base.var("t", 8)),))
-    assert flat.shift([lossy], 1, 1) == []
-    for batch in ([top], [lossy, top], [top, lossy]):
-        with pytest.raises(KeyError):
-            flat.shift(batch, 1, 1)
-    # low_cut(k) is the index of the first F-degree <= k coordinate.
+    # A stack of elements gives each element's loss-free products in turn,
+    # for every F^j that keeps the F-degree within top.
+    stacked = sc._span_multiples(coords, [coords.terms(e) for e in elems], 2)
+    want = [
+        row
+        for e in elems
+        if _term_count(e)
+        for j in range(3 - e[0].xdegree())
+        for row in _multiples_by_ring_product(coords, e, j)
+    ]
+    assert stacked == want
+    lossy = [not _shifted_by_ring_product(coords, e, 2, 1) for e in elems]
+    assert 0 < sum(lossy) < len(elems)
+    # An F-degree pushed above the window raises, also next to a term that
+    # the same product loses to truncation, in either order.
+    top = SkewPoly(ctx, {(3,): ctx.base.one()})
+    low = SkewPoly.from_series(ctx, ctx.base.var("t", 8))
+    assert sc._multiples(coords, coords.terms((low,)), [1]) == []
+    for elem in ((top,), (low + top,), (top + low,)):
+        with pytest.raises(WindowExceeded, match=r"^product exponent \(4,\) exceeds"):
+            sc._multiples(coords, coords.terms(elem), [1])
+    with pytest.raises(WindowExceeded):
+        sc.module_span(coords, [coords.terms((low,)), coords.terms((top,))], 4)
+    # first((k,)) is the code of the first F-degree <= k coordinate.
     for k in range(4):
         unit = (SkewPoly(ctx, {(k,): ctx.base.one()}),)
-        assert flat.to_vec(unit) == {flat.low_cut(k): 1}
-    assert flat.low_cut(-1) == flat.dim and flat.low_cut(5) == 0
+        assert coords.column(unit) == {coords.first((k,)): 1}
+    assert coords.first((-1,)) == coords.dim and coords.first((3,)) == 0
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -403,7 +433,7 @@ def test_module_span_matches_ring_products(p):
     # Reference: every loss-free ring product t^a F^j * g with F-degree at
     # most maxdeg, flattened one by one.
     ctx = sc.one_var_context(p, trunc=10, window=5)
-    flat = sc.ModuleFlat(ctx, ncomp=2, fbound=5)
+    coords = _Coords(ctx, 2)
     rng = random.Random(10 + p)
     for maxdeg in (5, 3):
         gens = [
@@ -417,11 +447,41 @@ def test_module_span_matches_ring_products(p):
                     mu = SkewPoly(ctx, {(j,): TruncSeries(ctx.base, {(a,): 1})})
                     prod = tuple(mu * poly for poly in g)
                     if _term_count(prod) == _term_count(g):
-                        vecs.append(flat.to_vec(prod))
-        ref = fp_linalg.RowSpace(fp_linalg.FpMatrix(vecs, flat.dim, p))
-        got = sc.module_span(flat, [flat.to_vec(g) for g in gens], maxdeg)
+                        vecs.append(coords.column(prod))
+        ref = fp_linalg.RowSpace(coords.matrix(vecs))
+        got = sc.module_span(coords, [coords.terms(g) for g in gens], maxdeg)
         assert got.basis == ref.basis
         assert len(ref.basis) > 10
+
+
+def test_ragged_generator_tuples_are_refused(monkeypatch):
+    # Coordinates on n-tuples once wrote component n at F-degree j onto
+    # component 0 at F-degree j - 1, so (0, tF) and (t,) aliased and the
+    # ragged [(t,), (0, tF)] read degree 0 where the padded tuples read 1.
+    # A tuple of another length than the first is refused before any work.
+    from coherence_lab import skew_poly
+
+    ctx, t, F = _one_var(window=8)
+    zero = ctx.zero()
+    message = "^tuple of length 2 in coordinates of 1$"
+    assert sc.mjm_degree_detect([(t, zero), (zero, t * F)], 4) == 1
+    with pytest.raises(ValueError, match=message):
+        sc.mjm_degree_detect([(t,), (zero, t * F)], 4)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work before the refusal")
+
+    monkeypatch.setattr(sc, "module_span", no_work)
+    monkeypatch.setattr(skew_poly, "_products", no_work)
+    for check in (sc.mjm_degree_detect, sc.filtration_identity_check):
+        with pytest.raises(ValueError, match=message):
+            check([(t,), (zero, t * F)], 3)
+    pctx = sc.pair_context(2, 1, 1, 8, 6)
+    pairs = [pair for _, pair in sc.build_S_generators(pctx, 1, 1, 3)]
+    s = SkewPoly.from_series(pctx, pctx.base.var("s"))
+    for gens, queries in ((pairs + [(s,)], pairs), (pairs, pairs + [(s,)])):
+        with pytest.raises(ValueError, match="^tuple of length 1 in coordinates of 2$"):
+            span_contains(gens, 2, 4, queries)
 
 
 def _dense_pair_span(multiples, deg, window, monos, p):
@@ -547,34 +607,40 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 @st.composite
 def _shift_cases(draw):
-    """(p, trunc, fbound, elements, a, j): one to three n-tuples of random
+    """(p, trunc, window, elements, j): one to three n-tuples of random
     polynomials with t-exponents below a drawn bound, so that small elements
-    survive large shifts. j runs one past fbound and the F-degrees up to
-    fbound - j or to fbound, a up to the truncation, so products are
-    loss-free, lossy, or above fbound (a KeyError)."""
+    survive large shifts. j runs one past the window and the F-degrees up
+    to window - j or to the window, so products are loss-free, lossy, or
+    above the window (WindowExceeded)."""
     p = draw(st.sampled_from([2, 3, 5]))
-    trunc, fbound = draw(st.integers(2, 12)), draw(st.integers(0, 3))
-    ncomp, j = draw(st.integers(1, 3)), draw(st.integers(0, fbound + 1))
-    dmax = draw(st.sampled_from([max(fbound - j, 0), fbound]))
+    trunc, window = draw(st.integers(2, 12)), draw(st.integers(0, 3))
+    ncomp, j = draw(st.integers(1, 3)), draw(st.integers(0, window + 1))
+    dmax = draw(st.sampled_from([max(window - j, 0), window]))
     emax = draw(st.integers(1, trunc))
     terms = st.lists(
         st.tuples(st.integers(0, dmax), st.integers(0, emax - 1), st.integers(1, p - 1)),
         max_size=4,
     )
     elem = st.lists(terms, min_size=ncomp, max_size=ncomp)
-    elements = draw(st.lists(elem, min_size=1, max_size=3))
-    return p, trunc, fbound, elements, draw(st.integers(0, trunc - 1)), j
+    return p, trunc, window, draw(st.lists(elem, min_size=1, max_size=3)), j
+
+
+def _ring_or_error(call):
+    try:
+        return call()
+    except WindowExceeded as e:
+        return str(e)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(_shift_cases())
 def test_module_flat_shift_property(case):
-    # A stack of rows shifts to the loss-free ring products, in order; an
-    # F-degree pushed above fbound raises, also next to a lossy row.
-    p, trunc, fbound, elements, a, j = case
-    ctx = sc.one_var_context(p, trunc, window=2 * fbound + 1)
-    flat = sc.ModuleFlat(ctx, ncomp=len(elements[0]), fbound=fbound)
-    elems = []
+    # Each element's loss-free products t^a F^j, a = 0, 1, ..., are the
+    # ring's, in order; an F-degree pushed above the window raises the
+    # ring's WindowExceeded, also next to a lossy term.
+    p, trunc, window, elements, j = case
+    ctx = sc.one_var_context(p, trunc, window)
+    coords = _Coords(ctx, len(elements[0]))
     for elem in elements:
         polys = []
         for terms in elem:
@@ -582,11 +648,54 @@ def test_module_flat_shift_property(case):
             for deg, e, c in terms:
                 coeffs.setdefault((deg,), {})[(e,)] = c
             polys.append(SkewPoly(ctx, {x: TruncSeries(ctx.base, t) for x, t in coeffs.items()}))
-        elems.append(tuple(polys))
-    rows = [flat.to_vec(elem) for elem in elems]
-    if any(deg + j > fbound for elem in elems for poly in elem for (deg,) in poly.coeffs):
-        with pytest.raises(KeyError):
-            flat.shift(rows, a, j)
-        return
-    want = [row for elem in elems for row in _shifted_by_ring_product(flat, elem, a, j)]
-    assert flat.shift(rows, a, j) == want
+        got = _ring_or_error(lambda: sc._multiples(coords, coords.terms(polys), [j]))
+        assert got == _ring_or_error(lambda: _multiples_by_ring_product(coords, polys, j))
+
+
+@st.composite
+def _coordinate_cases(draw):
+    """(context, tuples): a one- or two-variable context and one to six
+    random tuples of one to three components over it. In one variable each
+    tuple is F-homogeneous, of a drawn F-degree."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    trunc, window = draw(st.integers(2, 9)), draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        ctx = sc.one_var_context(p, trunc, window)
+    else:
+        nu, nv, precision = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 1))
+        ctx = sc.pair_context(p, nu, nv, trunc, window, precision)
+    monos = _series_monomials(ctx.base)
+    xexps = list(itertools.product(range(window + 1), repeat=len(ctx.twist_vars)))
+    ncomp = draw(st.integers(1, 3))
+    tuples = []
+    for _ in range(draw(st.integers(1, 6))):
+        xs = [draw(st.sampled_from(xexps))] if len(xexps[0]) == 1 else xexps
+        term = st.tuples(st.sampled_from(xs), st.sampled_from(monos), st.integers(1, p - 1))
+        polys = []
+        for _ in range(ncomp):
+            coeffs = {}
+            for x, mono, c in draw(st.lists(term, max_size=4)):
+                coeffs.setdefault(x, {})[mono] = c
+            polys.append(SkewPoly(ctx, {x: TruncSeries(ctx.base, t) for x, t in coeffs.items()}))
+        tuples.append(tuple(polys))
+    return ctx, tuples
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_coordinate_cases())
+def test_coordinates_decode_and_filtration_pieces(case):
+    # A coordinate row decodes back into the terms of its tuple, in order.
+    # In one variable, the basis rows of a span from the code first((k,))
+    # on span its F-degree <= k piece: for F-homogeneous tuples, the span
+    # of those of F-degree <= k.
+    ctx, tuples = case
+    coords = _Coords(ctx, len(tuples[0]))
+    for elem in tuples:
+        assert coords.decode(coords.column(elem)) == coords.terms(elem)
+    if len(ctx.twist_vars) == 1:
+        span = fp_linalg.RowSpace(coords.matrix([coords.column(e) for e in tuples]))
+        for k in range(-1, ctx.window + 1):
+            low = [e for e in tuples if max(poly.xdegree() for poly in e) <= k]
+            want = fp_linalg.RowSpace(coords.matrix([coords.column(e) for e in low]))
+            piece = span.low_part(coords.first((k,)))
+            assert piece == list(want.basis.values())

@@ -444,7 +444,7 @@ def _check_index_map(ctx, g, shifts):
     raise, with the same message. Returns (matrix, tops, rows)."""
     from coherence_lab.skew_poly import _assemble, _Coords
 
-    coords = _Coords(ctx)
+    coords = _Coords(ctx, len(g))
     xs = [x for x, _ in shifts]
     ms = [m for _, m in shifts]
     t = coords.terms(g)
