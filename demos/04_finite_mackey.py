@@ -16,8 +16,10 @@ print(f"group: {G.name}, order {G.order}")
 center = fg.Subgroup(G, [G.index[(0, 0, 1)]])
 row = fg.Subgroup(G, [G.index[(1, 0, 0)], G.index[(0, 0, 1)]])
 print(f"H = center (order {center.order}), G1 = top row (order {row.order})")
+# H\G/G1 is read off the left cosets G/G1, enumerated once.
+cosets = fg._cosets(G, range(G.order), row, "left")
 print("double coset representatives:",
-      [G.elements[i] for i in fg.double_cosets(G, center, row)])
+      [G.elements[i] for i in fg.double_cosets(G, center, cosets)])
 print()
 
 module = fg.random_unipotent_module(row, 3, dim=2, seed=2024)
@@ -39,7 +41,7 @@ print()
 
 print("the Heisenberg commutator identity, by exact convolution:")
 for p, a in ((2, 1), (3, 1), (2, 2)):
-    r = fg.commutator_identity_report(p, a)
+    r = fg.commutator_identity_report(fg.FiniteGroup(p, a))
     print(
         f"  U3(Z/{p**a}): group identity {r.group_identity}, "
         f"st - ts = (1+t)(1+s)w: {r.algebra_identity}, "

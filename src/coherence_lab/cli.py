@@ -273,7 +273,7 @@ def cmd_mackey(args) -> int:
     G1 = _resolve_subgroup(G, args.G1)
     module = fg.random_unipotent_module(G1, args.p, dim=args.dim, seed=args.seed)
     mackey = fg.mackey_check(G, H, G1, module)
-    comm = fg.commutator_identity_report(args.p, args.a)
+    comm = fg.commutator_identity_report(G)
     ok = mackey.ok and comm.ok
     report = _base_report(
         "mackey",

@@ -6,14 +6,13 @@ the unitriangular matrix with x at (1,2), y at (2,3) and z at (1,3), encoded
 (x, y, z) and indexed x*p^2a + y*p^a + z, the sorted order of the
 encodings; `FiniteGroup.elements` holds every decoded triple, so no
 multiplication table is stored. Products, inverses and conjugates read the
-triples there and apply the closed-form law straight to an index. The
-traversals, subgroup closure and orbit enumeration, decode each generator
-once per call and each visited element once, and compute every translate
-h*u or u*k inline from the triples, with no method call per product.
-Every check here is still exhaustive rather than clever: subgroups are
-closed by orbit enumeration from their generators, and every coset
-partition (left, right or double) is one orbit enumeration whose
-representatives are the least elements of their orbits.
+triples there and apply the closed-form law straight to an index, with
+no method call per product. Every check here is still exhaustive rather
+than clever: subgroups are closed by orbit enumeration from their
+generators, a left or right coset is enumerated once from its least
+element over the subgroup's elements, and the double cosets H\\G/G1 are
+the orbits of H's generators on the cosets G/G1. Each class of a
+partition is represented by its least element.
 A matrix is a tuple of rows, each a tuple of ints in [0, p); it becomes
 {column: value} rows only to be ranked. A group-algebra element is held by
 its nonzero terms. Induced actions and the restriction-of-induction
@@ -84,6 +83,7 @@ class FiniteGroup:
             raise BudgetExceeded(f"order {p}^{3 * a} exceeds {MAX_GROUP_ORDER}")
         pa = p**a
         self.p = p
+        self.a = a
         self.pa = pa
         self.name = f"U3(Z/{pa})"
         self.order = pa**3
@@ -176,53 +176,55 @@ def _assert_subgroup_of(outer: Subgroup, inner: Subgroup) -> None:
         raise NotASubgroup("claimed subgroup is not contained")
 
 
-def _orbits(
-    G: FiniteGroup,
-    domain: Iterable[int],
-    left: Sequence[int] = (),
-    right: Sequence[int] = (),
-) -> Tuple[List[int], Dict[int, int]]:
-    """Orbits on `domain` of x -> h*x (h in `left`) and x -> x*k (k in `right`).
+# The least element of each coset, ascending, and element -> its coset's position.
+Cosets = Tuple[List[int], Dict[int, int]]
 
-    Returns the least element of each orbit, in ascending order, and a label
-    giving every element its orbit's position in that list. `domain` must be
-    ascending and a union of orbits. Generators suffice: in a finite group
-    every element is a product of them, with no inverses needed.
 
-    For u = (x, y, z), h*u = (a+x, b+y, c+z+ay) with h = (a, b, c) and
-    u*k = (x+a, y+b, z+c+xb) with k = (a, b, c), computed inline; each
-    popped element tries the left translates, then the right ones.
-    """
-    els, pa = G.elements, G.pa
-    lgens = [els[h] for h in left]
-    rgens = [els[k] for k in right]
+def _cosets(G: FiniteGroup, domain: Iterable[int], K: Subgroup, side: str) -> Cosets:
+    """The left cosets uK (`side` "left") or right cosets Ku ("right") of K
+    that make up `domain`, which must be ascending and a union of them.
+    Each is enumerated once from its least element u = (x, y, z), one
+    translate per element k = (a, b, c) of K: u*k = (x+a, y+b, z+c+xb),
+    k*u = (a+x, b+y, c+z+ay)."""
+    els, pa, left = G.elements, G.pa, side == "left"
+    ks = [(a, b, c, b if left else a) for a, b, c in map(els.__getitem__, K.elements)]
     reps: List[int] = []
     label: Dict[int, int] = {}
-    for g in domain:
-        if g in label:
-            continue
-        n = len(reps)
-        reps.append(g)
-        label[g] = n
-        stack = [g]
-        while stack:
-            x, y, z = els[stack.pop()]
-            for a, b, c in lgens:
-                v = ((x + a) % pa * pa + (y + b) % pa) * pa + (z + c + a * y) % pa
-                if v not in label:
-                    label[v] = n
-                    stack.append(v)
-            for a, b, c in rgens:
-                v = ((x + a) % pa * pa + (y + b) % pa) * pa + (z + c + x * b) % pa
-                if v not in label:
-                    label[v] = n
-                    stack.append(v)
+    for u in domain:
+        if u not in label:
+            n = len(reps)
+            reps.append(u)
+            x, y, z = els[u]
+            t = x if left else y
+            for a, b, c, s in ks:
+                label[((x + a) % pa * pa + (y + b) % pa) * pa + (z + c + t * s) % pa] = n
     return reps, label
 
 
-def double_cosets(G: FiniteGroup, H: Subgroup, G1: Subgroup) -> List[int]:
-    """Representatives of H\\G/G1, the least canonical element per orbit."""
-    return _orbits(G, range(G.order), H.generators, G1.generators)[0]
+def double_cosets(G: FiniteGroup, H: Subgroup, cosets: Cosets) -> List[int]:
+    """Representatives of H\\G/G1, the least element of each, ascending,
+    read off `cosets`, the left cosets G/G1 from `_cosets`: HgG1 is the
+    orbit of gG1 under gG1 -> hgG1 (Serre, 7.3), found by one translate h*u
+    of a coset's least element u per generator h of H. The cosets are
+    visited by ascending least element, so an orbit's first is its least."""
+    reps, label = cosets
+    els, pa = G.elements, G.pa
+    hgens = [els[h] for h in H.generators]
+    seen = [False] * len(reps)
+    out: List[int] = []
+    for i, u in enumerate(reps):
+        if not seen[i]:
+            out.append(u)
+            seen[i] = True
+            stack = [i]
+            while stack:
+                x, y, z = els[reps[stack.pop()]]
+                for a, b, c in hgens:
+                    j = label[((a + x) % pa * pa + (b + y) % pa) * pa + (c + z + a * y) % pa]
+                    if not seen[j]:
+                        seen[j] = True
+                        stack.append(j)
+    return out
 
 
 class AlgebraElement:
@@ -400,7 +402,7 @@ def induce(module: FinModule, big: Subgroup) -> Tuple[FinModule, List[int]]:
     small = module.subgroup
     _assert_subgroup_of(big, small)
     G = big.parent
-    reps, label = _orbits(G, big.elements, right=small.generators)
+    reps, label = _cosets(G, big.elements, small, "left")
     d = module.dim
     dim = len(reps) * d
     actions = []
@@ -436,11 +438,11 @@ class MackeyReport:
 Piece = Tuple[int, Subgroup, Subgroup]
 
 
-def _decompose(G: FiniteGroup, H: Subgroup, G1: Subgroup) -> List[Piece]:
-    """Per representative g of H\\G/G1, ascending: (g, gG1g^-1, K_g =
-    gG1g^-1 cap H), each closed once and checked against its elements."""
+def _decompose(G: FiniteGroup, H: Subgroup, G1: Subgroup, cosets: Cosets) -> List[Piece]:
+    """(g, gG1g^-1, K_g = gG1g^-1 cap H) per g of H\\G/G1 that `double_cosets`
+    reads off `cosets` (G/G1), each closed once and checked against its elements."""
     pieces = []
-    for g in double_cosets(G, H, G1):
+    for g in double_cosets(G, H, cosets):
         conj = Subgroup(G, [G.conjugate(g, x) for x in G1.generators])
         if set(conj.elements) != {G.conjugate(g, x) for x in G1.elements}:
             raise AssertionError("conjugated subgroup closure mismatch")
@@ -513,12 +515,12 @@ def mackey_check(
     if module.subgroup.element_set != G1.element_set:
         raise ValueError("module must live over G1")
     p, act = module.p, module.action_of
-    lhs_reps, lhs_label = _orbits(G, range(G.order), right=G1.generators)
+    lhs_reps, lhs_label = lhs = _cosets(G, range(G.order), G1, "left")
 
-    pieces = _decompose(G, H, G1)
+    pieces = _decompose(G, H, G1, lhs)
     # (H/K_g reps, their labels, the action of M^g, g)
     rhs_pieces = [
-        (*_orbits(G, H.elements, right=K.generators), _conjugated(G, module, g), g)
+        (*_cosets(G, H.elements, K, "left"), _conjugated(G, module, g), g)
         for g, _, K in pieces
     ]
 
@@ -564,7 +566,7 @@ def coset_rep_check(G: FiniteGroup, H: Subgroup, pieces: Sequence[Piece]) -> boo
     """Verify the glued representative set Z = {a g} hits every right
     H-coset exactly once, where (g, conj, K) runs over the pieces of
     `_decompose`, conj the subgroup gG1g^-1 and K = conj cap H, and a over
-    representatives of K\\conj.
+    representatives of K\\conj, both partitions right cosets from `_cosets`.
 
     The representatives are the least elements of the cosets Ka, which are
     also those of the left cosets aK: indices are lex on (x, y, z), so a
@@ -575,8 +577,8 @@ def coset_rep_check(G: FiniteGroup, H: Subgroup, pieces: Sequence[Piece]) -> boo
     """
     zs = []
     for g, conj, K in pieces:
-        zs += [G.mul(a, g) for a in _orbits(G, conj.elements, left=K.generators)[0]]
-    reps, label = _orbits(G, range(G.order), left=H.generators)
+        zs += [G.mul(a, g) for a in _cosets(G, conj.elements, K, "right")[0]]
+    reps, label = _cosets(G, range(G.order), H, "right")
     return len(zs) == len(reps) and len({label[z] for z in zs}) == len(zs)
 
 
@@ -593,11 +595,11 @@ class CommutatorReport:
         return self.group_identity and self.algebra_identity
 
 
-def commutator_identity_report(p: int, a: int) -> CommutatorReport:
+def commutator_identity_report(G: FiniteGroup) -> CommutatorReport:
     """Exact convolution check of the Heisenberg commutator identity.
 
-    With s = g12 - 1, t = g23 - 1, w = g13 - 1 in F_p[U_3(Z/p^a)], the group
-    law gives (1+s)(1+t) = (1+w)(1+t)(1+s), whose rearrangement is
+    With s = g12 - 1, t = g23 - 1, w = g13 - 1 in F_p[G], G = U_3(Z/p^a),
+    the group law gives (1+s)(1+t) = (1+w)(1+t)(1+s), which rearranges to
 
         s t - t s = (1+t)(1+s) w.
 
@@ -605,13 +607,11 @@ def commutator_identity_report(p: int, a: int) -> CommutatorReport:
     differs by (1+t)(1+s) w^2 and only holds when p = 2, a = 1; the report
     records both so callers can see the distinction.
     """
-    G = FiniteGroup(p, a)
-    pa = G.pa
+    p, pa = G.p, G.pa
     gs = G.index[(1 % pa, 0, 0)]
     gt = G.index[(0, 1 % pa, 0)]
     gw = G.index[(0, 0, 1 % pa)]
-    comm = G.mul(G.mul(G.mul(gs, gt), G.inv(gs)), G.inv(gt))
-    group_identity = comm == gw
+    group_identity = G.mul(G.mul(G.mul(gs, gt), G.inv(gs)), G.inv(gt)) == gw
 
     one = AlgebraElement.one(G, p)
     S = AlgebraElement.of(G, p, gs) - one
@@ -622,7 +622,7 @@ def commutator_identity_report(p: int, a: int) -> CommutatorReport:
     printed = (one + S) * (one + T) * W
     return CommutatorReport(
         p=p,
-        a=a,
+        a=G.a,
         group_identity=group_identity,
         algebra_identity=lhs == corrected,
         printed_order_holds=lhs == printed,

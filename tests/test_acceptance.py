@@ -362,22 +362,22 @@ COMMUTATOR_CASES = [
 @pytest.mark.parametrize("p,a", COMMUTATOR_CASES)
 def test_criterion_9_commutator_identity_as_stated(p, a):
     # Literal form of the criterion: st - ts = (1+s)(1+t)w.
-    assert fg.commutator_identity_report(p, a).printed_order_holds
+    assert fg.commutator_identity_report(fg.FiniteGroup(p, a)).printed_order_holds
 
 
 @pytest.mark.parametrize("p,a", [(2, 1), (3, 1), (2, 2)])
 def test_criterion_9_commutator_identity_corrected_order(p, a):
-    rep = fg.commutator_identity_report(p, a)
+    rep = fg.commutator_identity_report(fg.FiniteGroup(p, a))
     assert rep.group_identity and rep.algebra_identity
 
 
 def test_criterion_9_summary():
     stated = {
-        (p, a): fg.commutator_identity_report(p, a).printed_order_holds
+        (p, a): fg.commutator_identity_report(fg.FiniteGroup(p, a)).printed_order_holds
         for (p, a) in ((2, 1), (3, 1), (2, 2))
     }
     corrected = {
-        (p, a): fg.commutator_identity_report(p, a).algebra_identity
+        (p, a): fg.commutator_identity_report(fg.FiniteGroup(p, a)).algebra_identity
         for (p, a) in ((2, 1), (3, 1), (2, 2))
     }
     ok = all(corrected.values())

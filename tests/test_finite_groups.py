@@ -24,6 +24,19 @@ def named(G, *coords):
     return Subgroup(G, [G.index[c] for c in coords])
 
 
+def _left_cosets(G, G1):
+    """G/G1, the partition mackey_check computes once and reads H\\G/G1 off."""
+    return fg._cosets(G, range(G.order), G1, "left")
+
+
+def _double_cosets(G, H, G1):
+    return fg.double_cosets(G, H, _left_cosets(G, G1))
+
+
+def _decompose(G, H, G1):
+    return fg._decompose(G, H, G1, _left_cosets(G, G1))
+
+
 def test_group_table(u3f2):
     G = u3f2
     assert G.order == 8
@@ -62,17 +75,17 @@ def test_budget_refuses_a_huge_exponent_at_once():
 def test_double_cosets_trivial_cases(u3f2):
     G = u3f2
     full = G.full()
-    assert fg.double_cosets(G, full, full) == [G.identity]
+    assert _double_cosets(G, full, full) == [G.identity]
     trivial = Subgroup(G, [])
     H = named(G, (1, 0, 0))
     # With one side trivial, double cosets are plain cosets of the other.
-    assert len(fg.double_cosets(G, trivial, H)) == G.order // H.order
+    assert len(_double_cosets(G, trivial, H)) == G.order // H.order
 
 
 def test_double_cosets_center(u3f2):
     G = u3f2
     center = named(G, (0, 0, 1))
-    assert len(fg.double_cosets(G, center, center)) == 4
+    assert len(_double_cosets(G, center, center)) == 4
 
 
 def test_induce_identity(u3f2):
@@ -232,7 +245,7 @@ def test_mackey_dimension_identity(u3f3):
     rep = fg.mackey_check(G, H, G1, M)
     assert rep.ok
     total = 0
-    for g in fg.double_cosets(G, H, G1):
+    for g in _double_cosets(G, H, G1):
         conj_elems = {G.conjugate(g, x) for x in G1.elements}
         inter = conj_elems & set(H.elements)
         total += (H.order // len(inter)) * M.dim
@@ -240,7 +253,7 @@ def test_mackey_dimension_identity(u3f3):
 
 
 def _coset_reps_ok(G, H, G1):
-    return fg.coset_rep_check(G, H, fg._decompose(G, H, G1))
+    return fg.coset_rep_check(G, H, _decompose(G, H, G1))
 
 
 def test_coset_rep_check(u3f2, u3f3):
@@ -259,7 +272,7 @@ def test_coset_rep_check_rejects_colliding_representatives(u3f3):
     # coset: as many glued representatives as right cosets, but two collide.
     G = u3f3
     H, G1 = named(G, (0, 0, 1)), named(G, (1, 0, 0), (0, 0, 1))
-    pieces = fg._decompose(G, H, G1)
+    pieces = _decompose(G, H, G1)
     assert fg.coset_rep_check(G, H, pieces)
     g0 = pieces[0][0]
     twin = max({G.mul(G.mul(h, g0), k) for h in H.elements for k in G1.elements})
@@ -282,10 +295,10 @@ def test_coset_reps_left_and_right_transversals_agree():
         subs = _selector_subgroups(G).values()
         for H in subs:
             for G1 in subs:
-                for _, conj, K in fg._decompose(G, H, G1):
+                for _, conj, K in _decompose(G, H, G1):
                     L = conj.elements
-                    right = fg._orbits(G, L, left=K.generators)
-                    left = fg._orbits(G, L, right=K.generators)
+                    right = fg._cosets(G, L, K, "right")
+                    left = fg._cosets(G, L, K, "left")
                     assert right[0] == left[0]
                     differ += right[1] != left[1]
     assert differ
@@ -298,7 +311,7 @@ def test_decompose_pieces_match_products(u3f2, u3f3):
         subs = _selector_subgroups(G).values()
         for H in subs:
             for G1 in subs:
-                pieces = fg._decompose(G, H, G1)
+                pieces = _decompose(G, H, G1)
                 assert [g for g, _, _ in pieces] == _double_cosets_by_products(G, H, G1)
                 assert pieces[0][0] == G.identity
                 for g, conj, K in pieces:
@@ -348,7 +361,7 @@ def test_induction_transitive(u3f3):
 
 def test_commutator_identity_cases():
     for p, a in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 4), (5, 1), (13, 1)):
-        rep = fg.commutator_identity_report(p, a)
+        rep = fg.commutator_identity_report(FiniteGroup(p, a))
         assert dataclasses.astuple(rep) == (p, a, True, True, (p, a) == (2, 1))
         assert rep.ok
 
@@ -395,9 +408,9 @@ def test_algebra_element_matches_dense_convolution(p, a):
 def test_commutator_unit_factor_order_matters():
     # Swapping the unit factors is only harmless in F_2[U_3(Z/2)]: the two
     # orders differ by (1+t)(1+s)w^2, and w^2 = 0 forces p = 2, a = 1.
-    assert fg.commutator_identity_report(2, 1).printed_order_holds
-    assert not fg.commutator_identity_report(3, 1).printed_order_holds
-    assert not fg.commutator_identity_report(2, 2).printed_order_holds
+    for p, a in ((2, 1), (3, 1), (2, 2)):
+        holds = fg.commutator_identity_report(FiniteGroup(p, a)).printed_order_holds
+        assert holds == ((p, a) == (2, 1))
 
 
 def test_commutator_centrality_control(u3f3):
@@ -409,8 +422,10 @@ def test_commutator_centrality_control(u3f3):
 
 
 def test_commutator_budget():
+    # The report takes its group, so the order cap refuses U3(Z/32) before
+    # any report is made.
     with pytest.raises(fg.BudgetExceeded):
-        fg.commutator_identity_report(2, 5)
+        FiniteGroup(2, 5)
 
 
 def test_augmentation_basis(u3f2):
@@ -576,27 +591,30 @@ def test_double_cosets_match_products_over_all_selectors(u3f2, u3f3):
         subs = _selector_subgroups(G).values()
         for H in subs:
             for G1 in subs:
-                assert fg.double_cosets(G, H, G1) == _double_cosets_by_products(G, H, G1)
+                assert _double_cosets(G, H, G1) == _double_cosets_by_products(G, H, G1)
 
 
 def test_orbit_labels_match_product_partitions(u3f2, u3f3):
-    # Left cosets big/small, right cosets small\big and double cosets
-    # H\G/G1: representatives and every element's label.
+    # Left cosets big/small and right cosets small\big: representatives and
+    # every element's label; then the left cosets G/small, and the
+    # representatives of the double cosets big\G/small read off them.
     for G in (u3f2, u3f3):
         subs = list(_selector_subgroups(G).values())
         one = [G.identity]
         for big in subs:
             for small in subs:
                 if small.element_set <= big.element_set:
-                    assert fg._orbits(
-                        G, big.elements, right=small.generators
+                    assert fg._cosets(
+                        G, big.elements, small, "left"
                     ) == _partition_by_products(G, big.elements, one, small.elements)
-                    assert fg._orbits(
-                        G, big.elements, left=small.generators
+                    assert fg._cosets(
+                        G, big.elements, small, "right"
                     ) == _partition_by_products(G, big.elements, small.elements, one)
-                assert fg._orbits(
-                    G, range(G.order), big.generators, small.generators
-                ) == _partition_by_products(G, range(G.order), big.elements, small.elements)
+                cosets = _left_cosets(G, small)
+                assert cosets == _partition_by_products(G, range(G.order), one, small.elements)
+                assert fg.double_cosets(G, big, cosets) == _double_cosets_by_products(
+                    G, big, small
+                )
 
 
 def _dense(block_map, rows, d):
@@ -913,23 +931,23 @@ def _group_and_subgroups(p, a, *gen_lists):
 
 
 def _check_orbits(p, a, hgens, kgens):
-    # Right cosets, left cosets and double cosets of random subgroups, over
-    # the whole group and over the subgroup both generate: representatives
-    # and every label against the tuple-law partition.
+    # Right cosets H\L and left cosets L/K of random subgroups, L the whole
+    # group or the subgroup both generate: representatives and every label
+    # against the tuple-law partition. Then the double cosets H\L/K read off
+    # L/K: representatives against the least elements of the tuple-law classes.
     G, (H, K) = _group_and_subgroups(p, a, hgens, kgens)
     _check_closure(H)
     _check_closure(K)
     one = [G.identity]
     for domain in (range(G.order), Subgroup(G, H.generators + K.generators).elements):
-        assert fg._orbits(G, domain, left=H.generators) == _partition_by_products(
+        assert fg._cosets(G, domain, H, "right") == _partition_by_products(
             G, domain, H.elements, one
         )
-        assert fg._orbits(G, domain, right=K.generators) == _partition_by_products(
-            G, domain, one, K.elements
-        )
-        assert fg._orbits(G, domain, H.generators, K.generators) == _partition_by_products(
+        cosets = fg._cosets(G, domain, K, "left")
+        assert cosets == _partition_by_products(G, domain, one, K.elements)
+        assert fg.double_cosets(G, H, cosets) == _partition_by_products(
             G, domain, H.elements, K.elements
-        )
+        )[0]
 
 
 def _check_mackey(p, a, hgens, g1gens, dim, seed, central):
@@ -949,7 +967,13 @@ def _check_mackey(p, a, hgens, g1gens, dim, seed, central):
 # generator used without left ones, the closure with two generators, a
 # piece acting by g*gamma*g^-1 instead of g^-1*gamma*g, and the identity
 # piece's direct action used for every piece. The last two have dim 2 and
-# a G1 that is not normal.
+# a G1 that is not normal. The translates were those of a generator orbit
+# walk, which `_cosets` and `double_cosets` replace. The coset routines'
+# own variants shrank to: right cosets with the left side's cross term,
+# left-translate; left cosets with the right side's, right-translate; the
+# action on G/G1 multiplying on the right, coset-action-side; and a double
+# coset represented by the least element of the last coset its orbit
+# reaches, left-z-reduced.
 @pytest.mark.parametrize(
     "p, a, hgens, kgens",
     [
@@ -959,6 +983,7 @@ def _check_mackey(p, a, hgens, g1gens, dim, seed, central):
         (2, 1, [(0, 0, 1)], []),
         (2, 1, [], [(0, 0, 0), (0, 0, 1)]),
         (2, 1, [], [(0, 0, 0), (0, 0, 1), (0, 1, 0)]),
+        (2, 1, [(0, 1, 0)], [(0, 1, 0)]),
     ],
     ids=[
         "left-translate",
@@ -967,6 +992,7 @@ def _check_mackey(p, a, hgens, g1gens, dim, seed, central):
         "left-z-reduced",
         "every-right-generator",
         "every-closure-generator",
+        "coset-action-side",
     ],
 )
 def test_orbits_shrunk_cases(p, a, hgens, kgens):

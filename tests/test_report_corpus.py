@@ -61,6 +61,21 @@ CORPUS += [
     ["decide", "no-such-name"],
     ["obstruction", "--window", "0"],
 ]
+# The benchmark's order 729 over every selector pair, and three pairs at
+# orders 2197 and 4096: a module validated over all of G (full/full), one
+# double coset per element (trivial/trivial), and a center acting on the
+# cosets of a row (center/row).
+_MACKEY = ["--json", "-", "mackey", "--dim", "2"]
+CORPUS += [
+    [*_MACKEY, "--p", "3", "--a", "2", "--H", h, "--G1", g1]
+    for h in SUBGROUP_SELECTORS
+    for g1 in SUBGROUP_SELECTORS
+]
+CORPUS += [
+    [*_MACKEY, "--p", p, "--a", a, "--H", h, "--G1", g1]
+    for p, a in (("13", "1"), ("2", "4"))
+    for h, g1 in (("full", "full"), ("trivial", "trivial"), ("center", "row"))
+]
 
 
 def _sha256(stream):
