@@ -76,6 +76,13 @@ CORPUS += [
     for p, a in (("13", "1"), ("2", "4"))
     for h, g1 in (("full", "full"), ("trivial", "trivial"), ("center", "row"))
 ]
+# The group of order 1, whose subgroups have an empty polycyclic sequence,
+# and a module over every selector at order 512.
+CORPUS += [[*_MACKEY, "--p", p, "--a", "0"] for p in ("2", "3")]
+CORPUS += [
+    [*_MACKEY, "--p", "2", "--a", "3", "--H", "full", "--G1", g1]
+    for g1 in SUBGROUP_SELECTORS
+]
 
 
 def _sha256(stream):
