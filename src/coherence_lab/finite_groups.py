@@ -7,12 +7,14 @@ the unitriangular matrix with x at (1,2), y at (2,3) and z at (1,3), encoded
 encodings; `FiniteGroup.elements` holds every decoded triple, so no
 multiplication table is stored. Products, inverses and conjugates read the
 triples there and apply the closed-form law straight to an index, with
-no method call per product. Every check here is still exhaustive rather
-than clever: subgroups are closed by orbit enumeration from their
-generators, a left or right coset is enumerated once from its least
-element over the subgroup's elements, and the double cosets H\\G/G1 are
-the orbits of H's generators on the cosets G/G1. Each class of a
-partition is represented by its least element.
+no method call per product. Subgroups are closed by orbit enumeration
+from their generators, a left or right coset is enumerated once from its
+least element over the subgroup's elements, and the double cosets H\\G/G1
+are the orbits of H's generators on the cosets G/G1. Each class of a
+partition is represented by its least element. Two checks rest on
+structure rather than on every element: a module is validated by the
+polycyclic relations of its subgroup along the central series of `_lead`,
+and the Mackey pieces close each distinct conjugate gG1g^-1 once.
 A matrix is a tuple of rows, each a tuple of ints in [0, p); it becomes
 {column: value} rows only to be ranked. A group-algebra element is held by
 its nonzero terms. Induced actions and the restriction-of-induction
@@ -20,8 +22,10 @@ comparison map are block maps: each sends a coset block to one other block
 through one d x d matrix, so equivariance and invertibility are checked
 block by block, exactly. A Mackey check decomposes H\\G/G1 once into
 pieces (g, gG1g^-1, K_g = gG1g^-1 cap H), which the comparison map and the
-glued coset-representative check share, and holds one module, the caller's:
-piece g reads its blocks from it, gamma in K_g acting as g^-1 gamma g does.
+glued coset-representative check share; pieces with the same conjugate
+share its subgroup objects and their cosets. It holds one module, the
+caller's: piece g reads its blocks from it, gamma in K_g acting as
+g^-1 gamma g does.
 """
 
 from __future__ import annotations
@@ -171,6 +175,83 @@ def subgroup_from_elements(parent: FiniteGroup, elements: Sequence[int]) -> Subg
     return sub
 
 
+def _lead(G: FiniteGroup, e: int) -> Tuple[int, int]:
+    """(depth, leading exponent) of e in the central series of G
+    N_0 > N_1 > ... > N_3a = 1, where N_3k holds the (x, y, z) with p^k
+    dividing all three, N_3k+1 those of N_3k with p^(k+1) dividing x, and
+    N_3k+2 those with p^(k+1) dividing x and y. Each factor has order p. The
+    depth is the i with e in N_i outside N_i+1, and the exponent is the
+    coordinate that leaves N_i+1, over p^k, mod p. The identity has depth 3a."""
+    p, q = G.p, 1
+    x, y, z = G.elements[e]
+    for k in range(G.a):
+        r = q * p
+        if x % r:
+            return 3 * k, x // q % p
+        if y % r:
+            return 3 * k + 1, y // q % p
+        if z % r:
+            return 3 * k + 2, z // q % p
+        q = r
+    return 3 * G.a, 0
+
+
+def _power(G: FiniteGroup, e: int, k: int) -> int:
+    out = G.identity
+    for _ in range(k):
+        out = G.mul(out, e)
+    return out
+
+
+def _pcgs(S: Subgroup) -> List[Tuple[int, int]]:
+    """An induced polycyclic generating sequence of S along `_lead`'s
+    series, as (element, depth) pairs: one element per depth that S meets,
+    by ascending depth, each raised to have leading exponent 1. Each factor
+    of S cap N_i over S cap N_i+1 has order 1 or p, and any element of S of
+    depth i generates it when it is p, so S meets exactly n depths for
+    |S| = p^n and the scan stops at the n-th (Holt, Eick & O'Brien, Handbook
+    of Computational Group Theory, ch. 8)."""
+    G = S.parent
+    first: Dict[int, Tuple[int, int]] = {}
+    for e in S.elements:
+        depth, lead = _lead(G, e)
+        if depth < 3 * G.a:
+            first.setdefault(depth, (e, lead))
+        if G.p ** len(first) == S.order:
+            break
+    else:
+        raise AssertionError("polycyclic sequence does not match the order")
+    return [
+        (_power(G, e, pow(lead, -1, G.p)), depth)
+        for depth, (e, lead) in sorted(first.items())
+    ]
+
+
+def _exponents(G: FiniteGroup, pcgs: Sequence[Tuple[int, int]], e: int) -> List[int]:
+    """The exponents of e = c_1^k_1 ... c_n^k_n over an induced pcgs, by
+    sifting: k_m is e's leading exponent if its depth is c_m's, else 0, and
+    c_m^-k_m e goes on to c_m+1."""
+    exps = []
+    for c, c_depth in pcgs:
+        depth, lead = _lead(G, e)
+        k = lead if depth == c_depth else 0
+        exps.append(k)
+        if k:
+            e = G.mul(G.inv(_power(G, c, k)), e)
+    if e != G.identity:
+        raise AssertionError("element outside the polycyclic sequence's group")
+    return exps
+
+
+def _pc_relations(n: int, p: int) -> List[List[Tuple[int, int]]]:
+    """The relation words of a polycyclic presentation on c_1..c_n of
+    relative orders p, as (position, exponent) factors: the powers c_j^p and
+    the products c_k c_j for j < k. Each is equated with its value's normal
+    form; for c_k c_j that is c_j times the normal form of c_j^-1 c_k c_j."""
+    powers = [[(j, p)] for j in range(n)]
+    return powers + [[(k, 1), (j, 1)] for j in range(n) for k in range(j + 1, n)]
+
+
 def _assert_subgroup_of(outer: Subgroup, inner: Subgroup) -> None:
     if not inner.element_set <= outer.element_set:
         raise NotASubgroup("claimed subgroup is not contained")
@@ -290,10 +371,14 @@ class FinModule:
 
     An element acts as the product of the generator matrices along its
     path in `Subgroup.steps`. Construction verifies that the generator
-    matrices are invertible and that x*g acts as x followed by g for every
-    element x and generator g; by induction on path length that is the whole
-    homomorphism property, so an inconsistent action is rejected up front.
-    The edges x -> x*g of `steps` hold by construction and are skipped.
+    matrices are invertible and that the actions of an induced pcgs
+    c_1..c_n of the subgroup (`_pcgs`) satisfy its polycyclic relations
+    (`_pc_relations`): each relation word acts as its value's normal form
+    does. By von Dyck's theorem the c_m's actions then extend to a
+    homomorphism, and it is `action_of` once every generator acts as its
+    normal form does. That is the whole homomorphism property, so an
+    inconsistent action is rejected up front, after n + n(n-1)/2 relations
+    rather than one check per element and generator.
     """
 
     def __init__(
@@ -356,18 +441,37 @@ class FinModule:
         for m in self.gen_actions:
             if _rank(m, self.p) != self.dim:
                 raise ValueError("action matrix is singular")
-        G = self.subgroup.parent
-        # action_of multiplies along the edges (x, position of g) recorded in
-        # steps, so only the other edges can fail (Schreier's lemma).
-        tree = set(filter(None, self.subgroup.steps.values()))
-        edges = list(enumerate(zip(self.subgroup.generators, self.gen_actions)))
-        for x in self.subgroup.elements:
-            ax = self.action_of(x)
-            for gi, (g, a) in edges:
-                if (x, gi) in tree:
-                    continue
-                if _matmul(ax, a, self.p) != self.action_of(G.mul(x, g)):
-                    raise ValueError("generator actions violate the group law")
+        S, p = self.subgroup, self.p
+        G = S.parent
+        pcgs = _pcgs(S)
+        cs = [c for c, _ in pcgs]
+        # A_m^k for k <= p, A_m the action of c_m.
+        powers = []
+        for c in cs:
+            row = [self._eye, self.action_of(c)]
+            while len(row) <= p:
+                row.append(_matmul(row[-1], row[1], p))
+            powers.append(row)
+
+        def product(factors: Iterable[Tuple[int, int]]) -> Matrix:
+            m = self._eye
+            for j, k in factors:
+                if k:
+                    m = powers[j][k] if m is self._eye else _matmul(m, powers[j][k], p)
+            return m
+
+        def normal_form(e: int) -> Matrix:
+            return product(enumerate(_exponents(G, pcgs, e)))
+
+        for word in _pc_relations(len(cs), p):
+            e = G.identity
+            for j, k in word:
+                e = G.mul(e, _power(G, cs[j], k))
+            if product(word) != normal_form(e):
+                raise ValueError("generator actions violate the group law")
+        for g, a in zip(S.generators, self.gen_actions):
+            if a != normal_form(g):
+                raise ValueError("generator actions violate the group law")
 
 
 # A block map (perm, blocks) sends column block i to row block perm[i]
@@ -440,17 +544,25 @@ Piece = Tuple[int, Subgroup, Subgroup]
 
 def _decompose(G: FiniteGroup, H: Subgroup, G1: Subgroup, cosets: Cosets) -> List[Piece]:
     """(g, gG1g^-1, K_g = gG1g^-1 cap H) per g of H\\G/G1 that `double_cosets`
-    reads off `cosets` (G/G1), each closed once and checked against its elements."""
+    reads off `cosets` (G/G1). Every g conjugates every element of G1, and
+    the pair (gG1g^-1, K_g) is keyed by that element set: a conjugate is
+    closed, checked against the set and cut with H only on its first
+    sighting, and the later pieces with that set share those objects."""
     pieces = []
+    closed: Dict[frozenset, Tuple[Subgroup, Subgroup]] = {}
     for g in double_cosets(G, H, cosets):
-        conj = Subgroup(G, [G.conjugate(g, x) for x in G1.generators])
-        if set(conj.elements) != {G.conjugate(g, x) for x in G1.elements}:
-            raise AssertionError("conjugated subgroup closure mismatch")
-        inter_elems = [e for e in conj.elements if H.contains(e)]
-        K = subgroup_from_elements(G, inter_elems)
-        if set(K.elements) != set(inter_elems):
-            raise NotASubgroup("intersection is not closed")
-        pieces.append((g, conj, K))
+        key = frozenset(G.conjugate(g, x) for x in G1.elements)
+        pair = closed.get(key)
+        if pair is None:
+            conj = Subgroup(G, [G.conjugate(g, x) for x in G1.generators])
+            if conj.element_set != key:
+                raise AssertionError("conjugated subgroup closure mismatch")
+            inter_elems = [e for e in conj.elements if H.contains(e)]
+            K = subgroup_from_elements(G, inter_elems)
+            if set(K.elements) != set(inter_elems):
+                raise NotASubgroup("intersection is not closed")
+            closed[key] = pair = (conj, K)
+        pieces.append((g, *pair))
     return pieces
 
 
@@ -518,11 +630,13 @@ def mackey_check(
     lhs_reps, lhs_label = lhs = _cosets(G, range(G.order), G1, "left")
 
     pieces = _decompose(G, H, G1, lhs)
+    # H/K_g once per distinct K_g object, that is per distinct conjugate.
+    h_cosets = {
+        K: _cosets(G, H.elements, K, "left")
+        for K in dict.fromkeys(K for _, _, K in pieces)
+    }
     # (H/K_g reps, their labels, the action of M^g, g)
-    rhs_pieces = [
-        (*_cosets(G, H.elements, K, "left"), _conjugated(G, module, g), g)
-        for g, _, K in pieces
-    ]
+    rhs_pieces = [(*h_cosets[K], _conjugated(G, module, g), g) for g, _, K in pieces]
 
     # Column block (h_i, g) of psi goes to the lhs coset of h_i g.
     cols = [G.mul(hi, g) for hreps, _, _, g in rhs_pieces for hi in hreps]
@@ -575,9 +689,12 @@ def coset_rep_check(G: FiniteGroup, H: Subgroup, pieces: Sequence[Piece]) -> boo
     projection and the same fibre m(K cap Z) over that of m, as the centre
     Z = {(0, 0, z)} commutes with m; so m is least in both or in neither.
     """
-    zs = []
-    for g, conj, K in pieces:
-        zs += [G.mul(a, g) for a in _cosets(G, conj.elements, K, "right")[0]]
+    # K\conj once per distinct (conj, K) pair of objects.
+    conj_reps = {
+        (conj, K): _cosets(G, conj.elements, K, "right")[0]
+        for conj, K in dict.fromkeys((conj, K) for _, conj, K in pieces)
+    }
+    zs = [G.mul(a, g) for g, conj, K in pieces for a in conj_reps[conj, K]]
     reps, label = _cosets(G, range(G.order), H, "right")
     return len(zs) == len(reps) and len({label[z] for z in zs}) == len(zs)
 

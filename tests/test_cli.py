@@ -543,19 +543,37 @@ def test_refusals_print_the_subcommand_usage(capsys, argv):
     assert err.splitlines()[-1].startswith(f"coherence-lab {argv[0]}: error: "), err
 
 
+def _distinct_conjugates(argv):
+    """The distinct gG1g^-1 over the least elements g of the double cosets
+    HgG1, each double coset the set of products h g k."""
+    opts = dict(zip(argv[::2], argv[1::2]))
+    G = fg.FiniteGroup(int(opts["--p"]), int(opts["--a"]))
+    H, G1 = (cli._resolve_subgroup(G, opts[k]) for k in ("--H", "--G1"))
+    classes = {
+        frozenset(G.mul(G.mul(h, g), k) for h in H.elements for k in G1.elements)
+        for g in range(G.order)
+    }
+    return {frozenset(G.conjugate(min(c), x) for x in G1.elements) for c in classes}
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, double_cosets, conjugates",
     [
-        ["--p", "2", "--a", "1", "--H", "e12", "--G1", "e23"],
-        ["--p", "3", "--a", "1", "--H", "center", "--G1", "row", "--dim", "2"],
-        ["--p", "2", "--a", "2", "--H", "diagonal-free", "--G1", "trivial"],
+        (["--p", "2", "--a", "1", "--H", "e12", "--G1", "e23"], 2, 1),
+        (["--p", "3", "--a", "1", "--H", "center", "--G1", "row", "--dim", "2"], 3, 1),
+        (["--p", "2", "--a", "2", "--H", "diagonal-free", "--G1", "trivial"], 4, 1),
+        (["--p", "3", "--a", "1", "--H", "e12", "--G1", "e12"], 5, 3),
     ],
-    ids=["defaults", "p3-center-row", "p2a2-diagonal-free-trivial"],
+    ids=["defaults", "p3-center-row", "p2a2-diagonal-free-trivial", "p3-e12-e12"],
 )
-def test_mackey_decomposes_double_cosets_once(capsys, monkeypatch, argv):
+def test_mackey_decomposes_double_cosets_once(
+    capsys, monkeypatch, argv, double_cosets, conjugates
+):
     # One H\G/G1 enumeration per run, one conjugated closure and one
-    # intersection closure per double coset, and one module, the one the
-    # command builds: every piece reads its blocks from it.
+    # intersection closure per distinct conjugate gG1g^-1 (pieces with equal
+    # conjugates share them, distinct ones are not merged), and one module,
+    # the one the command builds: every piece reads its blocks from it.
+    assert len(_distinct_conjugates(argv)) == conjugates
     calls = {"double_cosets": 0, "subgroup_from_elements": 0}
     for name in calls:
         original = getattr(fg, name)
@@ -583,11 +601,11 @@ def test_mackey_decomposes_double_cosets_once(capsys, monkeypatch, argv):
     code, out, _ = run(["--json", "-", "mackey"] + argv, capsys)
     report = json.loads(out)
     assert code == 0 and report["coset_representatives_ok"]
-    n = report["mackey"]["double_cosets"]
+    assert report["mackey"]["double_cosets"] == double_cosets
     assert calls == {
         "double_cosets": 1,
-        "conjugated_closures": n,
-        "subgroup_from_elements": n,
+        "conjugated_closures": conjugates,
+        "subgroup_from_elements": conjugates,
         "modules": 1,
     }
 

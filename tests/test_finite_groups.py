@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fp_reference
+import group_reference
 from coherence_lab import finite_groups as fg
 from coherence_lab import fp_linalg
 from coherence_lab.finite_groups import FiniteGroup, FinModule, Subgroup
@@ -853,6 +854,179 @@ def test_module_validation_checks_the_wrap_around_edge(u3f3):
     FinModule(e23, 3, [((1, 1), (0, 1))])
 
 
+SINGULAR = "action matrix is singular"
+GROUP_LAW = "generator actions violate the group law"
+
+
+def _validation_outcomes(S, p, actions, dim=None):
+    """The message, or None, of the polycyclic check on construction and of
+    the edge oracle on the same matrices."""
+
+    def outcome(validate):
+        try:
+            validate()
+        except ValueError as e:
+            return str(e)
+        return None
+
+    def by_edges():
+        module = FinModule(S, p, actions, check=False, dim=dim)
+        group_reference.validate_by_edges(module)
+
+    return outcome(lambda: FinModule(S, p, actions, dim=dim)), outcome(by_edges)
+
+
+def test_module_validation_checks_rank_before_the_group_law(u3f3):
+    # Singular, and of the wrong order too: the rank check speaks first.
+    e23 = named(u3f3, (0, 1, 0))
+    assert _validation_outcomes(e23, 3, [((2, 1), (0, 0))]) == (SINGULAR, SINGULAR)
+    assert _validation_outcomes(e23, 3, [((2, 0), (0, 1))]) == (GROUP_LAW, GROUP_LAW)
+
+
+def _failing_checks(M):
+    """The checks of the polycyclic validation that the unchecked module M
+    fails: relation words, whose matrices are read from `action_of`, and
+    ("generator", i) for a generator matrix unlike its normal form's."""
+    S, p = M.subgroup, M.p
+    G = S.parent
+    pcgs = fg._pcgs(S)
+
+    def act(factors):
+        m = np.eye(M.dim, dtype=np.int64)
+        for j, k in factors:
+            for _ in range(k):
+                m = m @ M.action_of(pcgs[j][0]) % p
+        return m
+
+    def normal_form(e):
+        return act(enumerate(fg._exponents(G, pcgs, e)))
+
+    def value(word):
+        e = G.identity
+        for j, k in word:
+            e = G.mul(e, fg._power(G, pcgs[j][0], k))
+        return e
+
+    failing = [
+        w
+        for w in fg._pc_relations(len(pcgs), p)
+        if not np.array_equal(act(w), normal_form(value(w)))
+    ]
+    return failing + [
+        ("generator", i)
+        for i, (g, a) in enumerate(zip(S.generators, M.gen_actions))
+        if not np.array_equal(a, normal_form(g))
+    ]
+
+
+# Modules that break exactly one check of the polycyclic validation, each
+# (p, a, generators, their matrices, the broken check):
+# - power: e12 at p = 3, a = 2 is cyclic of order 9 with pcgs e12, e12^3;
+#   diag(2, 1) has order 2 over F_3, so only (e12^3)^3 = 1 fails;
+# - conjugate: the row subgroup at p = 3 is abelian with pcgs e12, e13, and
+#   two noncommuting matrices of order 3 fail only e13 e12 = e12 e13;
+# - generator: e12 and e12^2 generate e12 at p = 3 with pcgs e12; e12^2
+#   acting trivially breaks no relation, only its own normal form.
+NAMED_BAD_MODULES = {
+    "power": (3, 2, [(1, 0, 0)], [((2, 0), (0, 1))], [(1, 3)]),
+    "conjugate": (
+        3,
+        1,
+        [(1, 0, 0), (0, 0, 1)],
+        [((1, 1), (0, 1)), ((1, 0), (1, 1))],
+        [(1, 1), (0, 1)],
+    ),
+    "generator": (
+        3,
+        1,
+        [(1, 0, 0), (2, 0, 0)],
+        [((1, 1), (0, 1)), ((1, 0), (0, 1))],
+        ("generator", 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NAMED_BAD_MODULES)
+def test_module_validation_rejects_a_module_that_breaks_one_check(case):
+    p, a, gens, actions, broken = NAMED_BAD_MODULES[case]
+    _, (S,) = _group_and_subgroups(p, a, gens)
+    assert _failing_checks(FinModule(S, p, actions, check=False)) == [broken]
+    assert _validation_outcomes(S, p, actions) == (GROUP_LAW, GROUP_LAW)
+
+
+@pytest.mark.parametrize("case", ["power", "conjugate"])
+def test_a_validator_that_skips_the_broken_relation_accepts_it(monkeypatch, case):
+    # The named modules are what catch a validator that leaves one relation out.
+    p, a, gens, actions, broken = NAMED_BAD_MODULES[case]
+    _, (S,) = _group_and_subgroups(p, a, gens)
+    relations = fg._pc_relations
+    monkeypatch.setattr(
+        fg, "_pc_relations", lambda n, q: [w for w in relations(n, q) if w != broken]
+    )
+    FinModule(S, p, actions)
+
+
+def _depth_and_lead(G, e):
+    """e's place in the series N_3k+j of `finite_groups._lead`, through
+    valuations: the depth is min(3 v(x), 3 v(y) + 1, 3 v(z) + 2), v(0) = a,
+    and the leading exponent is that coordinate over p^v, mod p."""
+    p, a = G.p, G.a
+
+    def v(c):
+        k = 0
+        while k < a and c % p ** (k + 1) == 0:
+            k += 1
+        return k
+
+    if e == G.identity:
+        return 3 * a, 0
+    depth, c = min((3 * v(c) + j, c) for j, c in enumerate(G.elements[e]))
+    return depth, c // p ** (depth // 3) % p
+
+
+@pytest.mark.parametrize("p, a", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_lead_series_is_central_with_factors_of_order_p(p, a):
+    G = FiniteGroup(p, a)
+    depths = [_depth_and_lead(G, e)[0] for e in range(G.order)]
+    for i in range(3 * a):
+        N = [e for e in range(G.order) if depths[e] >= i]
+        assert len(N) == p ** (3 * a - i)
+        for g in range(G.order):
+            for x in N:
+                comm = G.mul(G.mul(g, x), G.mul(G.inv(g), G.inv(x)))
+                assert depths[comm] > i
+
+
+@pytest.mark.parametrize("p, a", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (2, 4)])
+def test_pcgs_normal_forms_reproduce_every_element(p, a):
+    # Induced: one element of each depth S meets, with leading exponent 1,
+    # by ascending depth, and every element of S is c_1^k_1 ... c_n^k_n
+    # for exactly one exponent vector, multiplied out by the tuple law.
+    G = FiniteGroup(p, a)
+    assert [fg._lead(G, e) for e in range(G.order)] == [
+        _depth_and_lead(G, e) for e in range(G.order)
+    ]
+    rng = random.Random(G.order)
+    subgroups = list(_selector_subgroups(G).values())
+    subgroups += [Subgroup(G, rng.sample(range(G.order), 2)) for _ in range(3)]
+    els = G.elements
+    for S in subgroups:
+        pcgs = fg._pcgs(S)
+        assert p ** len(pcgs) == S.order
+        assert [(d, 1) for _, d in pcgs] == [_depth_and_lead(G, c) for c, _ in pcgs]
+        assert [d for _, d in pcgs] == sorted({d for _, d in pcgs})
+        vectors = set()
+        for e in S.elements:
+            exps = fg._exponents(G, pcgs, e)
+            x = els[G.identity]
+            for (c, _), k in zip(pcgs, exps):
+                for _ in range(k):
+                    x = _tuple_mul(x, els[c], G.pa)
+            assert x == els[e] and all(0 <= k < p for k in exps)
+            vectors.add(tuple(exps))
+        assert len(vectors) == S.order
+
+
 def test_module_action_along_steps(u3f3):
     G = u3f3
     full = G.full()
@@ -1050,3 +1224,54 @@ def test_orbits_property(case):
 )
 def test_mackey_property(case, dim, seed, central):
     _check_mackey(*case, dim, seed, central)
+
+
+def _natural_actions(S, p):
+    """(x, y, z) -> [[1, x, z], [0, 1, y], [0, 0, 1]] mod p, the reduction of
+    U3(Z/p^a) onto U3(F_p): an action that conjugation does not fix."""
+    els = S.parent.elements
+    return [
+        ((1, x % p, z % p), (0, 1, y % p), (0, 0, 1))
+        for x, y, z in map(els.__getitem__, S.generators)
+    ]
+
+
+@st.composite
+def _module_cases(draw):
+    """A random subgroup of order 8 to 729 with generator matrices that are
+    an action (natural or seeded unipotent), an action with one matrix
+    replaced, or random matrices."""
+    p, a, gens = draw(_generator_sets(ORBIT_GROUPS, 1))
+    _, (S,) = _group_and_subgroups(p, a, gens)
+    kind = draw(st.sampled_from(["natural", "unipotent", "replaced", "random"]))
+    dim = draw(st.integers(1, 3))
+
+    def matrix(d):
+        entry = st.integers(0, p - 1)
+        return tuple(tuple(draw(entry) for _ in range(d)) for _ in range(d))
+
+    if kind == "random":
+        return S, p, [matrix(dim) for _ in S.generators], dim
+    if draw(st.booleans()):
+        actions, dim = _natural_actions(S, p), 3
+    else:
+        seed = draw(st.integers(0, 2**16))
+        actions, dim = fg.random_unipotent_module(S, p, 2, seed).gen_actions, 2
+    if kind == "replaced" and actions:
+        i = draw(st.integers(0, len(actions) - 1))
+        actions = actions[:i] + [matrix(dim)] + actions[i + 1 :]
+    return S, p, actions, dim
+
+
+def test_pc_validation_matches_the_edge_oracle():
+    outcomes = set()
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(_module_cases())
+    def agree(case):
+        pc, edges = _validation_outcomes(*case)
+        assert pc == edges
+        outcomes.add(pc)
+
+    agree()
+    assert outcomes == {None, SINGULAR, GROUP_LAW}
