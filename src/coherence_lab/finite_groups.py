@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from operator import mul
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -197,10 +198,8 @@ def _lead(G: FiniteGroup, e: int) -> Tuple[int, int]:
 
 
 def _power(G: FiniteGroup, e: int, k: int) -> int:
-    out = G.identity
-    for _ in range(k):
-        out = G.mul(out, e)
-    return out
+    """e^k for k >= 0, by k - 1 products."""
+    return reduce(G.mul, [e] * k) if k else G.identity
 
 
 def _pcgs(S: Subgroup) -> List[Tuple[int, int]]:
@@ -464,9 +463,7 @@ class FinModule:
             return product(enumerate(_exponents(G, pcgs, e)))
 
         for word in _pc_relations(len(cs), p):
-            e = G.identity
-            for j, k in word:
-                e = G.mul(e, _power(G, cs[j], k))
+            e = reduce(G.mul, (_power(G, cs[j], k) for j, k in word))
             if product(word) != normal_form(e):
                 raise ValueError("generator actions violate the group law")
         for g, a in zip(S.generators, self.gen_actions):
