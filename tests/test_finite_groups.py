@@ -877,7 +877,7 @@ def _validation_outcomes(S, p, actions, dim=None):
 
 
 def test_module_validation_checks_rank_before_the_group_law(u3f3):
-    # Singular, and of the wrong order too: the rank check speaks first.
+    # A singular matrix is refused as singular before any relation is read.
     e23 = named(u3f3, (0, 1, 0))
     assert _validation_outcomes(e23, 3, [((2, 1), (0, 0))]) == (SINGULAR, SINGULAR)
     assert _validation_outcomes(e23, 3, [((2, 0), (0, 1))]) == (GROUP_LAW, GROUP_LAW)
